@@ -17,8 +17,10 @@ from .graph import (
     Graph,
     GraphError,
     Tensor,
+    conv1d_tap,
     conv1d_windows,
     forward,
+    maxout_pieces,
     topo_order,
 )
 
@@ -52,119 +54,136 @@ def resolve_target(graph: Graph, target) -> tuple[str, int]:
     return node_id, index
 
 
-def _maxout_active_pieces(node, x: Tensor) -> tuple[Tensor, Tensor]:
-    """Active piece index per output unit (lowest index wins ties)."""
-    w, b = node.params["weights"], node.params["biases"]
-    z = np.einsum("poi,i->po", w, x.ravel()) + b
-    return z.argmax(axis=0), z
-
-
-def _pool_argmax_rows(x: Tensor, width: int, stride: int) -> Tensor:
+def _pool_argmax_rows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
     """Input row index of each window's max (first index on ties).
 
-    Shape (n_windows,) for vector input, (n_windows, channels) otherwise.
+    Windows run along ``axis``; the result is shaped like the pooled
+    output: (n_windows,) for vector input, (n_windows, channels)
+    otherwise, behind any leading batch axis.
     """
-    win = conv1d_windows(x, width, stride)
+    win = conv1d_windows(x, width, stride, axis)
     am = win.argmax(axis=-1)
-    offsets = stride * np.arange(win.shape[0])
-    if x.ndim == 1:
-        return offsets + am
-    return offsets[:, None] + am
+    offsets = stride * np.arange(win.shape[axis])
+    return am + offsets.reshape((-1,) + (1,) * (am.ndim - axis - 1))
 
 
 def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
              param_grads: dict | None = None) -> None:
-    """Accumulate input (and optionally parameter) gradients for one node."""
+    """Accumulate input (and optionally parameter) gradients for one node.
+
+    A batched trace's activations and gradients carry a leading batch
+    axis, and its parameter gradients are summed over it.  Input
+    gradients are formed only for sources that have an entry in
+    ``grads``.
+    """
     kind = node.kind
     if kind == "input":
         return
+    lead = 0 if trace.batch is None else 1
     src = node.inputs[0]
     x = trace[src]
+    gin = grads.get(src)
 
     if kind == "affine":
         w = node.params["weights"]
-        grads[src] += (w.T @ grad_out).reshape(x.shape)
+        if gin is not None:
+            gin += (grad_out @ w).reshape(x.shape)
         if param_grads is not None:
-            pg = param_grads.setdefault(node.id, {})
-            pg["weights"] = pg.get("weights", 0.0) + np.outer(grad_out, x.ravel())
-            pg["bias"] = pg.get("bias", 0.0) + grad_out
+            rows = grad_out.reshape(-1, w.shape[0])
+            param_grads[node.id] = {
+                "weights": rows.T @ x.reshape(len(rows), -1),
+                "bias": rows.sum(axis=0),
+            }
     elif kind == "conv1d":
         filters = node.params["filters"]
         stride = int(node.params["stride"])
-        n_filt, width, _ = filters.shape
-        contrib = np.einsum("pf,fkc->pkc", grad_out, filters)
-        n_win = grad_out.shape[0]
-        rows = stride * np.arange(n_win)
-        gin = grads[src]
-        for k in range(width):
-            gin[rows + k, :] += contrib[:, k, :]
+        n_filt, width, channels = filters.shape
+        n_out = grad_out.shape[lead]
+        rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
+        if gin is not None:
+            tap_shape = grad_out.shape[:-1] + (channels,)
+            for k in range(width):
+                conv1d_tap(gin, k, stride, n_out, lead)[...] += (
+                    rows @ filters[:, k, :]
+                ).reshape(tap_shape)
         if param_grads is not None:
-            win = conv1d_windows(x, width, stride)  # (P, C, K)
-            pg = param_grads.setdefault(node.id, {})
-            pg["filters"] = pg.get("filters", 0.0) + np.einsum(
-                "pf,pck->fkc", grad_out, win
-            )
-            pg["bias"] = pg.get("bias", 0.0) + grad_out.sum(axis=0)
+            dw = np.empty_like(filters)
+            for k in range(width):
+                tap = conv1d_tap(x, k, stride, n_out, lead).reshape(-1, channels)
+                dw[:, k, :] = rows.T @ tap
+            param_grads[node.id] = {"filters": dw, "bias": rows.sum(axis=0)}
     elif kind == "maxpool1d":
-        width, stride = int(node.params["width"]), int(node.params["stride"])
-        rows = _pool_argmax_rows(x, width, stride)
-        if x.ndim == 1:
-            np.add.at(grads[src], rows, grad_out)
-        else:
-            cols = np.arange(x.shape[1])[None, :]
-            np.add.at(grads[src], (rows, cols), grad_out)
+        if gin is not None:
+            width, stride = int(node.params["width"]), int(node.params["stride"])
+            index = list(np.ix_(*(np.arange(n) for n in grad_out.shape)))
+            index[lead] = _pool_argmax_rows(x, width, stride, lead)
+            np.add.at(gin, tuple(index), grad_out)
     elif kind == "relu":
-        grads[src] += grad_out * (x > 0)
+        if gin is not None:
+            gin += grad_out * (x > 0)
     elif kind == "prelu":
         slopes = node.params["slopes"]
-        grads[src] += grad_out * np.where(x > 0, 1.0, slopes)
+        if gin is not None:
+            gin += grad_out * ((x > 0) + (x <= 0) * slopes)
         if param_grads is not None:
-            gs = grad_out * np.where(x > 0, 0.0, x)
-            if slopes.shape == (1,):
-                gs = gs.sum(keepdims=True).reshape(1)
-            elif x.ndim > 1:
-                gs = gs.reshape(-1, x.shape[-1]).sum(axis=0)
-            pg = param_grads.setdefault(node.id, {})
-            pg["slopes"] = pg.get("slopes", 0.0) + gs
+            gs = grad_out * np.minimum(x, 0.0)
+            param_grads[node.id] = {"slopes": gs.reshape(-1, slopes.size).sum(axis=0)}
     elif kind == "sigmoid":
-        y = trace[node.id]
-        grads[src] += grad_out * y * (1.0 - y)
+        if gin is not None:
+            y = trace[node.id]
+            gin += grad_out * y * (1.0 - y)
     elif kind == "tanh":
-        y = trace[node.id]
-        grads[src] += grad_out * (1.0 - y * y)
+        if gin is not None:
+            y = trace[node.id]
+            gin += grad_out * (1.0 - y * y)
     elif kind == "maxout":
         w = node.params["weights"]
-        active, _ = _maxout_active_pieces(node, x)
-        out_dim = w.shape[1]
-        w_active = w[active, np.arange(out_dim), :]  # (out, in)
-        grads[src] += (w_active.T @ grad_out).reshape(x.shape)
+        _, out_dim, in_dim = w.shape
+        # active piece per unit, lowest index on ties
+        active = maxout_pieces(node, x, lead).argmax(axis=-2)
+        units = np.arange(out_dim)
+        if gin is not None:
+            gin += (grad_out[..., None, :] @ w[active, units]).reshape(x.shape)
         if param_grads is not None:
-            pg = param_grads.setdefault(node.id, {})
+            active = active.reshape(-1, out_dim)
+            rows = grad_out.reshape(-1, out_dim)
+            flat = x.reshape(len(rows), in_dim)
             dw = np.zeros_like(w)
             db = np.zeros_like(node.params["biases"])
-            np.add.at(
-                dw,
-                (active, np.arange(out_dim)),
-                grad_out[:, None] * x.ravel()[None, :],
-            )
-            np.add.at(db, (active, np.arange(out_dim)), grad_out)
-            pg["weights"] = pg.get("weights", 0.0) + dw
-            pg["biases"] = pg.get("biases", 0.0) + db
+            np.add.at(dw, (active, units), rows[:, :, None] * flat[:, None, :])
+            np.add.at(db, (active, units), rows)
+            param_grads[node.id] = {"weights": dw, "biases": db}
     elif kind == "product":
         a, b = node.inputs
-        grads[a] += grad_out * trace[b]
-        grads[b] += grad_out * trace[a]
+        if a in grads:
+            grads[a] += grad_out * trace[b]
+        if b in grads:
+            grads[b] += grad_out * trace[a]
     elif kind == "softmax":
-        y = trace[node.id]
-        grads[src] += y * (grad_out - np.dot(grad_out, y))
+        if gin is not None:
+            y = trace[node.id]
+            gin += y * (grad_out - (grad_out * y).sum(axis=-1, keepdims=True))
     else:
         raise GraphError(f"no gradient rule for node kind '{kind}'")
 
 
 def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
               want_param_grads: bool = False):
-    """Reverse sweep from seed gradients; returns (grads, param_grads)."""
-    grads = {nid: np.zeros(graph.nodes[nid].output_shape) for nid in graph.nodes}
+    """Reverse sweep from seed gradients; returns (grads, param_grads).
+
+    Single-sample and batched traces run the same rules; seeds and node
+    gradients are shaped like the trace's activations, and parameter
+    gradients are summed over the batch.  Without ``want_param_grads``
+    the result is (gradients of every node, None).  With it the sweep
+    serves training and returns (None, parameter gradients): each node's
+    gradient is dropped once propagated, and gradients into input nodes
+    are never formed.
+    """
+    grads = {
+        nid: np.zeros(trace[nid].shape)
+        for nid, node in graph.nodes.items()
+        if not (want_param_grads and node.kind == "input")
+    }
     for node_id, seed in seeds.items():
         grads[node_id] += seed
     param_grads: dict | None = {} if want_param_grads else None
@@ -172,11 +191,11 @@ def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
         node = graph.nodes[node_id]
         if node.kind == "input":
             continue
-        grad_out = grads[node_id]
+        grad_out = grads.pop(node_id) if want_param_grads else grads[node_id]
         if not grad_out.any():
             continue
         vjp_node(node, grad_out, trace, grads, param_grads)
-    return grads, param_grads
+    return (None, param_grads) if want_param_grads else (grads, None)
 
 
 def backward(graph: Graph, trace: ForwardTrace, target) -> GradientTrace:
@@ -228,7 +247,7 @@ def _kink_distance(graph: Graph, trace: ForwardTrace) -> float:
                 top2 = np.sort(win, axis=-1)[..., -2:]
                 margin = min(margin, float(np.min(top2[..., 1] - top2[..., 0])))
         elif node.kind == "maxout":
-            _, z = _maxout_active_pieces(node, trace[node.inputs[0]])
+            z = maxout_pieces(node, trace[node.inputs[0]])
             if z.shape[0] > 1:
                 top2 = np.sort(z, axis=0)[-2:, :]
                 margin = min(margin, float(np.min(top2[1] - top2[0])))

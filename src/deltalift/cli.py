@@ -58,8 +58,10 @@ EXIT_INVALID = 4
 EXIT_RUNTIME = 5
 
 
-def _write_manifest(out_path, args: argparse.Namespace) -> None:
+def _write_manifest(out_path, args: argparse.Namespace, **facts) -> None:
+    """Write the resolved arguments, plus ``facts`` the run established."""
     resolved = {k: v for k, v in sorted(vars(args).items()) if not callable(v)}
+    resolved.update(facts)
     resolved["package_version"] = __version__
     with open(f"{out_path}.manifest", "w", encoding="utf-8") as fh:
         json.dump(resolved, fh, indent=1, default=str)
@@ -134,11 +136,19 @@ def cmd_train(args) -> int:
 
 
 def _attribution_reference(graph, mode):
+    """(graph to attribute, reference input, whether weights were normalized).
+
+    ``zeros-normalized`` applies the constrained-input pass when the graph
+    declares constraint groups; without groups there is nothing to
+    normalize and the graph is used as it is.
+    """
     if mode == "zeros":
-        return graph, zeros_reference(graph)
+        return graph, zeros_reference(graph), False
     if mode == "zeros-normalized":
+        if not graph.constraint_groups:
+            return graph, zeros_reference(graph), False
         normalized = normalize_constrained_weights(graph)
-        return normalized, zeros_reference(normalized)
+        return normalized, zeros_reference(normalized), True
     raise ValueError(f"unknown reference mode '{mode}'")
 
 
@@ -146,7 +156,7 @@ def cmd_attribute(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
     target = _parse_target(args.target)
-    graph, ref_input = _attribution_reference(graph, args.reference)
+    graph, ref_input, normalized = _attribution_reference(graph, args.reference)
     reference = compute_reference(graph, ref_input)
     input_id = graph.input_ids()[0]
 
@@ -190,7 +200,7 @@ def cmd_attribute(args) -> int:
                     f"{ex.sid}\t{i}\t{label}\t{delta[i]:.10g}\t"
                     f"{mult[i]:.10g}\t{contrib[i]:.10g}\n"
                 )
-    _write_manifest(args.out, args)
+    _write_manifest(args.out, args, reference_normalized=normalized)
     print(f"attributed {len(examples)} sequences with {args.method} -> {args.out}")
     return EXIT_OK
 

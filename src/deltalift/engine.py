@@ -59,6 +59,9 @@ class ReferenceState:
     activations: dict[str, Tensor]
     reference_input: dict[str, Tensor]
     graph: Graph
+    # the same reference input evaluated on another graph, kept by deeplift
+    _twin: "ReferenceState | None" = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __getitem__(self, node_id: str) -> Tensor:
         return self.activations[node_id]
@@ -541,22 +544,27 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     ``reference_input`` defaults to all zeros.  When the graph ends in
     an affine + softmax head, the head weights are mean-normalized first
     (this never changes model outputs but removes the arbitrary shared
-    component of per-class multipliers).  Pass a precomputed
-    ``reference`` state to amortize it across samples.
+    component of per-class multipliers); the normalized graph is built
+    once per graph.  Pass a precomputed ``reference`` state to amortize
+    it across samples; it takes precedence over ``reference_input``.
     """
     graph.require_valid()
     normalized = _normalize_softmax_head_if_any(graph)
-    if reference is not None and reference.graph is normalized:
+    if reference is None:
+        if reference_input is None:
+            reference_input = zeros_reference(normalized)
+        ref = compute_reference(normalized, reference_input)
+    elif reference.graph is normalized:
         ref = reference
     else:
-        # a reference computed on a different graph object is stale once
-        # the head is normalized (pre-softmax activations shift)
-        if reference_input is None:
-            if reference is not None:
-                reference_input = reference.reference_input
-            else:
-                reference_input = zeros_reference(normalized)
-        ref = compute_reference(normalized, reference_input)
+        # a reference computed on another graph object, such as the
+        # caller's graph before head normalization, is stale (pre-softmax
+        # activations shift); it is evaluated on this one once and kept
+        ref = reference._twin
+        if ref is None or ref.graph is not normalized:
+            ref = reference._twin = compute_reference(
+                normalized, reference.reference_input
+            )
     trace = forward(normalized, inputs)
     resolved = select_attribution_target(normalized, target, class_index, trace)
     mmap = propagate_multipliers(normalized, trace, ref, resolved, eps_stable)
@@ -573,9 +581,11 @@ def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
     pre = graph.nodes[head.inputs[0]]
     if pre.kind != "affine":
         return graph
-    from .normalize import mean_normalize_softmax_weights
+    if "softmax_head" not in graph._memo:
+        from .normalize import mean_normalize_softmax_weights
 
-    return mean_normalize_softmax_weights(graph)
+        graph._memo["softmax_head"] = mean_normalize_softmax_weights(graph)
+    return graph._memo["softmax_head"]
 
 
 @dataclass

@@ -8,6 +8,8 @@ node; gradient and attribution passes consume that trace.
 Conventions:
   * all tensors are C-contiguous float64 arrays; vectors have shape (n,),
     sequence tensors have shape (length, channels)
+  * ``forward`` takes one sample or a batch: a batch stacks samples along a
+    leading axis, and every activation of its trace carries that axis
   * affine and maxout layers flatten their input row-major
   * conv1d is a strided cross-correlation (no kernel flip)
   * prelu slopes apply per channel, i.e. along the last axis
@@ -162,6 +164,9 @@ class Graph:
         )
         self._report: ValidationReport | None = None
         self._order: tuple[str, ...] | None = None
+        # objects other modules derive from this graph and keep with it;
+        # the graph is immutable, so they never go stale
+        self._memo: dict = {}
 
     def input_ids(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind == "input"]
@@ -178,16 +183,32 @@ class Graph:
     def replace_params(self, updates: dict) -> "Graph":
         """Return a new graph with parameter arrays swapped per node.
 
-        ``updates`` maps node id to a dict of param-name -> array.  Shapes
-        must match the originals; everything else is shared.
+        ``updates`` maps node id to a dict of param-name -> array.  Every
+        swapped array must keep the shape of the array it replaces, else
+        GraphError.  Structure and shapes are then unchanged, so the new
+        graph inherits this one's validation report and topological order
+        instead of validating again.
         """
         nodes = []
         for node in self.nodes.values():
             if node.id in updates:
-                nodes.append(node.with_params(**updates[node.id]))
-            else:
-                nodes.append(node)
-        return Graph(nodes, self.outputs, self.constraint_groups)
+                for key, value in updates[node.id].items():
+                    old = node.params.get(key)
+                    if not isinstance(old, np.ndarray):
+                        raise GraphError(
+                            f"node '{node.id}' has no parameter array '{key}'"
+                        )
+                    if np.shape(value) != old.shape:
+                        raise GraphError(
+                            f"node '{node.id}': '{key}' must keep shape "
+                            f"{old.shape}, got {np.shape(value)}"
+                        )
+                node = node.with_params(**updates[node.id])
+            nodes.append(node)
+        graph = Graph(nodes, self.outputs, self.constraint_groups)
+        graph._report = self._report
+        graph._order = self._order
+        return graph
 
 
 def infer_output_shape(kind, params, input_shapes):
@@ -418,94 +439,143 @@ def stable_sigmoid(x: Tensor) -> Tensor:
 
 
 def stable_softmax(x: Tensor) -> Tensor:
-    """Softmax with max subtraction; output sums to 1."""
-    z = np.exp(x - np.max(x))
-    return z / z.sum()
+    """Softmax over the last axis with max subtraction; each row sums to 1."""
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
-def conv1d_windows(x: Tensor, width: int, stride: int) -> Tensor:
-    """Strided sliding windows of ``x`` along its first axis.
+def conv1d_windows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
+    """Strided sliding windows of ``x`` along ``axis`` (the length axis).
 
     For x of shape (L, C) returns (n_windows, C, width); for (L,)
-    returns (n_windows, width).
+    returns (n_windows, width).  With ``axis=1`` the same holds per
+    sample of a batch (B, L, ...).
     """
-    win = sliding_window_view(x, width, axis=0)
-    return win[::stride]
+    win = sliding_window_view(x, width, axis=axis)
+    return win[(slice(None),) * axis + (slice(None, None, stride),)]
 
 
-def eval_node(node: NodeSpec, args: list[Tensor]) -> Tensor:
-    """Evaluate one node on the activations of its inputs."""
+def conv1d_tap(x: Tensor, tap: int, stride: int, n_out: int, axis: int = 0) -> Tensor:
+    """View of the rows filter tap ``tap`` reads in each of ``n_out``
+    windows, taken along ``axis`` (the length axis) of ``x``."""
+    rows = slice(tap, tap + stride * (n_out - 1) + 1, stride)
+    return x[(slice(None),) * axis + (rows,)]
+
+
+def maxout_pieces(node: NodeSpec, x: Tensor, lead: int = 0) -> Tensor:
+    """Pre-activations (..., pieces, out) of every maxout piece.
+
+    The first ``lead`` axes of ``x`` are batch axes; the rest is one
+    input, flattened row-major.
+    """
+    w, b = node.params["weights"], node.params["biases"]
+    pieces, out_dim, in_dim = w.shape
+    z = x.reshape(x.shape[:lead] + (in_dim,)) @ w.reshape(pieces * out_dim, in_dim).T
+    return z.reshape(z.shape[:lead] + (pieces, out_dim)) + b
+
+
+def eval_node(node: NodeSpec, args: list[Tensor], lead: int = 0) -> Tensor:
+    """Evaluate one node on the activations of its inputs.
+
+    The first ``lead`` axes of every argument, and of the result, are
+    batch axes: 0 for one sample, 1 for a batch.
+    """
     kind = node.kind
+    x = args[0]
     if kind == "affine":
         w, b = node.params["weights"], node.params["bias"]
-        return w @ args[0].ravel() + b
+        return x.reshape(x.shape[:lead] + (-1,)) @ w.T + b
     if kind == "conv1d":
+        # one (B*P, C) @ (C, F) product per filter tap: no window copies
         filters, bias = node.params["filters"], node.params["bias"]
         stride = int(node.params["stride"])
-        win = conv1d_windows(args[0], filters.shape[1], stride)  # (P, C, K)
-        return np.einsum("pck,fkc->pf", win, filters) + bias
+        n_filt, width, channels = filters.shape
+        n_out = (x.shape[lead] - width) // stride + 1
+        taps = np.ascontiguousarray(filters.transpose(1, 2, 0))  # (K, C, F)
+        out = conv1d_tap(x, 0, stride, n_out, lead).reshape(-1, channels) @ taps[0]
+        for k in range(1, width):
+            out += conv1d_tap(x, k, stride, n_out, lead).reshape(-1, channels) @ taps[k]
+        out += bias
+        return out.reshape(x.shape[:lead] + (n_out, n_filt))
     if kind == "maxpool1d":
         width, stride = int(node.params["width"]), int(node.params["stride"])
-        win = conv1d_windows(args[0], width, stride)
-        return win.max(axis=-1)
+        return conv1d_windows(x, width, stride, lead).max(axis=-1)
     if kind == "relu":
-        return np.maximum(args[0], 0.0)
+        return np.maximum(x, 0.0)
     if kind == "prelu":
-        slopes = node.params["slopes"]
-        x = args[0]
-        return np.where(x > 0, x, slopes * x)
+        # exactly where(x > 0, x, slopes * x); np.where is several times
+        # slower on large batches
+        return np.maximum(x, 0.0) + node.params["slopes"] * np.minimum(x, 0.0)
     if kind == "sigmoid":
-        return stable_sigmoid(args[0])
+        return stable_sigmoid(x)
     if kind == "tanh":
-        return np.tanh(args[0])
+        return np.tanh(x)
     if kind == "maxout":
-        w, b = node.params["weights"], node.params["biases"]
-        z = np.einsum("poi,i->po", w, args[0].ravel()) + b
-        return z.max(axis=0)
+        return maxout_pieces(node, x, lead).max(axis=-2)
     if kind == "product":
-        return args[0] * args[1]
+        return x * args[1]
     if kind == "softmax":
-        return stable_softmax(args[0])
+        return stable_softmax(x)
     raise GraphError(f"cannot evaluate node kind '{kind}'")
 
 
 @dataclass
 class ForwardTrace:
-    """Per-node activations from one forward pass."""
+    """Per-node activations from one forward pass.
+
+    ``batch`` is the leading batch size of every activation, or None when
+    the trace holds a single sample.
+    """
 
     activations: dict[str, Tensor]
     graph: Graph
+    batch: int | None = None
 
     def __getitem__(self, node_id: str) -> Tensor:
         return self.activations[node_id]
 
 
 def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
-    """Evaluate the graph on one sample.
+    """Evaluate the graph on one sample or on a batch of samples.
 
     ``inputs`` maps every input-node id to a tensor of the declared
-    shape.  Returns a trace with an entry for every node; evaluation is
-    deterministic, so identical graph and inputs give bitwise-identical
-    traces.
+    shape, or to a batch of them stacked along a new leading axis; all
+    inputs must then share the batch size.  Both run the same per-kind
+    rules, which treat any leading batch axis as extra rows.  Returns
+    a trace with an entry for every node; evaluation is deterministic, so
+    identical graph and inputs give bitwise-identical traces.
     """
     graph.require_valid()
     activations: dict[str, Tensor] = {}
+    sizes = set()
+    for node_id in graph.input_ids():
+        shape = graph.nodes[node_id].output_shape
+        if node_id not in inputs:
+            raise GraphError(f"missing tensor for input node '{node_id}'")
+        x = as_tensor(inputs[node_id], name=f"input '{node_id}'")
+        if x.shape == shape:
+            sizes.add(None)
+        elif x.shape[1:] == shape:
+            sizes.add(x.shape[0])
+        else:
+            raise GraphError(
+                f"input '{node_id}' expects shape {shape} or (batch, *{shape}), "
+                f"got {x.shape}"
+            )
+        activations[node_id] = x
+    if len(sizes) > 1:
+        raise GraphError(
+            "inputs disagree on the batch size: "
+            + ", ".join(sorted("single sample" if s is None else str(s) for s in sizes))
+        )
+    batch = sizes.pop() if sizes else None
+    lead = 0 if batch is None else 1
     for node_id in topo_order(graph):
         node = graph.nodes[node_id]
-        if node.kind == "input":
-            if node_id not in inputs:
-                raise GraphError(f"missing tensor for input node '{node_id}'")
-            x = as_tensor(inputs[node_id], name=f"input '{node_id}'")
-            if x.shape != node.output_shape:
-                raise GraphError(
-                    f"input '{node_id}' expects shape {node.output_shape}, "
-                    f"got {x.shape}"
-                )
-            activations[node_id] = x
-        else:
+        if node.kind != "input":
             args = [activations[src] for src in node.inputs]
-            activations[node_id] = eval_node(node, args)
-    return ForwardTrace(activations, graph)
+            activations[node_id] = eval_node(node, args, lead)
+    return ForwardTrace(activations, graph, batch)
 
 
 def n_parameters(graph: Graph) -> int:

@@ -3,6 +3,8 @@
 The trainer accepts graphs ending in a 1-unit sigmoid head or a softmax
 head.  Loss gradients are seeded at the pre-head node (sigmoid(z) - y,
 or softmax(z) - onehot), which is exact and avoids saturating logs.
+Each mini-batch is stacked into one batched forward pass and one
+parameter-gradient sweep.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import numpy as np
 from .autodiff import vjp_sweep
 from .genomics import auroc
 from .graph import Graph, GraphError, Tensor, forward
+
+
+# Samples per batched forward pass in ``evaluate``, the default mini-batch
+# size: it bounds the memory of one pass whatever the dataset size.
+EVAL_CHUNK = 32
 
 
 class TrainingError(Exception):
@@ -78,29 +85,48 @@ def _as_input_dict(graph: Graph, x) -> dict[str, Tensor]:
     return {ids[0]: x}
 
 
-def _loss_and_seed(graph: Graph, trace, head_id: str, pre_id: str, label: int):
-    """Cross-entropy loss and its gradient w.r.t. the pre-head activation."""
+def _stack_batch(graph: Graph, samples):
+    """Stack (inputs, label) pairs into batched inputs and a label array."""
+    dicts = [_as_input_dict(graph, x) for x, _ in samples]
+    batched = {}
+    for input_id in graph.input_ids():
+        if any(input_id not in d for d in dicts):
+            raise GraphError(f"missing tensor for input node '{input_id}'")
+        arrays = [np.asarray(d[input_id], dtype=np.float64) for d in dicts]
+        if len({a.shape for a in arrays}) > 1:
+            raise GraphError(f"input '{input_id}': samples differ in shape")
+        batched[input_id] = np.stack(arrays)
+    return batched, np.array([label for _, label in samples])
+
+
+def _loss_and_seed(graph: Graph, trace, head_id: str, pre_id: str, labels):
+    """Per-sample cross-entropy losses of a batched trace, and their
+    gradient w.r.t. the pre-head activation."""
     head = graph.nodes[head_id]
     z = trace[pre_id]
     if head.kind == "sigmoid":
-        y = float(label)
-        loss = float(np.logaddexp(0.0, z[0]) - y * z[0])
-        seed = trace[head_id] - y
+        y = labels.astype(np.float64)
+        losses = np.logaddexp(0.0, z[:, 0]) - y * z[:, 0]
+        seed = trace[head_id] - y[:, None]
     else:
-        k = int(label)
-        if not 0 <= k < z.size:
-            raise TrainingError(f"label {k} outside softmax range {z.size}")
-        loss = float(np.logaddexp.reduce(z) - z[k])
+        k = labels.astype(int)
+        bad = (k < 0) | (k >= z.shape[1])
+        if bad.any():
+            raise TrainingError(
+                f"label {k[bad][0]} outside softmax range {z.shape[1]}"
+            )
+        rows = np.arange(len(k))
+        losses = np.logaddexp.reduce(z, axis=1) - z[rows, k]
         seed = trace[head_id].copy()
-        seed[k] -= 1.0
-    return loss, {pre_id: seed}
+        seed[rows, k] -= 1.0
+    return losses, {pre_id: seed}
 
 
 def _trainable_params(graph: Graph) -> dict[str, dict[str, np.ndarray]]:
     params: dict[str, dict[str, np.ndarray]] = {}
     for node in graph.nodes.values():
         arrays = {
-            key: value.copy()
+            key: value
             for key, value in node.params.items()
             if isinstance(value, np.ndarray)
         }
@@ -112,28 +138,20 @@ def _trainable_params(graph: Graph) -> dict[str, dict[str, np.ndarray]]:
 def train_step(graph: Graph, batch, config: TrainConfig, velocity):
     """One SGD-with-momentum update over a mini-batch.
 
-    ``batch`` is a sequence of (inputs, label) pairs; gradients are
-    averaged over the batch in order, so the update is deterministic.
-    Returns (updated graph, updated velocity, mean loss).
+    ``batch`` is a sequence of (inputs, label) pairs.  The samples go
+    through one batched forward pass and one parameter-gradient sweep;
+    gradients are averaged over the batch, so the update is
+    deterministic.  Returns (updated graph, updated velocity, mean loss).
     """
     head_id, pre_id = _resolve_head(graph)
     params = _trainable_params(graph)
-    grand: dict[str, dict[str, np.ndarray]] = {
-        nid: {k: np.zeros_like(v) for k, v in arrs.items()}
-        for nid, arrs in params.items()
-    }
-    total_loss = 0.0
-    for x, label in batch:
-        inputs = _as_input_dict(graph, x)
-        trace = forward(graph, inputs)
-        loss, seeds = _loss_and_seed(graph, trace, head_id, pre_id, label)
-        if not np.isfinite(loss):
-            raise TrainingError(f"non-finite loss {loss!r}; aborting")
-        total_loss += loss
-        _, pgrads = vjp_sweep(graph, trace, seeds, want_param_grads=True)
-        for nid, arrs in pgrads.items():
-            for key, g in arrs.items():
-                grand[nid][key] += g
+    inputs, labels = _stack_batch(graph, batch)
+    trace = forward(graph, inputs)
+    losses, seeds = _loss_and_seed(graph, trace, head_id, pre_id, labels)
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        raise TrainingError(f"non-finite loss {float(losses[bad][0])!r}; aborting")
+    _, grand = vjp_sweep(graph, trace, seeds, want_param_grads=True)
 
     scale = 1.0 / len(batch)
     if velocity is None:
@@ -145,7 +163,7 @@ def train_step(graph: Graph, batch, config: TrainConfig, velocity):
     for nid, arrs in params.items():
         new_arrs = {}
         for key, value in arrs.items():
-            g = grand[nid][key] * scale
+            g = grand.get(nid, {}).get(key, 0.0) * scale
             if config.weight_decay and key in ("weights", "filters"):
                 g = g + config.weight_decay * value
             v = velocity[nid][key]
@@ -153,23 +171,27 @@ def train_step(graph: Graph, batch, config: TrainConfig, velocity):
             v -= config.learning_rate * g
             new_arrs[key] = value + v
         updates[nid] = new_arrs
-    return graph.replace_params(updates), velocity, total_loss * scale
+    return graph.replace_params(updates), velocity, float(losses.sum()) * scale
 
 
 def evaluate(graph: Graph, dataset) -> tuple[float, float]:
-    """Mean loss and auROC of the positive-class score over a dataset."""
+    """Mean loss and auROC of the positive-class score over a dataset.
+
+    Samples are scored in batched forward passes of at most
+    ``EVAL_CHUNK``.
+    """
     head_id, pre_id = _resolve_head(graph)
+    dataset = list(dataset)
     losses = []
     scores = []
-    labels = []
-    for x, label in dataset:
-        trace = forward(graph, _as_input_dict(graph, x))
-        loss, _ = _loss_and_seed(graph, trace, head_id, pre_id, label)
-        losses.append(loss)
-        out = trace[head_id]
-        scores.append(float(out[0] if out.size == 1 else out[-1]))
-        labels.append(int(label))
-    return float(np.mean(losses)), auroc(scores, labels)
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        inputs, labels = _stack_batch(graph, dataset[start:start + EVAL_CHUNK])
+        trace = forward(graph, inputs)
+        chunk_losses, _ = _loss_and_seed(graph, trace, head_id, pre_id, labels)
+        losses.append(chunk_losses)
+        scores.append(trace[head_id][:, -1])
+    labels = [int(label) for _, label in dataset]
+    return float(np.concatenate(losses).mean()), auroc(np.concatenate(scores), labels)
 
 
 def train_loop(graph: Graph, train_set, val_set=None,

@@ -2,7 +2,8 @@
 PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 
 The genomics benchmark trains the full 4000-sequence CNN and takes a few
-minutes; everything else finishes in seconds.
+minutes; its tests are marked ``slow`` (``pytest -m "not slow"`` skips
+them).  Everything else finishes in seconds.
 """
 
 import numpy as np
@@ -253,6 +254,7 @@ def trained_genomics():
     return data, graph, history
 
 
+@pytest.mark.slow
 def test_genomics_benchmark_auroc_gate(trained_genomics):
     data, graph, history = trained_genomics
     _, test_auroc = evaluate(graph, encode_dataset(data.test))
@@ -263,6 +265,7 @@ def test_genomics_benchmark_auroc_gate(trained_genomics):
     )
 
 
+@pytest.mark.slow
 def test_genomics_benchmark_attribution_directional(trained_genomics):
     data, graph, _ = trained_genomics
     comparison = compare_methods(graph, data.test)

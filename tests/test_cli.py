@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from deltalift.genomics import build_genomics_cnn, one_hot_encode, read_fasta
-from deltalift.graph import forward
+from deltalift.graph import GraphBuilder, forward
 from deltalift.serialize import load_model, save_model
 
 
@@ -93,6 +93,8 @@ class TestAttribute:
         sample_headers = [l for l in lines if l.startswith("# sample=")]
         assert len(sample_headers) == 8
         assert all("residual=" in h and "target=" in h for h in sample_headers)
+        manifest = json.loads(out.with_name(out.name + ".manifest").read_text())
+        assert manifest["reference_normalized"] is True
 
     def test_deeplift_residuals_small(self, workspace, tmp_path):
         out = tmp_path / "scores.tsv"
@@ -106,6 +108,31 @@ class TestAttribute:
             if line.startswith("# sample="):
                 residual = float(line.rsplit("residual=", 1)[1])
                 assert residual < 1e-6
+
+    def test_model_without_constraint_groups(self, workspace, tmp_path):
+        # conv -> relu -> pool -> affine -> sigmoid, no constraint groups:
+        # the default zeros-normalized reference has nothing to normalize
+        rng = np.random.default_rng(5)
+        b = GraphBuilder()
+        x = b.input("seq", (60, 4))
+        h = b.conv1d("conv", x, rng.normal(size=(3, 5, 4)) * 0.3, np.zeros(3))
+        h = b.maxpool1d("pool", b.relu("act", h), 8, 8)
+        logit = b.affine("logit", h, rng.normal(size=(1, 21)) * 0.3, np.zeros(1))
+        b.sigmoid("prob", logit)
+        model = tmp_path / "plain.json"
+        save_model(b.build(outputs=["prob"]), model)
+        out = tmp_path / "plain.tsv"
+        res = run_cli(
+            "attribute", "--model", str(model), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(out),
+        )
+        assert res.returncode == 0, res.stderr
+        lines = out.read_text().splitlines()
+        assert sum(l.startswith("# sample=") for l in lines) == 8
+        assert len(lines) == 1 + 8 + 8 * 60 * 4
+        manifest = json.loads((tmp_path / "plain.tsv.manifest").read_text())
+        assert manifest["reference"] == "zeros-normalized"
+        assert manifest["reference_normalized"] is False
 
     def test_thread_count_does_not_change_output(self, workspace, tmp_path):
         outs = []

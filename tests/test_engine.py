@@ -338,6 +338,42 @@ class TestContributions:
                 "sigmoid", "tanh", "relu", "affine"} <= kinds_seen
 
 
+class TestSoftmaxHeadReuse:
+    def test_cached_reference_skips_normalization_and_recomputation(
+            self, rng, monkeypatch):
+        import deltalift.engine as engine_module
+        import deltalift.graph as graph_module
+        import deltalift.normalize as normalize_module
+
+        b = GraphBuilder()
+        x = b.input("x", (4,))
+        h = b.tanh("h", b.affine("fc", x, rng.normal(size=(5, 4)), rng.normal(size=5)))
+        pre = b.affine("pre", h, rng.normal(size=(3, 5)), rng.normal(size=3))
+        b.softmax("out", pre)
+        g = b.build(outputs=["out"])
+        x0 = {"x": rng.normal(size=4)}
+        reference = compute_reference(g, x0)
+        probes = [{"x": rng.normal(size=4)} for _ in range(3)]
+        fresh = [deeplift(g, p, x0, class_index=1) for p in probes]
+        deeplift(g, probes[0], class_index=1, reference=reference)
+
+        calls = []
+        for module, name in [(normalize_module, "mean_normalize_softmax_weights"),
+                             (graph_module, "validate_graph"),
+                             (engine_module, "compute_reference")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+            )
+        for probe, expected in zip(probes, fresh):
+            report = deeplift(g, probe, class_index=1, reference=reference)
+            assert_allclose(report.contributions["x"], expected.contributions["x"],
+                            rtol=0, atol=1e-12)
+            assert report.delta_target == pytest.approx(expected.delta_target)
+        assert calls == []
+
+
 class TestTargetSelection:
     def test_sigmoid_head_targets_pre_activation(self, rng):
         b = GraphBuilder()

@@ -217,6 +217,33 @@ class TestForward:
         assert_allclose(forward(g, {"x": np.array([-1.0, -1.0])})["out"], [0.1])
 
 
+class TestReplaceParams:
+    def test_shape_change_rejected(self):
+        g = chain_graph()
+        with pytest.raises(GraphError, match="shape"):
+            g.replace_params({"b": {"weights": np.eye(4)}})
+        with pytest.raises(GraphError, match="no parameter array"):
+            g.replace_params({"b": {"slopes": np.ones(3)}})
+
+    def test_non_finite_values_rejected(self):
+        g = chain_graph()
+        with pytest.raises(ValueError, match="non-finite"):
+            g.replace_params({"b": {"bias": np.array([0.0, np.inf, 0.0])}})
+
+    def test_new_graph_is_not_validated_again(self, monkeypatch):
+        import deltalift.graph as graph_module
+
+        g = chain_graph()
+        calls = []
+        monkeypatch.setattr(graph_module, "validate_graph",
+                            lambda graph: calls.append(graph))
+        swapped = g.replace_params({"b": {"weights": 2.0 * np.eye(3)}})
+        out = forward(swapped, {"a": np.array([1.0, -1.0, 2.0])})["c"]
+        assert_allclose(out, [2.0, 0.0, 4.0])
+        assert topo_order(swapped) == topo_order(g)
+        assert calls == []
+
+
 def test_parameter_count_small_net():
     b = GraphBuilder()
     x = b.input("x", (3,))

@@ -111,6 +111,24 @@ class TestTraining:
             train_loop(g, separable_toy_set(), None, TrainConfig(epochs=1))
 
 
+def test_one_epoch_validates_at_most_once(monkeypatch):
+    import deltalift.graph as graph_module
+
+    calls = []
+    real = graph_module.validate_graph
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(graph_module, "validate_graph", counting)
+    data = separable_toy_set()
+    graph = small_mlp()
+    calls.clear()
+    train_loop(graph, data, data, TrainConfig(seed=0, epochs=1, batch_size=8))
+    assert len(calls) <= 1
+
+
 def test_evaluate_reports_loss_and_auroc():
     data = separable_toy_set()
     trained, _ = train_loop(
