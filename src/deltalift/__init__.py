@@ -32,7 +32,6 @@ from .autodiff import (
 )
 from .engine import (
     AttributionError,
-    AttributionRequest,
     ContributionReport,
     DeltaState,
     MultiplierMap,

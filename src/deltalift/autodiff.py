@@ -36,8 +36,13 @@ class GradientTrace:
         return self.gradients[node_id]
 
 
-def resolve_target(graph: Graph, target) -> tuple[str, int]:
-    """Normalize a target reference to ``(node_id, flat_index)``."""
+def resolve_target(graph: Graph, target, batch: int | None = None):
+    """Normalize a target reference to ``(node_id, flat_index)``.
+
+    For a batch of ``batch`` samples the index becomes one flat index per
+    sample, shape (batch,): a single index is repeated, a per-sample
+    index array is checked.
+    """
     if isinstance(target, str):
         node_id, index = target, 0
     else:
@@ -45,13 +50,48 @@ def resolve_target(graph: Graph, target) -> tuple[str, int]:
     if node_id not in graph.nodes:
         raise GraphError(f"target node '{node_id}' does not exist")
     size = int(np.prod(graph.nodes[node_id].output_shape))
-    index = int(index)
-    if not 0 <= index < size:
+    if batch is None:
+        if np.ndim(index) != 0:
+            raise GraphError("per-sample target indices need a batch of inputs")
+        index = int(index)
+        in_range = 0 <= index < size
+    else:
+        index = np.asarray(index).astype(np.intp)
+        if index.shape not in ((), (batch,)):
+            raise GraphError(
+                f"a batch of {batch} needs one target index or {batch}, "
+                f"got shape {index.shape}"
+            )
+        index = np.broadcast_to(index, (batch,))
+        in_range = index.size == 0 or (index.min() >= 0 and index.max() < size)
+    if not in_range:
         raise GraphError(
             f"target index {index} out of range for node '{node_id}' "
             f"with {size} elements"
         )
     return node_id, index
+
+
+def target_seed(shape, index) -> Tensor:
+    """1 at the target's flat index of each sample, 0 elsewhere.
+
+    Shaped ``shape`` for one index, (batch, *shape) for one per sample.
+    """
+    if np.ndim(index) == 0:
+        seed = np.zeros(shape)
+        seed.flat[index] = 1.0
+        return seed
+    seed = np.zeros((len(index), int(np.prod(shape))))
+    seed[np.arange(len(index)), index] = 1.0
+    return seed.reshape((len(index),) + tuple(shape))
+
+
+def target_value(values: Tensor, index):
+    """Entry of ``values`` at the target's flat index: a float for one
+    sample, an array with one entry per sample for a batch."""
+    if np.ndim(index) == 0:
+        return float(values.flat[index])
+    return values.reshape(len(index), -1)[np.arange(len(index)), index]
 
 
 def _pool_argmax_rows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
@@ -65,6 +105,14 @@ def _pool_argmax_rows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tens
     am = win.argmax(axis=-1)
     offsets = stride * np.arange(win.shape[axis])
     return am + offsets.reshape((-1,) + (1,) * (am.ndim - axis - 1))
+
+
+def _pool_index(rows: Tensor, axis: int = 0) -> tuple:
+    """Index of the input entries that ``rows`` (shaped like a pooled
+    output, length axis ``axis``) select, for reads and ``np.add.at``."""
+    index = list(np.ix_(*(np.arange(n) for n in rows.shape)))
+    index[axis] = rows
+    return tuple(index)
 
 
 def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
@@ -115,9 +163,8 @@ def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
     elif kind == "maxpool1d":
         if gin is not None:
             width, stride = int(node.params["width"]), int(node.params["stride"])
-            index = list(np.ix_(*(np.arange(n) for n in grad_out.shape)))
-            index[lead] = _pool_argmax_rows(x, width, stride, lead)
-            np.add.at(gin, tuple(index), grad_out)
+            rows = _pool_argmax_rows(x, width, stride, lead)
+            np.add.at(gin, _pool_index(rows, lead), grad_out)
     elif kind == "relu":
         if gin is not None:
             gin += grad_out * (x > 0)
@@ -202,14 +249,13 @@ def backward(graph: Graph, trace: ForwardTrace, target) -> GradientTrace:
     """Gradient of the target activation w.r.t. every node activation.
 
     ``target`` is a ``(node_id, flat_index)`` pair (or a bare node id,
-    meaning index 0).  ReLU passes gradient only where active, maxpool
-    routes to the first argmax of each window, maxout differentiates the
-    active piece.
+    meaning index 0); a batched trace takes one index or one per sample.
+    ReLU passes gradient only where active, maxpool routes to the first
+    argmax of each window, maxout differentiates the active piece.
     """
     graph.require_valid()
-    node_id, index = resolve_target(graph, target)
-    seed = np.zeros(graph.nodes[node_id].output_shape)
-    seed.flat[index] = 1.0
+    node_id, index = resolve_target(graph, target, trace.batch)
+    seed = target_seed(graph.nodes[node_id].output_shape, index)
     grads, _ = vjp_sweep(graph, trace, {node_id: seed})
     return GradientTrace(grads, (node_id, index))
 

@@ -14,17 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import _pool_argmax_rows, backward
+from .autodiff import backward, target_seed, target_value, vjp_node
 from .engine import (
     AttributionError,
     ContributionReport,
+    ReferenceState,
+    _reference_on,
+    contribution_report,
     select_attribution_target,
 )
 from .graph import (
     Graph,
     GraphBuilder,
     Tensor,
-    conv1d_windows,
     forward,
     topo_order,
 )
@@ -32,49 +34,34 @@ from .graph import (
 
 def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
                          class_index=None,
-                         reference_input: dict[str, Tensor] | None = None
+                         reference_input: dict[str, Tensor] | None = None,
+                         reference: ReferenceState | None = None
                          ) -> ContributionReport:
-    """Per-feature scores gradient * input for one sample.
+    """Per-feature scores gradient * input for one sample or a batch.
 
     The target resolves like attribution targets elsewhere: explicit, or
-    the pre-nonlinearity head.  With ``reference_input`` given, scores
-    become gradient * (input - reference); the default reference is zero.
-    The report's residual records how far the scores are from the
-    difference-from-reference of the target (gradients conserve nothing,
-    so this is diagnostic, not small).
+    the pre-nonlinearity head.  With ``reference_input`` (or a computed
+    ``reference`` state, which wins) given, scores become
+    gradient * (input - reference); the default reference is zero,
+    evaluated once per graph.  The report's residual records how far the
+    scores are from the difference-from-reference of the target
+    (gradients conserve nothing, so this is diagnostic, not small).
     """
     graph.require_valid()
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, class_index, trace)
     grads = backward(graph, trace, resolved)
+    ref = _reference_on(graph, reference, reference_input)
 
-    if reference_input is None:
-        reference_input = {
-            nid: np.zeros(graph.nodes[nid].output_shape)
-            for nid in graph.input_ids()
-        }
-    ref_trace = forward(graph, reference_input)
-
-    scores = {}
-    mults = {}
-    deltas = {}
-    for input_id in graph.input_ids():
-        d = trace[input_id] - ref_trace[input_id]
-        g = grads[input_id]
-        scores[input_id] = g * d
-        mults[input_id] = g
-        deltas[input_id] = d
+    deltas = {nid: trace[nid] - ref[nid] for nid in graph.input_ids()}
     t_node, t_index = resolved
-    delta_t = float(trace[t_node].flat[t_index] - ref_trace[t_node].flat[t_index])
-    total = float(sum(s.sum() for s in scores.values()))
-    return ContributionReport(
-        target=resolved,
-        method="grad_input",
-        contributions=scores,
-        multipliers=mults,
-        deltas=deltas,
-        delta_target=delta_t,
-        residual=abs(total - delta_t),
+    return contribution_report(
+        resolved,
+        "grad_input",
+        {nid: grads[nid] * d for nid, d in deltas.items()},
+        {nid: grads[nid] for nid in deltas},
+        deltas,
+        target_value(trace[t_node] - ref[t_node], t_index),
     )
 
 
@@ -91,13 +78,15 @@ class RelevanceTrace:
 
     ``bias_relevance`` records, per filtering node, the share absorbed by
     the bias and stabilizer terms; adding it back restores the layer-sum
-    telescoping (exactly, at epsilon = 0).
+    telescoping (exactly, at epsilon = 0).  ``target_activation`` is the
+    seeded relevance.  On a batch every entry holds one value per sample.
     """
 
     relevances: dict[str, Tensor]
     bias_relevance: dict[str, float]
     epsilon: float
     target: tuple[str, int]
+    target_activation: float
 
     def __getitem__(self, node_id: str) -> Tensor:
         return self.relevances[node_id]
@@ -114,8 +103,8 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     Supports piecewise-linear graphs: affine and conv1d filter layers
     (bias included in the denominator), winner-take-all unpooling for
     maxpool1d, and pass-through rectifiers.  The target's relevance is
-    seeded with its own activation.  Raises AttributionError on any
-    other node kind.
+    seeded with its own activation.  ``inputs`` holds one sample or a
+    batch.  Raises AttributionError on any other node kind.
     """
     graph.require_valid()
     unsupported = sorted(
@@ -125,8 +114,10 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     resolved = select_attribution_target(graph, target, class_index, trace)
     t_node, t_index = resolved
 
-    relevance = {nid: np.zeros(graph.nodes[nid].output_shape) for nid in graph.nodes}
-    relevance[t_node].flat[t_index] = trace[t_node].flat[t_index]
+    relevance = {nid: np.zeros(trace[nid].shape) for nid in graph.nodes}
+    relevance[t_node] = (
+        target_seed(graph.nodes[t_node].output_shape, t_index) * trace[t_node]
+    )
     bias_rel: dict[str, float] = {}
 
     for node_id in reversed(topo_order(graph)):
@@ -142,43 +133,23 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
                 f"(unsupported kinds present: {unsupported})"
             )
         src = node.inputs[0]
-        x = trace[src]
         if node.kind == "relu":
             relevance[src] += r_out
         elif node.kind == "maxpool1d":
-            width, stride = int(node.params["width"]), int(node.params["stride"])
-            rows = _pool_argmax_rows(x, width, stride)
-            if x.ndim == 1:
-                np.add.at(relevance[src], rows, r_out)
-            else:
-                cols = np.arange(x.shape[1])[None, :]
-                np.add.at(relevance[src], (rows, cols), r_out)
-        elif node.kind == "affine":
-            w, b = node.params["weights"], node.params["bias"]
+            vjp_node(node, r_out, trace, relevance)  # winner takes all
+        else:  # affine or conv1d: R_in = x * W^T (R_out / (a + eps sign a))
             a = trace[node_id]
-            denom = a + epsilon * _sign_pos(a)
-            share = r_out / denom
-            relevance[src] += (x.ravel() * (w.T @ share)).reshape(x.shape)
-            bias_rel[node_id] = bias_rel.get(node_id, 0.0) + float(
-                ((b + epsilon * _sign_pos(a)) * share).sum()
-            )
-        elif node.kind == "conv1d":
-            filters, b = node.params["filters"], node.params["bias"]
-            stride = int(node.params["stride"])
-            width = filters.shape[1]
-            a = trace[node_id]
-            denom = a + epsilon * _sign_pos(a)
-            share = r_out / denom  # (P, F)
-            win = conv1d_windows(x, width, stride)  # (P, C, K)
-            msg = np.einsum("pck,fkc,pf->pkc", win, filters, share)
-            acc = relevance[src]
-            rows = stride * np.arange(share.shape[0])
-            for k in range(width):
-                acc[rows + k, :] += msg[:, k, :]
-            bias_rel[node_id] = bias_rel.get(node_id, 0.0) + float(
-                ((b[None, :] + epsilon * _sign_pos(a)) * share).sum()
-            )
-    return RelevanceTrace(relevance, bias_rel, epsilon, resolved)
+            stabilizer = epsilon * _sign_pos(a)
+            share = r_out / (a + stabilizer)
+            x = trace[src]
+            message = {src: np.zeros(x.shape)}
+            vjp_node(node, share, trace, message)
+            relevance[src] += x * message[src]
+            absorbed = (node.params["bias"] + stabilizer) * share
+            bias_rel[node_id] = (float(absorbed.sum()) if trace.batch is None
+                                 else absorbed.reshape(trace.batch, -1).sum(axis=1))
+    return RelevanceTrace(relevance, bias_rel, epsilon, resolved,
+                          target_value(trace[t_node], t_index))
 
 
 def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
@@ -191,19 +162,8 @@ def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
         d = deltas[nid]
         safe = np.where(d != 0.0, d, 1.0)
         mults[nid] = np.where(d != 0.0, score / safe, 0.0)
-    fwd = forward(graph, inputs)
-    t_node, t_index = trace.target
-    delta_t = float(fwd[t_node].flat[t_index])
-    total = float(sum(s.sum() for s in scores.values()))
-    return ContributionReport(
-        target=trace.target,
-        method="lrp",
-        contributions=scores,
-        multipliers=mults,
-        deltas=deltas,
-        delta_target=delta_t,
-        residual=abs(total - delta_t),
-    )
+    return contribution_report(trace.target, "lrp", scores, mults, deltas,
+                               trace.target_activation)
 
 
 # ---------------------------------------------------------------------------

@@ -15,38 +15,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    EnsembleSpec,
-    equivalence_report,
-    gradient_times_input,
-    lrp_as_contribution_report,
-    lrp_epsilon,
-    write_equivalence_tsv,
-)
+from .baselines import EnsembleSpec, equivalence_report, write_equivalence_tsv
 from .engine import (
+    ATTRIBUTE_CHUNK,
+    METHODS,
     AttributionError,
+    attribute,
     compute_reference,
-    deeplift,
     zeros_reference,
 )
 from .genomics import (
     DatasetSpec,
     compare_methods,
+    encode_batch,
     encode_dataset,
     generate_dataset,
-    one_hot_encode,
-    per_position_scores,
     read_fasta,
     write_comparison_tsv,
     write_fasta,
     write_score_tracks,
 )
-from .graph import GraphError, forward
+from .graph import GraphError
 from .normalize import NormalizationError, mean_normalize_softmax_weights, \
     normalize_constrained_weights
 from .serialize import ModelFormatError, load_model, save_model
@@ -152,6 +145,15 @@ def _attribution_reference(graph, mode):
     raise ValueError(f"unknown reference mode '{mode}'")
 
 
+def _row_template(n_features: int) -> str:
+    """One sample's TSV rows, with ``{sid}`` standing for its id and
+    ``%.10g`` for each feature's delta, multiplier and contribution."""
+    return "".join(
+        f"{{sid}}\t{i}\t{i // 4}:{'ACGT'[i % 4]}\t%.10g\t%.10g\t%.10g\n"
+        for i in range(n_features)
+    )
+
+
 def cmd_attribute(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
@@ -159,47 +161,34 @@ def cmd_attribute(args) -> int:
     graph, ref_input, normalized = _attribution_reference(graph, args.reference)
     reference = compute_reference(graph, ref_input)
     input_id = graph.input_ids()[0]
-
-    def run(ex):
-        x = one_hot_encode(ex.sequence)
-        if args.method == "deeplift":
-            return deeplift(graph, {input_id: x}, target=target,
-                            eps_stable=args.eps_stable, reference=reference)
-        if args.method == "grad_input":
-            return gradient_times_input(graph, {input_id: x}, target=target)
-        if args.method == "lrp":
-            rel = lrp_epsilon(graph, {input_id: x}, target=target,
-                              epsilon=args.lrp_epsilon)
-            return lrp_as_contribution_report(graph, {input_id: x}, rel)
-        raise ValueError(f"unknown method '{args.method}'")
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(run, examples))
-    else:
-        reports = [run(ex) for ex in examples]
+    template = _row_template(int(np.prod(graph.nodes[input_id].output_shape)))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(
             "sample_id\tfeature_index\tfeature_label\tdelta\tmultiplier\t"
             "contribution\n"
         )
-        for ex, report in zip(examples, reports):
+        for start in range(0, len(examples), ATTRIBUTE_CHUNK):
+            chunk = examples[start:start + ATTRIBUTE_CHUNK]
+            report = attribute(graph, {input_id: encode_batch(chunk)}, args.method,
+                               reference=reference, target=target,
+                               eps_stable=args.eps_stable,
+                               lrp_epsilon=args.lrp_epsilon)
             t_node, t_index = report.target
-            fh.write(
-                f"# sample={ex.sid} method={report.method} "
-                f"target={t_node}:{t_index} residual={report.residual:.6g}\n"
-            )
-            contrib = report.contributions[input_id].ravel()
-            mult = report.multipliers[input_id].ravel()
-            delta = report.deltas[input_id].ravel()
-            for i in range(contrib.size):
-                pos, base = divmod(i, 4)
-                label = f"{pos}:{'ACGT'[base]}"
+            # per sample: delta, multiplier, contribution of each feature
+            values = np.stack(
+                [report.deltas[input_id], report.multipliers[input_id],
+                 report.contributions[input_id]],
+                axis=-1,
+            ).reshape(len(chunk), -1).tolist()
+            for i, ex in enumerate(chunk):
                 fh.write(
-                    f"{ex.sid}\t{i}\t{label}\t{delta[i]:.10g}\t"
-                    f"{mult[i]:.10g}\t{contrib[i]:.10g}\n"
+                    f"# sample={ex.sid} method={report.method} "
+                    f"target={t_node}:{t_index[i]} "
+                    f"residual={report.residual[i]:.6g}\n"
                 )
+                fh.write(template.replace("{sid}", ex.sid.replace("%", "%%"))
+                         % tuple(values[i]))
     _write_manifest(args.out, args, reference_normalized=normalized)
     print(f"attributed {len(examples)} sequences with {args.method} -> {args.out}")
     return EXIT_OK
@@ -208,24 +197,14 @@ def cmd_attribute(args) -> int:
 def cmd_compare(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
-    comparison = compare_methods(graph, examples, eps_stable=args.eps_stable,
-                                 threads=args.threads)
+    comparison = compare_methods(graph, examples, eps_stable=args.eps_stable)
     write_comparison_tsv(args.out, comparison)
     if args.tracks_out:
-        normalized = normalize_constrained_weights(graph)
-        reference = compute_reference(normalized, zeros_reference(normalized))
         by_sid = {ex.sid: ex for ex in examples}
-        entries = []
-        for row in comparison.rows:
-            ex = by_sid[row.sid]
-            x = one_hot_encode(ex.sequence)
-            dl = deeplift(normalized, {"seq": x}, reference=reference,
-                          eps_stable=args.eps_stable)
-            gi = gradient_times_input(normalized, {"seq": x})
-            entries.append(
-                (ex, per_position_scores(dl, ex), per_position_scores(gi, ex))
-            )
-        write_score_tracks(args.tracks_out, entries)
+        write_score_tracks(args.tracks_out, [
+            (by_sid[row.sid], row.deeplift_track, row.grad_input_track)
+            for row in comparison.rows
+        ])
     _write_manifest(args.out, args)
     print(
         f"compared methods on {comparison.n_correct_positives} correctly "
@@ -316,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="FASTA-like sequence file")
     p.add_argument("--out", required=True, help="output TSV")
-    p.add_argument("--method", choices=["deeplift", "grad_input", "lrp"],
-                   default="deeplift")
+    p.add_argument("--method", choices=METHODS, default="deeplift")
     p.add_argument("--reference", choices=["zeros", "zeros-normalized"],
                    default="zeros-normalized",
                    help="reference input mode for deeplift")
@@ -325,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'auto' or node_id[:index]")
     p.add_argument("--eps-stable", type=float, default=1e-7)
     p.add_argument("--lrp-epsilon", type=float, default=1e-9)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("compare", help="motif recovery of deeplift vs grad*input")
@@ -334,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tracks-out", help="optional per-position score TSV")
     p.add_argument("--eps-stable", type=float, default=1e-7)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check-lrp", help="epsilon-LRP vs gradient*input deviations")

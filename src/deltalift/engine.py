@@ -21,6 +21,10 @@ with per-kind local rules:
 Softmax heads are handled by targeting the mean-normalized pre-softmax
 affine layer instead of the softmax output; sigmoid heads default to the
 pre-sigmoid node (see ``select_attribution_target``).
+
+Like ``forward``, the entry points take one sample or a batch stacked
+along a leading axis; each rule is written once for both, and the linear
+kinds share the gradient sweep's ``vjp_node``.
 """
 
 from __future__ import annotations
@@ -30,18 +34,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (
+    ELEMENTWISE_KINDS,
     ForwardTrace,
     Graph,
-    GraphError,
     Tensor,
-    conv1d_windows,
     forward,
     topo_order,
 )
-from .autodiff import _pool_argmax_rows, resolve_target
+from .autodiff import (
+    _pool_argmax_rows,
+    _pool_index,
+    resolve_target,
+    target_seed,
+    target_value,
+    vjp_node,
+)
 
 EPS_STABLE = 1e-7
 CROSSING_TOL = 1e-12
+# samples per attribution call when scoring a whole file; larger batches
+# buy little speed and raise peak memory
+ATTRIBUTE_CHUNK = 8
 
 
 class AttributionError(Exception):
@@ -88,6 +101,32 @@ def compute_reference(graph: Graph, reference_input: dict[str, Tensor]) -> Refer
     """Forward-evaluate the reference input into a full per-node state."""
     trace = forward(graph, reference_input)
     return ReferenceState(trace.activations, dict(reference_input), graph)
+
+
+def _reference_on(graph: Graph, reference: ReferenceState | None = None,
+                  reference_input: dict[str, Tensor] | None = None) -> ReferenceState:
+    """The reference state to attribute against on ``graph``.
+
+    A passed ``reference`` wins over ``reference_input``; without either
+    the all-zeros reference is used, evaluated once per graph.
+    """
+    if reference is None:
+        if reference_input is not None:
+            return compute_reference(graph, reference_input)
+        if "zeros_reference" not in graph._memo:
+            graph._memo["zeros_reference"] = compute_reference(
+                graph, zeros_reference(graph)
+            )
+        return graph._memo["zeros_reference"]
+    if reference.graph is graph:
+        return reference
+    # a reference computed on another graph object, such as the caller's
+    # graph before head normalization, is stale (pre-softmax activations
+    # shift); it is evaluated on this one once and kept
+    twin = reference._twin
+    if twin is None or twin.graph is not graph:
+        twin = reference._twin = compute_reference(graph, reference.reference_input)
+    return twin
 
 
 def compute_deltas(trace: ForwardTrace, reference: ReferenceState) -> DeltaState:
@@ -205,11 +244,7 @@ def local_multipliers_max(node, trace: ForwardTrace, reference: ReferenceState,
 
     contrib = np.zeros_like(x)
     mult = np.zeros_like(x)
-    if x.ndim == 1:
-        np.add.at(contrib, rows, dy)
-    else:
-        cols = np.arange(x.shape[1])[None, :]
-        np.add.at(contrib, (rows, cols), dy)
+    np.add.at(contrib, _pool_index(rows), dy)
     ratio_ok = np.abs(dx) > eps_stable
     mult[ratio_ok] = contrib[ratio_ok] / dx[ratio_ok]
     return mult, contrib
@@ -335,7 +370,11 @@ def _maxout_effective_weights(node, x0: Tensor, x1: Tensor) -> Tensor:
 
 @dataclass
 class MultiplierMap:
-    """Per-node multipliers to one scalar target."""
+    """Per-node multipliers to one scalar target.
+
+    For a batched trace every array carries the batch axis and the
+    target index holds one entry per sample.
+    """
 
     target: tuple[str, int]
     multipliers: dict[str, Tensor]
@@ -353,13 +392,16 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
     Reverse topological sweep accumulating, for each node x,
     m[x -> t] = sum over consumers y of m[x -> y] * m[y -> t], seeded
     with m[t -> t] = 1.  Nodes with no path to the target keep zero
-    multipliers.  Raises AttributionError if the sweep would have to
-    cross a softmax node (target its pre-activations instead).
+    multipliers.  A batched trace propagates every sample at once
+    against the one reference.  Raises AttributionError if the sweep
+    would have to cross a softmax node (target its pre-activations
+    instead).
     """
     graph.require_valid()
-    t_node, t_index = resolve_target(graph, target)
-    mult = {nid: np.zeros(graph.nodes[nid].output_shape) for nid in graph.nodes}
-    mult[t_node].flat[t_index] = 1.0
+    t_node, t_index = resolve_target(graph, target, trace.batch)
+    lead = 0 if trace.batch is None else 1
+    mult = {nid: np.zeros(trace[nid].shape) for nid in graph.nodes}
+    mult[t_node] = target_seed(graph.nodes[t_node].output_shape, t_index)
 
     for node_id in reversed(topo_order(graph)):
         node = graph.nodes[node_id]
@@ -369,29 +411,24 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
         if not m_out.any():
             continue
         src = node.inputs[0]
-        if node.kind == "affine":
-            w = node.params["weights"]
-            mult[src] += (w.T @ m_out).reshape(graph.nodes[src].output_shape)
-        elif node.kind == "conv1d":
-            filters = node.params["filters"]
-            stride = int(node.params["stride"])
-            width = filters.shape[1]
-            contrib = np.einsum("pf,fkc->pkc", m_out, filters)
-            rows = stride * np.arange(m_out.shape[0])
-            acc = mult[src]
-            for k in range(width):
-                acc[rows + k, :] += contrib[:, k, :]
-        elif node.kind in ("relu", "prelu", "sigmoid", "tanh"):
+        if node.kind in ("affine", "conv1d"):
+            # linear: multipliers are the weights, as for gradients
+            vjp_node(node, m_out, trace, mult)
+        elif node.kind in ELEMENTWISE_KINDS:
             mult[src] += m_out * local_multipliers_rescale(
                 node, trace, reference, eps_stable
             )
         elif node.kind == "maxpool1d":
-            _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable)
+            _max_multiplier_backprop(node, m_out, trace, reference, mult[src],
+                                     eps_stable, lead)
         elif node.kind == "maxout":
+            _, out_dim, in_dim = node.params["weights"].shape
             x0 = reference[src].ravel()
-            x1 = trace[src].ravel()
-            w_eff = _maxout_effective_weights(node, x0, x1)
-            mult[src] += (w_eff.T @ m_out).reshape(graph.nodes[src].output_shape)
+            rows = zip(trace[src].reshape(-1, in_dim), m_out.reshape(-1, out_dim),
+                       mult[src].reshape(-1, in_dim))
+            for x1, m, acc in rows:  # one path envelope per sample
+                if m.any():
+                    acc += _maxout_effective_weights(node, x0, x1).T @ m
         elif node.kind == "product":
             a, b = node.inputs
             m1, m2 = local_multipliers_product(node, trace, reference)
@@ -409,7 +446,7 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
     return MultiplierMap((t_node, t_index), mult, graph)
 
 
-def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
+def _max_multiplier_backprop(node, m_out, trace, reference, acc, eps_stable, lead):
     """Route each window's contribution to its argmax input.
 
     The quantity to deliver through window p is delta_out[p] * m_out[p];
@@ -421,35 +458,22 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
     |delta| instead, which keeps conservation exact.  The max operation
     is 1-Lipschitz in the sup norm, so a window with nonzero output
     delta always has such a member (up to eps_stable, below which the
-    routed quantity is itself negligible).
+    routed quantity is itself negligible).  Multipliers accumulate into
+    ``acc``; the window axis is ``lead``.
     """
     src = node.inputs[0]
     x = trace[src]
     width, stride = int(node.params["width"]), int(node.params["stride"])
-    rows = _pool_argmax_rows(x, width, stride)
-    dy = trace[node.id] - reference[node.id]
     dx = x - reference[src]
-    route = dy * m_out
-
-    win_dx = conv1d_windows(dx, width, stride)
-    offsets = stride * np.arange(win_dx.shape[0])
-    mover = win_dx.__abs__().argmax(axis=-1)
-    if x.ndim == 1:
-        mover_rows = offsets + mover
-        dx_star = dx[rows]
-        chosen = np.where(np.abs(dx_star) > eps_stable, rows, mover_rows)
-        chosen_dx = dx[chosen]
-        ok = np.abs(chosen_dx) > eps_stable
-        np.add.at(mult[src], chosen[ok], route[ok] / chosen_dx[ok])
-    else:
-        cols = np.arange(x.shape[1])[None, :]
-        mover_rows = offsets[:, None] + mover
-        dx_star = dx[rows, cols]
-        chosen = np.where(np.abs(dx_star) > eps_stable, rows, mover_rows)
-        chosen_dx = dx[chosen, cols]
-        ok = np.abs(chosen_dx) > eps_stable
-        np.add.at(mult[src], (chosen[ok], np.broadcast_to(cols, chosen.shape)[ok]),
-                  route[ok] / chosen_dx[ok])
+    route = (trace[node.id] - reference[node.id]) * m_out
+    argmax = _pool_argmax_rows(x, width, stride, lead)
+    mover = _pool_argmax_rows(np.abs(dx), width, stride, lead)
+    chosen = np.where(np.abs(dx[_pool_index(argmax, lead)]) > eps_stable,
+                      argmax, mover)
+    index = _pool_index(chosen, lead)
+    chosen_dx = dx[index]
+    ok = np.abs(chosen_dx) > eps_stable
+    np.add.at(acc, index, np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +482,12 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
 
 @dataclass
 class ContributionReport:
-    """Per-input-feature contributions to one scalar target."""
+    """Per-input-feature contributions to one scalar target.
+
+    A report on a batch stacks its samples along a leading axis of every
+    array; the target index, ``delta_target`` and ``residual`` then hold
+    one entry per sample, and ``sample(i)`` is sample i's own report.
+    """
 
     target: tuple[str, int]
     method: str
@@ -468,34 +497,53 @@ class ContributionReport:
     delta_target: float
     residual: float
 
-    def total(self) -> float:
-        return float(sum(c.sum() for c in self.contributions.values()))
+    @property
+    def batch(self) -> int | None:
+        return None if np.ndim(self.delta_target) == 0 else len(self.delta_target)
+
+    def total(self):
+        """Sum of all contributions: a float, or one per sample of a batch."""
+        if self.batch is None:
+            return float(sum(c.sum() for c in self.contributions.values()))
+        return sum(c.reshape(self.batch, -1).sum(axis=1)
+                   for c in self.contributions.values())
+
+    def sample(self, i: int) -> "ContributionReport":
+        """Sample ``i`` of a batched report."""
+        t_node, t_index = self.target
+        return ContributionReport(
+            target=(t_node, int(t_index[i])),
+            method=self.method,
+            contributions={k: v[i] for k, v in self.contributions.items()},
+            multipliers={k: v[i] for k, v in self.multipliers.items()},
+            deltas={k: v[i] for k, v in self.deltas.items()},
+            delta_target=float(self.delta_target[i]),
+            residual=float(self.residual[i]),
+        )
+
+
+def contribution_report(target, method: str, scores: dict[str, Tensor],
+                        multipliers: dict[str, Tensor], deltas: dict[str, Tensor],
+                        delta_target) -> ContributionReport:
+    """A report whose residual is |sum(scores) - delta_target|, per sample."""
+    report = ContributionReport(target, method, scores, multipliers, deltas,
+                                delta_target, residual=0.0)
+    report.residual = abs(report.total() - delta_target)
+    return report
 
 
 def contributions(mmap: MultiplierMap, deltas: DeltaState) -> ContributionReport:
     """Contributions C = m * delta per input feature, plus the conservation
     residual |sum(C) - delta(target)|."""
-    graph = mmap.graph
+    input_ids = mmap.graph.input_ids()
     t_node, t_index = mmap.target
-    per_input = {}
-    input_mult = {}
-    input_delta = {}
-    for input_id in graph.input_ids():
-        m = mmap[input_id]
-        d = deltas[input_id]
-        per_input[input_id] = m * d
-        input_mult[input_id] = m
-        input_delta[input_id] = d
-    delta_t = float(deltas[t_node].flat[t_index])
-    total = float(sum(c.sum() for c in per_input.values()))
-    return ContributionReport(
-        target=mmap.target,
-        method="deeplift",
-        contributions=per_input,
-        multipliers=input_mult,
-        deltas=input_delta,
-        delta_target=delta_t,
-        residual=abs(total - delta_t),
+    return contribution_report(
+        mmap.target,
+        "deeplift",
+        {nid: mmap[nid] * deltas[nid] for nid in input_ids},
+        {nid: mmap[nid] for nid in input_ids},
+        {nid: deltas[nid] for nid in input_ids},
+        target_value(deltas[t_node], t_index),
     )
 
 
@@ -507,10 +555,12 @@ def select_attribution_target(graph: Graph, requested=None, class_index=None,
     the network head: a sigmoid head targets the pre-sigmoid node, a
     softmax head targets the pre-softmax node at ``class_index`` (or the
     predicted class when a trace is supplied).  Anything else raises and
-    asks for an explicit choice.
+    asks for an explicit choice.  With a batched trace the index holds
+    one entry per sample, and each sample's predicted class may differ.
     """
+    batch = None if trace is None else trace.batch
     if requested is not None:
-        return resolve_target(graph, requested)
+        return resolve_target(graph, requested, batch)
     graph.require_valid()
     if len(graph.outputs) != 1:
         raise AttributionError(
@@ -519,7 +569,7 @@ def select_attribution_target(graph: Graph, requested=None, class_index=None,
         )
     head = graph.nodes[graph.outputs[0]]
     if head.kind == "sigmoid":
-        return resolve_target(graph, (head.inputs[0], class_index or 0))
+        return resolve_target(graph, (head.inputs[0], class_index or 0), batch)
     if head.kind == "softmax":
         if class_index is None:
             if trace is None:
@@ -527,8 +577,8 @@ def select_attribution_target(graph: Graph, requested=None, class_index=None,
                     "softmax head: pass class_index (or a forward trace to "
                     "target the predicted class)"
                 )
-            class_index = int(np.argmax(trace[head.id]))
-        return resolve_target(graph, (head.inputs[0], class_index))
+            class_index = np.argmax(trace[head.id], axis=-1)
+        return resolve_target(graph, (head.inputs[0], class_index), batch)
     raise AttributionError(
         f"graph head '{head.id}' ({head.kind}) is not a sigmoid or softmax; "
         "pass an explicit (node_id, index) target"
@@ -541,30 +591,19 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
              reference: ReferenceState | None = None) -> ContributionReport:
     """Contribution scores of every input feature to the target.
 
-    ``reference_input`` defaults to all zeros.  When the graph ends in
-    an affine + softmax head, the head weights are mean-normalized first
-    (this never changes model outputs but removes the arbitrary shared
-    component of per-class multipliers); the normalized graph is built
-    once per graph.  Pass a precomputed ``reference`` state to amortize
-    it across samples; it takes precedence over ``reference_input``.
+    ``inputs`` holds one sample, or a batch stacked along a leading axis
+    (see ``forward``), which gives a batched report.  ``reference_input``
+    defaults to all zeros, evaluated once per graph.  When the graph ends
+    in an affine + softmax head, the head weights are mean-normalized
+    first (this never changes model outputs but removes the arbitrary
+    shared component of per-class multipliers); the normalized graph is
+    built once per graph.  Pass a precomputed ``reference`` state to
+    amortize it across samples; it takes precedence over
+    ``reference_input``.
     """
     graph.require_valid()
     normalized = _normalize_softmax_head_if_any(graph)
-    if reference is None:
-        if reference_input is None:
-            reference_input = zeros_reference(normalized)
-        ref = compute_reference(normalized, reference_input)
-    elif reference.graph is normalized:
-        ref = reference
-    else:
-        # a reference computed on another graph object, such as the
-        # caller's graph before head normalization, is stale (pre-softmax
-        # activations shift); it is evaluated on this one once and kept
-        ref = reference._twin
-        if ref is None or ref.graph is not normalized:
-            ref = reference._twin = compute_reference(
-                normalized, reference.reference_input
-            )
+    ref = _reference_on(normalized, reference, reference_input)
     trace = forward(normalized, inputs)
     resolved = select_attribution_target(normalized, target, class_index, trace)
     mmap = propagate_multipliers(normalized, trace, ref, resolved, eps_stable)
@@ -588,52 +627,31 @@ def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
     return graph._memo["softmax_head"]
 
 
-@dataclass
-class AttributionRequest:
-    """One attribution job: sample, reference, target choice and method."""
-
-    graph: Graph
-    inputs: dict[str, Tensor]
-    reference_input: dict[str, Tensor] | None = None
-    target: tuple[str, int] | str | None = None
-    class_index: int | None = None
-    method: str = "deeplift"
-    eps_stable: float = EPS_STABLE
-    lrp_epsilon: float = 1e-9
+METHODS = ("deeplift", "grad_input", "lrp")
 
 
-def attribute(request: AttributionRequest) -> ContributionReport:
-    """Dispatch an AttributionRequest to deeplift, grad_input or lrp."""
-    if request.method == "deeplift":
-        return deeplift(
-            request.graph,
-            request.inputs,
-            request.reference_input,
-            target=request.target,
-            class_index=request.class_index,
-            eps_stable=request.eps_stable,
-        )
-    if request.method == "grad_input":
-        from .baselines import gradient_times_input
+def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
+              reference: ReferenceState | None = None, target=None,
+              class_index=None, eps_stable: float = EPS_STABLE,
+              lrp_epsilon: float = 1e-9) -> ContributionReport:
+    """Score one sample or a batch with deeplift, grad_input or lrp.
 
-        return gradient_times_input(
-            request.graph,
-            request.inputs,
-            target=request.target,
-            class_index=request.class_index,
-            reference_input=request.reference_input,
-        )
-    if request.method == "lrp":
-        from .baselines import lrp_epsilon, lrp_as_contribution_report
+    ``reference`` is the state deeplift propagates against and grad_input
+    measures input differences from (default all zeros); lrp has none.
+    """
+    if method == "deeplift":
+        return deeplift(graph, inputs, target=target, class_index=class_index,
+                        eps_stable=eps_stable, reference=reference)
+    from .baselines import gradient_times_input, lrp_as_contribution_report
+    from .baselines import lrp_epsilon as lrp
 
-        trace = lrp_epsilon(
-            request.graph,
-            request.inputs,
-            target=request.target,
-            epsilon=request.lrp_epsilon,
-            class_index=request.class_index,
-        )
-        return lrp_as_contribution_report(request.graph, request.inputs, trace)
+    if method == "grad_input":
+        return gradient_times_input(graph, inputs, target=target,
+                                    class_index=class_index, reference=reference)
+    if method == "lrp":
+        relevance = lrp(graph, inputs, target=target, epsilon=lrp_epsilon,
+                        class_index=class_index)
+        return lrp_as_contribution_report(graph, inputs, relevance)
     raise AttributionError(
-        f"unknown method '{request.method}'; expected deeplift, grad_input or lrp"
+        f"unknown method '{method}'; expected one of {', '.join(METHODS)}"
     )

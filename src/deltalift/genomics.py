@@ -14,13 +14,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ContributionReport, compute_reference, deeplift, zeros_reference
+from .engine import (
+    ATTRIBUTE_CHUNK,
+    AttributionError,
+    ContributionReport,
+    compute_reference,
+    deeplift,
+    zeros_reference,
+)
 from .baselines import gradient_times_input
 from .graph import ConstraintGroup, Graph, GraphBuilder, Tensor, forward
 from .normalize import normalize_constrained_weights
 
 BASES = "ACGT"
 BASE_INDEX = {base: i for i, base in enumerate(BASES)}
+# base index of every byte value, -1 for bytes that are not a base
+_BASE_CODES = np.full(256, -1, dtype=np.intp)
+_BASE_CODES[[ord(base) for base in BASES]] = np.arange(len(BASES))
 MOTIFS = {"GATA": "GATA", "CAGATG": "CAGATG"}
 
 
@@ -143,12 +153,21 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 
 def one_hot_encode(sequence: str) -> Tensor:
     """(length, 4) one-hot matrix, column order A, C, G, T."""
+    codes = _BASE_CODES[np.frombuffer(sequence.encode(), dtype=np.uint8)]
+    if len(codes) != len(sequence) or (codes < 0).any():
+        i, base = next((i, b) for i, b in enumerate(sequence) if b not in BASE_INDEX)
+        raise ValueError(f"invalid base {base!r} at position {i}")
     arr = np.zeros((len(sequence), 4))
-    for i, base in enumerate(sequence):
-        if base not in BASE_INDEX:
-            raise ValueError(f"invalid base {base!r} at position {i}")
-        arr[i, BASE_INDEX[base]] = 1.0
+    arr[np.arange(len(sequence)), codes] = 1.0
     return arr
+
+
+def encode_batch(examples) -> Tensor:
+    """One-hot encodings of equal-length sequences, stacked to (n, length, 4)."""
+    lengths = sorted({len(ex.sequence) for ex in examples})
+    if len(lengths) > 1:
+        raise ValueError(f"sequences differ in length: {lengths}")
+    return np.stack([one_hot_encode(ex.sequence) for ex in examples])
 
 
 def decode_one_hot(arr: Tensor) -> str:
@@ -259,7 +278,11 @@ def motif_recovery_score(report: ContributionReport, example: SequenceExample,
     numerator (the denominator stays the total positive mass).  Returns
     0 when no positive scores exist anywhere.
     """
-    scores = per_position_scores(report, example, input_id)
+    return _recovery(per_position_scores(report, example, input_id), example,
+                     motif_name)
+
+
+def _recovery(scores: Tensor, example: SequenceExample, motif_name=None) -> float:
     positive = np.clip(scores, 0.0, None)
     total = positive.sum()
     if total <= 0.0:
@@ -286,6 +309,9 @@ class ComparisonRow:
     grad_input_gata: float
     deeplift_cagatg: float
     grad_input_cagatg: float
+    # per-position scores of both methods (see per_position_scores)
+    deeplift_track: Tensor | None = field(default=None, repr=False, compare=False)
+    grad_input_track: Tensor | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -299,50 +325,56 @@ class MethodComparison:
     n_correct_positives: int
 
 
-def compare_methods(graph: Graph, test_set, eps_stable: float = 1e-7,
-                    threads: int = 1) -> MethodComparison:
+def compare_methods(graph: Graph, test_set,
+                    eps_stable: float = 1e-7) -> MethodComparison:
     """Motif recovery of reference-based scores versus gradient*input.
 
+    The graph takes one sequence input and ends in one sigmoid output.
     The model is weight-normalized over the one-hot constraint groups
-    first (outputs unchanged); both methods then run on that same model,
-    the reference-based scores against the all-zeros reference.  Only
-    correctly classified positives are scored.
+    first (outputs unchanged); both methods then run on that same model
+    against the all-zeros reference, ``ATTRIBUTE_CHUNK`` sequences per
+    call.  Only correctly classified positives are scored; each row keeps
+    both methods' per-position scores.
     """
     normalized = normalize_constrained_weights(graph)
+    input_ids = normalized.input_ids()
+    if len(input_ids) != 1 or len(normalized.outputs) != 1:
+        raise AttributionError(
+            f"method comparison needs one input and one output, got inputs "
+            f"{input_ids} and outputs {list(normalized.outputs)}"
+        )
+    input_id, head = input_ids[0], normalized.outputs[0]
     reference = compute_reference(normalized, zeros_reference(normalized))
 
-    selected = []
-    for ex in test_set:
-        if ex.label != 1:
-            continue
-        x = one_hot_encode(ex.sequence)
-        prob = float(forward(normalized, {"seq": x})["prob"][0])
-        if prob > 0.5:
-            selected.append((ex, x, prob))
+    positives = [ex for ex in test_set if ex.label == 1]
+    selected = []  # (example, encoding, predicted probability)
+    for start in range(0, len(positives), ATTRIBUTE_CHUNK):
+        chunk = positives[start:start + ATTRIBUTE_CHUNK]
+        xs = encode_batch(chunk)
+        probs = forward(normalized, {input_id: xs})[head][:, 0]
+        selected += [(ex, x, float(p)) for ex, x, p in zip(chunk, xs, probs) if p > 0.5]
 
-    def score_one(item):
-        ex, x, prob = item
-        dl = deeplift(normalized, {"seq": x}, reference=reference,
-                      eps_stable=eps_stable)
-        gi = gradient_times_input(normalized, {"seq": x})
-        return ComparisonRow(
-            sid=ex.sid,
-            prediction=prob,
-            deeplift_recovery=motif_recovery_score(dl, ex),
-            grad_input_recovery=motif_recovery_score(gi, ex),
-            deeplift_gata=motif_recovery_score(dl, ex, "GATA"),
-            grad_input_gata=motif_recovery_score(gi, ex, "GATA"),
-            deeplift_cagatg=motif_recovery_score(dl, ex, "CAGATG"),
-            grad_input_cagatg=motif_recovery_score(gi, ex, "CAGATG"),
-        )
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(score_one, selected))
-    else:
-        rows = [score_one(item) for item in selected]
+    rows = []
+    for start in range(0, len(selected), ATTRIBUTE_CHUNK):
+        chunk = selected[start:start + ATTRIBUTE_CHUNK]
+        batch = {input_id: np.stack([x for _, x, _ in chunk])}
+        dl = deeplift(normalized, batch, reference=reference, eps_stable=eps_stable)
+        gi = gradient_times_input(normalized, batch, reference=reference)
+        for i, (ex, _, prob) in enumerate(chunk):
+            dl_track = per_position_scores(dl.sample(i), ex, input_id)
+            gi_track = per_position_scores(gi.sample(i), ex, input_id)
+            rows.append(ComparisonRow(
+                sid=ex.sid,
+                prediction=prob,
+                deeplift_recovery=_recovery(dl_track, ex),
+                grad_input_recovery=_recovery(gi_track, ex),
+                deeplift_gata=_recovery(dl_track, ex, "GATA"),
+                grad_input_gata=_recovery(gi_track, ex, "GATA"),
+                deeplift_cagatg=_recovery(dl_track, ex, "CAGATG"),
+                grad_input_cagatg=_recovery(gi_track, ex, "CAGATG"),
+                deeplift_track=dl_track,
+                grad_input_track=gi_track,
+            ))
 
     if rows:
         dl = np.array([r.deeplift_recovery for r in rows])

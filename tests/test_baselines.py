@@ -8,6 +8,7 @@ from deltalift.baselines import (
     EnsembleSpec,
     equivalence_report,
     gradient_times_input,
+    lrp_as_contribution_report,
     lrp_epsilon,
     random_relu_mlp,
 )
@@ -182,3 +183,40 @@ class TestEquivalence:
             for node in g.nodes.values():
                 if node.kind == "affine":
                     assert np.min(np.abs(tr[node.id])) >= 1e-3
+
+
+class TestForwardsPerCall:
+    """After the first call on a graph, each method forwards only the
+    sample: the zeros reference stays with the graph, and the LRP report
+    reads the target activation from the relevance trace."""
+
+    def _count_forwards(self, monkeypatch):
+        import deltalift.baselines as baselines_module
+        import deltalift.engine as engine_module
+
+        calls = []
+        for module in (baselines_module, engine_module):
+            monkeypatch.setattr(
+                module, "forward",
+                lambda *a, _real=forward, **k: calls.append(1) or _real(*a, **k),
+            )
+        return calls
+
+    def test_grad_input(self, monkeypatch):
+        g, inputs = random_relu_mlp(np.random.default_rng(21), EnsembleSpec())
+        first = gradient_times_input(g, inputs, target=("head", 0))
+        calls = self._count_forwards(monkeypatch)
+        for _ in range(3):
+            report = gradient_times_input(g, inputs, target=("head", 0))
+        assert len(calls) == 3
+        assert np.array_equal(report.contributions["x"], first.contributions["x"])
+        assert report.delta_target == first.delta_target
+
+    def test_lrp(self, monkeypatch):
+        g, inputs = random_relu_mlp(np.random.default_rng(22), EnsembleSpec())
+        calls = self._count_forwards(monkeypatch)
+        for _ in range(3):
+            rel = lrp_epsilon(g, inputs, target=("head", 0))
+            report = lrp_as_contribution_report(g, inputs, rel)
+        assert len(calls) == 3
+        assert report.delta_target == forward(g, inputs)["head"][0]

@@ -1,4 +1,5 @@
-"""Batched forward, gradient sweep and training agree with per-sample runs.
+"""Batched forward, gradient sweep, training and attribution agree with
+per-sample runs.
 
 A batch stacks samples along a leading axis and runs the same per-kind
 rules as one sample.  Matrix products of a batch sum in another order,
@@ -11,6 +12,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deltalift.autodiff import vjp_sweep
+from deltalift.baselines import (
+    gradient_times_input,
+    lrp_as_contribution_report,
+    lrp_epsilon,
+)
+from deltalift.engine import compute_reference, deeplift, zeros_reference
 from deltalift.genomics import (
     DatasetSpec,
     auroc,
@@ -18,7 +25,8 @@ from deltalift.genomics import (
     encode_dataset,
     generate_dataset,
 )
-from deltalift.graph import GraphBuilder, GraphError, forward
+from deltalift.graph import Graph, GraphBuilder, GraphError, NodeSpec, forward
+from deltalift.normalize import normalize_constrained_weights
 from deltalift.train import EVAL_CHUNK, TrainConfig, evaluate, train_step
 
 from graphgen import random_graph_case
@@ -210,3 +218,174 @@ def test_parameter_gradients_match_central_differences():
                     analytic = -v.flat[i]
                     assert abs(analytic - numeric) <= 1e-5 * max(1.0, abs(numeric)), \
                         (case.kinds, nid, key, i, analytic, numeric)
+
+
+# ---------------------------------------------------------------------------
+# Attribution: deeplift, grad*input and epsilon-LRP on a batch equal the
+# per-sample calls stacked, and each row conserves on its own.
+
+
+def attribution_cases(n_cases=60, seed=606, **kwargs):
+    rng = np.random.default_rng(seed)
+    return [random_graph_case(rng, **kwargs) for _ in range(n_cases)]
+
+
+MOVED = 2
+
+
+def attribution_batch(case, rng, size=6):
+    """The case's input, the reference itself (every rule takes its
+    |delta| <= eps_stable fallback), the reference with one feature moved
+    (row MOVED: some units fall back, others do not), and random draws."""
+    x, x0 = case.inputs["x"], case.reference["x"]
+    moved = x0.copy()
+    moved.flat[0] = x.flat[0]
+    draws = rng.normal(size=(size - 3,) + x.shape)
+    return np.concatenate([np.stack([x, x0, moved]), draws])
+
+
+def assert_report_rows(batched, singles, near_reference=()):
+    """Every array and per-sample value of ``batched`` equals the stacked
+    ``singles`` within RTOL of its largest entry over the batch.
+
+    Rows listed in ``near_reference`` sit close to the reference, where
+    DeepLIFT's rescale multipliers divide differences close to zero: a
+    unit with |delta| ~ 1e-5 turns the one-ulp differences of batched sums
+    into ~1e-11 relative.  Their multipliers are held to 1e-9 relative;
+    their contributions, which multiply by that delta again, are not.
+    """
+    assert batched.batch == len(singles)
+    for name in ("contributions", "multipliers", "deltas"):
+        for nid, arr in getattr(batched, name).items():
+            expected = np.stack([getattr(s, name)[nid] for s in singles])
+            if name == "multipliers" and near_reference:
+                scale = np.max(np.abs(expected))
+                loose = list(near_reference)
+                assert np.max(np.abs(arr[loose] - expected[loose])) <= 1e-9 * scale
+                arr, expected = np.delete(arr, loose, 0), np.delete(expected, loose, 0)
+            assert_close_relative(arr, expected)
+    assert_close_relative(batched.delta_target,
+                          np.array([s.delta_target for s in singles]))
+    for i, single in enumerate(singles):
+        row = batched.sample(i)
+        assert row.target == single.target
+        assert row.method == single.method
+        assert row.residual == batched.residual[i]
+
+
+def assert_conserves(report):
+    bound = np.maximum(1e-9, 1e-6 * np.abs(report.delta_target))
+    assert np.all(report.residual <= bound), (report.residual, report.delta_target)
+
+
+def test_batched_deeplift_and_grad_input_equal_stacked_calls():
+    rng = np.random.default_rng(6)
+    kinds, split_classes = set(), 0
+    for case in attribution_cases():
+        kinds |= case.kinds
+        xs = attribution_batch(case, rng)
+        head = case.graph.nodes[case.graph.outputs[0]].kind
+        # headed graphs choose their own target: per row for softmax
+        target = None if head in ("sigmoid", "softmax") else case.target
+        dl = deeplift(case.graph, {"x": xs}, case.reference, target=target)
+        assert_report_rows(dl, [deeplift(case.graph, {"x": x}, case.reference,
+                                         target=target) for x in xs],
+                           near_reference=[MOVED])
+        assert_conserves(dl)
+        gi = gradient_times_input(case.graph, {"x": xs}, target=target,
+                                  reference_input=case.reference)
+        assert_report_rows(gi, [gradient_times_input(case.graph, {"x": x}, target=target,
+                                                     reference_input=case.reference)
+                                for x in xs])
+        if head == "softmax":
+            split_classes += len(set(dl.target[1])) > 1
+    assert TRAINABLE_KINDS <= kinds, TRAINABLE_KINDS - kinds
+    assert split_classes >= 3
+
+
+def test_batched_lrp_equals_stacked_calls():
+    rng = np.random.default_rng(7)
+    for case in attribution_cases(n_cases=30, seed=707, piecewise_linear_only=True):
+        xs = attribution_batch(case, rng)
+        rel = lrp_epsilon(case.graph, {"x": xs}, target=case.target)
+        singles = [lrp_epsilon(case.graph, {"x": x}, target=case.target) for x in xs]
+        for nid in case.graph.nodes:
+            assert_close_relative(rel[nid], np.stack([s[nid] for s in singles]))
+        for nid, absorbed in rel.bias_relevance.items():
+            assert_close_relative(absorbed, np.array([s.bias_relevance.get(nid, 0.0) for s in singles]))
+        report = lrp_as_contribution_report(case.graph, {"x": xs}, rel)
+        assert_report_rows(report, [lrp_as_contribution_report(case.graph, {"x": x}, s)
+                                    for x, s in zip(xs, singles)])
+
+
+def test_per_sample_targets_of_a_batch():
+    b = GraphBuilder()
+    x = b.input("x", (3,))
+    b.affine("y", b.tanh("h", b.affine("fc", x, np.eye(3), np.ones(3))),
+             np.arange(12.0).reshape(4, 3) - 5.0, np.zeros(4))
+    g = b.build(outputs=["y"])
+    xs = np.random.default_rng(8).normal(size=(4, 3))
+    report = deeplift(g, {"x": xs}, target=("y", np.array([3, 0, 2, 0])))
+    assert_report_rows(report, [deeplift(g, {"x": x}, target=("y", k))
+                                for x, k in zip(xs, [3, 0, 2, 0])])
+    with pytest.raises(GraphError, match="out of range"):
+        deeplift(g, {"x": xs}, target=("y", np.array([0, 1, 2, 4])))
+    with pytest.raises(GraphError, match="one target index or 4"):
+        deeplift(g, {"x": xs}, target=("y", np.array([0, 1])))
+
+
+def test_max_pool_reroute_in_a_batch():
+    # row 0's pool argmax sits at its reference value, so the window's
+    # delta reroutes to the member that moved
+    b = GraphBuilder()
+    b.affine("o", b.maxpool1d("p", b.input("x", (2,)), 2, 2), [[2.0]], [0.5])
+    g = b.build(outputs=["o"])
+    ref = {"x": np.array([1.0, 5.0])}
+    xs = np.array([[1.0, 0.0], [3.0, 2.0], [1.0, 5.0], [0.0, 0.5]])
+    report = deeplift(g, {"x": xs}, ref, target=("o", 0))
+    assert_allclose(report.contributions["x"][0], [0.0, -8.0])
+    assert_report_rows(report, [deeplift(g, {"x": x}, ref, target=("o", 0)) for x in xs])
+    assert_conserves(report)
+
+
+def relu_twin(graph):
+    """The graph with every PReLU replaced by a ReLU, for LRP."""
+    nodes = [NodeSpec(n.id, "relu", n.inputs, n.output_shape) if n.kind == "prelu" else n
+             for n in graph.nodes.values()]
+    return Graph(nodes, graph.outputs, graph.constraint_groups)
+
+
+def test_batched_attribution_on_paper_cnn():
+    data = generate_dataset(DatasetSpec(n_train=0, n_val=0, n_test=6, seed=9))
+    xs = np.stack([x for x, _ in encode_dataset(data.test)])
+    cnn = normalize_constrained_weights(build_genomics_cnn(seed=9))
+    reference = compute_reference(cnn, zeros_reference(cnn))
+    dl = deeplift(cnn, {"seq": xs}, reference=reference)
+    assert_conserves(dl)
+    gi = gradient_times_input(cnn, {"seq": xs})
+    twin = relu_twin(cnn)
+    lrp = lrp_as_contribution_report(twin, {"seq": xs}, lrp_epsilon(twin, {"seq": xs}))
+    for batched, single in [
+        (dl, lambda x: deeplift(cnn, x, reference=reference)),
+        (gi, lambda x: gradient_times_input(cnn, x)),
+        (lrp, lambda x: lrp_as_contribution_report(twin, x, lrp_epsilon(twin, x))),
+    ]:
+        singles = [single({"seq": x}) for x in xs]
+        for name in ("contributions", "multipliers", "deltas"):
+            assert_close_relative(getattr(batched, name)["seq"],
+                                  np.stack([getattr(s, name)["seq"] for s in singles]))
+        assert_close_relative(batched.delta_target, np.array([s.delta_target for s in singles]))
+        assert [batched.sample(i).target for i in range(len(xs))] == [("logit", 0)] * len(xs)
+
+
+def test_attribution_rejects_wrong_trailing_shape():
+    b = GraphBuilder()
+    b.affine("o", b.relu("r", b.affine("h", b.input("x", (3,)), np.eye(3), np.ones(3))),
+             np.ones((1, 3)), np.zeros(1))
+    g = b.build(outputs=["o"])
+    xs = {"x": np.ones((4, 2))}
+    for call in (lambda: deeplift(g, xs, target="o"),
+                 lambda: gradient_times_input(g, xs, target="o"),
+                 lambda: lrp_epsilon(g, xs, target="o")):
+        with pytest.raises(GraphError, match="expects shape"):
+            call()

@@ -5,8 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deltalift.autodiff import backward
+from deltalift.baselines import (
+    EnsembleSpec,
+    gradient_times_input,
+    lrp_as_contribution_report,
+    lrp_epsilon,
+    random_relu_mlp,
+)
 from deltalift.engine import (
     AttributionError,
+    attribute,
     compute_deltas,
     compute_reference,
     contributions,
@@ -463,3 +471,28 @@ class TestPiecewiseLinearEquivalence:
             assert_allclose(report.contributions["x"], gi, atol=1e-9)
             checked += 1
         assert checked >= 30
+
+
+class TestAttributeDispatch:
+    def test_each_method_matches_its_direct_call(self):
+        g, inputs = random_relu_mlp(np.random.default_rng(3), EnsembleSpec())
+        target = ("head", 0)
+        reference = compute_reference(g, {"x": np.full(g.nodes["x"].output_shape, 0.5)})
+        direct = {
+            "deeplift": deeplift(g, inputs, target=target, reference=reference),
+            "grad_input": gradient_times_input(
+                g, inputs, target=target, reference_input=reference.reference_input),
+            "lrp": lrp_as_contribution_report(
+                g, inputs, lrp_epsilon(g, inputs, target=target, epsilon=1e-4)),
+        }
+        for method, expected in direct.items():
+            report = attribute(g, inputs, method, reference=reference, target=target,
+                               lrp_epsilon=1e-4)
+            assert report.method == method
+            assert np.array_equal(report.contributions["x"], expected.contributions["x"])
+            assert report.delta_target == expected.delta_target
+
+    def test_unknown_method_rejected(self):
+        g, inputs = random_relu_mlp(np.random.default_rng(3), EnsembleSpec())
+        with pytest.raises(AttributionError, match="unknown method"):
+            attribute(g, inputs, "saliency", target=("head", 0))

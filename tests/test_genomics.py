@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltalift.engine import ContributionReport
+from deltalift.baselines import gradient_times_input
+from deltalift.engine import ATTRIBUTE_CHUNK, ContributionReport, deeplift
 from deltalift.genomics import (
     Dataset,
     DatasetSpec,
@@ -17,10 +18,13 @@ from deltalift.genomics import (
     generate_dataset,
     motif_recovery_score,
     one_hot_encode,
+    onehot_constraint_groups,
+    per_position_scores,
     read_fasta,
     write_fasta,
 )
-from deltalift.graph import forward, n_parameters, validate_graph
+from deltalift.graph import GraphBuilder, forward, n_parameters, validate_graph
+from deltalift.normalize import normalize_constrained_weights
 
 
 class TestGeneration:
@@ -227,6 +231,51 @@ class TestCompareMethods:
         coverage = float(np.mean(coverages))
         for mean in (comparison.mean_deeplift, comparison.mean_grad_input):
             assert abs(mean - coverage) < 0.06
+
+
+    def test_rows_keep_the_tracks_of_per_sample_calls(self):
+        data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=24, seed=3))
+        graph = build_genomics_cnn(seed=9)
+        graph = graph.replace_params({"logit": {"bias": np.array([8.0])}})
+        comparison = compare_methods(graph, data.test)
+        assert comparison.n_correct_positives > ATTRIBUTE_CHUNK  # two chunks
+        normalized = normalize_constrained_weights(graph)
+        by_sid = {ex.sid: ex for ex in data.test}
+        for row in comparison.rows:
+            ex = by_sid[row.sid]
+            x = {"seq": one_hot_encode(ex.sequence)}
+            for track, report in ((row.deeplift_track, deeplift(normalized, x)),
+                                  (row.grad_input_track,
+                                   gradient_times_input(normalized, x))):
+                expected = per_position_scores(report, ex)
+                assert_allclose(track, expected, rtol=0,
+                                atol=1e-12 * np.abs(expected).max())
+
+    def test_node_ids_come_from_the_graph(self):
+        # conv -> relu -> pool -> affine -> sigmoid, no node named seq/prob
+        rng = np.random.default_rng(5)
+        b = GraphBuilder()
+        x = b.input("dna", (60, 4))
+        h = b.conv1d("scan", x, rng.normal(size=(3, 5, 4)) * 0.3, np.zeros(3))
+        h = b.maxpool1d("best", b.relu("rect", h), 8, 8)
+        score = b.affine("score", h, rng.normal(size=(1, 21)) * 0.3, np.array([1.0]))
+        b.sigmoid("bound", score)
+        graph = b.build(outputs=["bound"],
+                        constraint_groups=onehot_constraint_groups(x, 60))
+        data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=12,
+                                            length=60, seed=4))
+        positives = [
+            ex for ex in data.test if ex.label == 1
+            and forward(graph, {"dna": one_hot_encode(ex.sequence)})["bound"][0] > 0.5
+        ]
+        comparison = compare_methods(graph, data.test)
+        assert comparison.n_correct_positives == len(positives) > 0
+        normalized = normalize_constrained_weights(graph)
+        for row, ex in zip(comparison.rows, positives):
+            report = deeplift(normalized, {"dna": one_hot_encode(ex.sequence)})
+            assert row.sid == ex.sid
+            assert row.deeplift_recovery == pytest.approx(
+                motif_recovery_score(report, ex, input_id="dna"), abs=1e-12)
 
 
 class TestSequenceFiles:
