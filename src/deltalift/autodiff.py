@@ -102,7 +102,7 @@ def _pool_argmax_rows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tens
     otherwise, behind any leading batch axis.
     """
     win = conv1d_windows(x, width, stride, axis)
-    am = win.argmax(axis=-1)
+    am = win.argmax(axis=axis + 1)
     offsets = stride * np.arange(win.shape[axis])
     return am + offsets.reshape((-1,) + (1,) * (am.ndim - axis - 1))
 
@@ -149,16 +149,17 @@ def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
         n_out = grad_out.shape[lead]
         rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
         if gin is not None:
+            # one (B*P, F) @ (F, C) product per filter tap, added in place:
+            # cheaper than scattering a (B*P, K*C) product back (col2im)
             tap_shape = grad_out.shape[:-1] + (channels,)
             for k in range(width):
                 conv1d_tap(gin, k, stride, n_out, lead)[...] += (
                     rows @ filters[:, k, :]
                 ).reshape(tap_shape)
         if param_grads is not None:
-            dw = np.empty_like(filters)
-            for k in range(width):
-                tap = conv1d_tap(x, k, stride, n_out, lead).reshape(-1, channels)
-                dw[:, k, :] = rows.T @ tap
+            # im2col: one (F, B*P) @ (B*P, K*C) product
+            cols = conv1d_windows(x, width, stride, lead).reshape(len(rows), -1)
+            dw = (rows.T @ cols).reshape(filters.shape)
             param_grads[node.id] = {"filters": dw, "bias": rows.sum(axis=0)}
     elif kind == "maxpool1d":
         if gin is not None:
@@ -289,9 +290,9 @@ def _kink_distance(graph: Graph, trace: ForwardTrace) -> float:
         elif node.kind == "maxpool1d":
             x = trace[node.inputs[0]]
             win = conv1d_windows(x, int(node.params["width"]), int(node.params["stride"]))
-            if win.shape[-1] > 1:
-                top2 = np.sort(win, axis=-1)[..., -2:]
-                margin = min(margin, float(np.min(top2[..., 1] - top2[..., 0])))
+            if win.shape[1] > 1:
+                top2 = np.sort(win, axis=1)[:, -2:]
+                margin = min(margin, float(np.min(top2[:, 1] - top2[:, 0])))
         elif node.kind == "maxout":
             z = maxout_pieces(node, trace[node.inputs[0]])
             if z.shape[0] > 1:

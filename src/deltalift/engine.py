@@ -129,48 +129,29 @@ def _reference_on(graph: Graph, reference: ReferenceState | None = None,
     return twin
 
 
-def compute_deltas(trace: ForwardTrace, reference: ReferenceState) -> DeltaState:
+def compute_deltas(trace: ForwardTrace, reference: ReferenceState,
+                   node_ids=None) -> DeltaState:
+    """Differences from reference of ``node_ids`` (default: every node)."""
     if trace.graph is not reference.graph:
         raise AttributionError("trace and reference come from different graphs")
-    deltas = {
-        nid: trace[nid] - reference[nid] for nid in trace.activations
-    }
-    return DeltaState(deltas)
+    if node_ids is None:
+        node_ids = trace.activations
+    return DeltaState({nid: trace[nid] - reference[nid] for nid in node_ids})
 
 
 # ---------------------------------------------------------------------------
 # Local rules
 
 
-def local_multipliers_affine(node, input_shape=None) -> Tensor:
-    """Dense multiplier matrix (out_size, in_size) of an affine or conv1d node.
+def local_multipliers_affine(node) -> Tensor:
+    """Multiplier matrix (out_size, in_size) of an affine node: its weights.
 
-    Multipliers of a purely linear node are its weights; for conv1d the
-    filter taps are scattered into the equivalent dense matrix sized for
-    ``input_shape`` (defaults to the minimal covered length).  Used by
-    tests and small-scale callers; propagation routes through the
-    structured form instead.
+    Propagation applies every linear node, conv1d included, through the
+    gradient sweep's transpose (``vjp_node``) instead of a dense matrix.
     """
     if node.kind == "affine":
         return node.params["weights"].copy()
-    if node.kind == "conv1d":
-        filters = node.params["filters"]
-        stride = int(node.params["stride"])
-        n_filt, width, channels = filters.shape
-        out_len = node.output_shape[0]
-        if input_shape is None:
-            in_len = (out_len - 1) * stride + width
-        else:
-            in_len = int(input_shape[0])
-        dense = np.zeros((out_len * n_filt, in_len * channels))
-        for p in range(out_len):
-            for f in range(n_filt):
-                row = p * n_filt + f
-                for k in range(width):
-                    for c in range(channels):
-                        dense[row, (p * stride + k) * channels + c] = filters[f, k, c]
-        return dense
-    raise AttributionError(f"node '{node.id}' ({node.kind}) is not linear")
+    raise AttributionError(f"node '{node.id}' ({node.kind}) is not affine")
 
 
 def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceState,
@@ -199,8 +180,11 @@ def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceSta
         y0 = reference[node.id]
         deriv = 1.0 - y0 * y0
     ratio_ok = np.abs(dx) > eps_stable
-    safe_dx = np.where(ratio_ok, dx, 1.0)
-    return np.where(ratio_ok, dy / safe_dx, deriv)
+    # dx and dy are fresh arrays, so the ratio is formed in dy's memory
+    dx[~ratio_ok] = 1.0
+    np.divide(dy, dx, out=dy)
+    np.copyto(dy, deriv, where=~ratio_ok)
+    return dy
 
 
 def local_multipliers_product(node, trace: ForwardTrace,
@@ -415,9 +399,9 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
             # linear: multipliers are the weights, as for gradients
             vjp_node(node, m_out, trace, mult)
         elif node.kind in ELEMENTWISE_KINDS:
-            mult[src] += m_out * local_multipliers_rescale(
-                node, trace, reference, eps_stable
-            )
+            local = local_multipliers_rescale(node, trace, reference, eps_stable)
+            local *= m_out
+            mult[src] += local
         elif node.kind == "maxpool1d":
             _max_multiplier_backprop(node, m_out, trace, reference, mult[src],
                                      eps_stable, lead)
@@ -607,7 +591,8 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     trace = forward(normalized, inputs)
     resolved = select_attribution_target(normalized, target, class_index, trace)
     mmap = propagate_multipliers(normalized, trace, ref, resolved, eps_stable)
-    deltas = compute_deltas(trace, ref)
+    # the report reads only the inputs' and the target's deltas
+    deltas = compute_deltas(trace, ref, normalized.input_ids() + [resolved[0]])
     return contributions(mmap, deltas)
 
 

@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 Tensor = np.ndarray
 
@@ -445,14 +445,22 @@ def stable_softmax(x: Tensor) -> Tensor:
 
 
 def conv1d_windows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
-    """Strided sliding windows of ``x`` along ``axis`` (the length axis).
+    """Read-only view of the strided windows of ``x`` along ``axis``.
 
-    For x of shape (L, C) returns (n_windows, C, width); for (L,)
-    returns (n_windows, width).  With ``axis=1`` the same holds per
-    sample of a batch (B, L, ...).
+    The view is shaped (..., n_windows, width, ...rest): the axes before
+    ``axis`` (batch axes), then windows, then positions within a window,
+    then the axes after the length axis.  For x of shape (L, C) it is
+    (n_windows, width, C); for (L,) it is (n_windows, width).  Nothing is
+    copied until the view is reshaped, e.g. into im2col rows.
     """
-    win = sliding_window_view(x, width, axis=axis)
-    return win[(slice(None),) * axis + (slice(None, None, stride),)]
+    n_out = (x.shape[axis] - width) // stride + 1
+    step = x.strides[axis]
+    return as_strided(
+        x,
+        x.shape[:axis] + (n_out, width) + x.shape[axis + 1:],
+        x.strides[:axis] + (stride * step, step) + x.strides[axis + 1:],
+        writeable=False,
+    )
 
 
 def conv1d_tap(x: Tensor, tap: int, stride: int, n_out: int, axis: int = 0) -> Tensor:
@@ -486,20 +494,17 @@ def eval_node(node: NodeSpec, args: list[Tensor], lead: int = 0) -> Tensor:
         w, b = node.params["weights"], node.params["bias"]
         return x.reshape(x.shape[:lead] + (-1,)) @ w.T + b
     if kind == "conv1d":
-        # one (B*P, C) @ (C, F) product per filter tap: no window copies
+        # im2col: one (B*P, K*C) @ (K*C, F) product
         filters, bias = node.params["filters"], node.params["bias"]
-        stride = int(node.params["stride"])
         n_filt, width, channels = filters.shape
-        n_out = (x.shape[lead] - width) // stride + 1
-        taps = np.ascontiguousarray(filters.transpose(1, 2, 0))  # (K, C, F)
-        out = conv1d_tap(x, 0, stride, n_out, lead).reshape(-1, channels) @ taps[0]
-        for k in range(1, width):
-            out += conv1d_tap(x, k, stride, n_out, lead).reshape(-1, channels) @ taps[k]
+        win = conv1d_windows(x, width, int(node.params["stride"]), lead)
+        cols = win.reshape(-1, width * channels)
+        out = cols @ filters.reshape(n_filt, -1).T
         out += bias
-        return out.reshape(x.shape[:lead] + (n_out, n_filt))
+        return out.reshape(win.shape[:lead + 1] + (n_filt,))
     if kind == "maxpool1d":
         width, stride = int(node.params["width"]), int(node.params["stride"])
-        return conv1d_windows(x, width, stride, lead).max(axis=-1)
+        return conv1d_windows(x, width, stride, lead).max(axis=lead + 1)
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "prelu":

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltalift.autodiff import backward
+from deltalift.autodiff import backward, vjp_node
 from deltalift.baselines import (
     EnsembleSpec,
     gradient_times_input,
@@ -108,14 +108,28 @@ class TestAffineRule:
         # activations themselves are far from zero
         assert np.abs(forward(g, {"x": point})["y"]).max() > 0
 
-    def test_conv_dense_matrix_matches_forward(self, rng):
-        b = GraphBuilder()
-        x = b.input("x", (7, 2))
-        b.conv1d("c", x, rng.normal(size=(3, 3, 2)), np.zeros(3), stride=2)
-        g = b.build(outputs=["c"])
-        dense = local_multipliers_affine(g.nodes["c"], input_shape=(7, 2))
-        v = rng.normal(size=(7, 2))
-        assert_allclose(dense @ v.ravel(), forward(g, {"x": v})["c"].ravel())
+    def test_conv_transpose_is_adjoint_of_forward(self, rng):
+        # <conv(v), u> = <v, conv^T(u)>: the sweep's conv transpose, which
+        # carries conv multipliers, is the adjoint of the bias-free forward;
+        # conv is bilinear, so <conv(v), u> = <filters, dfilters(u)> too
+        for stride in (1, 2):
+            for lead in ((), (3,)):
+                b = GraphBuilder()
+                x = b.input("x", (8, 2))
+                b.conv1d("c", x, rng.normal(size=(3, 3, 2)), np.zeros(3),
+                         stride=stride)
+                g = b.build(outputs=["c"])
+                node = g.nodes["c"]
+                v = rng.normal(size=lead + (8, 2))
+                trace = forward(g, {"x": v})
+                u = rng.normal(size=trace["c"].shape)
+                grads = {"x": np.zeros(v.shape)}
+                param_grads = {}
+                vjp_node(node, u, trace, grads, param_grads)
+                lhs = (trace["c"] * u).sum()
+                assert_allclose((v * grads["x"]).sum(), lhs, rtol=1e-12)
+                dw = param_grads["c"]["filters"]
+                assert_allclose((node.params["filters"] * dw).sum(), lhs, rtol=1e-12)
 
 
 class TestMaxRule:

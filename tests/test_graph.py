@@ -165,12 +165,15 @@ class TestForward:
             b.maxpool1d("p", x, width, stride)
             g = b.build(outputs=["p"])
             v = rng.normal(size=(length, channels))
-            out = forward(g, {"x": v})["p"]
+            batch = rng.normal(size=(3, length, channels))
+            outs = [(v, forward(g, {"x": v})["p"])]
+            outs += zip(batch, forward(g, {"x": batch})["p"])
             n_win = (length - width) // stride + 1
-            for w_i in range(n_win):
-                for c in range(channels):
-                    window = v[w_i * stride:w_i * stride + width, c]
-                    assert out[w_i, c] == window.max()
+            for sample, out in outs:
+                for w_i in range(n_win):
+                    for c in range(channels):
+                        window = sample[w_i * stride:w_i * stride + width, c]
+                        assert out[w_i, c] == window.max()
 
     def test_conv1d_matches_direct_sum(self, rng):
         filters = rng.normal(size=(2, 3, 2))
@@ -180,12 +183,15 @@ class TestForward:
         b.conv1d("c", x, filters, bias, stride=2)
         g = b.build(outputs=["c"])
         v = rng.normal(size=(6, 2))
-        out = forward(g, {"x": v})["c"]
-        assert out.shape == (2, 2)
-        for p in range(2):
-            for f in range(2):
-                expected = (v[2 * p:2 * p + 3, :] * filters[f]).sum() + bias[f]
-                assert_allclose(out[p, f], expected)
+        batch = rng.normal(size=(4, 6, 2))
+        outs = [(v, forward(g, {"x": v})["c"])]
+        outs += zip(batch, forward(g, {"x": batch})["c"])
+        for sample, out in outs:
+            assert out.shape == (2, 2)
+            for p in range(2):
+                for f in range(2):
+                    window = sample[2 * p:2 * p + 3, :]
+                    assert_allclose(out[p, f], (window * filters[f]).sum() + bias[f])
 
     def test_forward_deterministic_bitwise(self, rng):
         case = random_graph_case(rng)
@@ -256,5 +262,10 @@ def test_parameter_count_small_net():
 def test_windows_helper_shapes(rng):
     x = rng.normal(size=(9, 3))
     win = conv1d_windows(x, 4, 2)
-    assert win.shape == (3, 3, 4)
-    assert_allclose(win[1, :, :], x[2:6, :].T)
+    assert win.shape == (3, 4, 3)
+    assert_allclose(win[1], x[2:6])
+    assert not win.flags.writeable
+    batch = rng.normal(size=(2, 9, 3))
+    win = conv1d_windows(batch, 4, 2, axis=1)
+    assert win.shape == (2, 3, 4, 3)
+    assert_allclose(win[1, 1], batch[1, 2:6])
