@@ -42,8 +42,6 @@ from .engine import (
     compute_reference,
     contributions,
     deeplift,
-    local_multipliers_affine,
-    local_multipliers_max,
     local_multipliers_maxout,
     local_multipliers_product,
     local_multipliers_rescale,

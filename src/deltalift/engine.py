@@ -15,7 +15,8 @@ with per-kind local rules:
   * relu / prelu / sigmoid / tanh: m = delta_out / delta_in, falling back
     to the derivative at the reference when delta_in is tiny
   * maxout:          piecewise-linear decomposition along the straight
-    path from reference to input, length-weighted piece coefficients
+    path from reference to input, length-weighted piece coefficients;
+    one vectorized envelope pass covers every (sample, unit)
   * product:         m1 = ref2 + delta2/2, m2 = ref1 + delta1/2
 
 Softmax heads are handled by targeting the mean-normalized pre-softmax
@@ -24,7 +25,8 @@ pre-sigmoid node (see ``select_attribution_target``).
 
 Like ``forward``, the entry points take one sample or a batch stacked
 along a leading axis; each rule is written once for both, and the linear
-kinds share the gradient sweep's ``vjp_node``.
+kinds share the gradient sweep's ``vjp_node``.  A reference computed
+from a batch of the same size pairs row-wise with the inputs.
 """
 
 from __future__ import annotations
@@ -143,17 +145,6 @@ def compute_deltas(trace: ForwardTrace, reference: ReferenceState,
 # Local rules
 
 
-def local_multipliers_affine(node) -> Tensor:
-    """Multiplier matrix (out_size, in_size) of an affine node: its weights.
-
-    Propagation applies every linear node, conv1d included, through the
-    gradient sweep's transpose (``vjp_node``) instead of a dense matrix.
-    """
-    if node.kind == "affine":
-        return node.params["weights"].copy()
-    raise AttributionError(f"node '{node.id}' ({node.kind}) is not affine")
-
-
 def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceState,
                               eps_stable: float = EPS_STABLE) -> Tensor:
     """Elementwise multipliers delta_out/delta_in for a 1-input nonlinearity.
@@ -204,36 +195,6 @@ def local_multipliers_product(node, trace: ForwardTrace,
     return m1, m2
 
 
-def local_multipliers_max(node, trace: ForwardTrace, reference: ReferenceState,
-                          eps_stable: float = EPS_STABLE) -> tuple[Tensor, Tensor]:
-    """Per-input multipliers and contributions of a max pooling node.
-
-    Each window's difference-from-reference routes entirely to the
-    window's current argmax (lowest index on exact ties):
-    C = delta_out at the argmax position, 0 elsewhere.  The multiplier
-    form C/delta_in is reported only where |delta_in| > eps_stable; at
-    singular positions the multiplier is left 0 while the contribution
-    is still recorded, so conservation holds per window by construction.
-
-    Returns (multipliers, contributions), both shaped like the input.
-    """
-    if node.kind != "maxpool1d":
-        raise AttributionError(f"node '{node.id}' is not a maxpool node")
-    src = node.inputs[0]
-    x = trace[src]
-    width, stride = int(node.params["width"]), int(node.params["stride"])
-    rows = _pool_argmax_rows(x, width, stride)
-    dy = trace[node.id] - reference[node.id]
-    dx = x - reference[src]
-
-    contrib = np.zeros_like(x)
-    mult = np.zeros_like(x)
-    np.add.at(contrib, _pool_index(rows), dy)
-    ratio_ok = np.abs(dx) > eps_stable
-    mult[ratio_ok] = contrib[ratio_ok] / dx[ratio_ok]
-    return mult, contrib
-
-
 # ---------------------------------------------------------------------------
 # Maxout: piecewise-linear decomposition along the reference-to-input path
 
@@ -264,45 +225,62 @@ class SegmentDecomposition:
         return np.array([s.fraction for s in self.segments])
 
 
-def _envelope_segments(values0: Tensor, slopes: Tensor) -> list[tuple[int, float, float]]:
-    """Upper envelope of lines value0_i + slope_i * t over t in [0, 1].
+def path_envelope(values0: Tensor, slopes: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Upper envelopes of the lines value0_i + slope_i * t over t in [0, 1].
 
-    Candidate boundaries are the exact pairwise crossing roots; crossings
-    closer than CROSSING_TOL merge.  The dominating piece of each
-    interval is read off at its midpoint, with exact-value ties broken by
-    larger slope and then by lowest index, so degenerate ties at an
-    interval start resolve to the piece that dominates just after it.
-    Returns (piece, t_start, t_end) triples with increasing boundaries.
+    ``values0`` and ``slopes`` are shaped (..., pieces) and broadcast
+    against each other; each leading position is one envelope.  Candidate
+    boundaries are the exact pairwise crossing roots; crossings closer
+    than CROSSING_TOL merge.  The dominating piece of each interval is
+    read off at its midpoint, with exact-value ties broken by larger
+    slope and then by lowest index, so degenerate ties at an interval
+    start resolve to the piece that dominates just after it; neighbouring
+    intervals of one piece join.
+
+    Returns ``(bounds, pieces)`` shaped (..., K + 1) and (..., K), with
+    K = pieces*(pieces-1)/2 + 1: segment k spans [bounds[k], bounds[k+1]]
+    under piece pieces[k].  Past a row's last segment the pieces read -1
+    and the bounds 1.0, so the padding has length exactly 0.
     """
-    n = len(values0)
-    cuts = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            dslope = slopes[j] - slopes[i]
-            if dslope == 0.0:
-                continue
-            cross = (values0[i] - values0[j]) / dslope
-            if CROSSING_TOL < cross < 1.0 - CROSSING_TOL:
-                cuts.add(float(cross))
+    index = np.arange(values0.shape[-1])
+    i, j = np.nonzero(index[:, None] < index)  # every piece pair i < j
+    gap = values0[..., i] - values0[..., j]
+    dslope = slopes[..., j] - slopes[..., i]
+    cuts = np.zeros(np.broadcast_shapes(gap.shape, dslope.shape))
+    np.divide(gap, dslope, out=cuts, where=dslope != 0.0)
+    # parallel pairs and crossings outside (tol, 1 - tol) read 0, which
+    # sorts first and never passes the merge test
+    inside = (CROSSING_TOL < cuts) & (cuts < 1.0 - CROSSING_TOL)
+    np.copyto(cuts, 0.0, where=~inside)
+    cuts.sort(axis=-1)
+    last = np.zeros(cuts.shape[:-1])
+    for k in range(cuts.shape[-1]):  # ascending: each cut against the last kept
+        cut = cuts[..., k]
+        keep = cut - last > CROSSING_TOL
+        np.copyto(last, cut, where=keep)
+        np.copyto(cut, 1.0, where=~keep)  # a dropped cut sorts to the end as 1.0
+    cuts.sort(axis=-1)
 
-    bounds = [0.0]
-    for cross in sorted(cuts):
-        if cross - bounds[-1] > CROSSING_TOL:
-            bounds.append(cross)
-    bounds.append(1.0)
+    t0 = np.zeros(cuts.shape[:-1] + (cuts.shape[-1] + 1,))
+    t0[..., 1:] = cuts
+    t1 = np.ones(t0.shape)
+    t1[..., :-1] = cuts
+    mid = 0.5 * (t0 + t1)
+    vals = values0[..., None, :] + slopes[..., None, :] * mid[..., None]
+    top = vals == vals.max(axis=-1, keepdims=True)
+    piece = np.where(top, slopes[..., None, :], -np.inf).argmax(axis=-1)
 
-    segments: list[tuple[int, float, float]] = []
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (t0 + t1)
-        vals = values0 + slopes * mid
-        tied = np.flatnonzero(vals == vals.max())
-        piece = int(tied[np.argmax(slopes[tied])])
-        if segments and segments[-1][0] == piece:
-            prev_piece, prev_t0, _ = segments[-1]
-            segments[-1] = (prev_piece, prev_t0, t1)
-        else:
-            segments.append((piece, t0, t1))
-    return segments
+    # a segment starts at every real interval (t0 < 1) whose piece differs
+    # from the one before; sorting by start moves the starts to the front
+    start = t0 < 1.0
+    start[..., 1:] &= piece[..., 1:] != piece[..., :-1]
+    key = np.where(start, t0, 1.0).reshape(-1, t0.shape[-1])
+    order = key.argsort(axis=-1)
+    rows = np.arange(len(key))[:, None]
+    bounds = np.ones(t0.shape[:-1] + (t0.shape[-1] + 1,))
+    bounds[..., :-1] = key[rows, order].reshape(t0.shape)
+    pieces = np.where(start, piece, -1).reshape(key.shape)[rows, order]
+    return bounds, pieces.reshape(t0.shape)
 
 
 def maxout_segments(node, reference_input: Tensor, input_vector: Tensor,
@@ -320,11 +298,10 @@ def maxout_segments(node, reference_input: Tensor, input_vector: Tensor,
     b = node.params["biases"][:, unit]
     x0 = np.asarray(reference_input, dtype=np.float64).ravel()
     x1 = np.asarray(input_vector, dtype=np.float64).ravel()
-    values0 = w @ x0 + b
-    slopes = w @ (x1 - x0)
-    triples = _envelope_segments(values0, slopes)
+    bounds, pieces = path_envelope(w @ x0 + b, w @ (x1 - x0))
     segments = tuple(
-        Segment(piece, t0, t1, w[piece].copy()) for piece, t0, t1 in triples
+        Segment(int(piece), float(t0), float(t1), w[piece].copy())
+        for piece, t0, t1 in zip(pieces, bounds[:-1], bounds[1:]) if piece >= 0
     )
     return SegmentDecomposition(segments, unit)
 
@@ -336,16 +313,6 @@ def local_multipliers_maxout(node, decomposition: SegmentDecomposition) -> Tenso
     for seg in decomposition.segments:
         m += seg.fraction * seg.coeffs
     return m
-
-
-def _maxout_effective_weights(node, x0: Tensor, x1: Tensor) -> Tensor:
-    """Per-unit path-averaged coefficients, stacked to (out, in)."""
-    out_dim = node.params["weights"].shape[1]
-    rows = []
-    for unit in range(out_dim):
-        decomp = maxout_segments(node, x0, x1, unit=unit)
-        rows.append(local_multipliers_maxout(node, decomp))
-    return np.vstack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +344,9 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
     m[x -> t] = sum over consumers y of m[x -> y] * m[y -> t], seeded
     with m[t -> t] = 1.  Nodes with no path to the target keep zero
     multipliers.  A batched trace propagates every sample at once
-    against the one reference.  Raises AttributionError if the sweep
-    would have to cross a softmax node (target its pre-activations
-    instead).
+    against the one reference, or row i against row i of a batched
+    reference.  Raises AttributionError if the sweep would have to
+    cross a softmax node (target its pre-activations instead).
     """
     graph.require_valid()
     t_node, t_index = resolve_target(graph, target, trace.batch)
@@ -406,13 +373,7 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
             _max_multiplier_backprop(node, m_out, trace, reference, mult[src],
                                      eps_stable, lead)
         elif node.kind == "maxout":
-            _, out_dim, in_dim = node.params["weights"].shape
-            x0 = reference[src].ravel()
-            rows = zip(trace[src].reshape(-1, in_dim), m_out.reshape(-1, out_dim),
-                       mult[src].reshape(-1, in_dim))
-            for x1, m, acc in rows:  # one path envelope per sample
-                if m.any():
-                    acc += _maxout_effective_weights(node, x0, x1).T @ m
+            _maxout_multiplier_backprop(node, m_out, trace, reference, mult[src])
         elif node.kind == "product":
             a, b = node.inputs
             m1, m2 = local_multipliers_product(node, trace, reference)
@@ -458,6 +419,30 @@ def _max_multiplier_backprop(node, m_out, trace, reference, acc, eps_stable, lea
     chosen_dx = dx[index]
     ok = np.abs(chosen_dx) > eps_stable
     np.add.at(acc, index, np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0))
+
+
+def _maxout_multiplier_backprop(node, m_out, trace, reference, acc):
+    """Path-averaged piece coefficients of every (sample, unit) at once.
+
+    Unit u of row r passes m_out[r, u] * sum_p frac[r, u, p] * w[p, u],
+    where frac is the share of the reference-to-input path on which
+    piece p dominates (``path_envelope``); summed over units and pieces
+    this is one (rows, units*pieces) @ (units*pieces, in) product.  A
+    batched reference pairs its rows with the trace's.  Multipliers
+    accumulate into ``acc``.
+    """
+    n_pieces, out_dim, in_dim = node.params["weights"].shape
+    src = node.inputs[0]
+    coeffs = node.params["weights"].transpose(1, 0, 2).reshape(-1, in_dim)
+    x0 = reference[src].reshape(-1, in_dim)
+    x1 = trace[src].reshape(-1, in_dim)
+    values0 = (x0 @ coeffs.T).reshape(-1, out_dim, n_pieces) + node.params["biases"].T
+    slopes = ((x1 - x0) @ coeffs.T).reshape(-1, out_dim, n_pieces)
+    bounds, pieces = path_envelope(values0, slopes)
+    owned = pieces[..., None] == np.arange(n_pieces)  # (rows, out, K, pieces)
+    frac = (np.diff(bounds, axis=-1)[..., None] * owned).sum(axis=-2)
+    frac *= m_out.reshape(-1, out_dim, 1)
+    acc += (frac.reshape(-1, out_dim * n_pieces) @ coeffs).reshape(acc.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +568,10 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     shared component of per-class multipliers); the normalized graph is
     built once per graph.  Pass a precomputed ``reference`` state to
     amortize it across samples; it takes precedence over
-    ``reference_input``.
+    ``reference_input``.  A reference computed from a batch of reference
+    inputs pairs row-wise with a batch of ``inputs`` of the same size:
+    row i is attributed against reference row i, as the single call with
+    that pair would be (nothing is averaged over references).
     """
     graph.require_valid()
     normalized = _normalize_softmax_head_if_any(graph)

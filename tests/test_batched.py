@@ -17,7 +17,12 @@ from deltalift.baselines import (
     lrp_as_contribution_report,
     lrp_epsilon,
 )
-from deltalift.engine import compute_reference, deeplift, zeros_reference
+from deltalift.engine import (
+    compute_reference,
+    deeplift,
+    maxout_segments,
+    zeros_reference,
+)
 from deltalift.genomics import (
     DatasetSpec,
     auroc,
@@ -346,6 +351,51 @@ def test_max_pool_reroute_in_a_batch():
     assert_allclose(report.contributions["x"][0], [0.0, -8.0])
     assert_report_rows(report, [deeplift(g, {"x": x}, ref, target=("o", 0)) for x in xs])
     assert_conserves(report)
+
+
+def test_maxout_batch_with_ragged_segment_counts():
+    # unit 0 has pieces x, 2x - 1 and 3x - 3 (crossings at x = 1 and 2):
+    # from reference 0 the rows cross 0, 1 and 2 of them, and row 3 sits
+    # at the reference itself
+    w = np.array([[[1.0], [0.5]], [[2.0], [-1.0]], [[3.0], [2.0]]])
+    bias = np.array([[0.0, 0.3], [-1.0, -0.2], [-3.0, 0.1]])
+    b = GraphBuilder()
+    b.affine("o", b.maxout("m", b.input("x", (1,)), w, bias), [[1.0, -0.5]], [0.2])
+    g = b.build(outputs=["o"])
+    ref = {"x": np.zeros(1)}
+    xs = np.array([[0.5], [1.5], [3.0], [0.0], [-2.0]])
+    counts = [len(maxout_segments(g.nodes["m"], ref["x"], x).segments) for x in xs]
+    assert counts[:4] == [1, 2, 3, 1]
+    report = deeplift(g, {"x": xs}, ref, target=("o", 0))
+    assert_report_rows(report, [deeplift(g, {"x": x}, ref, target=("o", 0)) for x in xs])
+    assert_conserves(report)
+
+
+def test_batched_reference_pairs_rows():
+    # a reference computed from a batch attributes row i against
+    # reference row i, as the single call with that pair does
+    rng = np.random.default_rng(10)
+    kinds = set()
+    for case in attribution_cases(n_cases=120, seed=1010):
+        kinds |= case.kinds
+        shape = case.inputs["x"].shape
+        xs, x0s = rng.normal(size=(2, 4) + shape)
+        head = case.graph.nodes[case.graph.outputs[0]].kind
+        target = None if head in ("sigmoid", "softmax") else case.target
+        paired = deeplift(case.graph, {"x": xs},
+                          reference=compute_reference(case.graph, {"x": x0s}),
+                          target=target)
+        for i in range(len(xs)):
+            single = deeplift(case.graph, {"x": xs[i]}, {"x": x0s[i]}, target=target)
+            row = paired.sample(i)
+            assert row.target == single.target
+            for name in ("contributions", "multipliers", "deltas"):
+                expected = getattr(single, name)["x"]
+                scale = max(np.max(np.abs(expected)), 1e-300)
+                assert np.max(np.abs(getattr(row, name)["x"] - expected)) <= 1e-10 * scale
+            assert row.delta_target == pytest.approx(single.delta_target, rel=1e-10, abs=1e-300)
+        assert_conserves(paired)
+    assert TRAINABLE_KINDS <= kinds, TRAINABLE_KINDS - kinds
 
 
 def relu_twin(graph):

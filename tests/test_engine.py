@@ -19,8 +19,6 @@ from deltalift.engine import (
     compute_reference,
     contributions,
     deeplift,
-    local_multipliers_affine,
-    local_multipliers_max,
     local_multipliers_product,
     local_multipliers_rescale,
     propagate_multipliers,
@@ -69,17 +67,25 @@ class TestReference:
             assert np.array_equal(ref[nid], tr[nid])
 
 
+def affine_multiplier_rows(g, trace, ref):
+    """Propagated multipliers of "x" to each output of affine node "y",
+    stacked into the (out, in) matrix the affine rule should reproduce."""
+    n_out = g.nodes["y"].output_shape[0]
+    return np.stack([propagate_multipliers(g, trace, ref, ("y", k))["x"]
+                     for k in range(n_out)])
+
+
 class TestAffineRule:
     def test_scalar_example(self):
         b = GraphBuilder()
         x = b.input("x", (1,))
         b.affine("y", x, [[3.0]], [0.0])
         g = b.build(outputs=["y"])
-        m = local_multipliers_affine(g.nodes["y"])
-        assert_allclose(m, [[3.0]])
-        # delta_x = 2 gives C = 6 = delta_y
         tr = forward(g, {"x": np.array([5.0])})
         ref = compute_reference(g, {"x": np.array([3.0])})
+        m = affine_multiplier_rows(g, tr, ref)
+        assert_allclose(m, [[3.0]])
+        # delta_x = 2 gives C = 6 = delta_y
         assert_allclose(m @ (tr["x"] - ref["x"]), tr["y"] - ref["y"])
 
     def test_random_affine_conserves_exactly(self, rng):
@@ -94,7 +100,7 @@ class TestAffineRule:
             x0 = rng.normal(size=in_dim)
             tr = forward(g, {"x": xs})
             ref = compute_reference(g, {"x": x0})
-            lhs = local_multipliers_affine(g.nodes["y"]) @ (xs - x0)
+            lhs = affine_multiplier_rows(g, tr, ref) @ (xs - x0)
             assert_allclose(lhs, tr["y"] - ref["y"], atol=1e-12)
 
     def test_bias_only_shift_contributes_nothing(self, rng):
@@ -139,11 +145,16 @@ class TestMaxRule:
         b.maxpool1d("p", v, 2, 2)
         return b.build(outputs=["p"])
 
+    def _propagate(self, g, trace, ref):
+        """Multipliers of "v" to the pooled output and their contributions."""
+        mult = propagate_multipliers(g, trace, ref, ("p", 0))["v"]
+        return mult, mult * (trace["v"] - ref["v"])
+
     def test_window_example(self):
         g = self._pool_pair()
         tr = forward(g, {"v": np.array([3.0, 5.0])})
         ref = compute_reference(g, {"v": np.array([4.0, 1.0])})
-        mult, contrib = local_multipliers_max(g.nodes["p"], tr, ref)
+        mult, contrib = self._propagate(g, tr, ref)
         assert_allclose(contrib, [0.0, 1.0])
         assert_allclose(mult, [0.0, 0.25])
 
@@ -152,14 +163,14 @@ class TestMaxRule:
         point = np.array([2.0, 7.0])
         tr = forward(g, {"v": point})
         ref = compute_reference(g, {"v": point})
-        _, contrib = local_multipliers_max(g.nodes["p"], tr, ref)
+        _, contrib = self._propagate(g, tr, ref)
         assert_allclose(contrib, 0.0)
 
     def test_tie_routes_all_delta_to_lowest_index(self):
         g = self._pool_pair()
         tr = forward(g, {"v": np.array([5.0, 5.0])})
         ref = compute_reference(g, {"v": np.array([1.0, 2.0])})
-        _, contrib = local_multipliers_max(g.nodes["p"], tr, ref)
+        _, contrib = self._propagate(g, tr, ref)
         delta_y = 5.0 - 2.0
         assert_allclose(contrib, [delta_y, 0.0])
         assert_allclose(contrib.sum(), delta_y)
