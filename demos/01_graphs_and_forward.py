@@ -35,8 +35,9 @@ trace = forward(graph, {"x": np.array([1.0, 2.0, -0.5])})
 for node_id in topo_order(graph):
     print(f"  {node_id:>6} -> {trace[node_id]}")
 
-# The file format stores row-major arrays with explicit shapes; loading
-# reproduces the graph bit-exactly.
+# The file format is JSON with each weight array stored as its shape plus
+# the base64 of its row-major float64 bytes; loading reproduces the graph
+# bit-exactly.
 with tempfile.NamedTemporaryFile(suffix=".json", mode="w", delete=False) as fh:
     path = fh.name
 save_model(graph, path)

@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,19 +372,22 @@ def validate_graph(graph: Graph) -> ValidationReport:
             )
         shapes[node_id] = inferred
 
+    input_sizes = {
+        n.id: math.prod(n.output_shape) for n in nodes.values() if n.kind == "input"
+    }
     for i, group in enumerate(graph.constraint_groups):
-        if group.input_id not in nodes or nodes[group.input_id].kind != "input":
+        size = input_sizes.get(group.input_id)
+        if size is None:
             violations.append(
                 f"constraint: group {i} targets '{group.input_id}', "
                 "which is not an input node"
             )
             continue
-        size = int(np.prod(nodes[group.input_id].output_shape))
         if not group.indices:
             violations.append(f"constraint: group {i} is empty")
-        if any(ix < 0 or ix >= size for ix in group.indices):
+        elif min(group.indices) < 0 or max(group.indices) >= size:
             violations.append(f"constraint: group {i} has indices outside [0, {size})")
-        if not np.isfinite(group.total):
+        if not math.isfinite(group.total):
             violations.append(f"constraint: group {i} has a non-finite total")
 
     return ValidationReport(violations)

@@ -257,6 +257,20 @@ class TestErrors:
         assert res.returncode == 4
         assert res.stderr.startswith("error code=invalid-input")
 
+    def test_malformed_weight_payload_exit_code(self, workspace, tmp_path):
+        payload = json.loads(workspace["model"].read_text())
+        conv = next(n for n in payload["nodes"] if n["kind"] == "conv1d")
+        conv["params"]["filters"]["float64_le"] = "not*base64"
+        bad = tmp_path / "bad_payload.json"
+        bad.write_text(json.dumps(payload))
+        res = run_cli(
+            "attribute", "--model", str(bad), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+        )
+        assert res.returncode == 4
+        assert res.stderr.startswith("error code=invalid-input")
+        assert f"node '{conv['id']}': param 'filters'" in res.stderr
+
     def test_unknown_flag_exit_code(self):
         res = run_cli("gen-data", "--frobnicate")
         assert res.returncode == 2

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import (
+    ConstraintGroup,
     Graph,
     GraphBuilder,
     GraphError,
@@ -72,6 +74,32 @@ class TestValidation:
             case = random_graph_case(rng)
             assert validate_graph(case.graph).ok
             forward(case.graph, case.inputs)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (ConstraintGroup("fc1", (0,), 1.0),
+             "constraint: group 200 targets 'fc1', which is not an input node"),
+            (ConstraintGroup("ghost", (0,), 1.0),
+             "constraint: group 200 targets 'ghost', which is not an input node"),
+            (ConstraintGroup("seq", (), 1.0), "constraint: group 200 is empty"),
+            (ConstraintGroup("seq", (0, 800), 1.0),
+             "constraint: group 200 has indices outside [0, 800)"),
+            (ConstraintGroup("seq", (-1, 3), 1.0),
+             "constraint: group 200 has indices outside [0, 800)"),
+            (ConstraintGroup("seq", (0, 1), float("nan")),
+             "constraint: group 200 has a non-finite total"),
+            (ConstraintGroup("seq", (0, 1), -float("inf")),
+             "constraint: group 200 has a non-finite total"),
+        ],
+    )
+    def test_constraint_group_violation_reported(self, bad, message):
+        # the paper CNN's 200 one-hot row groups are valid; only the
+        # appended group is reported
+        cnn = build_genomics_cnn(seed=0)
+        assert len(cnn.constraint_groups) == 200
+        graph = Graph(cnn.nodes.values(), cnn.outputs, cnn.constraint_groups + (bad,))
+        assert validate_graph(graph).violations == [message]
 
 
 class TestTopoOrder:

@@ -1,11 +1,12 @@
 """Model file round-trips and failure modes."""
 
+import base64
 import json
 
 import numpy as np
 import pytest
 
-from deltalift.graph import forward
+from deltalift.graph import GraphBuilder, forward
 from deltalift.serialize import (
     FORMAT_VERSION,
     ModelFormatError,
@@ -18,37 +19,111 @@ from deltalift.genomics import build_genomics_cnn
 from graphgen import random_graph_case
 
 
-def test_round_trip_bit_identical_weights(tmp_path, rng):
-    case = random_graph_case(rng)
-    path = tmp_path / "model.json"
-    save_model(case.graph, path)
-    loaded = load_model(path)
-    for nid, node in case.graph.nodes.items():
+def encode_param_v1(value):
+    """The version 1 array encoder: flat row-major decimal lists."""
+    if isinstance(value, np.ndarray):
+        return {"shape": list(value.shape), "values": value.ravel().tolist()}
+    if isinstance(value, tuple):  # input shape
+        return list(value)
+    return value
+
+
+def graph_to_dict_v1(graph):
+    payload = graph_to_dict(graph)
+    payload["version"] = 1
+    for entry in payload["nodes"]:
+        params = graph.nodes[entry["id"]].params
+        entry["params"] = {k: encode_param_v1(v) for k, v in params.items()}
+    return payload
+
+
+def save_model_v1(graph, path):
+    """Reference writer for version 1 files, as version 1 builds wrote them."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(graph_to_dict_v1(graph), fh, indent=1, allow_nan=False)
+        fh.write("\n")
+
+
+WRITERS = {"v2": save_model, "v1": save_model_v1}
+
+
+def assert_bit_identical(graph, loaded):
+    assert list(loaded.nodes) == list(graph.nodes)
+    for nid, node in graph.nodes.items():
         other = loaded.nodes[nid]
         assert node.kind == other.kind
         assert node.inputs == other.inputs
         assert node.output_shape == other.output_shape
+        assert set(node.params) == set(other.params)
         for key, value in node.params.items():
             if isinstance(value, np.ndarray):
-                assert np.array_equal(value, other.params[key])
+                assert other.params[key].dtype == np.float64
+                assert other.params[key].shape == value.shape
+                assert other.params[key].tobytes() == value.tobytes()
             else:
                 assert value == other.params[key]
-    assert loaded.outputs == case.graph.outputs
+    assert loaded.outputs == graph.outputs
+    assert loaded.constraint_groups == graph.constraint_groups
+
+
+def test_round_trip_bit_identical_weights(tmp_path, rng):
+    for i in range(20):
+        case = random_graph_case(rng)
+        for name, writer in WRITERS.items():
+            path = tmp_path / f"model{i}_{name}.json"
+            writer(case.graph, path)
+            assert_bit_identical(case.graph, load_model(path))
+
+
+def test_saved_file_is_current_version(tmp_path, rng):
+    path = tmp_path / "model.json"
+    save_model(random_graph_case(rng).graph, path)
+    assert json.loads(path.read_text())["version"] == FORMAT_VERSION == 2
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_paper_cnn_round_trip_bit_identical(tmp_path, rng, writer):
+    graph = build_genomics_cnn(seed=5)
+    path = tmp_path / "paper_cnn.json"
+    WRITERS[writer](graph, path)
+    loaded = load_model(path)
+    assert len(loaded.constraint_groups) == 200
+    assert_bit_identical(graph, loaded)
+    x = np.zeros((8, 200, 4))
+    x[:, np.arange(200), rng.integers(0, 4, size=(8, 200))] = 1.0
+    assert np.array_equal(forward(graph, {"seq": x})["prob"],
+                          forward(loaded, {"seq": x})["prob"])
+
+
+def test_edge_values_round_trip_bytes(tmp_path):
+    edge = np.array([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.0])
+    b = GraphBuilder()
+    x = b.input("x", (6,))
+    b.affine("h", x, edge.reshape(1, 6), edge[:1])
+    graph = b.build(outputs=["h"])
+    for writer in WRITERS.values():
+        path = tmp_path / "edge.json"
+        writer(graph, path)
+        loaded = load_model(path)
+        assert loaded.nodes["h"].params["weights"].tobytes() == edge.tobytes()
+        assert loaded.nodes["h"].params["bias"].tobytes() == edge[:1].tobytes()
 
 
 def test_genomics_cnn_round_trip_forward_identical(tmp_path, rng):
     graph = build_genomics_cnn(length=40, pool_width=10, pool_stride=10,
                                dense_units=16, seed=3)
-    path = tmp_path / "cnn.json"
-    save_model(graph, path)
-    loaded = load_model(path)
-    assert len(loaded.constraint_groups) == 40
-    for _ in range(100):
-        x = np.zeros((40, 4))
-        x[np.arange(40), rng.integers(0, 4, size=40)] = 1.0
-        a = forward(graph, {"seq": x})["prob"]
-        b = forward(loaded, {"seq": x})["prob"]
-        assert np.array_equal(a, b)
+    for name, writer in WRITERS.items():
+        path = tmp_path / f"cnn_{name}.json"
+        writer(graph, path)
+        loaded = load_model(path)
+        assert len(loaded.constraint_groups) == 40
+        for _ in range(100):
+            x = np.zeros((40, 4))
+            x[np.arange(40), rng.integers(0, 4, size=40)] = 1.0
+            a = forward(graph, {"seq": x})["prob"]
+            b = forward(loaded, {"seq": x})["prob"]
+            assert np.array_equal(a, b)
 
 
 def test_unknown_node_kind_named_in_error(tmp_path):
@@ -86,17 +161,67 @@ def test_version_mismatch_explicit(tmp_path, rng):
         load_model(path)
 
 
+def b64(values):
+    return base64.b64encode(np.asarray(values).astype("<f8").tobytes()).decode()
+
+
+def first_affine(payload):
+    return next(n for n in payload["nodes"] if n["kind"] == "affine")
+
+
 def test_wrong_value_count_rejected(tmp_path, rng):
     case = random_graph_case(rng)
-    payload = graph_to_dict(case.graph)
-    for node in payload["nodes"]:
-        if node["kind"] == "affine":
-            node["params"]["weights"]["values"] = [1.0, 2.0]
-            break
-    path = tmp_path / "short.json"
+    v1 = graph_to_dict_v1(case.graph)
+    first_affine(v1)["params"]["weights"]["values"] = [1.0, 2.0]
+    v2 = graph_to_dict(case.graph)
+    first_affine(v2)["params"]["weights"]["float64_le"] = b64([1.0, 2.0])
+    for payload in (v1, v2):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="values"):
+            load_model(path)
+
+
+def with_bad_entry(bad):
+    def corrupt(p):
+        values = np.zeros(int(np.prod(p["shape"])))
+        values[1] = bad
+        return {"shape": p["shape"], "float64_le": b64(values)}
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # characters outside the base64 alphabet
+        lambda p: {**p, "float64_le": p["float64_le"][:-8] + "!@#$%^&*"},
+        # a newline is outside the alphabet too under strict decoding
+        lambda p: {**p, "float64_le": p["float64_le"][:8] + "\n" + p["float64_le"][8:]},
+        # 12 bytes: not a whole number of float64 values
+        lambda p: {**p, "float64_le": base64.b64encode(bytes(12)).decode()},
+        # NaN and inf smuggled in as bytes
+        with_bad_entry(np.nan),
+        with_bad_entry(np.inf),
+        with_bad_entry(-np.inf),
+        # a version 1 list inside a version 2 file, alone or next to the bytes
+        lambda p: {"shape": p["shape"], "values": [0.0] * int(np.prod(p["shape"]))},
+        lambda p: {**p, "values": [0.0] * int(np.prod(p["shape"]))},
+    ],
+    ids=["non-base64", "newline", "partial-float", "nan", "inf", "-inf",
+         "values-list", "both-payloads"],
+)
+def test_malformed_v2_payload_names_node_and_param(tmp_path, corrupt):
+    graph = build_genomics_cnn(length=20, pool_width=3, pool_stride=3,
+                               dense_units=8, seed=0)
+    payload = graph_to_dict(graph)
+    entry = first_affine(payload)
+    entry["params"]["bias"] = corrupt(entry["params"]["bias"])
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ModelFormatError, match="values"):
+    with pytest.raises(ModelFormatError) as info:
         load_model(path)
+    assert entry["id"] in str(info.value)
+    assert "bias" in str(info.value)
 
 
 def test_missing_field_rejected(tmp_path):
