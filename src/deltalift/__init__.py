@@ -33,10 +33,7 @@ from .autodiff import (
 from .engine import (
     AttributionError,
     ContributionReport,
-    DeltaState,
-    MultiplierMap,
     ReferenceState,
-    SegmentDecomposition,
     attribute,
     compute_deltas,
     compute_reference,

@@ -1,13 +1,14 @@
 """Reverse-mode differentiation over forward traces.
 
-``backward`` computes the gradient of one scalar activation (the target)
-with respect to every node activation in the graph; training additionally
-collects parameter gradients through the same sweep.  The finite
-difference checker is the numerical oracle for all of it.
+``vjp_sweep`` is the package's one reverse sweep: ``backward`` and
+training run it with the gradient rules, and DeepLIFT (``engine``) and
+epsilon-LRP (``baselines``) with rule tables that replace some of them.
+The finite difference checker is the numerical oracle for the gradients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +48,15 @@ def resolve_target(graph: Graph, target, batch: int | None = None):
         node_id, index = target, 0
     else:
         node_id, index = target
-    if node_id not in graph.nodes:
+    node = graph.nodes.get(node_id)
+    if node is None:
         raise GraphError(f"target node '{node_id}' does not exist")
-    size = int(np.prod(graph.nodes[node_id].output_shape))
+    size = math.prod(node.output_shape)
     if batch is None:
-        if np.ndim(index) != 0:
-            raise GraphError("per-sample target indices need a batch of inputs")
-        index = int(index)
+        if type(index) is not int:  # a Python int, the common case, is final
+            if np.ndim(index) != 0:
+                raise GraphError("per-sample target indices need a batch of inputs")
+            index = int(index)
         in_range = 0 <= index < size
     else:
         index = np.asarray(index).astype(np.intp)
@@ -81,7 +84,7 @@ def target_seed(shape, index) -> Tensor:
         seed = np.zeros(shape)
         seed.flat[index] = 1.0
         return seed
-    seed = np.zeros((len(index), int(np.prod(shape))))
+    seed = np.zeros((len(index), math.prod(shape)))
     seed[np.arange(len(index)), index] = 1.0
     return seed.reshape((len(index),) + tuple(shape))
 
@@ -115,14 +118,30 @@ def _pool_index(rows: Tensor, axis: int = 0) -> tuple:
     return tuple(index)
 
 
+def accumulate(grads: dict, node_id: str, value: Tensor) -> None:
+    """Add ``value`` into ``node_id``'s buffer; the first write keeps
+    ``value`` itself, so it must be a fresh array of the node's shape."""
+    buf = grads.get(node_id)
+    if buf is None:
+        grads[node_id] = value
+    else:
+        buf += value
+
+
+def _forms(src: str, trace: ForwardTrace, grads: dict, param_grads) -> bool:
+    """Whether to form ``src``'s gradient: training (``param_grads``)
+    needs none for an input node unless the caller holds its buffer."""
+    return (param_grads is None or src in grads
+            or trace.graph.nodes[src].kind != "input")
+
+
 def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
              param_grads: dict | None = None) -> None:
-    """Accumulate input (and optionally parameter) gradients for one node.
+    """The gradient rule of one node, the sweep's default for every kind.
 
-    A batched trace's activations and gradients carry a leading batch
-    axis, and its parameter gradients are summed over it.  Input
-    gradients are formed only for sources that have an entry in
-    ``grads``.
+    Accumulates input gradients into ``grads`` and, given
+    ``param_grads``, stores the node's parameter gradients (see
+    ``_param_grads``).  A batched trace's gradients carry its batch axis.
     """
     kind = node.kind
     if kind == "input":
@@ -130,120 +149,120 @@ def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
     lead = 0 if trace.batch is None else 1
     src = node.inputs[0]
     x = trace[src]
-    gin = grads.get(src)
+    if param_grads is not None and kind in PARAM_KINDS:
+        param_grads[node.id] = _param_grads(node, grad_out, x, lead)
+    if kind == "product":
+        for src, other in zip(node.inputs, reversed(node.inputs)):
+            if _forms(src, trace, grads, param_grads):
+                accumulate(grads, src, grad_out * trace[other])
+        return
+    if not _forms(src, trace, grads, param_grads):
+        return
 
     if kind == "affine":
-        w = node.params["weights"]
-        if gin is not None:
-            gin += (grad_out @ w).reshape(x.shape)
-        if param_grads is not None:
-            rows = grad_out.reshape(-1, w.shape[0])
-            param_grads[node.id] = {
-                "weights": rows.T @ x.reshape(len(rows), -1),
-                "bias": rows.sum(axis=0),
-            }
+        gx = (grad_out @ node.params["weights"]).reshape(x.shape)
     elif kind == "conv1d":
         filters = node.params["filters"]
-        stride = int(node.params["stride"])
-        n_filt, width, channels = filters.shape
-        n_out = grad_out.shape[lead]
-        rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
-        if gin is not None:
-            # one (B*P, F) @ (F, C) product per filter tap, added in place:
-            # cheaper than scattering a (B*P, K*C) product back (col2im)
-            tap_shape = grad_out.shape[:-1] + (channels,)
-            for k in range(width):
-                conv1d_tap(gin, k, stride, n_out, lead)[...] += (
-                    rows @ filters[:, k, :]
-                ).reshape(tap_shape)
-        if param_grads is not None:
-            # im2col: one (F, B*P) @ (B*P, K*C) product
-            cols = conv1d_windows(x, width, stride, lead).reshape(len(rows), -1)
-            dw = (rows.T @ cols).reshape(filters.shape)
-            param_grads[node.id] = {"filters": dw, "bias": rows.sum(axis=0)}
+        stride, n_out = int(node.params["stride"]), grad_out.shape[lead]
+        rows = grad_out.reshape(-1, filters.shape[0])  # (B*P, F)
+        tap_shape = grad_out.shape[:-1] + (filters.shape[2],)
+        # one (B*P, F) @ (F, C) product per filter tap, added in place:
+        # cheaper than scattering a (B*P, K*C) product back (col2im)
+        gx = np.zeros(x.shape)
+        for k in range(filters.shape[1]):
+            conv1d_tap(gx, k, stride, n_out, lead)[...] += (
+                rows @ filters[:, k, :]
+            ).reshape(tap_shape)
     elif kind == "maxpool1d":
-        if gin is not None:
-            width, stride = int(node.params["width"]), int(node.params["stride"])
-            rows = _pool_argmax_rows(x, width, stride, lead)
-            np.add.at(gin, _pool_index(rows, lead), grad_out)
+        width, stride = int(node.params["width"]), int(node.params["stride"])
+        rows = _pool_argmax_rows(x, width, stride, lead)
+        gx = np.zeros(x.shape)
+        np.add.at(gx, _pool_index(rows, lead), grad_out)
     elif kind == "relu":
-        if gin is not None:
-            gin += grad_out * (x > 0)
+        gx = grad_out * (x > 0)
     elif kind == "prelu":
-        slopes = node.params["slopes"]
-        if gin is not None:
-            gin += grad_out * ((x > 0) + (x <= 0) * slopes)
-        if param_grads is not None:
-            gs = grad_out * np.minimum(x, 0.0)
-            param_grads[node.id] = {"slopes": gs.reshape(-1, slopes.size).sum(axis=0)}
+        gx = grad_out * ((x > 0) + (x <= 0) * node.params["slopes"])
     elif kind == "sigmoid":
-        if gin is not None:
-            y = trace[node.id]
-            gin += grad_out * y * (1.0 - y)
+        y = trace[node.id]
+        gx = grad_out * y * (1.0 - y)
     elif kind == "tanh":
-        if gin is not None:
-            y = trace[node.id]
-            gin += grad_out * (1.0 - y * y)
+        y = trace[node.id]
+        gx = grad_out * (1.0 - y * y)
     elif kind == "maxout":
         w = node.params["weights"]
-        _, out_dim, in_dim = w.shape
         # active piece per unit, lowest index on ties
         active = maxout_pieces(node, x, lead).argmax(axis=-2)
-        units = np.arange(out_dim)
-        if gin is not None:
-            gin += (grad_out[..., None, :] @ w[active, units]).reshape(x.shape)
-        if param_grads is not None:
-            active = active.reshape(-1, out_dim)
-            rows = grad_out.reshape(-1, out_dim)
-            flat = x.reshape(len(rows), in_dim)
-            dw = np.zeros_like(w)
-            db = np.zeros_like(node.params["biases"])
-            np.add.at(dw, (active, units), rows[:, :, None] * flat[:, None, :])
-            np.add.at(db, (active, units), rows)
-            param_grads[node.id] = {"weights": dw, "biases": db}
-    elif kind == "product":
-        a, b = node.inputs
-        if a in grads:
-            grads[a] += grad_out * trace[b]
-        if b in grads:
-            grads[b] += grad_out * trace[a]
+        gx = (grad_out[..., None, :] @ w[active, np.arange(w.shape[1])]).reshape(x.shape)
     elif kind == "softmax":
-        if gin is not None:
-            y = trace[node.id]
-            gin += y * (grad_out - (grad_out * y).sum(axis=-1, keepdims=True))
+        y = trace[node.id]
+        gx = y * (grad_out - (grad_out * y).sum(axis=-1, keepdims=True))
     else:
         raise GraphError(f"no gradient rule for node kind '{kind}'")
+    accumulate(grads, src, gx)
+
+
+PARAM_KINDS = frozenset(["affine", "conv1d", "prelu", "maxout"])
+
+
+def _param_grads(node, grad_out: Tensor, x: Tensor, lead: int) -> dict:
+    """Parameter gradients of a node of ``PARAM_KINDS`` with input ``x``,
+    summed over the batch axis (the first ``lead`` axes)."""
+    kind = node.kind
+    if kind == "affine":
+        rows = grad_out.reshape(-1, node.params["weights"].shape[0])
+        return {"weights": rows.T @ x.reshape(len(rows), -1), "bias": rows.sum(axis=0)}
+    if kind == "conv1d":
+        filters = node.params["filters"]
+        rows = grad_out.reshape(-1, filters.shape[0])  # (B*P, F)
+        # im2col: one (F, B*P) @ (B*P, K*C) product
+        win = conv1d_windows(x, filters.shape[1], int(node.params["stride"]), lead)
+        dw = rows.T @ win.reshape(len(rows), -1)
+        return {"filters": dw.reshape(filters.shape), "bias": rows.sum(axis=0)}
+    if kind == "prelu":
+        slopes = node.params["slopes"]
+        gs = grad_out * np.minimum(x, 0.0)
+        return {"slopes": gs.reshape(-1, slopes.size).sum(axis=0)}
+    w = node.params["weights"]  # maxout: each unit's active piece
+    _, out_dim, in_dim = w.shape
+    active = maxout_pieces(node, x, lead).argmax(axis=-2).reshape(-1, out_dim)
+    units = np.arange(out_dim)
+    rows = grad_out.reshape(-1, out_dim)
+    dw = np.zeros_like(w)
+    db = np.zeros_like(node.params["biases"])
+    np.add.at(dw, (active, units), rows[:, :, None] * x.reshape(len(rows), 1, in_dim))
+    np.add.at(db, (active, units), rows)
+    return {"weights": dw, "biases": db}
 
 
 def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
-              want_param_grads: bool = False):
-    """Reverse sweep from seed gradients; returns (grads, param_grads).
+              want_param_grads: bool = False, rules: dict | None = None):
+    """The one reverse sweep; returns (values, param_grads).
 
-    Single-sample and batched traces run the same rules; seeds and node
-    gradients are shaped like the trace's activations, and parameter
-    gradients are summed over the batch.  Without ``want_param_grads``
-    the result is (gradients of every node, None).  With it the sweep
-    serves training and returns (None, parameter gradients): each node's
-    gradient is dropped once propagated, and gradients into input nodes
-    are never formed.
+    From copies of ``seeds`` (node id -> array shaped like its
+    activations), nodes run in reverse topological order under
+    ``rules[kind]``, default ``vjp_node``.  A rule ``rule(node, out,
+    trace, values, param_grads)`` writes into its sources with
+    ``accumulate``, so a node gets a buffer only once a consumer writes
+    into it; nodes without one are skipped, and a rule whose outcome
+    depends on an all-zero ``out`` (one that raises) checks for it.
+    Without ``want_param_grads`` the result is (an entry for every node,
+    zeros where the sweep never reached, None).  With it the sweep serves
+    training and returns (None, parameter gradients): each node's
+    gradient is dropped once propagated.
     """
-    grads = {
-        nid: np.zeros(trace[nid].shape)
-        for nid, node in graph.nodes.items()
-        if not (want_param_grads and node.kind == "input")
-    }
-    for node_id, seed in seeds.items():
-        grads[node_id] += seed
+    grads = {nid: np.array(seed, dtype=np.float64) for nid, seed in seeds.items()}
     param_grads: dict | None = {} if want_param_grads else None
+    take = grads.pop if want_param_grads else grads.get
+    rules = rules or {}
     for node_id in reversed(topo_order(graph)):
-        node = graph.nodes[node_id]
-        if node.kind == "input":
-            continue
-        grad_out = grads.pop(node_id) if want_param_grads else grads[node_id]
-        if not grad_out.any():
-            continue
-        vjp_node(node, grad_out, trace, grads, param_grads)
-    return (None, param_grads) if want_param_grads else (grads, None)
+        grad_out = take(node_id, None)
+        if grad_out is not None:
+            node = graph.nodes[node_id]
+            rules.get(node.kind, vjp_node)(node, grad_out, trace, grads, param_grads)
+    if want_param_grads:
+        return None, param_grads
+    grads.update((nid, np.zeros(trace[nid].shape)) for nid in graph.nodes if nid not in grads)
+    return grads, None
 
 
 def backward(graph: Graph, trace: ForwardTrace, target) -> GradientTrace:

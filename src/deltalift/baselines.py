@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward, target_seed, target_value, vjp_node
+from .autodiff import accumulate, backward, target_seed, target_value, vjp_node, vjp_sweep
 from .engine import (
     AttributionError,
     ContributionReport,
@@ -24,11 +24,11 @@ from .engine import (
     select_attribution_target,
 )
 from .graph import (
+    KNOWN_KINDS,
     Graph,
     GraphBuilder,
     Tensor,
     forward,
-    topo_order,
 )
 
 
@@ -92,10 +92,6 @@ class RelevanceTrace:
         return self.relevances[node_id]
 
 
-def _sign_pos(x: Tensor) -> Tensor:
-    return np.where(x >= 0, 1.0, -1.0)
-
-
 def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
                 epsilon: float = 1e-9, class_index=None) -> RelevanceTrace:
     """Relevance propagation with the epsilon-stabilized filtering rule.
@@ -104,52 +100,54 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     (bias included in the denominator), winner-take-all unpooling for
     maxpool1d, and pass-through rectifiers.  The target's relevance is
     seeded with its own activation.  ``inputs`` holds one sample or a
-    batch.  Raises AttributionError on any other node kind.
+    batch.  Raises AttributionError when relevance reaches any other
+    node kind.
     """
     graph.require_valid()
-    unsupported = sorted(
-        {n.kind for n in graph.nodes.values() if n.kind not in LRP_KINDS}
-    )
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, class_index, trace)
     t_node, t_index = resolved
-
-    relevance = {nid: np.zeros(trace[nid].shape) for nid in graph.nodes}
-    relevance[t_node] = (
-        target_seed(graph.nodes[t_node].output_shape, t_index) * trace[t_node]
-    )
+    seed = target_seed(graph.nodes[t_node].output_shape, t_index) * trace[t_node]
     bias_rel: dict[str, float] = {}
-
-    for node_id in reversed(topo_order(graph)):
-        node = graph.nodes[node_id]
-        if node.kind == "input":
-            continue
-        r_out = relevance[node_id]
-        if not r_out.any():
-            continue
-        if node.kind not in LRP_KINDS:
-            raise AttributionError(
-                f"lrp does not support node '{node.id}' of kind '{node.kind}' "
-                f"(unsupported kinds present: {unsupported})"
-            )
-        src = node.inputs[0]
-        if node.kind == "relu":
-            relevance[src] += r_out
-        elif node.kind == "maxpool1d":
-            vjp_node(node, r_out, trace, relevance)  # winner takes all
-        else:  # affine or conv1d: R_in = x * W^T (R_out / (a + eps sign a))
-            a = trace[node_id]
-            stabilizer = epsilon * _sign_pos(a)
-            share = r_out / (a + stabilizer)
-            x = trace[src]
-            message = {src: np.zeros(x.shape)}
-            vjp_node(node, share, trace, message)
-            relevance[src] += x * message[src]
-            absorbed = (node.params["bias"] + stabilizer) * share
-            bias_rel[node_id] = (float(absorbed.sum()) if trace.batch is None
-                                 else absorbed.reshape(trace.batch, -1).sum(axis=1))
+    relevance, _ = vjp_sweep(graph, trace, {t_node: seed},
+                             rules=_lrp_rules(epsilon, bias_rel))
     return RelevanceTrace(relevance, bias_rel, epsilon, resolved,
                           target_value(trace[t_node], t_index))
+
+
+def _lrp_rules(epsilon: float, bias_rel: dict) -> dict:
+    """epsilon-LRP's rules for ``vjp_sweep``: affine and conv1d filter
+    relevance (recording their bias share in ``bias_rel``), relu passes
+    it through, max-pooling keeps the gradient rule (winner takes all)
+    and every other kind raises once relevance reaches it."""
+
+    def filtering(node, r_out, trace, relevance, _):
+        # R_in = x * W^T (R_out / (a + eps sign a)); zero relevance adds no share
+        if not r_out.any():
+            return
+        src = node.inputs[0]
+        a = trace[node.id]
+        stabilizer = np.where(a >= 0, epsilon, -epsilon)
+        share = r_out / (a + stabilizer)
+        message = {}
+        vjp_node(node, share, trace, message)
+        accumulate(relevance, src, trace[src] * message[src])
+        absorbed = (node.params["bias"] + stabilizer) * share
+        bias_rel[node.id] = (float(absorbed.sum()) if trace.batch is None
+                             else absorbed.reshape(trace.batch, -1).sum(axis=1))
+
+    def pass_through(node, r_out, trace, relevance, _):
+        accumulate(relevance, node.inputs[0], r_out.copy())
+
+    def reject(node, r_out, trace, relevance, _):
+        if r_out.any():
+            raise AttributionError(
+                f"lrp does not support node '{node.id}' of kind '{node.kind}'; "
+                f"it supports {', '.join(sorted(LRP_KINDS - {'input'}))}"
+            )
+
+    return {**dict.fromkeys(KNOWN_KINDS - LRP_KINDS, reject),
+            "affine": filtering, "conv1d": filtering, "relu": pass_through}
 
 
 def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
@@ -157,11 +155,8 @@ def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
     """Package input-layer relevances in the common report shape."""
     scores = {nid: trace[nid].copy() for nid in graph.input_ids()}
     deltas = {nid: np.asarray(inputs[nid], dtype=np.float64) for nid in scores}
-    mults = {}
-    for nid, score in scores.items():
-        d = deltas[nid]
-        safe = np.where(d != 0.0, d, 1.0)
-        mults[nid] = np.where(d != 0.0, score / safe, 0.0)
+    mults = {nid: np.divide(score, deltas[nid], out=np.zeros(score.shape),
+                            where=deltas[nid] != 0.0) for nid, score in scores.items()}
     return contribution_report(trace.target, "lrp", scores, mults, deltas,
                                trace.target_activation)
 

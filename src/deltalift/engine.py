@@ -8,7 +8,8 @@ this package).  Multipliers m chain like gradients:
 
     m[x -> t] = sum over consumers y of  m[x -> y] * m[y -> t]
 
-with per-kind local rules:
+so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
+``autodiff.vjp_sweep`` with these per-kind local rules:
 
   * affine / conv1d: multipliers equal the weights
   * maxpool1d:       each window's delta routes to the current argmax
@@ -25,8 +26,8 @@ pre-sigmoid node (see ``select_attribution_target``).
 
 Like ``forward``, the entry points take one sample or a batch stacked
 along a leading axis; each rule is written once for both, and the linear
-kinds share the gradient sweep's ``vjp_node``.  A reference computed
-from a batch of the same size pairs row-wise with the inputs.
+kinds keep the gradient rule ``vjp_node``.  A reference computed from a
+batch of the same size pairs row-wise with the inputs.
 """
 
 from __future__ import annotations
@@ -41,15 +42,16 @@ from .graph import (
     Graph,
     Tensor,
     forward,
-    topo_order,
 )
 from .autodiff import (
     _pool_argmax_rows,
     _pool_index,
+    accumulate,
     resolve_target,
     target_seed,
     target_value,
     vjp_node,
+    vjp_sweep,
 )
 
 EPS_STABLE = 1e-7
@@ -64,32 +66,17 @@ class AttributionError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Reference and delta state
+# Reference state
 
 
 @dataclass
-class ReferenceState:
-    """Per-node activations under the reference input."""
+class ReferenceState(ForwardTrace):
+    """The forward trace of the reference input, which it also keeps."""
 
-    activations: dict[str, Tensor]
-    reference_input: dict[str, Tensor]
-    graph: Graph
+    reference_input: dict[str, Tensor] = field(default_factory=dict)
     # the same reference input evaluated on another graph, kept by deeplift
     _twin: "ReferenceState | None" = field(default=None, init=False, repr=False,
                                            compare=False)
-
-    def __getitem__(self, node_id: str) -> Tensor:
-        return self.activations[node_id]
-
-
-@dataclass
-class DeltaState:
-    """Per-node differences from reference, delta = A - A0."""
-
-    deltas: dict[str, Tensor]
-
-    def __getitem__(self, node_id: str) -> Tensor:
-        return self.deltas[node_id]
 
 
 def zeros_reference(graph: Graph) -> dict[str, Tensor]:
@@ -102,7 +89,7 @@ def zeros_reference(graph: Graph) -> dict[str, Tensor]:
 def compute_reference(graph: Graph, reference_input: dict[str, Tensor]) -> ReferenceState:
     """Forward-evaluate the reference input into a full per-node state."""
     trace = forward(graph, reference_input)
-    return ReferenceState(trace.activations, dict(reference_input), graph)
+    return ReferenceState(trace.activations, graph, trace.batch, dict(reference_input))
 
 
 def _reference_on(graph: Graph, reference: ReferenceState | None = None,
@@ -132,13 +119,13 @@ def _reference_on(graph: Graph, reference: ReferenceState | None = None,
 
 
 def compute_deltas(trace: ForwardTrace, reference: ReferenceState,
-                   node_ids=None) -> DeltaState:
+                   node_ids=None) -> dict[str, Tensor]:
     """Differences from reference of ``node_ids`` (default: every node)."""
     if trace.graph is not reference.graph:
         raise AttributionError("trace and reference come from different graphs")
     if node_ids is None:
         node_ids = trace.activations
-    return DeltaState({nid: trace[nid] - reference[nid] for nid in node_ids})
+    return {nid: trace[nid] - reference[nid] for nid in node_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +140,20 @@ def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceSta
     derivative of the nonlinearity at the reference pre-activation (the
     limit value), which keeps multipliers continuous across the switch.
     """
-    if node.kind not in ("relu", "prelu", "sigmoid", "tanh"):
+    if node.kind not in ELEMENTWISE_KINDS:
         raise AttributionError(f"node '{node.id}' ({node.kind}) is not a rescale kind")
     src = node.inputs[0]
     dx = trace[src] - reference[src]
     dy = trace[node.id] - reference[node.id]
-    x0 = reference[src]
-    if node.kind == "relu":
-        deriv = (x0 > 0).astype(np.float64)
-    elif node.kind == "prelu":
-        slopes = node.params["slopes"]
-        deriv = np.where(x0 > 0, 1.0, slopes)
-    elif node.kind == "sigmoid":
-        y0 = reference[node.id]
-        deriv = y0 * (1.0 - y0)
-    else:  # tanh
-        y0 = reference[node.id]
-        deriv = 1.0 - y0 * y0
-    ratio_ok = np.abs(dx) > eps_stable
     # dx and dy are fresh arrays, so the ratio is formed in dy's memory
+    ratio_ok = np.abs(dx) > eps_stable
+    if ratio_ok.all():
+        return np.divide(dy, dx, out=dy)
+    deriv = {}  # the gradient rule on the reference trace: the derivative there
+    vjp_node(node, np.ones(reference[node.id].shape), reference, deriv)
     dx[~ratio_ok] = 1.0
     np.divide(dy, dx, out=dy)
-    np.copyto(dy, deriv, where=~ratio_ok)
+    np.copyto(dy, deriv[src], where=~ratio_ok)
     return dy
 
 
@@ -340,58 +319,53 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
                           eps_stable: float = EPS_STABLE) -> MultiplierMap:
     """Backpropagate multipliers from the target to every node.
 
-    Reverse topological sweep accumulating, for each node x,
-    m[x -> t] = sum over consumers y of m[x -> y] * m[y -> t], seeded
-    with m[t -> t] = 1.  Nodes with no path to the target keep zero
-    multipliers.  A batched trace propagates every sample at once
+    One ``vjp_sweep`` under DeepLIFT's rule table accumulates, for each
+    node x, m[x -> t] = sum over consumers y of m[x -> y] * m[y -> t],
+    seeded with m[t -> t] = 1.  Nodes with no path to the target keep
+    zero multipliers.  A batched trace propagates every sample at once
     against the one reference, or row i against row i of a batched
     reference.  Raises AttributionError if the sweep would have to
     cross a softmax node (target its pre-activations instead).
     """
     graph.require_valid()
     t_node, t_index = resolve_target(graph, target, trace.batch)
-    lead = 0 if trace.batch is None else 1
-    mult = {nid: np.zeros(trace[nid].shape) for nid in graph.nodes}
-    mult[t_node] = target_seed(graph.nodes[t_node].output_shape, t_index)
+    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
+    mult, _ = vjp_sweep(graph, trace, {t_node: seed},
+                        rules=_deeplift_rules(reference, eps_stable))
+    return MultiplierMap((t_node, t_index), mult, graph)
 
-    for node_id in reversed(topo_order(graph)):
-        node = graph.nodes[node_id]
-        if node.kind == "input":
-            continue
-        m_out = mult[node_id]
-        if not m_out.any():
-            continue
-        src = node.inputs[0]
-        if node.kind in ("affine", "conv1d"):
-            # linear: multipliers are the weights, as for gradients
-            vjp_node(node, m_out, trace, mult)
-        elif node.kind in ELEMENTWISE_KINDS:
-            local = local_multipliers_rescale(node, trace, reference, eps_stable)
-            local *= m_out
-            mult[src] += local
-        elif node.kind == "maxpool1d":
-            _max_multiplier_backprop(node, m_out, trace, reference, mult[src],
-                                     eps_stable, lead)
-        elif node.kind == "maxout":
-            _maxout_multiplier_backprop(node, m_out, trace, reference, mult[src])
-        elif node.kind == "product":
-            a, b = node.inputs
-            m1, m2 = local_multipliers_product(node, trace, reference)
-            mult[a] += m_out * m1
-            mult[b] += m_out * m2
-        elif node.kind == "softmax":
+
+def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
+    """DeepLIFT's rules for ``vjp_sweep``; affine and conv1d keep the
+    gradient rule, since their multipliers are the weights."""
+
+    def rescale(node, m_out, trace, mult, _):
+        local = local_multipliers_rescale(node, trace, reference, eps_stable)
+        local *= m_out
+        accumulate(mult, node.inputs[0], local)
+
+    def product(node, m_out, trace, mult, _):
+        for src, m in zip(node.inputs, local_multipliers_product(node, trace, reference)):
+            accumulate(mult, src, m_out * m)
+
+    def maxpool(node, m_out, trace, mult, _):
+        _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable)
+
+    def maxout(node, m_out, trace, mult, _):
+        _maxout_multiplier_backprop(node, m_out, trace, reference, mult)
+
+    def softmax(node, m_out, trace, mult, _):
+        if m_out.any():
             raise AttributionError(
                 f"multipliers cannot cross softmax node '{node.id}'; target the "
                 "pre-softmax activations (mean-normalized) instead"
             )
-        else:
-            raise AttributionError(
-                f"no multiplier rule for node '{node.id}' of kind '{node.kind}'"
-            )
-    return MultiplierMap((t_node, t_index), mult, graph)
+
+    return {**dict.fromkeys(ELEMENTWISE_KINDS, rescale), "product": product,
+            "maxpool1d": maxpool, "maxout": maxout, "softmax": softmax}
 
 
-def _max_multiplier_backprop(node, m_out, trace, reference, acc, eps_stable, lead):
+def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
     """Route each window's contribution to its argmax input.
 
     The quantity to deliver through window p is delta_out[p] * m_out[p];
@@ -404,10 +378,11 @@ def _max_multiplier_backprop(node, m_out, trace, reference, acc, eps_stable, lea
     is 1-Lipschitz in the sup norm, so a window with nonzero output
     delta always has such a member (up to eps_stable, below which the
     routed quantity is itself negligible).  Multipliers accumulate into
-    ``acc``; the window axis is ``lead``.
+    the source's buffer in ``mult``.
     """
     src = node.inputs[0]
     x = trace[src]
+    lead = 0 if trace.batch is None else 1
     width, stride = int(node.params["width"]), int(node.params["stride"])
     dx = x - reference[src]
     route = (trace[node.id] - reference[node.id]) * m_out
@@ -418,10 +393,12 @@ def _max_multiplier_backprop(node, m_out, trace, reference, acc, eps_stable, lea
     index = _pool_index(chosen, lead)
     chosen_dx = dx[index]
     ok = np.abs(chosen_dx) > eps_stable
-    np.add.at(acc, index, np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0))
+    gx = np.zeros(x.shape)
+    np.add.at(gx, index, np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0))
+    accumulate(mult, src, gx)
 
 
-def _maxout_multiplier_backprop(node, m_out, trace, reference, acc):
+def _maxout_multiplier_backprop(node, m_out, trace, reference, mult):
     """Path-averaged piece coefficients of every (sample, unit) at once.
 
     Unit u of row r passes m_out[r, u] * sum_p frac[r, u, p] * w[p, u],
@@ -429,7 +406,7 @@ def _maxout_multiplier_backprop(node, m_out, trace, reference, acc):
     piece p dominates (``path_envelope``); summed over units and pieces
     this is one (rows, units*pieces) @ (units*pieces, in) product.  A
     batched reference pairs its rows with the trace's.  Multipliers
-    accumulate into ``acc``.
+    accumulate into the source's buffer in ``mult``.
     """
     n_pieces, out_dim, in_dim = node.params["weights"].shape
     src = node.inputs[0]
@@ -442,7 +419,8 @@ def _maxout_multiplier_backprop(node, m_out, trace, reference, acc):
     owned = pieces[..., None] == np.arange(n_pieces)  # (rows, out, K, pieces)
     frac = (np.diff(bounds, axis=-1)[..., None] * owned).sum(axis=-2)
     frac *= m_out.reshape(-1, out_dim, 1)
-    acc += (frac.reshape(-1, out_dim * n_pieces) @ coeffs).reshape(acc.shape)
+    accumulate(mult, src,
+               (frac.reshape(-1, out_dim * n_pieces) @ coeffs).reshape(trace[src].shape))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +479,7 @@ def contribution_report(target, method: str, scores: dict[str, Tensor],
     return report
 
 
-def contributions(mmap: MultiplierMap, deltas: DeltaState) -> ContributionReport:
+def contributions(mmap: MultiplierMap, deltas: dict[str, Tensor]) -> ContributionReport:
     """Contributions C = m * delta per input feature, plus the conservation
     residual |sum(C) - delta(target)|."""
     input_ids = mmap.graph.input_ids()

@@ -432,14 +432,14 @@ def topo_order(graph: Graph) -> list[str]:
 
 
 def stable_sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|), which never overflows, this is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below: the same bits as the two-branch form.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def stable_softmax(x: Tensor) -> Tensor:

@@ -172,19 +172,28 @@ def save_model(graph: Graph, path) -> None:
 def load_model(path) -> Graph:
     """Read a graph back; ``load(save(g))`` reproduces ``g`` exactly.
 
-    Reads format versions 1 and 2.  Raises ModelFormatError with a
-    location for syntactically broken files, and an explicit message for
-    version mismatches, unknown node kinds and malformed weight payloads
-    (naming the node and the param).
+    Reads format versions 1 and 2.  Raises ModelFormatError for syntax
+    errors (with a location; ``NaN`` and ``Infinity`` are not JSON),
+    version mismatches, unknown node kinds, malformed weight payloads
+    (naming the node and the param) and graphs that fail validation.
     """
+    def reject_constant(token):
+        raise ModelFormatError(
+            f"{path}: parse error: {token} is not a JSON number "
+            "(model files hold finite values only)"
+        )
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=reject_constant)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(
                 f"{path}: parse error at line {exc.lineno} column {exc.colno}: "
                 f"{exc.msg}"
             ) from exc
     graph = graph_from_dict(payload)
-    graph.require_valid()
+    try:
+        graph.require_valid()
+    except GraphError as exc:
+        raise ModelFormatError(str(exc)) from exc
     return graph

@@ -51,6 +51,13 @@ def workspace(tmp_path_factory):
             "trained": trained_path}
 
 
+def shift_conv_length(payload):
+    """The payload with its conv node declaring one output row too few."""
+    conv = next(n for n in payload["nodes"] if n["kind"] == "conv1d")
+    conv["output_shape"][0] -= 1
+    return payload
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         args = ["--n-train", "12", "--n-val", "4", "--n-test", "4",
@@ -270,6 +277,28 @@ class TestErrors:
         assert res.returncode == 4
         assert res.stderr.startswith("error code=invalid-input")
         assert f"node '{conv['id']}': param 'filters'" in res.stderr
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda payload: json.dumps(payload).replace('"total": 1.0', '"total": NaN', 1),
+             "NaN is not a JSON number"),
+            (lambda payload: json.dumps(shift_conv_length(payload)), "shape: node 'conv'"),
+        ],
+        ids=["nan-token", "conv-shape"],
+    )
+    def test_model_that_fails_validation_exit_code(self, workspace, tmp_path, edit,
+                                                    detail):
+        text = workspace["model"].read_text()
+        bad = tmp_path / "invalid.json"
+        bad.write_text(edit(json.loads(text)))
+        res = run_cli(
+            "attribute", "--model", str(bad), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+        )
+        assert res.returncode == 4
+        assert res.stderr.startswith("error code=invalid-input")
+        assert detail in res.stderr
 
     def test_unknown_flag_exit_code(self):
         res = run_cli("gen-data", "--frobnicate")

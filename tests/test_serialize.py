@@ -2,14 +2,16 @@
 
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
 
-from deltalift.graph import GraphBuilder, forward
+from deltalift.graph import GraphBuilder, GraphError, forward
 from deltalift.serialize import (
     FORMAT_VERSION,
     ModelFormatError,
+    graph_from_dict,
     graph_to_dict,
     load_model,
     save_model,
@@ -229,3 +231,43 @@ def test_missing_field_rejected(tmp_path):
     path.write_text('{"version": 1, "outputs": []}')
     with pytest.raises(ModelFormatError, match="nodes"):
         load_model(path)
+
+
+def paper_cnn_text():
+    return json.dumps(graph_to_dict(build_genomics_cnn(seed=0)), indent=1)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_standard_json_constants_rejected(tmp_path, token):
+    path = tmp_path / "constant.json"
+    text = paper_cnn_text()
+    assert '"total": 1.0' in text
+    path.write_text(text.replace('"total": 1.0', f'"total": {token}', 1))
+    with pytest.raises(ModelFormatError, match=f"{re.escape(token)} is not a JSON number"):
+        load_model(path)
+
+
+def set_conv_shape(payload):
+    next(n for n in payload["nodes"] if n["kind"] == "conv1d")["output_shape"] = [185, 20]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # 1e999 is a JSON number that parses to inf
+        lambda payload: json.dumps(payload).replace('"total": 1.0', '"total": 1e999', 1),
+        # the paper CNN's conv output is (186, 20)
+        set_conv_shape,
+    ],
+    ids=["infinite-total", "conv-shape"],
+)
+def test_file_that_parses_but_fails_validation(tmp_path, edit):
+    path = tmp_path / "invalid.json"
+    path.write_text(edit(graph_to_dict(build_genomics_cnn(seed=0))))
+    parsed = graph_from_dict(json.loads(path.read_text()))
+    with pytest.raises(GraphError) as direct:
+        parsed.require_valid()
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value) == str(direct.value)
