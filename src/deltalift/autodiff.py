@@ -97,25 +97,40 @@ def target_value(values: Tensor, index):
     return values.reshape(len(index), -1)[np.arange(len(index)), index]
 
 
-def _pool_argmax_rows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
-    """Input row index of each window's max (first index on ties).
+def _pool_window_starts(shape, width: int, stride: int, lead: int = 0):
+    """Flat index, in a C-ordered array of ``shape``, of each pooling
+    window's first member, shaped like the pooled output; and the flat
+    distance between consecutive members of one window.
 
-    Windows run along ``axis``; the result is shaped like the pooled
-    output: (n_windows,) for vector input, (n_windows, channels)
-    otherwise, behind any leading batch axis.
+    Windows run along axis ``lead``, behind any leading batch axes.
     """
-    win = conv1d_windows(x, width, stride, axis)
-    am = win.argmax(axis=axis + 1)
-    offsets = stride * np.arange(win.shape[axis])
-    return am + offsets.reshape((-1,) + (1,) * (am.ndim - axis - 1))
+    step = math.prod(shape[lead + 1:])
+    n_out = (shape[lead] - width) // stride + 1
+    starts = (stride * step * np.arange(n_out))[:, None] + np.arange(step)
+    if lead:
+        samples = np.arange(math.prod(shape[:lead]))
+        starts = (shape[lead] * step * samples)[:, None, None] + starts
+    return starts.reshape(shape[:lead] + (n_out,) + shape[lead + 1:]), step
 
 
-def _pool_index(rows: Tensor, axis: int = 0) -> tuple:
-    """Index of the input entries that ``rows`` (shaped like a pooled
-    output, length axis ``axis``) select, for reads and ``np.add.at``."""
-    index = list(np.ix_(*(np.arange(n) for n in rows.shape)))
-    index[axis] = rows
-    return tuple(index)
+def _pool_argmax(x: Tensor, width: int, stride: int, lead: int = 0) -> Tensor:
+    """Flat index into ``x`` (C order) of each window's max, first index
+    on ties, shaped like the pooled output."""
+    win = conv1d_windows(x, width, stride, lead)
+    # on a copy with the window axis last (behind the one channel axis, if
+    # any), each argmax scans contiguous memory
+    am = win.swapaxes(lead + 1, -1).copy().argmax(axis=-1)
+    starts, step = _pool_window_starts(x.shape, width, stride, lead)
+    am *= step
+    am += starts
+    return am
+
+
+def _pool_route(flat: Tensor, values: Tensor, shape) -> Tensor:
+    """An array of ``shape`` holding, at each flat index, the sum of the
+    ``values`` routed there (``flat`` and ``values`` share a shape)."""
+    size = math.prod(shape)
+    return np.bincount(flat.ravel(), values.ravel(), size).reshape(shape)
 
 
 def accumulate(grads: dict, node_id: str, value: Tensor) -> None:
@@ -175,9 +190,7 @@ def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
             ).reshape(tap_shape)
     elif kind == "maxpool1d":
         width, stride = int(node.params["width"]), int(node.params["stride"])
-        rows = _pool_argmax_rows(x, width, stride, lead)
-        gx = np.zeros(x.shape)
-        np.add.at(gx, _pool_index(rows, lead), grad_out)
+        gx = _pool_route(_pool_argmax(x, width, stride, lead), grad_out, x.shape)
     elif kind == "relu":
         gx = grad_out * (x > 0)
     elif kind == "prelu":
@@ -202,6 +215,15 @@ def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
 
 
 PARAM_KINDS = frozenset(["affine", "conv1d", "prelu", "maxout"])
+# im2col rows per filter-gradient product
+FILTER_GRAD_BLOCK_ROWS = 768
+
+
+def _channel_sums(rows: Tensor) -> Tensor:
+    """Column sums of a tall (rows, channels) array as one matrix-vector
+    product; ``rows.sum(axis=0)`` runs a loop over only ``channels``
+    entries per row."""
+    return np.ones(len(rows)) @ rows
 
 
 def _param_grads(node, grad_out: Tensor, x: Tensor, lead: int) -> dict:
@@ -213,15 +235,24 @@ def _param_grads(node, grad_out: Tensor, x: Tensor, lead: int) -> dict:
         return {"weights": rows.T @ x.reshape(len(rows), -1), "bias": rows.sum(axis=0)}
     if kind == "conv1d":
         filters = node.params["filters"]
-        rows = grad_out.reshape(-1, filters.shape[0])  # (B*P, F)
-        # im2col: one (F, B*P) @ (B*P, K*C) product
-        win = conv1d_windows(x, filters.shape[1], int(node.params["stride"]), lead)
-        dw = rows.T @ win.reshape(len(rows), -1)
-        return {"filters": dw.reshape(filters.shape), "bias": rows.sum(axis=0)}
+        n_filt, width, _ = filters.shape
+        stride = int(node.params["stride"])
+        rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
+        xs, gs = (x, grad_out) if lead else (x[None], grad_out[None])
+        # im2col products summed over blocks of whole samples: one
+        # (F, B*P) @ (B*P, K*C) product would copy every window at once,
+        # more than the cache holds
+        per_block = max(1, FILTER_GRAD_BLOCK_ROWS // gs.shape[1])
+        dw = np.zeros((n_filt, filters[0].size))
+        for i in range(0, len(xs), per_block):
+            g = gs[i:i + per_block].reshape(-1, n_filt)
+            cols = conv1d_windows(xs[i:i + per_block], width, stride, 1)
+            dw += g.T @ cols.reshape(len(g), -1)
+        return {"filters": dw.reshape(filters.shape), "bias": _channel_sums(rows)}
     if kind == "prelu":
-        slopes = node.params["slopes"]
-        gs = grad_out * np.minimum(x, 0.0)
-        return {"slopes": gs.reshape(-1, slopes.size).sum(axis=0)}
+        gs = np.minimum(x, 0.0)
+        gs *= grad_out
+        return {"slopes": _channel_sums(gs.reshape(-1, node.params["slopes"].size))}
     w = node.params["weights"]  # maxout: each unit's active piece
     _, out_dim, in_dim = w.shape
     active = maxout_pieces(node, x, lead).argmax(axis=-2).reshape(-1, out_dim)

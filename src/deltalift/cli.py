@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -97,7 +98,8 @@ def cmd_train(args) -> int:
         config = TrainConfig.from_file(args.config)
     else:
         config = TrainConfig()
-    for key in ("seed", "epochs", "batch_size", "learning_rate", "momentum"):
+    for key in ("seed", "epochs", "batch_size", "learning_rate", "momentum",
+                "weight_decay"):
         value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)
@@ -119,7 +121,7 @@ def cmd_train(args) -> int:
     save_model(graph, args.out)
     losses_path = args.losses_out or f"{args.out}.losses.tsv"
     write_loss_curve(losses_path, history)
-    _write_manifest(args.out, args)
+    _write_manifest(args.out, args, train_config=asdict(config))
     final = history[-1]
     print(
         f"trained {config.epochs} epochs: val_loss={final.val_loss:.4f} "
@@ -287,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)
+    p.add_argument("--weight-decay", type=float, default=None,
+                   help="L2 penalty on weight matrices and filters")
     p.add_argument("--losses-out", help="loss curve TSV (default <out>.losses.tsv)")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)

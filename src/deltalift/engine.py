@@ -44,8 +44,9 @@ from .graph import (
     forward,
 )
 from .autodiff import (
-    _pool_argmax_rows,
-    _pool_index,
+    _pool_argmax,
+    _pool_route,
+    _pool_window_starts,
     accumulate,
     resolve_target,
     target_seed,
@@ -386,15 +387,21 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
     width, stride = int(node.params["width"]), int(node.params["stride"])
     dx = x - reference[src]
     route = (trace[node.id] - reference[node.id]) * m_out
-    argmax = _pool_argmax_rows(x, width, stride, lead)
-    mover = _pool_argmax_rows(np.abs(dx), width, stride, lead)
-    chosen = np.where(np.abs(dx[_pool_index(argmax, lead)]) > eps_stable,
-                      argmax, mover)
-    index = _pool_index(chosen, lead)
-    chosen_dx = dx[index]
+    dx_flat = dx.ravel()
+    chosen = _pool_argmax(x, width, stride, lead)
+    chosen_dx = dx_flat[chosen]
     ok = np.abs(chosen_dx) > eps_stable
-    gx = np.zeros(x.shape)
-    np.add.at(gx, index, np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0))
+    if not ok.all():
+        # the |delta| argmax, taken only over the windows that reroute
+        weak = ~ok
+        starts, step = _pool_window_starts(x.shape, width, stride, lead)
+        starts = starts[weak]
+        members = starts[:, None] + step * np.arange(width)
+        chosen[weak] = starts + step * np.abs(dx_flat[members]).argmax(axis=1)
+        chosen_dx = dx_flat[chosen]
+        ok = np.abs(chosen_dx) > eps_stable
+    gx = _pool_route(chosen, np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0),
+                     x.shape)
     accumulate(mult, src, gx)
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltalift.autodiff import backward, finite_difference_check
+from deltalift.autodiff import (
+    _pool_argmax,
+    _pool_route,
+    backward,
+    finite_difference_check,
+)
 from deltalift.graph import GraphBuilder, GraphError, forward
 
 from graphgen import random_graph_case
@@ -83,6 +88,32 @@ class TestBackward:
         tr = forward(g, {"x": np.array([5.0, 5.0, 1.0])})
         grads = backward(g, tr, ("p", 0))["x"]
         assert_allclose(grads, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("shape, lead", [
+        ((11,), 0), ((11, 3), 0), ((4, 11), 1), ((4, 11, 3), 1),
+    ])
+    def test_pool_routing_matches_add_at_oracle(self, rng, shape, lead):
+        # overlapping windows (stride < width) of small integers: many ties
+        width, stride = 4, 2
+        x = rng.integers(0, 3, size=shape).astype(float)
+        n_out = (shape[lead] - width) // stride + 1
+        out_shape = shape[:lead] + (n_out,) + shape[lead + 1:]
+        values = rng.normal(size=out_shape)
+        expected_flat = np.empty(out_shape, dtype=np.intp)
+        for out_index in np.ndindex(*out_shape):
+            j = out_index[lead]
+            members = [out_index[:lead] + (j * stride + k,) + out_index[lead + 1:]
+                       for k in range(width)]
+            first_max = max(range(width), key=lambda k: (x[members[k]], -k))
+            expected_flat[out_index] = np.ravel_multi_index(members[first_max], shape)
+        expected = np.zeros(x.size)
+        np.add.at(expected, expected_flat.ravel(), values.ravel())
+
+        flat = _pool_argmax(x, width, stride, lead)
+        np.testing.assert_array_equal(flat, expected_flat)
+        routed = _pool_route(flat, values, shape)
+        assert routed.shape == shape
+        assert routed.tobytes() == expected.reshape(shape).tobytes()
 
     def test_softmax_jacobian_row(self, rng):
         b = GraphBuilder()

@@ -146,6 +146,15 @@ def test_train_step_matches_summed_per_sample_sweeps_on_paper_cnn():
     check_train_step(build_genomics_cnn(seed=3), batch)
 
 
+@pytest.mark.parametrize("size", [1, 5, 33])
+def test_train_step_on_paper_cnn_off_the_filter_gradient_block(size):
+    # the filter gradient sums whole-sample blocks of the im2col rows;
+    # these sizes leave a partial last block
+    data = generate_dataset(DatasetSpec(n_train=size + size % 2, n_val=0, n_test=0,
+                                        seed=5))
+    check_train_step(build_genomics_cnn(seed=5), encode_dataset(data.train[:size]))
+
+
 def test_evaluate_matches_per_sample_loop():
     rng = np.random.default_rng(4)
     cases = headed_cases(n_cases=10)

@@ -85,6 +85,21 @@ class TestTrain:
         assert lines[0] == "epoch\ttrain_loss\tval_loss\tval_auroc"
         assert len(lines) == 3
 
+    def test_weight_decay_flag_reaches_config_and_manifest(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 1, "weight_decay": 0.0}')
+        out = tmp_path / "decayed.json"
+        res = run_cli(
+            "train", "--data", str(workspace["data"]), "--out", str(out),
+            "--model", str(workspace["model"]), "--config", str(cfg),
+            "--weight-decay", "5e-4", "--quiet",
+        )
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads(out.with_name(out.name + ".manifest").read_text())
+        assert manifest["weight_decay"] == 5e-4
+        assert manifest["train_config"]["weight_decay"] == 5e-4
+        assert manifest["train_config"]["epochs"] == 1
+
     def test_model_loads_and_runs(self, workspace):
         graph = load_model(workspace["trained"])
         examples = read_fasta(workspace["data"] / "test.fa")

@@ -14,6 +14,7 @@ from deltalift.baselines import (
 )
 from deltalift.engine import (
     AttributionError,
+    _max_multiplier_backprop,
     attribute,
     compute_deltas,
     compute_reference,
@@ -174,6 +175,44 @@ class TestMaxRule:
         delta_y = 5.0 - 2.0
         assert_allclose(contrib, [delta_y, 0.0])
         assert_allclose(contrib.sum(), delta_y)
+
+    def test_reroute_matches_per_window_oracle(self, rng):
+        # overlapping windows; the reference equals the input on the first
+        # rows of every sample, so some windows' argmax has no delta and
+        # reroutes to the member with the largest |delta|
+        width, stride, eps = 4, 2, 1e-7
+        b = GraphBuilder()
+        v = b.input("v", (12, 2))
+        b.maxpool1d("p", v, width, stride)
+        g = b.build(outputs=["p"])
+        x = rng.integers(0, 4, size=(3, 12, 2)).astype(float)
+        x_ref = rng.integers(0, 4, size=(3, 12, 2)).astype(float)
+        x_ref[:, :6] = x[:, :6]
+        x_ref[2, 6:8] = x[2, 6:8]
+        # window rows 4-7 whose max sits at its reference while another
+        # member moved: the second one has a tie in |delta|
+        x[0, 4:8, 0], x_ref[0, 4:8, 0] = [5, 1, 2, 0], [5, 1, 7, 0]
+        x[1, 4:8, 1], x_ref[1, 4:8, 1] = [3, 3, 1, 1], [3, 3, 4, 4]
+        tr = forward(g, {"v": x})
+        ref = compute_reference(g, {"v": x_ref})
+        m_out = rng.normal(size=tr["p"].shape)
+        mult = {}
+        _max_multiplier_backprop(g.nodes["p"], m_out, tr, ref, mult, eps)
+
+        dx = x - x_ref
+        route = (tr["p"] - ref["p"]) * m_out
+        expected = np.zeros(x.shape)
+        rerouted = 0
+        for i, j, c in np.ndindex(*route.shape):
+            rows = j * stride + np.arange(width)
+            pick = rows[np.argmax(x[i, rows, c])]
+            if not abs(dx[i, pick, c]) > eps:
+                pick = rows[np.argmax(np.abs(dx[i, rows, c]))]
+                rerouted += route[i, j, c] != 0
+            if abs(dx[i, pick, c]) > eps:
+                expected[i, pick, c] += route[i, j, c] / dx[i, pick, c]
+        assert rerouted >= 2
+        np.testing.assert_array_equal(mult["v"], expected)
 
 
 class TestRescaleRule:

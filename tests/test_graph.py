@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import (
@@ -169,6 +169,23 @@ class TestForward:
         assert_allclose(tr["p"], np.where(v > 0, v, v * [0.1, 0.2, 0.3, 0.4]))
         assert_allclose(tr["s"], 1 / (1 + np.exp(-v)))
         assert_allclose(tr["t"], np.tanh(v))
+
+    @pytest.mark.parametrize("slopes", [[0.25, 0.5, 1.5], [-0.5, -2.0, 0.0]])
+    def test_prelu_equals_where_form(self, rng, slopes):
+        b = GraphBuilder()
+        x = b.input("x", (7, 3))
+        b.prelu("p", x, slopes)
+        g = b.build(outputs=["p"])
+        v = rng.normal(size=(2, 7, 3))
+        v[0, :2] = 0.0
+        v[1, :2] = -0.0
+        out = forward(g, {"x": v})["p"]
+        slopes = np.asarray(slopes)
+        # equal in value to the where form (-0.0 == 0.0 here), and bit for
+        # bit the max/min form, which also fixes the sign of a zero result
+        assert_array_equal(out, np.where(v > 0, v, slopes * v))
+        expected = np.maximum(v, 0.0) + slopes * np.minimum(v, 0.0)
+        assert out.tobytes() == expected.tobytes()
 
     def test_maxout_is_max_of_affine_pieces(self, rng):
         w = rng.normal(size=(3, 4, 5))
