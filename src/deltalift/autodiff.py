@@ -8,6 +8,7 @@ The finite difference checker is the numerical oracle for the gradients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,6 @@ from .graph import (
     Graph,
     GraphError,
     Tensor,
-    conv1d_tap,
     conv1d_windows,
     forward,
     maxout_pieces,
@@ -97,12 +97,14 @@ def target_value(values: Tensor, index):
     return values.reshape(len(index), -1)[np.arange(len(index)), index]
 
 
-def _pool_window_starts(shape, width: int, stride: int, lead: int = 0):
+@functools.lru_cache(maxsize=64)
+def _pool_window_starts(shape: tuple, width: int, stride: int, lead: int = 0):
     """Flat index, in a C-ordered array of ``shape``, of each pooling
     window's first member, shaped like the pooled output; and the flat
     distance between consecutive members of one window.
 
-    Windows run along axis ``lead``, behind any leading batch axes.
+    Windows run along axis ``lead``, behind any leading batch axes.  The
+    result is cached per argument tuple, so the array is read-only.
     """
     step = math.prod(shape[lead + 1:])
     n_out = (shape[lead] - width) // stride + 1
@@ -110,7 +112,9 @@ def _pool_window_starts(shape, width: int, stride: int, lead: int = 0):
     if lead:
         samples = np.arange(math.prod(shape[:lead]))
         starts = (shape[lead] * step * samples)[:, None, None] + starts
-    return starts.reshape(shape[:lead] + (n_out,) + shape[lead + 1:]), step
+    starts = starts.reshape(shape[:lead] + (n_out,) + shape[lead + 1:])
+    starts.setflags(write=False)
+    return starts, step
 
 
 def _pool_argmax(x: Tensor, width: int, stride: int, lead: int = 0) -> Tensor:
@@ -178,16 +182,26 @@ def vjp_node(node, grad_out: Tensor, trace: ForwardTrace, grads: dict,
         gx = (grad_out @ node.params["weights"]).reshape(x.shape)
     elif kind == "conv1d":
         filters = node.params["filters"]
-        stride, n_out = int(node.params["stride"]), grad_out.shape[lead]
-        rows = grad_out.reshape(-1, filters.shape[0])  # (B*P, F)
-        tap_shape = grad_out.shape[:-1] + (filters.shape[2],)
-        # one (B*P, F) @ (F, C) product per filter tap, added in place:
-        # cheaper than scattering a (B*P, K*C) product back (col2im)
+        n_filt, width, _ = filters.shape
+        stride = int(node.params["stride"])
+        gs = grad_out.reshape((-1,) + grad_out.shape[lead:])  # (B, P, F)
+        n_samples, n_out = gs.shape[:2]
+        rows = gs.reshape(-1, n_filt)  # (B*P, F)
+        # col2im: the taps' (B*P, F) @ (F, C) products as one stacked
+        # matmul per group of taps, each added in place, in tap order, into
+        # the rows it reads.  A group's (taps, B*P, C) result is no larger
+        # than one sample's full stack, so a batch allocates no large
+        # transient; one sample takes every tap in one product.
+        per_group = max(1, width // max(1, n_samples))
+        by_tap = filters.transpose(1, 0, 2)  # (K, F, C)
         gx = np.zeros(x.shape)
-        for k in range(filters.shape[1]):
-            conv1d_tap(gx, k, stride, n_out, lead)[...] += (
-                rows @ filters[:, k, :]
-            ).reshape(tap_shape)
+        gxs = gx.reshape((n_samples,) + x.shape[lead:])  # (B, L, C) view
+        span = stride * (n_out - 1) + 1
+        for first in range(0, width, per_group):
+            taps = np.matmul(rows, by_tap[first:first + per_group])
+            for k, tap in enumerate(taps, first):
+                view = gxs[:, k:k + span:stride]
+                np.add(view, tap.reshape(view.shape), out=view)
     elif kind == "maxpool1d":
         width, stride = int(node.params["width"]), int(node.params["stride"])
         gx = _pool_route(_pool_argmax(x, width, stride, lead), grad_out, x.shape)

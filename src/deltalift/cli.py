@@ -202,9 +202,8 @@ def cmd_compare(args) -> int:
     comparison = compare_methods(graph, examples, eps_stable=args.eps_stable)
     write_comparison_tsv(args.out, comparison)
     if args.tracks_out:
-        by_sid = {ex.sid: ex for ex in examples}
         write_score_tracks(args.tracks_out, [
-            (by_sid[row.sid], row.deeplift_track, row.grad_input_track)
+            (row.example, row.deeplift_track, row.grad_input_track)
             for row in comparison.rows
         ])
     _write_manifest(args.out, args)

@@ -151,23 +151,50 @@ def generate_dataset(spec: DatasetSpec) -> Dataset:
 # Encoding
 
 
-def one_hot_encode(sequence: str) -> Tensor:
-    """(length, 4) one-hot matrix, column order A, C, G, T."""
-    codes = _BASE_CODES[np.frombuffer(sequence.encode(), dtype=np.uint8)]
+def _lookup(text: str) -> np.ndarray:
+    """Base index of every byte of ``text``, -1 where it is not a base."""
+    return _BASE_CODES[np.frombuffer(text.encode(), dtype=np.uint8)]
+
+
+def _sequence_codes(sequence: str) -> np.ndarray:
+    """Base index (0-3, order A, C, G, T) of every position.
+
+    Raises ValueError naming the first character that is not a base.
+    """
+    codes = _lookup(sequence)
     if len(codes) != len(sequence) or (codes < 0).any():
         i, base = next((i, b) for i, b in enumerate(sequence) if b not in BASE_INDEX)
         raise ValueError(f"invalid base {base!r} at position {i}")
-    arr = np.zeros((len(sequence), 4))
-    arr[np.arange(len(sequence)), codes] = 1.0
+    return codes
+
+
+def _one_hot(codes: np.ndarray) -> Tensor:
+    arr = np.zeros((len(codes), 4))
+    arr[np.arange(len(codes)), codes] = 1.0
     return arr
 
 
+def one_hot_encode(sequence: str) -> Tensor:
+    """(length, 4) one-hot matrix, column order A, C, G, T."""
+    return _one_hot(_sequence_codes(sequence))
+
+
 def encode_batch(examples) -> Tensor:
-    """One-hot encodings of equal-length sequences, stacked to (n, length, 4)."""
-    lengths = sorted({len(ex.sequence) for ex in examples})
+    """One-hot encodings of equal-length sequences, stacked to (n, length, 4).
+
+    One lookup covers the whole batch; on an invalid base the error names
+    it as ``one_hot_encode`` of its sequence would.
+    """
+    sequences = [ex.sequence for ex in examples]
+    lengths = sorted({len(seq) for seq in sequences})
     if len(lengths) > 1:
         raise ValueError(f"sequences differ in length: {lengths}")
-    return np.stack([one_hot_encode(ex.sequence) for ex in examples])
+    length = lengths[0] if lengths else 0
+    codes = _lookup("".join(sequences))
+    if len(codes) != len(sequences) * length or (codes < 0).any():
+        for seq in sequences:
+            _sequence_codes(seq)  # raises at the first sequence holding a non-base
+    return _one_hot(codes).reshape(len(sequences), length, 4)
 
 
 def decode_one_hot(arr: Tensor) -> str:
@@ -265,8 +292,7 @@ def per_position_scores(report: ContributionReport, example: SequenceExample,
                         input_id: str = "seq") -> Tensor:
     """Score of each position: the contribution of the base actually present."""
     contrib = report.contributions[input_id]
-    idx = np.fromiter((BASE_INDEX[b] for b in example.sequence), dtype=int)
-    return contrib[np.arange(len(example.sequence)), idx]
+    return contrib[np.arange(len(example.sequence)), _sequence_codes(example.sequence)]
 
 
 def motif_recovery_score(report: ContributionReport, example: SequenceExample,
@@ -312,6 +338,8 @@ class ComparisonRow:
     # per-position scores of both methods (see per_position_scores)
     deeplift_track: Tensor | None = field(default=None, repr=False, compare=False)
     grad_input_track: Tensor | None = field(default=None, repr=False, compare=False)
+    # the scored sequence itself: ids need not be unique
+    example: SequenceExample | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -374,6 +402,7 @@ def compare_methods(graph: Graph, test_set,
                 grad_input_cagatg=_recovery(gi_track, ex, "CAGATG"),
                 deeplift_track=dl_track,
                 grad_input_track=gi_track,
+                example=ex,
             ))
 
     if rows:
@@ -464,15 +493,18 @@ def write_score_tracks(path, entries) -> None:
     """Plottable per-position scores.
 
     ``entries`` holds (example, deeplift_scores, grad_input_scores)
-    triples with per-position score arrays.
+    triples with per-position score arrays; the sequences hold only
+    bases, as they do once ``per_position_scores`` has scored them.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("sample_id\tposition\tbase\tdeeplift\tgrad_input\n")
         for ex, dl, gi in entries:
-            for pos, base in enumerate(ex.sequence):
-                fh.write(
-                    f"{ex.sid}\t{pos}\t{base}\t{dl[pos]:.10g}\t{gi[pos]:.10g}\n"
-                )
+            # one % over the sequence's rows, with Python floats: formatting
+            # numpy scalars one by one costs several times more
+            sid = ex.sid.replace("%", "%%")
+            template = "".join(f"{sid}\t{pos}\t{base}\t%.10g\t%.10g\n"
+                               for pos, base in enumerate(ex.sequence))
+            fh.write(template % tuple(np.stack([dl, gi], axis=-1).ravel().tolist()))
 
 
 def write_comparison_tsv(path, comparison: MethodComparison) -> None:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 Tensor = np.ndarray
 
@@ -455,23 +454,23 @@ def conv1d_windows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
     ``axis`` (batch axes), then windows, then positions within a window,
     then the axes after the length axis.  For x of shape (L, C) it is
     (n_windows, width, C); for (L,) it is (n_windows, width).  Nothing is
-    copied until the view is reshaped, e.g. into im2col rows.
+    copied until the view is reshaped, e.g. into im2col rows (a
+    non-contiguous ``x`` is copied first).
     """
+    x = np.ascontiguousarray(x)
     n_out = (x.shape[axis] - width) // stride + 1
     step = x.strides[axis]
-    return as_strided(
-        x,
+    # the ndarray constructor over x's buffer: as_strided's Python wrapper
+    # costs several times more, and an attribution call takes three views
+    win = np.ndarray(
         x.shape[:axis] + (n_out, width) + x.shape[axis + 1:],
+        x.dtype,
+        x,
+        0,
         x.strides[:axis] + (stride * step, step) + x.strides[axis + 1:],
-        writeable=False,
     )
-
-
-def conv1d_tap(x: Tensor, tap: int, stride: int, n_out: int, axis: int = 0) -> Tensor:
-    """View of the rows filter tap ``tap`` reads in each of ``n_out``
-    windows, taken along ``axis`` (the length axis) of ``x``."""
-    rows = slice(tap, tap + stride * (n_out - 1) + 1, stride)
-    return x[(slice(None),) * axis + (rows,)]
+    win.setflags(write=False)
+    return win
 
 
 def maxout_pieces(node: NodeSpec, x: Tensor, lead: int = 0) -> Tensor:

@@ -7,8 +7,10 @@ from numpy.testing import assert_allclose
 from deltalift.autodiff import (
     _pool_argmax,
     _pool_route,
+    _pool_window_starts,
     backward,
     finite_difference_check,
+    vjp_sweep,
 )
 from deltalift.graph import GraphBuilder, GraphError, forward
 
@@ -114,6 +116,50 @@ class TestBackward:
         routed = _pool_route(flat, values, shape)
         assert routed.shape == shape
         assert routed.tobytes() == expected.reshape(shape).tobytes()
+
+    def test_pool_window_starts_are_cached_and_read_only(self):
+        starts, step = _pool_window_starts((4, 11, 3), 4, 2, 1)
+        assert step == 3 and starts.shape == (4, 4, 3)
+        assert _pool_window_starts((4, 11, 3), 4, 2, 1)[0] is starts
+        with pytest.raises(ValueError, match="read-only"):
+            starts[0, 0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            starts += 1
+
+    # (length, width, stride): (21, 4, 2) and (12, 4, 3) leave trailing
+    # input rows that no window reads; width 7 at batch 2 splits the taps
+    # into groups of 3, 3 and 1
+    @pytest.mark.parametrize("length, width, stride", [
+        (20, 4, 1), (21, 4, 2), (12, 4, 3), (30, 7, 2),
+    ])
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("batch", [None, 1, 2, 5])
+    def test_conv_transpose_matches_per_tap_oracle(self, rng, length, width, stride,
+                                                   channels, batch):
+        b = GraphBuilder()
+        x = b.input("x", (length, channels))
+        b.conv1d("c", x, rng.normal(size=(6, width, channels)), rng.normal(size=6),
+                 stride=stride)
+        g = b.build(outputs=["c"])
+        lead = 0 if batch is None else 1
+        shape = (length, channels) if batch is None else (batch, length, channels)
+        tr = forward(g, {"x": rng.normal(size=shape)})
+        grad_out = rng.normal(size=tr["c"].shape)
+        grads, _ = vjp_sweep(g, tr, {"c": grad_out})
+
+        # one (B*P, F) @ (F, C) product per filter tap, added in tap order
+        filters = g.nodes["c"].params["filters"]
+        rows = grad_out.reshape(-1, filters.shape[0])
+        n_out = grad_out.shape[lead]
+        expected = np.zeros(shape)
+        for k in range(width):
+            reads = (slice(None),) * lead + (slice(k, k + stride * (n_out - 1) + 1, stride),)
+            expected[reads] += (rows @ filters[:, k, :]).reshape(
+                grad_out.shape[:-1] + (channels,))
+        if stride * (n_out - 1) + width < length:
+            assert not expected[..., -1, :].any()
+        assert grads["x"].shape == shape
+        assert grads["x"].tobytes() == expected.tobytes()
 
     def test_softmax_jacobian_row(self, rng):
         b = GraphBuilder()

@@ -224,6 +224,27 @@ class TestCompare:
         assert track_lines[0] == "sample_id\tposition\tbase\tdeeplift\tgrad_input"
 
 
+    def test_tracks_of_repeated_ids_keep_their_own_bases(self, tmp_path, rng):
+        # a logit bias that makes every sequence a predicted positive
+        graph = build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
+                                   dense_units=12, seed=2)
+        graph = graph.replace_params({"logit": {"bias": np.array([50.0])}})
+        model = tmp_path / "model.json"
+        save_model(graph, model)
+        first, second = ("".join(rng.choice(list("ACGT"), size=60)) for _ in range(2))
+        data = tmp_path / "dup.fa"
+        data.write_text(f">same label=1\n{first}\n>same label=1\n{second}\n")
+        tracks = tmp_path / "tracks.tsv"
+        res = run_cli("compare", "--model", str(model), "--data", str(data),
+                      "--out", str(tmp_path / "cmp.tsv"), "--tracks-out", str(tracks))
+        assert res.returncode == 0, res.stderr
+        rows = [line.split("\t") for line in tracks.read_text().splitlines()[1:]]
+        assert len(rows) == 120
+        assert {r[0] for r in rows} == {"same"}
+        assert "".join(r[2] for r in rows[:60]) == first
+        assert "".join(r[2] for r in rows[60:]) == second
+
+
 class TestCheckLrp:
     def test_equivalence_tsv_and_decreasing_deviation(self, tmp_path):
         out = tmp_path / "lrp.tsv"

@@ -15,6 +15,7 @@ from deltalift.genomics import (
     build_genomics_cnn,
     compare_methods,
     decode_one_hot,
+    encode_batch,
     generate_dataset,
     motif_recovery_score,
     one_hot_encode,
@@ -22,6 +23,7 @@ from deltalift.genomics import (
     per_position_scores,
     read_fasta,
     write_fasta,
+    write_score_tracks,
 )
 from deltalift.graph import GraphBuilder, forward, n_parameters, validate_graph
 from deltalift.normalize import normalize_constrained_weights
@@ -104,6 +106,28 @@ class TestEncoding:
     def test_invalid_character_rejected(self):
         with pytest.raises(ValueError, match="position 2"):
             one_hot_encode("ACNT")
+
+    def test_batch_equals_stacked_single_encodings(self):
+        data = generate_dataset(DatasetSpec(n_train=10, n_val=2, n_test=2, length=37))
+        stacked = np.stack([one_hot_encode(ex.sequence) for ex in data.train])
+        batch = encode_batch(data.train)
+        assert batch.shape == (10, 37, 4)
+        assert batch.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("ACNT", "invalid base 'N' at position 2"),
+        ("ACG\u00e9", "invalid base '\u00e9' at position 3"),
+    ])
+    def test_batch_names_the_invalid_base(self, bad, message):
+        examples = [SequenceExample(f"s{i}", seq, 0) for i, seq in
+                    enumerate(["ACGT", bad, "TTNA"])]
+        with pytest.raises(ValueError, match=message):
+            encode_batch(examples)
+
+    def test_batch_rejects_unequal_lengths(self):
+        examples = [SequenceExample("a", "ACGT", 0), SequenceExample("b", "ACG", 0)]
+        with pytest.raises(ValueError, match=r"sequences differ in length: \[3, 4\]"):
+            encode_batch(examples)
 
 
 class TestModel:
@@ -208,6 +232,18 @@ class TestMotifRecovery:
         assert_allclose(motif_recovery_score(report, ex, "CAGATG"), 18 / 22)
 
 
+    def test_scores_of_present_bases(self):
+        contrib = np.arange(16.0).reshape(4, 4)
+        ex = SequenceExample("s", "TGCA", 1)
+        scores = per_position_scores(report_from_contributions(contrib), ex)
+        assert scores.tolist() == [3.0, 6.0, 9.0, 12.0]
+
+    def test_invalid_base_in_scored_sequence_rejected(self):
+        ex = SequenceExample("s", "ACNT", 1)
+        with pytest.raises(ValueError, match="invalid base 'N' at position 2"):
+            per_position_scores(report_from_contributions(np.zeros((4, 4))), ex)
+
+
 class TestCompareMethods:
     def test_untrained_model_recovery_near_coverage(self):
         # null model: random weights know nothing about the spans, so both
@@ -293,6 +329,30 @@ class TestSequenceFiles:
         text = path.read_text()
         assert text.splitlines()[0] == ">seq-1 label=1 spans=0-4:GATA"
         assert text.splitlines()[1] == "GATAAC"
+
+    def test_score_tracks_match_per_value_formatting(self, tmp_path, rng):
+        def per_value_writer(path, entries):
+            # one f-string per position on numpy scalars
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("sample_id\tposition\tbase\tdeeplift\tgrad_input\n")
+                for ex, dl, gi in entries:
+                    for pos, base in enumerate(ex.sequence):
+                        fh.write(
+                            f"{ex.sid}\t{pos}\t{base}\t{dl[pos]:.10g}\t{gi[pos]:.10g}\n"
+                        )
+
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0 / 3,
+                            1e-300, 123456789012.5, np.inf, -np.inf, np.nan])
+        entries = [
+            (SequenceExample("plain", "ACGTACGTACGT", 1), special, special[::-1].copy()),
+            (SequenceExample("100%-sure", "GATTACA", 1), rng.normal(size=7),
+             rng.normal(size=7) * 1e-8),
+            (SequenceExample("plain", "TTTT", 1), rng.normal(size=4), rng.normal(size=4)),
+            (SequenceExample("empty", "", 1), np.zeros(0), np.zeros(0)),
+        ]
+        write_score_tracks(tmp_path / "new.tsv", entries)
+        per_value_writer(tmp_path / "old.tsv", entries)
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
 
     def test_sequence_before_header_rejected(self, tmp_path):
         path = tmp_path / "bad.fa"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from numpy.testing import assert_allclose, assert_array_equal
 
 from deltalift.genomics import build_genomics_cnn
@@ -302,6 +303,29 @@ def test_parameter_count_small_net():
     b.prelu("p", h, np.full(4, 0.1))
     g = b.build(outputs=["p"])
     assert n_parameters(g) == 4 * 3 + 4 + 4
+
+
+@pytest.mark.parametrize("shape, width, stride, axis", [
+    ((9, 3), 4, 2, 0), ((9,), 3, 1, 0), ((2, 9, 3), 4, 2, 1), ((3, 10, 2), 3, 3, 1),
+    ((0, 9, 3), 4, 2, 1),
+])
+def test_windows_match_as_strided_reference(rng, shape, width, stride, axis):
+    x = rng.normal(size=shape)
+    n_out = (shape[axis] - width) // stride + 1
+    step = x.strides[axis]
+    expected = as_strided(x, shape[:axis] + (n_out, width) + shape[axis + 1:],
+                          x.strides[:axis] + (stride * step, step) + x.strides[axis + 1:],
+                          writeable=False)
+    win = conv1d_windows(x, width, stride, axis)
+    assert win.shape == expected.shape
+    assert_array_equal(win, expected)
+    assert not win.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        win[...] = 0.0
+    # a non-contiguous input gives the same windows
+    strided = np.repeat(x, 2, axis=-1)[..., ::2]
+    assert not strided.flags.c_contiguous or x.size == 0
+    assert_array_equal(conv1d_windows(strided, width, stride, axis), expected)
 
 
 def test_windows_helper_shapes(rng):
