@@ -3,17 +3,24 @@
 A maxout output is the upper envelope of several affine pieces.  Along
 the straight path from the reference input to the actual input each
 piece's value is linear, so the envelope decomposes into segments with
-exact crossing points; multipliers are the length-weighted piece
-coefficients.  Elementwise products split their output delta between
-the two operands symmetrically around the references.
+exact crossing points; multipliers are the piece coefficients weighted
+by each piece's share of the path.  Elementwise products split their
+output delta between the two operands symmetrically around the
+references.
 
 Run:  python3 demos/04_maxout_and_products.py
 """
 
 import numpy as np
 
-from deltalift import GraphBuilder, deeplift, forward, maxout_segments
-from deltalift.engine import local_multipliers_maxout
+from deltalift import (
+    GraphBuilder,
+    compute_reference,
+    deeplift,
+    forward,
+    maxout_segments,
+    propagate_multipliers,
+)
 
 # Two pieces over one input: f1(x) = x, f2(x) = 2x - 1.  They cross at
 # x = 1, halfway along the path from reference 0 to input 2.
@@ -23,12 +30,11 @@ m = b.maxout("m", x, [[[1.0]], [[2.0]]], [[0.0], [-1.0]])
 graph = b.build(outputs=[m])
 node = graph.nodes["m"]
 
-decomp = maxout_segments(node, np.zeros(1), np.array([2.0]))
-print("segments of the reference-to-input path:")
-for seg in decomp.segments:
-    print(f"  piece {seg.piece}: t in [{seg.t_start:.3f}, {seg.t_end:.3f}], "
-          f"fraction {seg.fraction:.3f}, coefficients {seg.coeffs}")
-mult = local_multipliers_maxout(node, decomp)
+share = maxout_segments(node, np.zeros(1), np.array([2.0]))
+print("path shares of the pieces (rows, units, pieces):", share.tolist())
+trace = forward(graph, {"x": np.array([2.0])})
+reference = compute_reference(graph, {"x": np.zeros(1)})
+mult = propagate_multipliers(graph, trace, reference, ("m", 0))["x"]
 print("multiplier:", mult, "(0.5 * 1 + 0.5 * 2)")
 report = deeplift(graph, {"x": np.array([2.0])}, {"x": np.zeros(1)},
                   target=("m", 0))

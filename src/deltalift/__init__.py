@@ -26,7 +26,6 @@ from .graph import (
 from .serialize import ModelFormatError, load_model, save_model
 from .autodiff import (
     FiniteDifferenceReport,
-    GradientTrace,
     backward,
     finite_difference_check,
 )
@@ -39,7 +38,6 @@ from .engine import (
     compute_reference,
     contributions,
     deeplift,
-    local_multipliers_maxout,
     local_multipliers_product,
     local_multipliers_rescale,
     maxout_segments,

@@ -26,17 +26,6 @@ from .graph import (
 )
 
 
-@dataclass
-class GradientTrace:
-    """Per-node d(target)/d(activation) arrays for one backward pass."""
-
-    gradients: dict[str, Tensor]
-    target: tuple[str, int]
-
-    def __getitem__(self, node_id: str) -> Tensor:
-        return self.gradients[node_id]
-
-
 def resolve_target(graph: Graph, target, batch: int | None = None):
     """Normalize a target reference to ``(node_id, flat_index)``.
 
@@ -310,8 +299,9 @@ def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
     return grads, None
 
 
-def backward(graph: Graph, trace: ForwardTrace, target) -> GradientTrace:
-    """Gradient of the target activation w.r.t. every node activation.
+def backward(graph: Graph, trace: ForwardTrace, target) -> dict[str, Tensor]:
+    """Gradient of the target activation w.r.t. every node activation,
+    keyed by node id.
 
     ``target`` is a ``(node_id, flat_index)`` pair (or a bare node id,
     meaning index 0); a batched trace takes one index or one per sample.
@@ -322,7 +312,7 @@ def backward(graph: Graph, trace: ForwardTrace, target) -> GradientTrace:
     node_id, index = resolve_target(graph, target, trace.batch)
     seed = target_seed(graph.nodes[node_id].output_shape, index)
     grads, _ = vjp_sweep(graph, trace, {node_id: seed})
-    return GradientTrace(grads, (node_id, index))
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .engine import (
     ReferenceState,
     _reference_on,
     contribution_report,
+    contributions,
     select_attribution_target,
 )
 from .graph import (
@@ -52,17 +53,7 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
     resolved = select_attribution_target(graph, target, class_index, trace)
     grads = backward(graph, trace, resolved)
     ref = _reference_on(graph, reference, reference_input)
-
-    deltas = {nid: trace[nid] - ref[nid] for nid in graph.input_ids()}
-    t_node, t_index = resolved
-    return contribution_report(
-        resolved,
-        "grad_input",
-        {nid: grads[nid] * d for nid, d in deltas.items()},
-        {nid: grads[nid] for nid in deltas},
-        deltas,
-        target_value(trace[t_node] - ref[t_node], t_index),
-    )
+    return contributions(trace, ref, resolved, grads, "grad_input")
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +61,7 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
 
 
 LRP_KINDS = frozenset(["input", "affine", "conv1d", "maxpool1d", "relu"])
+LRP_EPSILON = 1e-9
 
 
 @dataclass
@@ -93,7 +85,7 @@ class RelevanceTrace:
 
 
 def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
-                epsilon: float = 1e-9, class_index=None) -> RelevanceTrace:
+                epsilon: float = LRP_EPSILON, class_index=None) -> RelevanceTrace:
     """Relevance propagation with the epsilon-stabilized filtering rule.
 
     Supports piecewise-linear graphs: affine and conv1d filter layers

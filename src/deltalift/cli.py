@@ -20,9 +20,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .baselines import EnsembleSpec, equivalence_report, write_equivalence_tsv
+from .baselines import LRP_EPSILON, EnsembleSpec, equivalence_report, write_equivalence_tsv
 from .engine import (
     ATTRIBUTE_CHUNK,
+    EPS_STABLE,
     METHODS,
     AttributionError,
     attribute,
@@ -30,6 +31,7 @@ from .engine import (
     zeros_reference,
 )
 from .genomics import (
+    BASES,
     DatasetSpec,
     compare_methods,
     encode_batch,
@@ -151,7 +153,7 @@ def _row_template(n_features: int) -> str:
     """One sample's TSV rows, with ``{sid}`` standing for its id and
     ``%.10g`` for each feature's delta, multiplier and contribution."""
     return "".join(
-        f"{{sid}}\t{i}\t{i // 4}:{'ACGT'[i % 4]}\t%.10g\t%.10g\t%.10g\n"
+        f"{{sid}}\t{i}\t{i // 4}:{BASES[i % 4]}\t%.10g\t%.10g\t%.10g\n"
         for i in range(n_features)
     )
 
@@ -304,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference input mode for deeplift")
     p.add_argument("--target", default="auto",
                    help="'auto' or node_id[:index]")
-    p.add_argument("--eps-stable", type=float, default=1e-7)
-    p.add_argument("--lrp-epsilon", type=float, default=1e-9)
+    p.add_argument("--eps-stable", type=float, default=EPS_STABLE)
+    p.add_argument("--lrp-epsilon", type=float, default=LRP_EPSILON)
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("compare", help="motif recovery of deeplift vs grad*input")
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tracks-out", help="optional per-position score TSV")
-    p.add_argument("--eps-stable", type=float, default=1e-7)
+    p.add_argument("--eps-stable", type=float, default=EPS_STABLE)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check-lrp", help="epsilon-LRP vs gradient*input deviations")

@@ -15,9 +15,9 @@ so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
   * maxpool1d:       each window's delta routes to the current argmax
   * relu / prelu / sigmoid / tanh: m = delta_out / delta_in, falling back
     to the derivative at the reference when delta_in is tiny
-  * maxout:          piecewise-linear decomposition along the straight
-    path from reference to input, length-weighted piece coefficients;
-    one vectorized envelope pass covers every (sample, unit)
+  * maxout:          piece coefficients weighted by each piece's share
+    of the straight path from reference to input (``maxout_segments``,
+    one vectorized envelope pass over every (sample, unit))
   * product:         m1 = ref2 + delta2/2, m2 = ref1 + delta1/2
 
 Softmax heads are handled by targeting the mean-normalized pre-softmax
@@ -28,6 +28,9 @@ Like ``forward``, the entry points take one sample or a batch stacked
 along a leading axis; each rule is written once for both, and the linear
 kinds keep the gradient rule ``vjp_node``.  A reference computed from a
 batch of the same size pairs row-wise with the inputs.
+``propagate_multipliers`` returns the sweep's per-node dict, and
+``contributions`` turns any such multipliers (DeepLIFT's, or gradients
+for gradient*input) into a report of C = m * delta.
 """
 
 from __future__ import annotations
@@ -179,32 +182,6 @@ def local_multipliers_product(node, trace: ForwardTrace,
 # Maxout: piecewise-linear decomposition along the reference-to-input path
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One linearly-dominated stretch of the reference-to-input path."""
-
-    piece: int
-    t_start: float
-    t_end: float
-    coeffs: Tensor  # input coefficients of the dominating piece
-
-    @property
-    def fraction(self) -> float:
-        return self.t_end - self.t_start
-
-
-@dataclass
-class SegmentDecomposition:
-    """Upper envelope of a maxout unit restricted to the straight path."""
-
-    segments: tuple[Segment, ...]
-    unit: int
-
-    @property
-    def fractions(self) -> np.ndarray:
-        return np.array([s.fraction for s in self.segments])
-
-
 def path_envelope(values0: Tensor, slopes: Tensor) -> tuple[Tensor, np.ndarray]:
     """Upper envelopes of the lines value0_i + slope_i * t over t in [0, 1].
 
@@ -263,77 +240,55 @@ def path_envelope(values0: Tensor, slopes: Tensor) -> tuple[Tensor, np.ndarray]:
     return bounds, pieces.reshape(t0.shape)
 
 
-def maxout_segments(node, reference_input: Tensor, input_vector: Tensor,
-                    unit: int = 0) -> SegmentDecomposition:
-    """Decompose one maxout unit along the straight reference-to-input path.
+def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tensor:
+    """Share of the straight reference-to-input path on which each piece
+    of each maxout unit dominates, shaped (rows, units, pieces).
 
-    The path is A(t) = ref + t*(input - ref), t in [0, 1]; each piece's
-    value is linear in t, so segment boundaries are exact roots of linear
-    equations.  A degenerate path (input == reference) yields a single
-    segment of the piece dominating at the reference.
+    ``reference_input`` and ``input_values`` are the node's input
+    activations, one sample or a batch; a single reference row pairs
+    with every input row.  The path is A(t) = ref + t*(input - ref), t in
+    [0, 1]; each piece's value is linear in t, so one ``path_envelope``
+    pass finds every (row, unit)'s segments at exact crossing roots.  A
+    degenerate path (input == reference) gives its whole share to the
+    piece dominating at the reference.  Each unit's shares sum to 1.
     """
     if node.kind != "maxout":
         raise AttributionError(f"node '{node.id}' is not a maxout node")
-    w = node.params["weights"][:, unit, :]  # (pieces, in)
-    b = node.params["biases"][:, unit]
-    x0 = np.asarray(reference_input, dtype=np.float64).ravel()
-    x1 = np.asarray(input_vector, dtype=np.float64).ravel()
-    bounds, pieces = path_envelope(w @ x0 + b, w @ (x1 - x0))
-    segments = tuple(
-        Segment(int(piece), float(t0), float(t1), w[piece].copy())
-        for piece, t0, t1 in zip(pieces, bounds[:-1], bounds[1:]) if piece >= 0
-    )
-    return SegmentDecomposition(segments, unit)
-
-
-def local_multipliers_maxout(node, decomposition: SegmentDecomposition) -> Tensor:
-    """Length-weighted piece coefficients: m = sum_s fraction(s) * coeffs(s)."""
-    in_dim = node.params["weights"].shape[2]
-    m = np.zeros(in_dim)
-    for seg in decomposition.segments:
-        m += seg.fraction * seg.coeffs
-    return m
+    n_pieces, out_dim, in_dim = node.params["weights"].shape
+    coeffs = node.params["weights"].transpose(1, 0, 2).reshape(-1, in_dim)
+    x0 = reference_input.reshape(-1, in_dim)
+    x1 = input_values.reshape(-1, in_dim)
+    values0 = (x0 @ coeffs.T).reshape(-1, out_dim, n_pieces) + node.params["biases"].T
+    slopes = ((x1 - x0) @ coeffs.T).reshape(-1, out_dim, n_pieces)
+    bounds, pieces = path_envelope(values0, slopes)
+    owned = pieces[..., None] == np.arange(n_pieces)  # (rows, out, K, pieces)
+    return (np.diff(bounds, axis=-1)[..., None] * owned).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
 # Propagation
 
 
-@dataclass
-class MultiplierMap:
-    """Per-node multipliers to one scalar target.
-
-    For a batched trace every array carries the batch axis and the
-    target index holds one entry per sample.
-    """
-
-    target: tuple[str, int]
-    multipliers: dict[str, Tensor]
-    graph: Graph
-
-    def __getitem__(self, node_id: str) -> Tensor:
-        return self.multipliers[node_id]
-
-
 def propagate_multipliers(graph: Graph, trace: ForwardTrace,
                           reference: ReferenceState, target,
-                          eps_stable: float = EPS_STABLE) -> MultiplierMap:
-    """Backpropagate multipliers from the target to every node.
+                          eps_stable: float = EPS_STABLE) -> dict[str, Tensor]:
+    """Multipliers m[x -> target] of every node x, keyed by node id.
 
     One ``vjp_sweep`` under DeepLIFT's rule table accumulates, for each
     node x, m[x -> t] = sum over consumers y of m[x -> y] * m[y -> t],
     seeded with m[t -> t] = 1.  Nodes with no path to the target keep
     zero multipliers.  A batched trace propagates every sample at once
-    against the one reference, or row i against row i of a batched
-    reference.  Raises AttributionError if the sweep would have to
-    cross a softmax node (target its pre-activations instead).
+    (every array then carries the batch axis) against the one reference,
+    or row i against row i of a batched reference.  Raises
+    AttributionError if the sweep would have to cross a softmax node
+    (target its pre-activations instead).
     """
     graph.require_valid()
     t_node, t_index = resolve_target(graph, target, trace.batch)
     seed = target_seed(graph.nodes[t_node].output_shape, t_index)
     mult, _ = vjp_sweep(graph, trace, {t_node: seed},
                         rules=_deeplift_rules(reference, eps_stable))
-    return MultiplierMap((t_node, t_index), mult, graph)
+    return mult
 
 
 def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
@@ -408,26 +363,19 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
 def _maxout_multiplier_backprop(node, m_out, trace, reference, mult):
     """Path-averaged piece coefficients of every (sample, unit) at once.
 
-    Unit u of row r passes m_out[r, u] * sum_p frac[r, u, p] * w[p, u],
-    where frac is the share of the reference-to-input path on which
-    piece p dominates (``path_envelope``); summed over units and pieces
-    this is one (rows, units*pieces) @ (units*pieces, in) product.  A
-    batched reference pairs its rows with the trace's.  Multipliers
-    accumulate into the source's buffer in ``mult``.
+    Unit u of row r passes m_out[r, u] * sum_p share[r, u, p] * w[p, u],
+    with the path shares of ``maxout_segments``; summed over units and
+    pieces this is one (rows, units*pieces) @ (units*pieces, in)
+    product.  A batched reference pairs its rows with the trace's.
+    Multipliers accumulate into the source's buffer in ``mult``.
     """
     n_pieces, out_dim, in_dim = node.params["weights"].shape
     src = node.inputs[0]
     coeffs = node.params["weights"].transpose(1, 0, 2).reshape(-1, in_dim)
-    x0 = reference[src].reshape(-1, in_dim)
-    x1 = trace[src].reshape(-1, in_dim)
-    values0 = (x0 @ coeffs.T).reshape(-1, out_dim, n_pieces) + node.params["biases"].T
-    slopes = ((x1 - x0) @ coeffs.T).reshape(-1, out_dim, n_pieces)
-    bounds, pieces = path_envelope(values0, slopes)
-    owned = pieces[..., None] == np.arange(n_pieces)  # (rows, out, K, pieces)
-    frac = (np.diff(bounds, axis=-1)[..., None] * owned).sum(axis=-2)
-    frac *= m_out.reshape(-1, out_dim, 1)
+    share = maxout_segments(node, reference[src], trace[src])
+    share *= m_out.reshape(-1, out_dim, 1)
     accumulate(mult, src,
-               (frac.reshape(-1, out_dim * n_pieces) @ coeffs).reshape(trace[src].shape))
+               (share.reshape(-1, out_dim * n_pieces) @ coeffs).reshape(trace[src].shape))
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +434,20 @@ def contribution_report(target, method: str, scores: dict[str, Tensor],
     return report
 
 
-def contributions(mmap: MultiplierMap, deltas: dict[str, Tensor]) -> ContributionReport:
-    """Contributions C = m * delta per input feature, plus the conservation
-    residual |sum(C) - delta(target)|."""
-    input_ids = mmap.graph.input_ids()
-    t_node, t_index = mmap.target
+def contributions(trace: ForwardTrace, reference: ReferenceState, target,
+                  multipliers: dict[str, Tensor],
+                  method: str = "deeplift") -> ContributionReport:
+    """Contributions C = m * delta per input feature of the trace's graph,
+    with deltas from ``reference``, plus the conservation residual
+    |sum(C) - delta(target)|; ``target`` is resolved."""
+    input_ids = trace.graph.input_ids()
+    t_node, t_index = target
+    deltas = compute_deltas(trace, reference, input_ids + [t_node])
     return contribution_report(
-        mmap.target,
-        "deeplift",
-        {nid: mmap[nid] * deltas[nid] for nid in input_ids},
-        {nid: mmap[nid] for nid in input_ids},
+        target,
+        method,
+        {nid: multipliers[nid] * deltas[nid] for nid in input_ids},
+        {nid: multipliers[nid] for nid in input_ids},
         {nid: deltas[nid] for nid in input_ids},
         target_value(deltas[t_node], t_index),
     )
@@ -563,10 +515,8 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     ref = _reference_on(normalized, reference, reference_input)
     trace = forward(normalized, inputs)
     resolved = select_attribution_target(normalized, target, class_index, trace)
-    mmap = propagate_multipliers(normalized, trace, ref, resolved, eps_stable)
-    # the report reads only the inputs' and the target's deltas
-    deltas = compute_deltas(trace, ref, normalized.input_ids() + [resolved[0]])
-    return contributions(mmap, deltas)
+    mult = propagate_multipliers(normalized, trace, ref, resolved, eps_stable)
+    return contributions(trace, ref, resolved, mult)
 
 
 def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
@@ -587,11 +537,20 @@ def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
 
 METHODS = ("deeplift", "grad_input", "lrp")
 
+# baselines imports the names above from this module, so it loads here,
+# once they exist
+from .baselines import (  # noqa: E402
+    LRP_EPSILON,
+    gradient_times_input,
+    lrp_as_contribution_report,
+    lrp_epsilon as _lrp_epsilon,
+)
+
 
 def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
               reference: ReferenceState | None = None, target=None,
               class_index=None, eps_stable: float = EPS_STABLE,
-              lrp_epsilon: float = 1e-9) -> ContributionReport:
+              lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
     """Score one sample or a batch with deeplift, grad_input or lrp.
 
     ``reference`` is the state deeplift propagates against and grad_input
@@ -600,15 +559,12 @@ def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
     if method == "deeplift":
         return deeplift(graph, inputs, target=target, class_index=class_index,
                         eps_stable=eps_stable, reference=reference)
-    from .baselines import gradient_times_input, lrp_as_contribution_report
-    from .baselines import lrp_epsilon as lrp
-
     if method == "grad_input":
         return gradient_times_input(graph, inputs, target=target,
                                     class_index=class_index, reference=reference)
     if method == "lrp":
-        relevance = lrp(graph, inputs, target=target, epsilon=lrp_epsilon,
-                        class_index=class_index)
+        relevance = _lrp_epsilon(graph, inputs, target=target, epsilon=lrp_epsilon,
+                                 class_index=class_index)
         return lrp_as_contribution_report(graph, inputs, relevance)
     raise AttributionError(
         f"unknown method '{method}'; expected one of {', '.join(METHODS)}"

@@ -16,6 +16,7 @@ import numpy as np
 
 from .engine import (
     ATTRIBUTE_CHUNK,
+    EPS_STABLE,
     AttributionError,
     ContributionReport,
     compute_reference,
@@ -354,7 +355,7 @@ class MethodComparison:
 
 
 def compare_methods(graph: Graph, test_set,
-                    eps_stable: float = 1e-7) -> MethodComparison:
+                    eps_stable: float = EPS_STABLE) -> MethodComparison:
     """Motif recovery of reference-based scores versus gradient*input.
 
     The graph takes one sequence input and ends in one sigmoid output.

@@ -581,6 +581,8 @@ def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
             + ", ".join(sorted("single sample" if s is None else str(s) for s in sizes))
         )
     batch = sizes.pop() if sizes else None
+    if batch == 0:
+        raise GraphError("a batch of inputs needs at least one sample")
     lead = 0 if batch is None else 1
     for node_id in topo_order(graph):
         node = graph.nodes[node_id]

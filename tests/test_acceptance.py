@@ -15,8 +15,7 @@ from deltalift.baselines import EnsembleSpec, equivalence_report
 from deltalift.engine import (
     compute_reference,
     deeplift,
-    local_multipliers_maxout,
-    maxout_segments,
+    path_envelope,
     propagate_multipliers,
 )
 from deltalift.genomics import (
@@ -194,15 +193,16 @@ def test_maxout_against_dense_sampling_oracle():
         node = g.nodes["m"]
         x0, x1 = rng.normal(size=in_dim), rng.normal(size=in_dim)
 
-        decomp = maxout_segments(node, x0, x1)
+        bounds, pieces = path_envelope(w[:, 0, :] @ x0 + bias[:, 0],
+                                       w[:, 0, :] @ (x1 - x0))
         ts = np.linspace(0.0, 1.0, 10000)
         path = x0[None, :] + ts[:, None] * (x1 - x0)[None, :]
         vals = path @ w[:, 0, :].T + bias[:, 0][None, :]
         assigned = np.empty(len(ts), dtype=int)
         for i, t in enumerate(ts):
-            for seg in decomp.segments:
-                if seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
-                    assigned[i] = seg.piece
+            for piece, t_start, t_end in zip(pieces, bounds[:-1], bounds[1:]):
+                if piece >= 0 and t_start - 1e-12 <= t <= t_end + 1e-12:
+                    assigned[i] = piece
                     break
         attained = vals[np.arange(len(ts)), assigned]
         if not np.allclose(attained, vals.max(axis=1), atol=1e-9):

@@ -20,7 +20,7 @@ from deltalift.baselines import (
 from deltalift.engine import (
     compute_reference,
     deeplift,
-    maxout_segments,
+    path_envelope,
     zeros_reference,
 )
 from deltalift.genomics import (
@@ -373,8 +373,9 @@ def test_maxout_batch_with_ragged_segment_counts():
     g = b.build(outputs=["o"])
     ref = {"x": np.zeros(1)}
     xs = np.array([[0.5], [1.5], [3.0], [0.0], [-2.0]])
-    counts = [len(maxout_segments(g.nodes["m"], ref["x"], x).segments) for x in xs]
-    assert counts[:4] == [1, 2, 3, 1]
+    _, pieces = path_envelope(w[:, 0] @ ref["x"] + bias[:, 0], (xs - ref["x"]) @ w[:, 0].T)
+    counts = (pieces >= 0).sum(axis=-1)
+    assert counts[:4].tolist() == [1, 2, 3, 1]
     report = deeplift(g, {"x": xs}, ref, target=("o", 0))
     assert_report_rows(report, [deeplift(g, {"x": x}, ref, target=("o", 0)) for x in xs])
     assert_conserves(report)
@@ -448,3 +449,19 @@ def test_attribution_rejects_wrong_trailing_shape():
                  lambda: lrp_epsilon(g, xs, target="o")):
         with pytest.raises(GraphError, match="expects shape"):
             call()
+
+
+def test_batch_of_no_samples_rejected():
+    b = GraphBuilder()
+    b.affine("o", b.relu("r", b.affine("h", b.input("x", (3,)), np.eye(3), np.ones(3))),
+             np.ones((1, 3)), np.zeros(1))
+    g = b.build(outputs=["o"])
+    xs = {"x": np.ones((0, 3))}
+    for call in (lambda: forward(g, xs),
+                 lambda: deeplift(g, xs, target="o"),
+                 lambda: gradient_times_input(g, xs, target="o"),
+                 lambda: lrp_epsilon(g, xs, target="o")):
+        with pytest.raises(GraphError, match="at least one sample"):
+            call()
+    with pytest.raises(GraphError, match="at least one sample"):
+        forward(two_input_graph(), {"a": np.ones((0, 3)), "b": np.ones((0, 3))})

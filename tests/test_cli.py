@@ -336,6 +336,21 @@ class TestErrors:
         assert res.stderr.startswith("error code=invalid-input")
         assert detail in res.stderr
 
+    def test_model_without_sequence_input_exit_code(self, workspace, tmp_path):
+        # the model's input is not a (length, 4) one-hot sequence
+        b = GraphBuilder()
+        b.sigmoid("prob", b.affine("logit", b.input("x", (6,)), np.ones((1, 6)), [0.0]))
+        model = tmp_path / "flat.json"
+        save_model(b.build(outputs=["prob"]), model)
+        res = run_cli(
+            "attribute", "--model", str(model), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+        )
+        assert res.returncode == 4
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error code=invalid-input")
+
     def test_unknown_flag_exit_code(self):
         res = run_cli("gen-data", "--frobnicate")
         assert res.returncode == 2

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deltalift import engine
 from deltalift.engine import (
     CROSSING_TOL,
     compute_reference,
     deeplift,
-    local_multipliers_maxout,
     maxout_segments,
     path_envelope,
+    propagate_multipliers,
 )
 from deltalift.graph import GraphBuilder, forward
 
@@ -24,6 +25,27 @@ def maxout_unit(weights, biases):
     return b.build(outputs=["m"])
 
 
+def kernel_triples(bounds, pieces):
+    """(piece, t_start, t_end) triples of one row of ``path_envelope``."""
+    return [(int(p), float(t0), float(t1))
+            for p, t0, t1 in zip(pieces, bounds[:-1], bounds[1:]) if p >= 0]
+
+
+def unit_segments(node, x0, x1, unit=0):
+    """(piece, t_start, t_end) triples of one maxout unit along the
+    straight path from input x0 to x1, through ``path_envelope``."""
+    w = node.params["weights"][:, unit, :]
+    b = node.params["biases"][:, unit]
+    return kernel_triples(*path_envelope(w @ x0 + b, w @ (x1 - x0)))
+
+
+def unit_multipliers(graph, x0, x1, unit=0):
+    """Multipliers of input "x" to maxout unit ``unit`` of node "m"."""
+    trace = forward(graph, {"x": x1})
+    ref = compute_reference(graph, {"x": x0})
+    return propagate_multipliers(graph, trace, ref, ("m", unit))["x"]
+
+
 def envelope_piece_by_sampling(node, x0, x1, unit, n_points=10000):
     """Oracle: dominating piece at dense path samples, by direct evaluation."""
     w = node.params["weights"][:, unit, :]
@@ -34,13 +56,14 @@ def envelope_piece_by_sampling(node, x0, x1, unit, n_points=10000):
     return ts, vals
 
 
-def segments_piece_at(decomp, ts):
-    """Piece index the decomposition assigns to each path parameter."""
+def segments_piece_at(segments, ts):
+    """Piece index the (piece, t_start, t_end) triples assign to each
+    path parameter."""
     out = np.empty(len(ts), dtype=int)
     for i, t in enumerate(ts):
-        for seg in decomp.segments:
-            if seg.t_start - 1e-12 <= t <= seg.t_end + 1e-12:
-                out[i] = seg.piece
+        for piece, t_start, t_end in segments:
+            if t_start - 1e-12 <= t <= t_end + 1e-12:
+                out[i] = piece
                 break
     return out
 
@@ -53,14 +76,16 @@ class TestTwoPieceExample:
         self.node = self.graph.nodes["m"]
 
     def test_segments(self):
-        dec = maxout_segments(self.node, np.zeros(1), np.array([2.0]))
-        assert [s.piece for s in dec.segments] == [0, 1]
-        assert_allclose([s.fraction for s in dec.segments], [0.5, 0.5])
-        assert_allclose(dec.fractions.sum(), 1.0, atol=1e-12)
+        segments = unit_segments(self.node, np.zeros(1), np.array([2.0]))
+        assert [p for p, _, _ in segments] == [0, 1]
+        assert_allclose([t1 - t0 for _, t0, t1 in segments], [0.5, 0.5])
+        share = maxout_segments(self.node, np.zeros(1), np.array([2.0]))
+        assert share.shape == (1, 1, 2)
+        assert_allclose(share[0, 0], [0.5, 0.5])
+        assert_allclose(share.sum(), 1.0, atol=1e-12)
 
     def test_multiplier_and_conservation(self):
-        dec = maxout_segments(self.node, np.zeros(1), np.array([2.0]))
-        m = local_multipliers_maxout(self.node, dec)
+        m = unit_multipliers(self.graph, np.zeros(1), np.array([2.0]))
         assert_allclose(m, [1.5])
         tr = forward(self.graph, {"x": np.array([2.0])})
         ref = compute_reference(self.graph, {"x": np.zeros(1)})
@@ -68,11 +93,11 @@ class TestTwoPieceExample:
         assert_allclose(tr["m"] - ref["m"], [3.0])
 
     def test_degenerate_path_single_segment(self):
-        dec = maxout_segments(self.node, np.array([2.0]), np.array([2.0]))
-        assert len(dec.segments) == 1
-        assert dec.segments[0].fraction == 1.0
-        # at x = 2 the steeper piece dominates
-        assert dec.segments[0].piece == 1
+        segments = unit_segments(self.node, np.array([2.0]), np.array([2.0]))
+        # at x = 2 the steeper piece dominates the whole (empty) path
+        assert segments == [(1, 0.0, 1.0)]
+        share = maxout_segments(self.node, np.array([2.0]), np.array([2.0]))
+        assert share[0, 0].tolist() == [0.0, 1.0]
 
 
 def test_single_piece_reduces_to_affine_rule(rng):
@@ -81,11 +106,36 @@ def test_single_piece_reduces_to_affine_rule(rng):
     graph = maxout_unit(w, b)
     node = graph.nodes["m"]
     for unit in range(3):
-        dec = maxout_segments(node, rng.normal(size=4), rng.normal(size=4),
-                              unit=unit)
-        assert len(dec.segments) == 1
-        assert dec.segments[0].fraction == 1.0
-        assert_allclose(local_multipliers_maxout(node, dec), w[0, unit])
+        x0, x1 = rng.normal(size=4), rng.normal(size=4)
+        assert unit_segments(node, x0, x1, unit) == [(0, 0.0, 1.0)]
+        assert maxout_segments(node, x0, x1)[0, unit].tolist() == [1.0]
+        assert_allclose(unit_multipliers(graph, x0, x1, unit), w[0, unit])
+
+
+def test_sweep_calls_maxout_segments_once_per_maxout_node(rng, monkeypatch):
+    # the sweep's maxout rule gets its path shares from maxout_segments,
+    # looked up on the module, as the benchmark's tracer wraps it
+    b = GraphBuilder()
+    h = b.maxout("m1", b.input("x", (4,)), rng.normal(size=(3, 5, 4)),
+                 rng.normal(size=(3, 5)))
+    h = b.maxout("m2", h, rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3)))
+    b.affine("o", h, rng.normal(size=(1, 3)), np.zeros(1))
+    graph = b.build(outputs=["o"])
+    xs = rng.normal(size=(6, 4))
+    expected = deeplift(graph, {"x": xs}, target=("o", 0))
+    calls = []
+
+    def counting(node, x0, x1):
+        calls.append(node.id)
+        return maxout_segments(node, x0, x1)
+
+    monkeypatch.setattr(engine, "maxout_segments", counting)
+    report = deeplift(graph, {"x": xs}, target=("o", 0))
+    assert sorted(calls) == ["m1", "m2"]
+    assert np.array_equal(report.contributions["x"], expected.contributions["x"])
+    calls.clear()
+    deeplift(graph, {"x": xs[0]}, target=("o", 0))
+    assert sorted(calls) == ["m1", "m2"]
 
 
 class TestRandomDecompositions:
@@ -100,9 +150,9 @@ class TestRandomDecompositions:
             node = graph.nodes["m"]
             x0 = rng.normal(size=in_dim)
             x1 = rng.normal(size=in_dim)
-            dec = maxout_segments(node, x0, x1)
+            segments = unit_segments(node, x0, x1)
             ts, vals = envelope_piece_by_sampling(node, x0, x1, 0)
-            assigned = segments_piece_at(dec, ts)
+            assigned = segments_piece_at(segments, ts)
             # the assigned piece must attain the envelope at every sample
             attained = vals[np.arange(len(ts)), assigned]
             assert_allclose(attained, vals.max(axis=1), atol=1e-9)
@@ -120,11 +170,17 @@ class TestRandomDecompositions:
             )
             node = graph.nodes["m"]
             for unit in range(2):
-                dec = maxout_segments(node, rng.normal(size=in_dim),
-                                      rng.normal(size=in_dim), unit=unit)
-                assert abs(dec.fractions.sum() - 1.0) < 1e-12
-                assert (dec.fractions >= 0).all()
-                bounds = [s.t_start for s in dec.segments]
+                x0, x1 = rng.normal(size=in_dim), rng.normal(size=in_dim)
+                share = maxout_segments(node, x0, x1)
+                assert share.shape == (1, 2, pieces)
+                assert abs(share[0, unit].sum() - 1.0) < 1e-12
+                assert (share[0, unit] >= 0).all()
+                segments = unit_segments(node, x0, x1, unit)
+                fractions = np.zeros(pieces)
+                for piece, t0, t1 in segments:
+                    fractions[piece] += t1 - t0
+                assert np.array_equal(share[0, unit], fractions)
+                bounds = [t0 for _, t0, _ in segments]
                 assert bounds == sorted(bounds)
 
     def test_summation_to_delta_residual(self, rng):
@@ -188,12 +244,6 @@ def _envelope_segments(values0, slopes):
         else:
             segments.append((piece, t0, t1))
     return segments
-
-
-def kernel_triples(bounds, pieces):
-    """(piece, t_start, t_end) triples of one row of ``path_envelope``."""
-    return [(int(p), float(t0), float(t1))
-            for p, t0, t1 in zip(pieces, bounds[:-1], bounds[1:]) if p >= 0]
 
 
 def assert_kernel_matches_oracle(values0, slopes):

@@ -95,10 +95,10 @@ def sweep_values(method, graph, inputs, reference, target, trace):
     """Every node's value from one sweep of ``method``; ``trace`` is the
     forward trace of ``inputs`` (lrp_epsilon runs its own)."""
     if method == "gradient":
-        return backward(graph, trace, target).gradients
+        return backward(graph, trace, target)
     if method == "deeplift":
         return propagate_multipliers(graph, trace, compute_reference(graph, reference),
-                                     target).multipliers
+                                     target)
     return lrp_epsilon(graph, inputs, target=target).relevances
 
 
