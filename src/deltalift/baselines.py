@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import accumulate, backward, target_seed, target_value, vjp_node, vjp_sweep
+from .autodiff import (
+    accumulate,
+    aligned,
+    backward,
+    target_seed,
+    target_value,
+    vjp_node,
+    vjp_sweep,
+)
 from .engine import (
     AttributionError,
     ContributionReport,
@@ -118,18 +126,20 @@ def _lrp_rules(epsilon: float, bias_rel: dict) -> dict:
         if not r_out.any():
             return
         src = node.inputs[0]
-        a = trace[node.id]
+        r, at, like = aligned(r_out)
+        a = at(trace[node.id])
         stabilizer = np.where(a >= 0, epsilon, -epsilon)
-        share = r_out / (a + stabilizer)
+        share = r / (a + stabilizer)
         message = {}
-        vjp_node(node, share, trace, message)
+        vjp_node(node, like(share), trace, message)
         accumulate(relevance, src, trace[src] * message[src])
-        absorbed = (node.params["bias"] + stabilizer) * share
+        absorbed = (at(node.params["bias"]) + stabilizer) * share
         bias_rel[node.id] = (float(absorbed.sum()) if trace.batch is None
                              else absorbed.reshape(trace.batch, -1).sum(axis=1))
 
     def pass_through(node, r_out, trace, relevance, _):
-        accumulate(relevance, node.inputs[0], r_out.copy())
+        r, _, like = aligned(r_out)
+        accumulate(relevance, node.inputs[0], like(r.copy()))
 
     def reject(node, r_out, trace, relevance, _):
         if r_out.any():

@@ -12,7 +12,9 @@ so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
 ``autodiff.vjp_sweep`` with these per-kind local rules:
 
   * affine / conv1d: multipliers equal the weights
-  * maxpool1d:       each window's delta routes to the current argmax
+  * maxpool1d:       each window's delta routes to the current argmax,
+    written as a routed buffer (``autodiff.Routed``): the rules below
+    the pool form deltas and multipliers only at the routed units
   * relu / prelu / sigmoid / tanh: m = delta_out / delta_in, falling back
     to the derivative at the reference when delta_in is tiny
   * maxout:          piece coefficients weighted by each piece's share
@@ -47,15 +49,18 @@ from .graph import (
     forward,
 )
 from .autodiff import (
+    Routed,
     _pool_argmax,
-    _pool_route,
     _pool_window_starts,
     accumulate,
+    aligned,
+    elementwise_grad,
     resolve_target,
+    take_at,
     target_seed,
     target_value,
-    vjp_node,
     vjp_sweep,
+    whole,
 )
 
 EPS_STABLE = 1e-7
@@ -137,27 +142,28 @@ def compute_deltas(trace: ForwardTrace, reference: ReferenceState,
 
 
 def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceState,
-                              eps_stable: float = EPS_STABLE) -> Tensor:
+                              eps_stable: float = EPS_STABLE, at=whole) -> Tensor:
     """Elementwise multipliers delta_out/delta_in for a 1-input nonlinearity.
 
     Where |delta_in| <= eps_stable the ratio is replaced by the analytic
     derivative of the nonlinearity at the reference pre-activation (the
     limit value), which keeps multipliers continuous across the switch.
+    ``at`` reads the activations at a routed buffer's entries (see
+    ``autodiff.aligned``); by default the multipliers cover every unit.
     """
     if node.kind not in ELEMENTWISE_KINDS:
         raise AttributionError(f"node '{node.id}' ({node.kind}) is not a rescale kind")
     src = node.inputs[0]
-    dx = trace[src] - reference[src]
-    dy = trace[node.id] - reference[node.id]
+    dx = at(trace[src]) - at(reference[src])
+    dy = at(trace[node.id]) - at(reference[node.id])
     # dx and dy are fresh arrays, so the ratio is formed in dy's memory
     ratio_ok = np.abs(dx) > eps_stable
     if ratio_ok.all():
         return np.divide(dy, dx, out=dy)
-    deriv = {}  # the gradient rule on the reference trace: the derivative there
-    vjp_node(node, np.ones(reference[node.id].shape), reference, deriv)
     dx[~ratio_ok] = 1.0
     np.divide(dy, dx, out=dy)
-    np.copyto(dy, deriv[src], where=~ratio_ok)
+    # the gradient rule on the reference: the derivative there
+    np.copyto(dy, elementwise_grad(node, 1.0, reference, at), where=~ratio_ok)
     return dy
 
 
@@ -296,9 +302,10 @@ def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
     gradient rule, since their multipliers are the weights."""
 
     def rescale(node, m_out, trace, mult, _):
-        local = local_multipliers_rescale(node, trace, reference, eps_stable)
-        local *= m_out
-        accumulate(mult, node.inputs[0], local)
+        m, at, like = aligned(m_out)
+        local = local_multipliers_rescale(node, trace, reference, eps_stable, at)
+        local *= m
+        accumulate(mult, node.inputs[0], like(local))
 
     def product(node, m_out, trace, mult, _):
         for src, m in zip(node.inputs, local_multipliers_product(node, trace, reference)):
@@ -333,18 +340,22 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
     |delta| instead, which keeps conservation exact.  The max operation
     is 1-Lipschitz in the sup norm, so a window with nonzero output
     delta always has such a member (up to eps_stable, below which the
-    routed quantity is itself negligible).  Multipliers accumulate into
-    the source's buffer in ``mult``.
+    routed quantity is itself negligible).  Input deltas are formed only
+    at the chosen members, and at every member of a rerouting window.
+    The multipliers go into the source's buffer in ``mult`` as a
+    ``Routed`` buffer.
     """
     src = node.inputs[0]
     x = trace[src]
     lead = 0 if trace.batch is None else 1
     width, stride = int(node.params["width"]), int(node.params["stride"])
-    dx = x - reference[src]
+
+    def delta_at(index):
+        return take_at(x, index, x.size) - take_at(reference[src], index, x.size)
+
     route = (trace[node.id] - reference[node.id]) * m_out
-    dx_flat = dx.ravel()
     chosen = _pool_argmax(x, width, stride, lead)
-    chosen_dx = dx_flat[chosen]
+    chosen_dx = delta_at(chosen)
     ok = np.abs(chosen_dx) > eps_stable
     if not ok.all():
         # the |delta| argmax, taken only over the windows that reroute
@@ -352,12 +363,13 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
         starts, step = _pool_window_starts(x.shape, width, stride, lead)
         starts = starts[weak]
         members = starts[:, None] + step * np.arange(width)
-        chosen[weak] = starts + step * np.abs(dx_flat[members]).argmax(axis=1)
-        chosen_dx = dx_flat[chosen]
+        members_dx = delta_at(members)
+        pick = np.abs(members_dx).argmax(axis=1)
+        chosen[weak] = starts + step * pick
+        chosen_dx[weak] = members_dx[np.arange(len(pick)), pick]
         ok = np.abs(chosen_dx) > eps_stable
-    gx = _pool_route(chosen, np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0),
-                     x.shape)
-    accumulate(mult, src, gx)
+    values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
+    accumulate(mult, src, Routed(chosen, values, x.shape))
 
 
 def _maxout_multiplier_backprop(node, m_out, trace, reference, mult):

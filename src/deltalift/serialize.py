@@ -72,7 +72,8 @@ def _decode_param(node_id, key, value, version):
             arr = np.asarray(value["values"], dtype=np.float64)
         else:
             arr = _decode_payload(node_id, key, value[field])
-        shape = tuple(int(s) for s in value["shape"])
+        shape = tuple(int(s) for s in _require(
+            value["shape"], list, f"node '{node_id}': param '{key}' field 'shape'"))
         if arr.size != int(np.prod(shape)):
             raise ModelFormatError(
                 f"node '{node_id}': param '{key}' has {arr.size} values "
@@ -81,6 +82,15 @@ def _decode_param(node_id, key, value, version):
         return arr.reshape(shape)
     if isinstance(value, list):
         return tuple(value)
+    return value
+
+
+def _require(value, expected: type, what: str):
+    """``value`` if it is of the JSON type ``expected`` (list or dict);
+    otherwise ModelFormatError naming ``what``."""
+    if not isinstance(value, expected):
+        name = "an array" if expected is list else "an object"
+        raise ModelFormatError(f"{what} must be {name}, got {type(value).__name__}")
     return value
 
 
@@ -121,19 +131,22 @@ def graph_from_dict(payload: dict) -> Graph:
             raise ModelFormatError(f"model file is missing the '{key}' field")
 
     nodes = []
-    for entry in payload["nodes"]:
+    for i, entry in enumerate(_require(payload["nodes"], list, "field 'nodes'")):
+        _require(entry, dict, f"node entry {i}")
         try:
             node_id = entry["id"]
             kind = entry["kind"]
+            where = f"node {node_id!r}: field"
             params = {
                 k: _decode_param(node_id, k, v, version)
-                for k, v in entry.get("params", {}).items()
+                for k, v in _require(entry.get("params", {}), dict,
+                                     f"{where} 'params'").items()
             }
             node = NodeSpec(
                 node_id,
                 kind,
-                tuple(entry.get("inputs", ())),
-                tuple(entry["output_shape"]),
+                tuple(_require(entry.get("inputs", []), list, f"{where} 'inputs'")),
+                tuple(_require(entry["output_shape"], list, f"{where} 'output_shape'")),
                 params,
             )
         except ModelFormatError:
@@ -144,10 +157,14 @@ def graph_from_dict(payload: dict) -> Graph:
             ) from exc
         except (GraphError, ValueError) as exc:
             raise ModelFormatError(str(exc)) from exc
+        except TypeError as exc:  # e.g. a shape entry that is a list
+            raise ModelFormatError(f"node entry {i}: {exc}") from exc
         nodes.append(node)
 
     groups = []
-    for i, entry in enumerate(payload.get("constraint_groups", [])):
+    group_entries = _require(payload.get("constraint_groups", []), list,
+                             "field 'constraint_groups'")
+    for i, entry in enumerate(group_entries):
         try:
             groups.append(
                 ConstraintGroup(entry["input"], tuple(entry["indices"]), entry["total"])
@@ -156,7 +173,8 @@ def graph_from_dict(payload: dict) -> Graph:
             raise ModelFormatError(f"constraint group {i} is malformed: {exc}") from exc
 
     try:
-        return Graph(nodes, tuple(payload["outputs"]), groups)
+        return Graph(nodes, tuple(_require(payload["outputs"], list, "field 'outputs'")),
+                     groups)
     except GraphError as exc:
         raise ModelFormatError(str(exc)) from exc
 

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deltalift.autodiff import (
+    Routed,
     _pool_argmax,
-    _pool_route,
     _pool_window_starts,
     backward,
     finite_difference_check,
@@ -113,7 +113,7 @@ class TestBackward:
 
         flat = _pool_argmax(x, width, stride, lead)
         np.testing.assert_array_equal(flat, expected_flat)
-        routed = _pool_route(flat, values, shape)
+        routed = Routed(flat, values, shape).dense()
         assert routed.shape == shape
         assert routed.tobytes() == expected.reshape(shape).tobytes()
 

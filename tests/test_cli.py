@@ -336,6 +336,24 @@ class TestErrors:
         assert res.stderr.startswith("error code=invalid-input")
         assert detail in res.stderr
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda payload: {**payload, "nodes": 5}, "field 'nodes'"),
+        (lambda payload: {**payload, "outputs": 5}, "field 'outputs'"),
+    ], ids=["nodes-number", "outputs-number"])
+    def test_model_of_wrong_json_structure_exit_code(self, workspace, tmp_path, edit,
+                                                     field):
+        bad = tmp_path / "wrong.json"
+        bad.write_text(json.dumps(edit(json.loads(workspace["model"].read_text()))))
+        res = run_cli(
+            "attribute", "--model", str(bad), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+        )
+        assert res.returncode == 4
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error code=invalid-input")
+        assert field in lines[0]
+
     def test_model_without_sequence_input_exit_code(self, workspace, tmp_path):
         # the model's input is not a (length, 4) one-hot sequence
         b = GraphBuilder()

@@ -212,7 +212,8 @@ class TestMaxRule:
             if abs(dx[i, pick, c]) > eps:
                 expected[i, pick, c] += route[i, j, c] / dx[i, pick, c]
         assert rerouted >= 2
-        np.testing.assert_array_equal(mult["v"], expected)
+        # the rule writes a routed buffer; the sweep makes it dense
+        np.testing.assert_array_equal(mult["v"].dense(), expected)
 
 
 class TestRescaleRule:

@@ -188,6 +188,29 @@ class TestForward:
         expected = np.maximum(v, 0.0) + slopes * np.minimum(v, 0.0)
         assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("in_shape, slopes", [
+        ((186, 20), np.linspace(-0.5, 1.5, 20)),  # per channel, the paper CNN's shape
+        ((186, 20), [0.25]),  # one shared slope
+        ((9,), np.linspace(0.1, 0.9, 9)),  # a vector: one slope per unit
+        ((9,), [-0.3]),
+    ])
+    @pytest.mark.parametrize("batch", [None, 1, 32])
+    def test_prelu_sample_slopes_match_per_channel_product(self, rng, in_shape, slopes,
+                                                           batch):
+        b = GraphBuilder()
+        b.prelu("p", b.input("x", in_shape), slopes)
+        g = b.build(outputs=["p"])
+        v = rng.normal(size=in_shape if batch is None else (batch,) + in_shape)
+        v.flat[:3] = [0.0, -0.0, 0.0]
+        # the in-place form the sample-shaped slopes replaced
+        expected = np.minimum(v, 0.0)
+        expected *= np.asarray(slopes)
+        expected += np.maximum(v, 0.0)
+        out = forward(g, {"x": v})["p"]
+        assert_array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()
+        assert g.nodes["p"].sample_slopes.shape == in_shape
+
     def test_maxout_is_max_of_affine_pieces(self, rng):
         w = rng.normal(size=(3, 4, 5))
         bias = rng.normal(size=(3, 4))

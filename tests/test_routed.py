@@ -1,0 +1,454 @@
+"""Routed sweep buffers below max-pooling against dense oracle rules.
+
+A max-pool rule writes its input only the window maxima's entries (a
+``Routed`` buffer), and the rules below it keep them routed.  The oracle
+tables here are the dense rules the routed ones replaced: max-pooling
+scatters into a dense array, and every elementwise rule works on whole
+arrays, so a sweep under them never routes anything.  Every
+array of the routed sweep must agree with the oracle's within 1e-12 of
+its largest entry: where windows overlap, a routed index repeats and the
+dense array sums its values after, not before, the rules below the pool.
+"""
+
+import numpy as np
+import pytest
+
+from deltalift.autodiff import (
+    _pool_argmax,
+    _pool_window_starts,
+    accumulate,
+    resolve_target,
+    target_seed,
+    vjp_node,
+    vjp_sweep,
+)
+from deltalift.baselines import LRP_EPSILON, _lrp_rules
+from deltalift.engine import EPS_STABLE, _deeplift_rules, compute_reference
+from deltalift.genomics import build_genomics_cnn
+from deltalift.graph import (
+    ELEMENTWISE_KINDS,
+    KNOWN_KINDS,
+    Graph,
+    GraphBuilder,
+    NodeSpec,
+    forward,
+)
+from deltalift.train import TrainConfig, train_step
+
+from graphgen import random_graph_case
+
+RTOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The dense oracle rules
+
+
+def dense_vjp(node, grad_out, trace, grads, param_grads=None):
+    """Gradient rules with max-pooling scattered into a dense array and
+    the elementwise kinds (and the prelu slope gradient) over whole
+    arrays; every other kind defers to ``vjp_node``, which then only ever
+    sees dense arrays."""
+    kind = node.kind
+    if kind != "maxpool1d" and kind not in ELEMENTWISE_KINDS:
+        vjp_node(node, grad_out, trace, grads, param_grads)
+        return
+    lead = 0 if trace.batch is None else 1
+    src = node.inputs[0]
+    x = trace[src]
+    if kind == "maxpool1d":
+        flat = _pool_argmax(x, int(node.params["width"]), int(node.params["stride"]), lead)
+        gx = np.bincount(flat.ravel(), grad_out.ravel(), x.size).reshape(x.shape)
+    elif kind == "relu":
+        gx = grad_out * (x > 0)
+    elif kind == "prelu":
+        slopes = node.params["slopes"]
+        if param_grads is not None:
+            gs = np.minimum(x, 0.0)
+            gs *= grad_out
+            param_grads[node.id] = {"slopes": gs.reshape(-1, slopes.size).sum(axis=0)}
+        gx = grad_out * ((x > 0) + (x <= 0) * slopes)
+    elif kind == "sigmoid":
+        y = trace[node.id]
+        gx = grad_out * y * (1.0 - y)
+    else:
+        y = trace[node.id]
+        gx = grad_out * (1.0 - y * y)
+    accumulate(grads, src, gx)
+
+
+DENSE_GRADIENT = dict.fromkeys(KNOWN_KINDS, dense_vjp)
+
+
+def dense_deeplift_rules(reference, eps_stable=EPS_STABLE):
+    """DeepLIFT's table with the dense Rescale and max-pool rules."""
+
+    def rescale(node, m_out, trace, mult, _):
+        src = node.inputs[0]
+        dx = trace[src] - reference[src]
+        dy = trace[node.id] - reference[node.id]
+        ratio_ok = np.abs(dx) > eps_stable
+        deriv = {}
+        dense_vjp(node, np.ones(reference[node.id].shape), reference, deriv)
+        dx[~ratio_ok] = 1.0
+        np.divide(dy, dx, out=dy)
+        np.copyto(dy, deriv[src], where=~ratio_ok)
+        dy *= m_out
+        accumulate(mult, src, dy)
+
+    def maxpool(node, m_out, trace, mult, _):
+        src = node.inputs[0]
+        x = trace[src]
+        lead = 0 if trace.batch is None else 1
+        width, stride = int(node.params["width"]), int(node.params["stride"])
+        dx = x - reference[src]
+        route = (trace[node.id] - reference[node.id]) * m_out
+        dx_flat = dx.ravel()
+        chosen = _pool_argmax(x, width, stride, lead)
+        chosen_dx = dx_flat[chosen]
+        ok = np.abs(chosen_dx) > eps_stable
+        if not ok.all():
+            weak = ~ok
+            starts, step = _pool_window_starts(x.shape, width, stride, lead)
+            starts = starts[weak]
+            members = starts[:, None] + step * np.arange(width)
+            chosen[weak] = starts + step * np.abs(dx_flat[members]).argmax(axis=1)
+            chosen_dx = dx_flat[chosen]
+            ok = np.abs(chosen_dx) > eps_stable
+        values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
+        accumulate(mult, src, np.bincount(chosen.ravel(), values.ravel(),
+                                          x.size).reshape(x.shape))
+
+    return {**_deeplift_rules(reference, eps_stable),
+            **dict.fromkeys(ELEMENTWISE_KINDS, rescale), "maxpool1d": maxpool}
+
+
+def dense_lrp_rules(epsilon, bias_rel):
+    """epsilon-LRP's table with the dense filtering, pass-through and
+    max-pool rules."""
+
+    def filtering(node, r_out, trace, relevance, _):
+        if not r_out.any():
+            return
+        src = node.inputs[0]
+        a = trace[node.id]
+        stabilizer = np.where(a >= 0, epsilon, -epsilon)
+        share = r_out / (a + stabilizer)
+        message = {}
+        vjp_node(node, share, trace, message)
+        accumulate(relevance, src, trace[src] * message[src])
+        absorbed = (node.params["bias"] + stabilizer) * share
+        bias_rel[node.id] = (float(absorbed.sum()) if trace.batch is None
+                             else absorbed.reshape(trace.batch, -1).sum(axis=1))
+
+    def pass_through(node, r_out, trace, relevance, _):
+        accumulate(relevance, node.inputs[0], r_out.copy())
+
+    return {**_lrp_rules(epsilon, bias_rel), "affine": filtering, "conv1d": filtering,
+            "relu": pass_through, "maxpool1d": dense_vjp}
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+
+
+def tables(method, reference):
+    """(routed table, oracle table, routed bias shares, oracle bias shares)."""
+    if method == "gradient":
+        return None, DENSE_GRADIENT, None, None
+    if method == "deeplift":
+        return (_deeplift_rules(reference, EPS_STABLE), dense_deeplift_rules(reference),
+                None, None)
+    routed_bias, dense_bias = {}, {}
+    return (_lrp_rules(LRP_EPSILON, routed_bias), dense_lrp_rules(LRP_EPSILON, dense_bias),
+            routed_bias, dense_bias)
+
+
+def assert_close(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    assert np.max(np.abs(got - want), initial=0.0) <= RTOL * scale, what
+
+
+def compare_sweeps(method, graph, inputs, seeds, reference_input=None):
+    """Run one sweep under the routed and the oracle tables; compare every
+    node's array (and LRP's bias shares) and return the routed values."""
+    trace = forward(graph, inputs)
+    reference = None
+    if method == "deeplift":
+        reference = compute_reference(graph, reference_input)
+    routed, dense, routed_bias, dense_bias = tables(method, reference)
+    got, _ = vjp_sweep(graph, trace, seeds, rules=routed)
+    want, _ = vjp_sweep(graph, trace, seeds, rules=dense)
+    assert set(got) == set(want) == set(graph.nodes)
+    for nid in graph.nodes:
+        assert type(got[nid]) is np.ndarray, nid
+        assert_close(got[nid], want[nid], (method, nid))
+    if routed_bias is not None:
+        assert set(routed_bias) == set(dense_bias)
+        for nid in dense_bias:
+            assert_close(routed_bias[nid], dense_bias[nid], (method, "bias", nid))
+    return got
+
+
+def target_seeds(graph, target, trace_batch, trace=None, method="gradient"):
+    t_node, t_index = resolve_target(graph, target, trace_batch)
+    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
+    if method == "lrp":
+        seed = seed * trace[t_node]
+    return {t_node: seed}
+
+
+def compare_params(graph, inputs, seeds):
+    """The training sweep's parameter gradients against the oracle's."""
+    trace = forward(graph, inputs)
+    _, got = vjp_sweep(graph, trace, seeds, want_param_grads=True)
+    _, want = vjp_sweep(graph, trace, seeds, want_param_grads=True, rules=DENSE_GRADIENT)
+    assert set(got) == set(want)
+    for nid in want:
+        assert set(got[nid]) == set(want[nid])
+        for key in want[nid]:
+            assert_close(got[nid][key], want[nid][key], ("params", nid, key))
+
+
+BATCHES = [None, 1, 5]
+
+
+def batch_of(shape, batch, rng):
+    return rng.normal(size=shape if batch is None else (batch,) + shape)
+
+
+# ---------------------------------------------------------------------------
+# The random-graph ensemble
+
+
+@pytest.mark.parametrize("method", ["gradient", "deeplift", "lrp"])
+def test_routed_sweep_matches_dense_oracle_on_random_graphs(method):
+    rng = np.random.default_rng(1217)
+    pooled = overlapping = vector = 0
+    for _ in range(80):
+        case = random_graph_case(rng, piecewise_linear_only=method == "lrp")
+        graph = case.graph
+        pools = [n for n in graph.nodes.values() if n.kind == "maxpool1d"]
+        pooled += bool(pools)
+        overlapping += any(int(n.params["stride"]) < int(n.params["width"]) for n in pools)
+        vector += any(graph.nodes[n.inputs[0]].kind == "input" for n in pools)
+        shape = graph.nodes["x"].output_shape
+        for batch in BATCHES:
+            inputs = {"x": batch_of(shape, batch, rng)}
+            trace = forward(graph, inputs)
+            seeds = target_seeds(graph, case.target, trace.batch, trace, method)
+            compare_sweeps(method, graph, inputs, seeds, case.reference)
+            if method == "deeplift" and batch is not None:
+                # a batched reference pairs its rows with the inputs
+                compare_sweeps(method, graph, inputs, seeds,
+                               {"x": batch_of(shape, batch, rng)})
+    assert pooled >= 20 and overlapping >= 5 and vector >= 3, (pooled, overlapping, vector)
+
+
+def test_routed_parameter_gradients_match_dense_oracle_on_random_graphs():
+    rng = np.random.default_rng(1218)
+    pooled = 0
+    for _ in range(60):
+        case = random_graph_case(rng)
+        graph = case.graph
+        pooled += any(n.kind == "maxpool1d" for n in graph.nodes.values())
+        inputs = {"x": batch_of(graph.nodes["x"].output_shape, 5, rng)}
+        trace = forward(graph, inputs)
+        out = graph.outputs[0]
+        compare_params(graph, inputs, {out: rng.normal(size=trace[out].shape)})
+    assert pooled >= 15
+
+
+# ---------------------------------------------------------------------------
+# Hand-built graphs that graphgen never makes
+
+
+def conv_front(b, rng, length=13, channels=3, n_filt=4, width=3, stride=1):
+    x = b.input("x", (length, channels))
+    return b.conv1d("conv", x, rng.normal(size=(n_filt, width, channels)),
+                    rng.normal(size=n_filt) * 0.3, stride=stride)
+
+
+def second_consumer(rng, kind):
+    """conv -> act, read by a pool and by a dense layer: act's buffer
+    takes a routed and a dense write, so the sweep merges them densely."""
+    b = GraphBuilder()
+    conv = conv_front(b, rng)
+    act = b.relu("act", conv) if kind == "relu" else b.prelu("act", conv,
+                                                            rng.uniform(0.1, 0.6, 4))
+    pool = b.maxpool1d("pool", act, 4, 3)
+    left = b.affine("left", pool, rng.normal(size=(3, 12)) / 3, rng.normal(size=3))
+    right = b.affine("right", act, rng.normal(size=(3, 44)) / 6, rng.normal(size=3))
+    return b.build(outputs=[left, right])
+
+
+def pool_of_pool(rng):
+    b = GraphBuilder()
+    act = b.relu("act", conv_front(b, rng, length=16))
+    inner = b.maxpool1d("inner", act, 2, 1)  # (13, 4)
+    outer = b.maxpool1d("outer", inner, 3, 2)  # (6, 4)
+    b.affine("out", outer, rng.normal(size=(2, 24)) / 5, rng.normal(size=2))
+    return b.build(outputs=["out"])
+
+
+def shared_slope(rng):
+    b = GraphBuilder()
+    act = b.prelu("act", conv_front(b, rng), [0.3])
+    pool = b.maxpool1d("pool", act, 3, 3)
+    b.affine("out", pool, rng.normal(size=(2, 12)) / 4, rng.normal(size=2))
+    return b.build(outputs=["out"])
+
+
+def trailing_rows(rng):
+    """Conv output of 11 rows pooled by 4-wide, 4-stride windows: the last
+    3 rows are read by no window (the paper CNN reads 150 of 186)."""
+    b = GraphBuilder()
+    act = b.prelu("act", conv_front(b, rng, length=14, stride=1, width=4),
+                  rng.uniform(0.1, 0.6, 4))
+    pool = b.maxpool1d("pool", act, 4, 4)
+    b.affine("out", pool, rng.normal(size=(2, 8)) / 3, rng.normal(size=2))
+    return b.build(outputs=["out"])
+
+
+def strided_conv(rng):
+    b = GraphBuilder()
+    act = b.tanh("act", conv_front(b, rng, length=17, stride=2, width=4))  # (7, 4)
+    pool = b.maxpool1d("pool", act, 3, 2)  # (3, 4)
+    b.affine("out", pool, rng.normal(size=(2, 12)) / 3, rng.normal(size=2))
+    return b.build(outputs=["out"])
+
+
+def vector_prelu(rng):
+    """A per-unit prelu on a (units,) vector under overlapping windows:
+    an entry's slope is read at its flat index, not a channel axis."""
+    b = GraphBuilder()
+    x = b.input("x", (5,))
+    hid = b.affine("hid", x, rng.normal(size=(9, 5)) / 2, rng.normal(size=9))
+    act = b.prelu("act", hid, rng.uniform(0.1, 0.6, 9))
+    pool = b.maxpool1d("pool", act, 3, 2)
+    b.affine("out", pool, rng.normal(size=(2, 4)), rng.normal(size=2))
+    return b.build(outputs=["out"])
+
+
+HAND_BUILT = {
+    "second-consumer-relu": lambda rng: second_consumer(rng, "relu"),
+    "second-consumer-prelu": lambda rng: second_consumer(rng, "prelu"),
+    "pool-of-pool": pool_of_pool,
+    "shared-slope": shared_slope,
+    "trailing-rows": trailing_rows,
+    "strided-conv": strided_conv,
+    "vector-prelu": vector_prelu,
+}
+
+
+def lrp_applies(graph):
+    return all(n.kind in ("input", "affine", "conv1d", "maxpool1d", "relu")
+               for n in graph.nodes.values())
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+@pytest.mark.parametrize("batch", BATCHES)
+def test_routed_sweep_matches_dense_oracle_on_hand_built_graphs(name, batch):
+    rng = np.random.default_rng(77)
+    graph = HAND_BUILT[name](rng)
+    shape = graph.nodes["x"].output_shape
+    inputs = {"x": batch_of(shape, batch, rng)}
+    trace = forward(graph, inputs)
+    # every output seeded at once: the second-consumer graphs reach their
+    # shared node from both
+    seeds = {out: rng.normal(size=trace[out].shape) for out in graph.outputs}
+    compare_sweeps("gradient", graph, inputs, seeds)
+    compare_sweeps("deeplift", graph, inputs, seeds, {"x": rng.normal(size=shape)})
+    if lrp_applies(graph):
+        compare_sweeps("lrp", graph, inputs, {k: v * trace[k] for k, v in seeds.items()})
+    compare_params(graph, inputs, seeds)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_deeplift_reroute_below_a_routed_rescale(batch):
+    # relu -> pool with the reference equal to the input on the first
+    # rows: those windows' argmax has no delta and reroutes, and the
+    # rerouted entries then pass the relu's Rescale rule routed
+    b = GraphBuilder()
+    x = b.input("x", (12, 2))
+    act = b.relu("act", x)
+    pool = b.maxpool1d("pool", act, 4, 2)
+    b.affine("out", pool, np.arange(10.0).reshape(1, 10) - 4.5, [0.2])
+    graph = b.build(outputs=["out"])
+    rng = np.random.default_rng(5)
+    shape = (12, 2) if batch is None else (batch, 12, 2)
+    xs = rng.integers(0, 4, size=shape).astype(float)
+    ref = rng.integers(0, 4, size=shape).astype(float)
+    ref[..., :6, :] = xs[..., :6, :]
+    # window rows 4-7: the max sits at its reference while another member moved
+    xs[..., 4:8, 0], ref[..., 4:8, 0] = [5, 1, 2, 0], [5, 1, 7, 0]
+    trace = forward(graph, {"x": xs})
+    reference = compute_reference(graph, {"x": ref})
+    dx = trace["act"] - reference["act"]
+    chosen = _pool_argmax(trace["act"], 4, 2, 0 if batch is None else 1)
+    assert (np.abs(dx.ravel()[chosen]) <= EPS_STABLE).any()
+    seeds = target_seeds(graph, ("out", 0), trace.batch)
+    mult = compare_sweeps("deeplift", graph, {"x": xs}, seeds, {"x": ref})
+    # conservation through the rerouted windows
+    delta_out = trace["out"] - reference["out"]
+    got = (mult["x"] * (xs - ref)).reshape(-1 if batch is None else batch, 24).sum(axis=-1)
+    assert_close(got, delta_out[..., 0].reshape(got.shape), "conservation")
+
+
+# ---------------------------------------------------------------------------
+# The paper CNN
+
+
+def one_hot(rng, shape):
+    return (rng.integers(0, 4, size=shape)[..., None] == np.arange(4)).astype(float)
+
+
+def relu_twin(graph):
+    """The graph with every prelu a relu, so that LRP applies."""
+    return Graph([NodeSpec(n.id, "relu", n.inputs, n.output_shape) if n.kind == "prelu"
+                  else n for n in graph.nodes.values()], graph.outputs)
+
+
+@pytest.mark.parametrize("method", ["gradient", "deeplift", "lrp"])
+@pytest.mark.parametrize("batch", [None, 1, 8])
+def test_paper_cnn_routed_sweep_matches_dense_oracle(method, batch):
+    rng = np.random.default_rng(19)
+    graph = build_genomics_cnn(seed=3)
+    if method == "lrp":
+        graph = relu_twin(graph)
+    inputs = {"seq": one_hot(rng, (200,) if batch is None else (batch, 200))}
+    trace = forward(graph, inputs)
+    seeds = target_seeds(graph, ("logit", 0), trace.batch, trace, method)
+    compare_sweeps(method, graph, inputs, seeds, {"seq": np.full((200, 4), 0.25)})
+
+
+def test_paper_cnn_train_step_matches_summed_dense_per_sample_sweeps():
+    rng = np.random.default_rng(23)
+    graph = build_genomics_cnn(seed=3)
+    seqs = one_hot(rng, (6, 200))
+    labels = [1, 0, 0, 1, 1, 0]
+    config = TrainConfig(learning_rate=0.05, momentum=0.9, weight_decay=5e-4)
+    updated, _, _ = train_step(graph, list(zip(seqs, labels)), config, None)
+
+    # one dense sweep per sample, seeded with d loss / d logit = p - y
+    summed = {}
+    for seq, label in zip(seqs, labels):
+        trace = forward(graph, {"seq": seq})
+        seed = trace["prob"] - label
+        _, grads = vjp_sweep(graph, trace, {"logit": seed}, want_param_grads=True,
+                             rules=DENSE_GRADIENT)
+        for nid, arrays in grads.items():
+            for key, value in arrays.items():
+                summed.setdefault(nid, {})[key] = summed.get(nid, {}).get(key, 0.0) + value
+    assert set(summed) == {"conv", "conv_act", "fc1", "fc1_act", "fc2", "fc2_act", "logit"}
+    for nid, arrays in summed.items():
+        for key, grad in arrays.items():
+            old = graph.nodes[nid].params[key]
+            g = grad / len(seqs)
+            if key in ("weights", "filters"):
+                g = g + config.weight_decay * old
+            # from zero velocity the step is -learning_rate * g
+            assert_close(updated.nodes[nid].params[key] - old, -config.learning_rate * g,
+                         (nid, key))

@@ -233,6 +233,39 @@ def test_missing_field_rejected(tmp_path):
         load_model(path)
 
 
+def replace_node(payload, index, **fields):
+    nodes = list(payload["nodes"])
+    nodes[index] = {**nodes[index], **fields}
+    return {**payload, "nodes": nodes}
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda p: {**p, "nodes": 5}, "field 'nodes'"),
+        (lambda p: {**p, "nodes": ["seq"] + p["nodes"]}, "node entry 0"),
+        (lambda p: replace_node(p, 0, output_shape=5), "field 'output_shape'"),
+        (lambda p: replace_node(p, 1, inputs=3), "field 'inputs'"),
+        (lambda p: replace_node(p, 1, params=[]), "field 'params'"),
+        (lambda p: {**p, "outputs": 5}, "field 'outputs'"),
+        (lambda p: {**p, "constraint_groups": 5}, "field 'constraint_groups'"),
+        (lambda p: replace_node(p, 1, params={
+            **p["nodes"][1]["params"],
+            "bias": {**p["nodes"][1]["params"]["bias"], "shape": 5}}), "field 'shape'"),
+    ],
+    ids=["nodes-number", "entry-string", "output-shape-number", "inputs-number",
+         "params-list", "outputs-number", "groups-number", "param-shape-number"],
+)
+def test_wrong_json_structure_names_the_field(tmp_path, edit, field):
+    # valid JSON of the wrong structure raised a bare TypeError
+    payload = graph_to_dict(build_genomics_cnn(length=20, pool_width=3, pool_stride=3,
+                                               dense_units=8, seed=0))
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(edit(payload)))
+    with pytest.raises(ModelFormatError, match=re.escape(field)):
+        load_model(path)
+
+
 def paper_cnn_text():
     return json.dumps(graph_to_dict(build_genomics_cnn(seed=0)), indent=1)
 
