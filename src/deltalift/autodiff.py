@@ -5,12 +5,15 @@ training run it with the gradient rules, and DeepLIFT (``engine``) and
 epsilon-LRP (``baselines``) with rule tables that replace some of them.
 The finite difference checker is the numerical oracle for the gradients.
 
-Max-pooling sends each window's value to one input unit, so below a
-pool a sweep buffer is mostly zeros.  The pool rules write it as a
-``Routed`` buffer instead: (flat index, value) entries of the dense
-array.  The elementwise rules and conv1d take such a buffer and work on
-its entries only; the sweep makes a buffer dense on a second write,
-before any other rule and when it returns.
+Max-pooling sends each window's value to one input unit, its route:
+the window's first argmax, which ``forward`` records in the trace as it
+evaluates the pool (``ForwardTrace.route``), so no sweep scans the
+windows again.  Below a pool a sweep buffer is then mostly zeros, and
+the pool rules write it as a ``Routed`` buffer instead: (flat index,
+value) entries of the dense array.  The elementwise rules and conv1d
+take such a buffer and work on its entries only; the sweep makes a
+buffer dense on a second write, before any other rule and when it
+returns.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 from .graph import (
     ELEMENTWISE_KINDS,
+    IM2COL_BLOCK_ROWS,
     ForwardTrace,
     Graph,
     GraphError,
@@ -92,39 +96,6 @@ def target_value(values: Tensor, index):
     if np.ndim(index) == 0:
         return float(values.flat[index])
     return values.reshape(len(index), -1)[np.arange(len(index)), index]
-
-
-@functools.lru_cache(maxsize=64)
-def _pool_window_starts(shape: tuple, width: int, stride: int, lead: int = 0):
-    """Flat index, in a C-ordered array of ``shape``, of each pooling
-    window's first member, shaped like the pooled output; and the flat
-    distance between consecutive members of one window.
-
-    Windows run along axis ``lead``, behind any leading batch axes.  The
-    result is cached per argument tuple, so the array is read-only.
-    """
-    step = math.prod(shape[lead + 1:])
-    n_out = (shape[lead] - width) // stride + 1
-    starts = (stride * step * np.arange(n_out))[:, None] + np.arange(step)
-    if lead:
-        samples = np.arange(math.prod(shape[:lead]))
-        starts = (shape[lead] * step * samples)[:, None, None] + starts
-    starts = starts.reshape(shape[:lead] + (n_out,) + shape[lead + 1:])
-    starts.setflags(write=False)
-    return starts, step
-
-
-def _pool_argmax(x: Tensor, width: int, stride: int, lead: int = 0) -> Tensor:
-    """Flat index into ``x`` (C order) of each window's max, first index
-    on ties, shaped like the pooled output."""
-    win = conv1d_windows(x, width, stride, lead)
-    # on a copy with the window axis last (behind the one channel axis, if
-    # any), each argmax scans contiguous memory
-    am = win.swapaxes(lead + 1, -1).copy().argmax(axis=-1)
-    starts, step = _pool_window_starts(x.shape, width, stride, lead)
-    am *= step
-    am += starts
-    return am
 
 
 def take_at(arr: Tensor, index, size: int) -> Tensor:
@@ -217,8 +188,9 @@ def vjp_node(node, grad_out, trace: ForwardTrace, grads: dict,
     Accumulates input gradients into ``grads`` and, given
     ``param_grads``, stores the node's parameter gradients (see
     ``_param_grads``).  A batched trace's gradients carry its batch axis.
-    Max-pooling writes its input a ``Routed`` buffer, and for the kinds of
-    ``ROUTED_KINDS`` ``grad_out`` may be one, which the rule keeps routed.
+    Max-pooling writes its input a ``Routed`` buffer at the trace's route,
+    and for the kinds of ``ROUTED_KINDS`` ``grad_out`` may be one, which
+    the rule keeps routed.
     """
     kind = node.kind
     if kind == "input":
@@ -273,8 +245,7 @@ def vjp_node(node, grad_out, trace: ForwardTrace, grads: dict,
                 view = gxs[:, k:k + span:stride]
                 np.add(view, tap.reshape(view.shape), out=view)
     elif kind == "maxpool1d":
-        width, stride = int(node.params["width"]), int(node.params["stride"])
-        gx = Routed(_pool_argmax(x, width, stride, lead), grad_out, x.shape)
+        gx = Routed(trace.route(node.id), grad_out, x.shape)
     elif kind in ELEMENTWISE_KINDS:
         g, at, like = aligned(grad_out)
         gx = like(elementwise_grad(node, g, trace, at))
@@ -336,8 +307,6 @@ def _flat_windows(x: Tensor, size: int) -> Tensor:
 
 
 PARAM_KINDS = frozenset(["affine", "conv1d", "prelu", "maxout"])
-# im2col rows per filter-gradient product
-FILTER_GRAD_BLOCK_ROWS = 768
 
 
 def _channel_sums(rows: Tensor) -> Tensor:
@@ -374,7 +343,7 @@ def _param_grads(node, grad_out: Tensor, x: Tensor, lead: int) -> dict:
         # im2col products summed over blocks of whole samples: one
         # (F, B*P) @ (B*P, K*C) product would copy every window at once,
         # more than the cache holds
-        per_block = max(1, FILTER_GRAD_BLOCK_ROWS // gs.shape[1])
+        per_block = max(1, IM2COL_BLOCK_ROWS // gs.shape[1])
         dw = np.zeros((n_filt, filters[0].size))
         for i in range(0, len(xs), per_block):
             g = gs[i:i + per_block].reshape(-1, n_filt)

@@ -13,8 +13,10 @@ so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
 
   * affine / conv1d: multipliers equal the weights
   * maxpool1d:       each window's delta routes to the current argmax,
-    written as a routed buffer (``autodiff.Routed``): the rules below
-    the pool form deltas and multipliers only at the routed units
+    the route ``forward`` recorded in the trace (rerouted where that
+    member's delta is below eps_stable), written as a routed buffer
+    (``autodiff.Routed``): the rules below the pool form deltas and
+    multipliers only at the routed units
   * relu / prelu / sigmoid / tanh: m = delta_out / delta_in, falling back
     to the derivative at the reference when delta_in is tiny
   * maxout:          piece coefficients weighted by each piece's share
@@ -46,12 +48,11 @@ from .graph import (
     ForwardTrace,
     Graph,
     Tensor,
+    _pool_window_starts,
     forward,
 )
 from .autodiff import (
     Routed,
-    _pool_argmax,
-    _pool_window_starts,
     accumulate,
     aligned,
     elementwise_grad,
@@ -98,7 +99,8 @@ def zeros_reference(graph: Graph) -> dict[str, Tensor]:
 def compute_reference(graph: Graph, reference_input: dict[str, Tensor]) -> ReferenceState:
     """Forward-evaluate the reference input into a full per-node state."""
     trace = forward(graph, reference_input)
-    return ReferenceState(trace.activations, graph, trace.batch, dict(reference_input))
+    return ReferenceState(trace.activations, graph, trace.batch, trace.routes,
+                          reference_input=dict(reference_input))
 
 
 def _reference_on(graph: Graph, reference: ReferenceState | None = None,
@@ -329,7 +331,8 @@ def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
 
 
 def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
-    """Route each window's contribution to its argmax input.
+    """Route each window's contribution to its argmax input, the route
+    ``forward`` recorded in the trace.
 
     The quantity to deliver through window p is delta_out[p] * m_out[p];
     it converts to a multiplier by dividing by the argmax input's delta.
@@ -354,17 +357,19 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
         return take_at(x, index, x.size) - take_at(reference[src], index, x.size)
 
     route = (trace[node.id] - reference[node.id]) * m_out
-    chosen = _pool_argmax(x, width, stride, lead)
+    chosen = trace.route(node.id)
     chosen_dx = delta_at(chosen)
     ok = np.abs(chosen_dx) > eps_stable
     if not ok.all():
-        # the |delta| argmax, taken only over the windows that reroute
+        # the |delta| argmax, taken only over the windows that reroute; the
+        # trace's route stays as it is
         weak = ~ok
         starts, step = _pool_window_starts(x.shape, width, stride, lead)
         starts = starts[weak]
         members = starts[:, None] + step * np.arange(width)
         members_dx = delta_at(members)
         pick = np.abs(members_dx).argmax(axis=1)
+        chosen = chosen.copy()
         chosen[weak] = starts + step * pick
         chosen_dx[weak] = members_dx[np.arange(len(pick)), pick]
         ok = np.abs(chosen_dx) > eps_stable

@@ -460,6 +460,9 @@ def write_fasta(path, examples) -> None:
 
 
 def read_fasta(path) -> list[SequenceExample]:
+    """Records of a FASTA file: each header line followed by one sequence
+    line.  A header without its sequence line, a sequence without a
+    header and an empty header raise ValueError naming ``path:line``."""
     examples = []
     with open(path, "r", encoding="utf-8") as fh:
         sid = None
@@ -470,10 +473,12 @@ def read_fasta(path) -> list[SequenceExample]:
             if not line:
                 continue
             if line.startswith(">"):
+                if sid is not None:
+                    raise _orphan_header(path, header_no, sid)
                 fields = line[1:].split()
                 if not fields:
                     raise ValueError(f"{path}:{line_no}: empty header")
-                sid = fields[0]
+                sid, header_no = fields[0], line_no
                 label = 0
                 spans = ()
                 for token in fields[1:]:
@@ -487,7 +492,13 @@ def read_fasta(path) -> list[SequenceExample]:
                     raise ValueError(f"{path}:{line_no}: sequence before header")
                 examples.append(SequenceExample(sid, line, label, spans))
                 sid = None
+    if sid is not None:
+        raise _orphan_header(path, header_no, sid)
     return examples
+
+
+def _orphan_header(path, line_no: int, sid: str) -> ValueError:
+    return ValueError(f"{path}:{line_no}: header '{sid}' has no sequence line")
 
 
 def write_score_tracks(path, entries) -> None:

@@ -3,7 +3,8 @@
 A :class:`Graph` is an immutable DAG of typed nodes (input, affine, conv1d,
 maxpool1d, relu, prelu, sigmoid, tanh, maxout, product, softmax).  Forward
 evaluation returns a :class:`ForwardTrace` holding the activation of every
-node; gradient and attribution passes consume that trace.
+node and the route of every max pool; gradient and attribution passes
+consume that trace.
 
 Conventions:
   * all tensors are C-contiguous float64 arrays; vectors have shape (n,),
@@ -484,6 +485,42 @@ def conv1d_windows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
     return win
 
 
+# im2col rows per product, in whole samples (at least one): the conv1d
+# forward and its filter gradient copy the windows of one block at a time,
+# since copying every window of a batch at once outgrows the cache
+IM2COL_BLOCK_ROWS = 768
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_window_starts(shape: tuple, width: int, stride: int, lead: int = 0):
+    """Flat index, in a C-ordered array of ``shape``, of each pooling
+    window's first member, shaped like the pooled output; and the flat
+    distance between consecutive members of one window.
+
+    Windows run along axis ``lead``, behind any leading batch axes.  The
+    result is cached per argument tuple, so the array is read-only.
+    """
+    step = math.prod(shape[lead + 1:])
+    n_out = (shape[lead] - width) // stride + 1
+    starts = (stride * step * np.arange(n_out))[:, None] + np.arange(step)
+    if lead:
+        samples = np.arange(math.prod(shape[:lead]))
+        starts = (shape[lead] * step * samples)[:, None, None] + starts
+    starts = starts.reshape(shape[:lead] + (n_out,) + shape[lead + 1:])
+    starts.setflags(write=False)
+    return starts, step
+
+
+def _pool_argmax(x: Tensor, width: int, stride: int, lead: int = 0) -> Tensor:
+    """Flat index into ``x`` (C order) of each window's max, first index
+    on ties, shaped like the pooled output."""
+    am = conv1d_windows(x, width, stride, lead).argmax(axis=lead + 1)
+    starts, step = _pool_window_starts(x.shape, width, stride, lead)
+    am *= step
+    am += starts
+    return am
+
+
 def maxout_pieces(node: NodeSpec, x: Tensor, lead: int = 0) -> Tensor:
     """Pre-activations (..., pieces, out) of every maxout piece.
 
@@ -500,7 +537,8 @@ def eval_node(node: NodeSpec, args: list[Tensor], lead: int = 0) -> Tensor:
     """Evaluate one node on the activations of its inputs.
 
     The first ``lead`` axes of every argument, and of the result, are
-    batch axes: 0 for one sample, 1 for a batch.
+    batch axes: 0 for one sample, 1 for a batch.  Max-pooling is not
+    evaluated here: ``forward`` reads it off the trace's route.
     """
     kind = node.kind
     x = args[0]
@@ -508,17 +546,22 @@ def eval_node(node: NodeSpec, args: list[Tensor], lead: int = 0) -> Tensor:
         w, b = node.params["weights"], node.params["bias"]
         return x.reshape(x.shape[:lead] + (-1,)) @ w.T + b
     if kind == "conv1d":
-        # im2col: one (B*P, K*C) @ (K*C, F) product
+        # im2col: (rows, K*C) @ (K*C, F) products over blocks of whole
+        # samples, each written into its rows of one output
         filters, bias = node.params["filters"], node.params["bias"]
         n_filt, width, channels = filters.shape
         win = conv1d_windows(x, width, int(node.params["stride"]), lead)
-        cols = win.reshape(-1, width * channels)
-        out = cols @ filters.reshape(n_filt, -1).T
+        samples = win.reshape((-1,) + win.shape[lead:])  # (B, P, K, C) view
+        n_samples, n_out = samples.shape[:2]
+        per_block = max(1, IM2COL_BLOCK_ROWS // n_out)
+        w_t = filters.reshape(n_filt, -1).T
+        out = np.empty((n_samples * n_out, n_filt))
+        for i in range(0, n_samples, per_block):
+            block = samples[i:i + per_block]
+            np.matmul(block.reshape(-1, width * channels), w_t,
+                      out=out[i * n_out:(i + len(block)) * n_out])
         out += bias
         return out.reshape(win.shape[:lead + 1] + (n_filt,))
-    if kind == "maxpool1d":
-        width, stride = int(node.params["width"]), int(node.params["stride"])
-        return conv1d_windows(x, width, stride, lead).max(axis=lead + 1)
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "prelu":
@@ -547,15 +590,34 @@ class ForwardTrace:
     """Per-node activations from one forward pass.
 
     ``batch`` is the leading batch size of every activation, or None when
-    the trace holds a single sample.
+    the trace holds a single sample.  ``routes`` maps each max-pool node
+    to its route (see ``route``): ``forward`` records it while it
+    evaluates the pool, and a trace built by hand finds it on first read.
     """
 
     activations: dict[str, Tensor]
     graph: Graph
     batch: int | None = None
+    routes: dict[str, Tensor] = field(default_factory=dict)
 
     def __getitem__(self, node_id: str) -> Tensor:
         return self.activations[node_id]
+
+    def route(self, node_id: str) -> Tensor:
+        """Flat index into the pool input (C order) of each window's max,
+        first index on ties, shaped like the pool's output; read-only.
+
+        The gradient, DeepLIFT and LRP all send a window to this member.
+        """
+        route = self.routes.get(node_id)
+        if route is None:
+            node = self.graph.nodes[node_id]
+            width, stride = int(node.params["width"]), int(node.params["stride"])
+            route = _pool_argmax(self.activations[node.inputs[0]], width, stride,
+                                 0 if self.batch is None else 1)
+            route.setflags(write=False)
+            self.routes[node_id] = route
+        return route
 
 
 def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
@@ -564,9 +626,12 @@ def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
     ``inputs`` maps every input-node id to a tensor of the declared
     shape, or to a batch of them stacked along a new leading axis; all
     inputs must then share the batch size.  Both run the same per-kind
-    rules, which treat any leading batch axis as extra rows.  Returns
-    a trace with an entry for every node; evaluation is deterministic, so
-    identical graph and inputs give bitwise-identical traces.
+    rules, which treat any leading batch axis as extra rows.  A max-pool
+    node is one argmax over its windows: its route goes into the trace's
+    ``routes`` and its output is the input read there, the window maxima.
+    Returns a trace with an entry for every node; evaluation is
+    deterministic, so identical graph and inputs give bitwise-identical
+    traces.
     """
     graph.require_valid()
     activations: dict[str, Tensor] = {}
@@ -595,12 +660,15 @@ def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
     if batch == 0:
         raise GraphError("a batch of inputs needs at least one sample")
     lead = 0 if batch is None else 1
+    trace = ForwardTrace(activations, graph, batch)
     for node_id in topo_order(graph):
         node = graph.nodes[node_id]
-        if node.kind != "input":
+        if node.kind == "maxpool1d":
+            activations[node_id] = activations[node.inputs[0]].take(trace.route(node_id))
+        elif node.kind != "input":
             args = [activations[src] for src in node.inputs]
             activations[node_id] = eval_node(node, args, lead)
-    return ForwardTrace(activations, graph, batch)
+    return trace
 
 
 def n_parameters(graph: Graph) -> int:

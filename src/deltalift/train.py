@@ -10,6 +10,8 @@ parameter-gradient sweep.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,6 +39,23 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0  # L2 on weight matrices and filters only
 
+    def check(self) -> "TrainConfig":
+        """Raise ValueError naming the first field out of range: epochs and
+        batch_size must be integers >= 1, the rates finite and >= 0."""
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < 1:
+                raise ValueError(f"training config: {name} must be an integer "
+                                 f">= 1, got {value!r}")
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value) or value < 0:
+                raise ValueError(f"training config: {name} must be a finite number "
+                                 f">= 0, got {value!r}")
+        return self
+
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         with open(path, "r", encoding="utf-8") as fh:
@@ -45,7 +64,7 @@ class TrainConfig:
         extra = set(payload) - known
         if extra:
             raise TrainingError(f"unknown training config fields: {sorted(extra)}")
-        return cls(**payload)
+        return cls(**payload).check()
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -201,7 +220,7 @@ def train_loop(graph: Graph, train_set, val_set=None,
     Shuffling, batching and updates all derive from ``config.seed``, so
     two runs with the same seed produce identical final weights.
     """
-    config = config or TrainConfig()
+    config = (config or TrainConfig()).check()
     graph.require_valid()
     _resolve_head(graph)
     if not train_set:

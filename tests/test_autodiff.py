@@ -6,13 +6,17 @@ from numpy.testing import assert_allclose
 
 from deltalift.autodiff import (
     Routed,
-    _pool_argmax,
-    _pool_window_starts,
     backward,
     finite_difference_check,
     vjp_sweep,
 )
-from deltalift.graph import GraphBuilder, GraphError, forward
+from deltalift.graph import (
+    GraphBuilder,
+    GraphError,
+    _pool_argmax,
+    _pool_window_starts,
+    forward,
+)
 
 from graphgen import random_graph_case
 

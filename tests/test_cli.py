@@ -373,6 +373,54 @@ class TestErrors:
         res = run_cli("gen-data", "--frobnicate")
         assert res.returncode == 2
 
+    def test_fasta_header_without_sequence_exit_code(self, workspace, tmp_path):
+        bad = tmp_path / "orphan.fa"
+        bad.write_text(">a\n>b\nACGT\n>c\n")
+        res = run_cli(
+            "attribute", "--model", str(workspace["trained"]), "--data", str(bad),
+            "--out", str(tmp_path / "o.tsv"),
+        )
+        assert res.returncode == 4
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == (f"error code=invalid-input detail={bad}:1: "
+                            "header 'a' has no sequence line")
+        assert not (tmp_path / "o.tsv").exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--batch-size", "-4"], "batch_size"),
+        (["--batch-size", "0"], "batch_size"),
+        (["--epochs", "0"], "epochs"),
+        (["--learning-rate", "nan"], "learning_rate"),
+        (["--momentum", "-0.5"], "momentum"),
+        (["--weight-decay", "inf"], "weight_decay"),
+    ], ids=["negative-batch", "zero-batch", "zero-epochs", "nan-rate", "negative-momentum",
+            "infinite-decay"])
+    def test_out_of_range_training_config_exit_code(self, workspace, tmp_path, flags,
+                                                    field):
+        out = tmp_path / "m.json"
+        res = run_cli(
+            "train", "--data", str(workspace["data"]), "--out", str(out),
+            "--model", str(workspace["model"]), "--quiet", *flags,
+        )
+        assert res.returncode == 4
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error code=invalid-input detail=training config: "
+                                   f"{field} must be")
+        assert not out.exists()
+
+    def test_out_of_range_config_file_exit_code(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1, "epochs": 0}')
+        res = run_cli(
+            "train", "--data", str(workspace["data"]), "--out",
+            str(tmp_path / "m.json"), "--config", str(cfg), "--quiet",
+        )
+        assert res.returncode == 4
+        assert res.stderr.startswith("error code=invalid-input detail=training config: "
+                                     "epochs must be")
+
     def test_invalid_config_exit_code(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 1, "optimizer": "adam"}')

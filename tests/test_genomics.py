@@ -359,3 +359,15 @@ class TestSequenceFiles:
         path.write_text("ACGT\n")
         with pytest.raises(ValueError, match="header"):
             read_fasta(path)
+
+    @pytest.mark.parametrize("text, line, sid", [
+        (">a\n>b\nACGT\n>c\n", 1, "a"),
+        (">a label=1\nACGT\n>b\n", 3, "b"),
+        (">a\nACGT\n\n>b\n\n", 4, "b"),
+    ], ids=["before-next-header", "last-line", "blank-lines"])
+    def test_header_without_sequence_rejected(self, tmp_path, text, line, sid):
+        path = tmp_path / "orphan.fa"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_fasta(path)
+        assert str(err.value) == f"{path}:{line}: header '{sid}' has no sequence line"

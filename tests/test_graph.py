@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import (
+    IM2COL_BLOCK_ROWS,
     ConstraintGroup,
     Graph,
     GraphBuilder,
@@ -361,3 +362,35 @@ def test_windows_helper_shapes(rng):
     win = conv1d_windows(batch, 4, 2, axis=1)
     assert win.shape == (2, 3, 4, 3)
     assert_allclose(win[1, 1], batch[1, 2:6])
+
+
+def one_product_im2col(x, filters, bias, stride, lead):
+    """The conv1d forward the blocked one replaced: every window copied into
+    one (B*P, K*C) array and one product with the filters."""
+    n_filt, width, channels = filters.shape
+    win = conv1d_windows(x, width, stride, lead)
+    out = win.reshape(-1, width * channels) @ filters.reshape(n_filt, -1).T
+    out += bias
+    return out.reshape(win.shape[:lead + 1] + (n_filt,))
+
+
+PAPER_CONV = [(200, 15, stride, batch) for stride in (1, 2, 3)
+              for batch in (None, 1, 4, 5, 32, 33)]
+# more output rows than a block holds, so each block is one sample
+LONG_CONV = [(IM2COL_BLOCK_ROWS + 40, 5, 1, batch) for batch in (None, 1, 3)]
+
+
+@pytest.mark.parametrize("length, width, stride, batch", PAPER_CONV + LONG_CONV)
+def test_blocked_conv_forward_equals_one_product_im2col(rng, length, width, stride, batch):
+    filters, bias = rng.normal(size=(20, width, 4)), rng.normal(size=20)
+    b = GraphBuilder()
+    b.conv1d("c", b.input("x", (length, 4)), filters, bias, stride)
+    graph = b.build(outputs=["c"])
+    n_out = graph.nodes["c"].output_shape[0]
+    assert (n_out > IM2COL_BLOCK_ROWS) == (length > IM2COL_BLOCK_ROWS)
+    x = rng.normal(size=(length, 4) if batch is None else (batch, length, 4))
+    got = forward(graph, {"x": x})["c"]
+    want = one_product_im2col(x, filters, bias, stride, 0 if batch is None else 1)
+    assert got.shape == want.shape
+    assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()

@@ -8,29 +8,43 @@ arrays, so a sweep under them never routes anything.  Every
 array of the routed sweep must agree with the oracle's within 1e-12 of
 its largest entry: where windows overlap, a routed index repeats and the
 dense array sums its values after, not before, the rules below the pool.
+
+The last section checks the routes themselves: ``forward`` records each
+pool's window argmax in the trace, and no sweep over that trace scans the
+windows again.
 """
 
 import numpy as np
 import pytest
 
+import deltalift.graph
 from deltalift.autodiff import (
-    _pool_argmax,
-    _pool_window_starts,
     accumulate,
+    backward,
     resolve_target,
     target_seed,
     vjp_node,
     vjp_sweep,
 )
-from deltalift.baselines import LRP_EPSILON, _lrp_rules
-from deltalift.engine import EPS_STABLE, _deeplift_rules, compute_reference
+from deltalift.baselines import LRP_EPSILON, _lrp_rules, lrp_epsilon
+from deltalift.engine import (
+    EPS_STABLE,
+    _deeplift_rules,
+    compute_reference,
+    deeplift,
+    propagate_multipliers,
+)
 from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import (
     ELEMENTWISE_KINDS,
     KNOWN_KINDS,
+    ForwardTrace,
     Graph,
     GraphBuilder,
     NodeSpec,
+    _pool_argmax,
+    _pool_window_starts,
+    conv1d_windows,
     forward,
 )
 from deltalift.train import TrainConfig, train_step
@@ -452,3 +466,190 @@ def test_paper_cnn_train_step_matches_summed_dense_per_sample_sweeps():
             # from zero velocity the step is -learning_rate * g
             assert_close(updated.nodes[nid].params[key] - old, -config.learning_rate * g,
                          (nid, key))
+
+
+# ---------------------------------------------------------------------------
+# Routes recorded by the forward pass
+
+
+def first_max_oracle(x, width, stride, lead):
+    """Flat index of each window's first maximum, by a loop over windows."""
+    n_out = (x.shape[lead] - width) // stride + 1
+    out_shape = x.shape[:lead] + (n_out,) + x.shape[lead + 1:]
+    flat = np.empty(out_shape, dtype=np.intp)
+    for out_index in np.ndindex(*out_shape):
+        j = out_index[lead]
+        members = [out_index[:lead] + (j * stride + k,) + out_index[lead + 1:]
+                   for k in range(width)]
+        best = max(range(width), key=lambda k: (x[members[k]], -k))
+        flat[out_index] = np.ravel_multi_index(members[best], x.shape)
+    return flat
+
+
+@pytest.mark.parametrize("batch", [None, 1, 5, 32])
+@pytest.mark.parametrize("shape, width, stride", [
+    ((13, 3), 4, 4), ((13, 3), 4, 2), ((13, 3), 5, 1), ((11,), 3, 1), ((11,), 4, 2),
+], ids=["disjoint", "overlapping", "stride-1", "vector-stride-1", "vector-overlapping"])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_forward_route_is_the_pool_argmax_and_its_output_the_window_max(
+        batch, shape, width, stride, ties):
+    rng = np.random.default_rng(31)
+    b = GraphBuilder()
+    b.maxpool1d("pool", b.input("x", shape), width, stride)
+    graph = b.build(outputs=["pool"])
+    full = shape if batch is None else (batch,) + shape
+    # small integers tie within most windows; the route takes the first
+    x = (rng.integers(0, 3, size=full) if ties else rng.normal(size=full)).astype(float)
+    trace = forward(graph, {"x": x})
+    lead = 0 if batch is None else 1
+    route = trace.routes["pool"]
+    assert trace.route("pool") is route
+    assert not route.flags.writeable
+    np.testing.assert_array_equal(route, _pool_argmax(x, width, stride, lead))
+    np.testing.assert_array_equal(route, first_max_oracle(x, width, stride, lead))
+    # the window-max forward the route replaced
+    window_max = conv1d_windows(x, width, stride, lead).max(axis=lead + 1)
+    assert np.array_equal(trace["pool"], window_max)
+    assert trace["pool"].tobytes() == window_max.tobytes()
+
+
+def pooled_relu_graph(rng):
+    """conv -> relu -> overlapping pool -> affine: every method applies."""
+    b = GraphBuilder()
+    act = b.relu("act", conv_front(b, rng))
+    pool = b.maxpool1d("pool", act, 4, 2)
+    size = int(np.prod(b.shape_of(pool)))
+    b.affine("out", pool, rng.normal(size=(2, size)), rng.normal(size=2))
+    return b.build(outputs=["out"])
+
+
+@pytest.fixture
+def argmax_calls(monkeypatch):
+    """The number of window scans since the fixture was made (or reset)."""
+    calls = [0]
+    scan = deltalift.graph._pool_argmax
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(deltalift.graph, "_pool_argmax", counted)
+    return calls
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_sweeps_over_a_forward_trace_never_scan_the_windows(argmax_calls, batch):
+    rng = np.random.default_rng(37)
+    graph = pooled_relu_graph(rng)
+    inputs = {"x": batch_of((13, 3), batch, rng)}
+    reference = compute_reference(graph, {"x": rng.normal(size=(13, 3))})
+    trace = forward(graph, inputs)
+    assert argmax_calls[0] == 2  # the reference's forward and this one
+    argmax_calls[0] = 0
+    backward(graph, trace, ("out", 1))
+    propagate_multipliers(graph, trace, reference, ("out", 1))
+    seeds = target_seeds(graph, ("out", 1), trace.batch, trace, "lrp")
+    vjp_sweep(graph, trace, seeds, rules=_lrp_rules(LRP_EPSILON, {}))
+    vjp_sweep(graph, trace, seeds, want_param_grads=True)
+    assert argmax_calls[0] == 0
+    # a whole call scans each pool once, in its own forward pass
+    deeplift(graph, inputs, reference=reference, target=("out", 1))
+    assert argmax_calls[0] == 1
+    lrp_epsilon(graph, inputs, target=("out", 1))
+    assert argmax_calls[0] == 2
+
+
+def test_train_step_scans_each_pool_once(argmax_calls):
+    graph = build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
+                               dense_units=12, seed=2)
+    seqs = one_hot(np.random.default_rng(41), (5, 60))
+    train_step(graph, list(zip(seqs, [1, 0, 1, 1, 0])), TrainConfig(), None)
+    assert argmax_calls[0] == 1
+
+
+def hand_built(trace):
+    """``trace`` as a caller builds one: the activations alone, no routes."""
+    return ForwardTrace(dict(trace.activations), trace.graph, trace.batch)
+
+
+def assert_identical(got, want, what):
+    assert type(got) is type(want), what
+    if isinstance(want, dict):
+        assert set(got) == set(want), what
+        for key in want:
+            assert_identical(got[key], want[key], (what, key))
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), what
+
+
+def test_a_hand_built_trace_finds_the_same_routes_and_results():
+    rng = np.random.default_rng(43)
+    cases = []
+    while len(cases) < 30:
+        case = random_graph_case(rng, piecewise_linear_only=len(cases) % 2 == 0)
+        if any(n.kind == "maxpool1d" for n in case.graph.nodes.values()):
+            cases.append(case)
+    for i, case in enumerate(cases):
+        graph = case.graph
+        reference = compute_reference(graph, case.reference)
+        for batch in BATCHES:
+            inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
+            recorded = forward(graph, inputs)
+            built = hand_built(recorded)
+            assert built.routes == {}
+            seeds = target_seeds(graph, case.target, recorded.batch)
+            out = graph.outputs[0]
+            results = []
+            for trace in (recorded, built):
+                got = {
+                    "gradient": vjp_sweep(graph, trace, seeds)[0],
+                    "deeplift": propagate_multipliers(graph, trace, reference, case.target),
+                    "params": vjp_sweep(graph, trace, {out: np.ones(trace[out].shape)},
+                                        want_param_grads=True)[1],
+                }
+                if i % 2 == 0:  # piecewise linear, so LRP applies
+                    lrp_seeds = target_seeds(graph, case.target, trace.batch, trace, "lrp")
+                    got["lrp bias"] = {}
+                    got["lrp"] = vjp_sweep(graph, trace, lrp_seeds,
+                                           rules=_lrp_rules(LRP_EPSILON, got["lrp bias"]))[0]
+                results.append(got)
+            assert_identical(results[1], results[0], i)
+            assert_identical(built.routes, recorded.routes, (i, "routes"))
+
+
+def test_rerouting_deeplift_leaves_the_trace_route_unchanged():
+    rng = np.random.default_rng(47)
+    b = GraphBuilder()
+    pool = b.maxpool1d("pool", b.relu("act", b.input("x", (12, 2))), 4, 2)
+    b.affine("out", pool, rng.normal(size=(1, 10)), [0.2])
+    graph = b.build(outputs=["out"])
+    xs = rng.integers(0, 4, size=(3, 12, 2)).astype(float)
+    ref = xs.copy()
+    ref[:, 6:] = rng.integers(0, 4, size=(3, 6, 2))
+    # rows 4-7 of channel 0: the max sits at its reference while another
+    # member moved, so that window reroutes
+    xs[:, 4:8, 0], ref[:, 4:8, 0] = [5, 1, 2, 0], [5, 1, 7, 0]
+    trace = forward(graph, {"x": xs})
+    reference = compute_reference(graph, {"x": ref})
+    route = trace.route("pool")
+    before = route.copy()
+    mult = propagate_multipliers(graph, trace, reference, ("out", 0))
+    assert trace.route("pool") is route and not route.flags.writeable
+    np.testing.assert_array_equal(route, before)
+    # the rule did reroute: a window sends its multiplier off its route
+    off_route = np.ones(xs.size, dtype=bool)
+    off_route[route.ravel()] = False
+    assert mult["act"].ravel()[off_route].any()
+
+
+def test_compute_reference_keeps_its_input_and_the_routes():
+    rng = np.random.default_rng(53)
+    graph = pooled_relu_graph(rng)
+    ref_input = rng.normal(size=(13, 3))
+    reference = compute_reference(graph, {"x": ref_input})
+    assert set(reference.reference_input) == {"x"}
+    np.testing.assert_array_equal(reference.reference_input["x"], ref_input)
+    assert set(reference.routes) == {"pool"}
+    np.testing.assert_array_equal(reference.routes["pool"],
+                                  _pool_argmax(reference["act"], 4, 2))

@@ -1,5 +1,7 @@
 """Trainer behavior: convergence, determinism, abort diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -168,3 +170,27 @@ def test_config_rejects_unknown_fields(tmp_path):
     path.write_text('{"seed": 1, "dropout": 0.5}')
     with pytest.raises(TrainingError, match="dropout"):
         TrainConfig.from_file(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("epochs", -2), ("epochs", 1.5), ("batch_size", 0),
+    ("batch_size", -4), ("batch_size", True), ("learning_rate", -0.1),
+    ("learning_rate", float("nan")), ("momentum", float("inf")), ("momentum", -0.5),
+    ("weight_decay", -1e-4), ("weight_decay", "0.1"),
+])
+def test_out_of_range_config_rejected_naming_the_field(tmp_path, field, value):
+    config = TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"training config: {field} must be"):
+        train_loop(small_mlp(), separable_toy_set(n=8), None, config)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(ValueError, match=f"training config: {field} must be"):
+        TrainConfig.from_file(path)
+
+
+def test_edge_of_range_config_trains():
+    config = TrainConfig(epochs=1, batch_size=1, learning_rate=0.0, momentum=0.0,
+                         weight_decay=0)
+    assert config.check() is config
+    _, history = train_loop(small_mlp(), separable_toy_set(n=4), None, config)
+    assert len(history) == 1
