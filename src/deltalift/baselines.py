@@ -6,6 +6,11 @@ activations with an epsilon-stabilized denominator; on piecewise-linear
 networks (affine, conv1d, maxpool1d, relu) with biases included in the
 denominators it converges to gradient*input as epsilon goes to zero,
 which ``equivalence_report`` demonstrates over a random ensemble.
+
+epsilon-LRP is gradient*input with a modified gradient (Ancona et al.,
+ICLR 2018): one ``autodiff.vjp_sweep`` carries multipliers m, a node's
+relevance is its activation times m, and only the filtering rule at
+affine and conv1d differs from the gradient's.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    accumulate,
     aligned,
     backward,
     target_seed,
@@ -34,6 +38,7 @@ from .engine import (
 )
 from .graph import (
     KNOWN_KINDS,
+    ForwardTrace,
     Graph,
     GraphBuilder,
     Tensor,
@@ -76,20 +81,27 @@ LRP_EPSILON = 1e-9
 class RelevanceTrace:
     """Per-node relevances from one LRP backward pass.
 
+    The sweep carries LRP's modified gradient: ``multipliers`` m, with a
+    node's relevance its activation times m, read as ``rt[node_id]``.
     ``bias_relevance`` records, per filtering node, the share absorbed by
     the bias and stabilizer terms; adding it back restores the layer-sum
-    telescoping (exactly, at epsilon = 0).  ``target_activation`` is the
-    seeded relevance.  On a batch every entry holds one value per sample.
+    telescoping at every epsilon.  ``target_activation`` is the seeded
+    relevance.  On a batch every entry holds one value per sample.
     """
 
-    relevances: dict[str, Tensor]
+    trace: ForwardTrace
+    multipliers: dict[str, Tensor]
     bias_relevance: dict[str, float]
     epsilon: float
     target: tuple[str, int]
     target_activation: float
 
     def __getitem__(self, node_id: str) -> Tensor:
-        return self.relevances[node_id]
+        return self.trace[node_id] * self.multipliers[node_id]
+
+    @property
+    def relevances(self) -> dict[str, Tensor]:
+        return {nid: self[nid] for nid in self.multipliers}
 
 
 def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
@@ -97,65 +109,60 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     """Relevance propagation with the epsilon-stabilized filtering rule.
 
     Supports piecewise-linear graphs: affine and conv1d filter layers
-    (bias included in the denominator), winner-take-all unpooling for
-    maxpool1d, and pass-through rectifiers.  The target's relevance is
-    seeded with its own activation.  ``inputs`` holds one sample or a
-    batch.  Raises AttributionError when relevance reaches any other
-    node kind.
+    (bias included in the denominator); max-pooling and rectifiers keep
+    the gradient rule, so relevance passes through a rectifier and goes
+    to each window's argmax.  The target's relevance is its own
+    activation.  ``inputs`` holds one sample or a batch.  Raises
+    AttributionError when relevance reaches any other node kind.
     """
     graph.require_valid()
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, class_index, trace)
     t_node, t_index = resolved
-    seed = target_seed(graph.nodes[t_node].output_shape, t_index) * trace[t_node]
+    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
     bias_rel: dict[str, float] = {}
-    relevance, _ = vjp_sweep(graph, trace, {t_node: seed},
-                             rules=_lrp_rules(epsilon, bias_rel))
-    return RelevanceTrace(relevance, bias_rel, epsilon, resolved,
+    mult, _ = vjp_sweep(graph, trace, {t_node: seed},
+                        rules=_lrp_rules(epsilon, bias_rel))
+    return RelevanceTrace(trace, mult, bias_rel, epsilon, resolved,
                           target_value(trace[t_node], t_index))
 
 
 def _lrp_rules(epsilon: float, bias_rel: dict) -> dict:
-    """epsilon-LRP's rules for ``vjp_sweep``: affine and conv1d filter
-    relevance (recording their bias share in ``bias_rel``), relu passes
-    it through, max-pooling keeps the gradient rule (winner takes all)
-    and every other kind raises once relevance reaches it."""
+    """epsilon-LRP's rules for ``vjp_sweep``, which then carries
+    multipliers m (relevance = activation * m): affine and conv1d pass
+    m * a / (a + eps sign a) to the gradient rule (recording their bias
+    share in ``bias_rel``), and every kind outside ``LRP_KINDS`` raises
+    once multipliers reach it; the rest keep the gradient rule."""
 
-    def filtering(node, r_out, trace, relevance, _):
-        # R_in = x * W^T (R_out / (a + eps sign a)); zero relevance adds no share
-        if not r_out.any():
-            return
-        src = node.inputs[0]
-        r, at, like = aligned(r_out)
+    def filtering(node, m_out, trace, mult, _):
+        # a node's relevance is a * m; zero relevance adds no share
+        m, at, like = aligned(m_out)
         a = at(trace[node.id])
+        r = m * a
+        if not r.any():
+            return
         stabilizer = np.where(a >= 0, epsilon, -epsilon)
         share = r / (a + stabilizer)
-        message = {}
-        vjp_node(node, like(share), trace, message)
-        accumulate(relevance, src, trace[src] * message[src])
+        vjp_node(node, like(share), trace, mult)
         absorbed = (at(node.params["bias"]) + stabilizer) * share
         bias_rel[node.id] = (float(absorbed.sum()) if trace.batch is None
                              else absorbed.reshape(trace.batch, -1).sum(axis=1))
 
-    def pass_through(node, r_out, trace, relevance, _):
-        r, _, like = aligned(r_out)
-        accumulate(relevance, node.inputs[0], like(r.copy()))
-
-    def reject(node, r_out, trace, relevance, _):
-        if r_out.any():
+    def reject(node, m_out, trace, mult, _):
+        if m_out.any():
             raise AttributionError(
                 f"lrp does not support node '{node.id}' of kind '{node.kind}'; "
                 f"it supports {', '.join(sorted(LRP_KINDS - {'input'}))}"
             )
 
     return {**dict.fromkeys(KNOWN_KINDS - LRP_KINDS, reject),
-            "affine": filtering, "conv1d": filtering, "relu": pass_through}
+            "affine": filtering, "conv1d": filtering}
 
 
 def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
                                trace: RelevanceTrace) -> ContributionReport:
     """Package input-layer relevances in the common report shape."""
-    scores = {nid: trace[nid].copy() for nid in graph.input_ids()}
+    scores = {nid: trace[nid] for nid in graph.input_ids()}
     deltas = {nid: np.asarray(inputs[nid], dtype=np.float64) for nid in scores}
     mults = {nid: np.divide(score, deltas[nid], out=np.zeros(score.shape),
                             where=deltas[nid] != 0.0) for nid, score in scores.items()}

@@ -20,8 +20,9 @@ so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
   * relu / prelu / sigmoid / tanh: m = delta_out / delta_in, falling back
     to the derivative at the reference when delta_in is tiny
   * maxout:          piece coefficients weighted by each piece's share
-    of the straight path from reference to input (``maxout_segments``,
-    one vectorized envelope pass over every (sample, unit))
+    of the straight path from reference to input (``maxout_segments``:
+    the intervals between sorted crossing points, summed per piece over
+    every (sample, unit) at once)
   * product:         m1 = ref2 + delta2/2, m2 = ref1 + delta1/2
 
 Softmax heads are handled by targeting the mean-normalized pre-softmax
@@ -65,6 +66,8 @@ from .autodiff import (
 )
 
 EPS_STABLE = 1e-7
+# maxout path crossings closer than this to either end of the path are
+# dropped, so rounding at a shared endpoint makes no sliver interval
 CROSSING_TOL = 1e-12
 # samples per attribution call when scoring a whole file; larger batches
 # buy little speed and raise peak memory
@@ -190,64 +193,6 @@ def local_multipliers_product(node, trace: ForwardTrace,
 # Maxout: piecewise-linear decomposition along the reference-to-input path
 
 
-def path_envelope(values0: Tensor, slopes: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Upper envelopes of the lines value0_i + slope_i * t over t in [0, 1].
-
-    ``values0`` and ``slopes`` are shaped (..., pieces) and broadcast
-    against each other; each leading position is one envelope.  Candidate
-    boundaries are the exact pairwise crossing roots; crossings closer
-    than CROSSING_TOL merge.  The dominating piece of each interval is
-    read off at its midpoint, with exact-value ties broken by larger
-    slope and then by lowest index, so degenerate ties at an interval
-    start resolve to the piece that dominates just after it; neighbouring
-    intervals of one piece join.
-
-    Returns ``(bounds, pieces)`` shaped (..., K + 1) and (..., K), with
-    K = pieces*(pieces-1)/2 + 1: segment k spans [bounds[k], bounds[k+1]]
-    under piece pieces[k].  Past a row's last segment the pieces read -1
-    and the bounds 1.0, so the padding has length exactly 0.
-    """
-    index = np.arange(values0.shape[-1])
-    i, j = np.nonzero(index[:, None] < index)  # every piece pair i < j
-    gap = values0[..., i] - values0[..., j]
-    dslope = slopes[..., j] - slopes[..., i]
-    cuts = np.zeros(np.broadcast_shapes(gap.shape, dslope.shape))
-    np.divide(gap, dslope, out=cuts, where=dslope != 0.0)
-    # parallel pairs and crossings outside (tol, 1 - tol) read 0, which
-    # sorts first and never passes the merge test
-    inside = (CROSSING_TOL < cuts) & (cuts < 1.0 - CROSSING_TOL)
-    np.copyto(cuts, 0.0, where=~inside)
-    cuts.sort(axis=-1)
-    last = np.zeros(cuts.shape[:-1])
-    for k in range(cuts.shape[-1]):  # ascending: each cut against the last kept
-        cut = cuts[..., k]
-        keep = cut - last > CROSSING_TOL
-        np.copyto(last, cut, where=keep)
-        np.copyto(cut, 1.0, where=~keep)  # a dropped cut sorts to the end as 1.0
-    cuts.sort(axis=-1)
-
-    t0 = np.zeros(cuts.shape[:-1] + (cuts.shape[-1] + 1,))
-    t0[..., 1:] = cuts
-    t1 = np.ones(t0.shape)
-    t1[..., :-1] = cuts
-    mid = 0.5 * (t0 + t1)
-    vals = values0[..., None, :] + slopes[..., None, :] * mid[..., None]
-    top = vals == vals.max(axis=-1, keepdims=True)
-    piece = np.where(top, slopes[..., None, :], -np.inf).argmax(axis=-1)
-
-    # a segment starts at every real interval (t0 < 1) whose piece differs
-    # from the one before; sorting by start moves the starts to the front
-    start = t0 < 1.0
-    start[..., 1:] &= piece[..., 1:] != piece[..., :-1]
-    key = np.where(start, t0, 1.0).reshape(-1, t0.shape[-1])
-    order = key.argsort(axis=-1)
-    rows = np.arange(len(key))[:, None]
-    bounds = np.ones(t0.shape[:-1] + (t0.shape[-1] + 1,))
-    bounds[..., :-1] = key[rows, order].reshape(t0.shape)
-    pieces = np.where(start, piece, -1).reshape(key.shape)[rows, order]
-    return bounds, pieces.reshape(t0.shape)
-
-
 def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tensor:
     """Share of the straight reference-to-input path on which each piece
     of each maxout unit dominates, shaped (rows, units, pieces).
@@ -255,10 +200,15 @@ def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tens
     ``reference_input`` and ``input_values`` are the node's input
     activations, one sample or a batch; a single reference row pairs
     with every input row.  The path is A(t) = ref + t*(input - ref), t in
-    [0, 1]; each piece's value is linear in t, so one ``path_envelope``
-    pass finds every (row, unit)'s segments at exact crossing roots.  A
-    degenerate path (input == reference) gives its whole share to the
-    piece dominating at the reference.  Each unit's shares sum to 1.
+    [0, 1], and each piece's value is linear in t.  The exact pairwise
+    crossing roots inside (CROSSING_TOL, 1 - CROSSING_TOL), sorted, cut
+    the path into intervals; each interval goes to the piece on top at
+    its midpoint, an exact tie to the larger slope and then the lowest
+    index, so a tie at an interval start resolves to the piece that
+    dominates just after it.  A piece's share is the summed length of
+    its intervals.  A degenerate path (input == reference) gives its
+    whole share to the piece dominating at the reference.  Each unit's
+    shares sum to 1.
     """
     if node.kind != "maxout":
         raise AttributionError(f"node '{node.id}' is not a maxout node")
@@ -268,9 +218,27 @@ def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tens
     x1 = input_values.reshape(-1, in_dim)
     values0 = (x0 @ coeffs.T).reshape(-1, out_dim, n_pieces) + node.params["biases"].T
     slopes = ((x1 - x0) @ coeffs.T).reshape(-1, out_dim, n_pieces)
-    bounds, pieces = path_envelope(values0, slopes)
-    owned = pieces[..., None] == np.arange(n_pieces)  # (rows, out, K, pieces)
-    return (np.diff(bounds, axis=-1)[..., None] * owned).sum(axis=-2)
+    i, j = np.triu_indices(n_pieces, 1)  # every piece pair i < j
+    gap = values0[..., i] - values0[..., j]
+    dslope = slopes[..., j] - slopes[..., i]
+    # interval bounds: 0, the sorted crossings, 1; parallel pairs and
+    # crossings outside (tol, 1 - tol) read 0, an empty interval at 0
+    bounds = np.zeros(dslope.shape[:-1] + (len(i) + 2,))
+    cuts = bounds[..., 1:-1]
+    np.divide(gap, dslope, out=cuts, where=dslope != 0.0)
+    np.copyto(cuts, 0.0, where=~((CROSSING_TOL < cuts) & (cuts < 1.0 - CROSSING_TOL)))
+    cuts.sort(axis=-1)
+    bounds[..., -1] = 1.0
+    mid = 0.5 * (bounds[..., :-1] + bounds[..., 1:])
+    vals = values0[..., None, :] + slopes[..., None, :] * mid[..., None]
+    top = vals == vals.max(axis=-1, keepdims=True)
+    owner = np.where(top, slopes[..., None, :], -np.inf).argmax(axis=-1)
+    # each interval's length added to its owner's share, in path order
+    owner = owner.reshape(-1, owner.shape[-1])
+    owner += n_pieces * np.arange(len(owner))[:, None]
+    share = np.bincount(owner.ravel(), np.diff(bounds, axis=-1).ravel(),
+                        len(owner) * n_pieces)
+    return share.reshape(-1, out_dim, n_pieces)
 
 
 # ---------------------------------------------------------------------------

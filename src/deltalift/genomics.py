@@ -358,21 +358,28 @@ def compare_methods(graph: Graph, test_set,
                     eps_stable: float = EPS_STABLE) -> MethodComparison:
     """Motif recovery of reference-based scores versus gradient*input.
 
-    The graph takes one sequence input and ends in one sigmoid output.
-    The model is weight-normalized over the one-hot constraint groups
+    The graph takes one sequence input and ends in one one-unit sigmoid,
+    read as P(positive); any other graph raises AttributionError.  The
+    model is weight-normalized over the one-hot constraint groups
     first (outputs unchanged); both methods then run on that same model
     against the all-zeros reference, ``ATTRIBUTE_CHUNK`` sequences per
     call.  Only correctly classified positives are scored; each row keeps
     both methods' per-position scores.
     """
-    normalized = normalize_constrained_weights(graph)
-    input_ids = normalized.input_ids()
-    if len(input_ids) != 1 or len(normalized.outputs) != 1:
+    input_ids = graph.input_ids()
+    if len(input_ids) != 1 or len(graph.outputs) != 1:
         raise AttributionError(
             f"method comparison needs one input and one output, got inputs "
-            f"{input_ids} and outputs {list(normalized.outputs)}"
+            f"{input_ids} and outputs {list(graph.outputs)}"
         )
-    input_id, head = input_ids[0], normalized.outputs[0]
+    input_id, head = input_ids[0], graph.outputs[0]
+    node = graph.nodes[head]
+    if node.kind != "sigmoid" or node.output_shape != (1,):
+        raise AttributionError(
+            f"method comparison reads P(positive) from a one-unit sigmoid head; "
+            f"head '{head}' is a {node.kind} of shape {node.output_shape}"
+        )
+    normalized = normalize_constrained_weights(graph)
     reference = compute_reference(normalized, zeros_reference(normalized))
 
     positives = [ex for ex in test_set if ex.label == 1]
@@ -462,7 +469,8 @@ def write_fasta(path, examples) -> None:
 def read_fasta(path) -> list[SequenceExample]:
     """Records of a FASTA file: each header line followed by one sequence
     line.  A header without its sequence line, a sequence without a
-    header and an empty header raise ValueError naming ``path:line``."""
+    header, an empty header, a malformed ``label=`` or ``spans=`` token and
+    a span outside its sequence raise ValueError naming ``path:line``."""
     examples = []
     with open(path, "r", encoding="utf-8") as fh:
         sid = None
@@ -483,13 +491,23 @@ def read_fasta(path) -> list[SequenceExample]:
                 spans = ()
                 for token in fields[1:]:
                     key, _, value = token.partition("=")
-                    if key == "label":
-                        label = int(value)
-                    elif key == "spans":
-                        spans = _parse_spans(value)
+                    try:
+                        if key == "label":
+                            label = int(value)
+                        elif key == "spans":
+                            spans, spans_token = _parse_spans(value), token
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{line_no}: malformed header token '{token}'"
+                        ) from None
             else:
                 if sid is None:
                     raise ValueError(f"{path}:{line_no}: sequence before header")
+                if any(not 0 <= s.start < s.end <= len(line) for s in spans):
+                    raise ValueError(
+                        f"{path}:{header_no}: header token '{spans_token}' has a span "
+                        f"outside the {len(line)}-base sequence"
+                    )
                 examples.append(SequenceExample(sid, line, label, spans))
                 sid = None
     if sid is not None:

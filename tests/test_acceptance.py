@@ -15,7 +15,7 @@ from deltalift.baselines import EnsembleSpec, equivalence_report
 from deltalift.engine import (
     compute_reference,
     deeplift,
-    path_envelope,
+    maxout_segments,
     propagate_multipliers,
 )
 from deltalift.genomics import (
@@ -193,26 +193,20 @@ def test_maxout_against_dense_sampling_oracle():
         node = g.nodes["m"]
         x0, x1 = rng.normal(size=in_dim), rng.normal(size=in_dim)
 
-        bounds, pieces = path_envelope(w[:, 0, :] @ x0 + bias[:, 0],
-                                       w[:, 0, :] @ (x1 - x0))
-        ts = np.linspace(0.0, 1.0, 10000)
+        share = maxout_segments(node, x0, x1)[0, 0]
+        n_points = 10000
+        ts = np.linspace(0.0, 1.0, n_points)
         path = x0[None, :] + ts[:, None] * (x1 - x0)[None, :]
         vals = path @ w[:, 0, :].T + bias[:, 0][None, :]
-        assigned = np.empty(len(ts), dtype=int)
-        for i, t in enumerate(ts):
-            for piece, t_start, t_end in zip(pieces, bounds[:-1], bounds[1:]):
-                if piece >= 0 and t_start - 1e-12 <= t <= t_end + 1e-12:
-                    assigned[i] = piece
-                    break
-        attained = vals[np.arange(len(ts)), assigned]
-        if not np.allclose(attained, vals.max(axis=1), atol=1e-9):
-            _verdict("maxout decomposition vs 10^4-point sampling oracle",
-                     False, "assigned piece does not attain the envelope")
         top2 = np.sort(vals, axis=1)[:, -2:]
         clear = (top2[:, 1] - top2[:, 0]) > 1e-9
-        if not (assigned[clear] == vals[clear].argmax(axis=1)).all():
-            _verdict("maxout decomposition vs 10^4-point sampling oracle",
-                     False, "piece identity differs at a clear-margin point")
+        sampled = np.bincount(vals[clear].argmax(axis=1), minlength=pieces) / n_points
+        # each of at most pieces*(pieces-1)/2 crossings, each unclear point
+        # and the grid's two ends move a sampled fraction by one point
+        slack = (pieces * (pieces - 1) // 2 + 2 + int((~clear).sum())) / (n_points - 1)
+        if abs(share.sum() - 1.0) > 1e-12 or np.abs(share - sampled).max() > slack:
+            _verdict("maxout decomposition vs 10^4-point sampling oracle", False,
+                     f"shares {share} against sampled fractions {sampled}")
 
         report = deeplift(g, {"x": x1}, {"x": x0}, target=("m", 0))
         worst_residual = max(worst_residual, report.residual)

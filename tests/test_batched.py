@@ -20,7 +20,7 @@ from deltalift.baselines import (
 from deltalift.engine import (
     compute_reference,
     deeplift,
-    path_envelope,
+    maxout_segments,
     zeros_reference,
 )
 from deltalift.genomics import (
@@ -373,8 +373,8 @@ def test_maxout_batch_with_ragged_segment_counts():
     g = b.build(outputs=["o"])
     ref = {"x": np.zeros(1)}
     xs = np.array([[0.5], [1.5], [3.0], [0.0], [-2.0]])
-    _, pieces = path_envelope(w[:, 0] @ ref["x"] + bias[:, 0], (xs - ref["x"]) @ w[:, 0].T)
-    counts = (pieces >= 0).sum(axis=-1)
+    share = maxout_segments(g.nodes["m"], ref["x"], xs)[:, 0]
+    counts = (share > 0).sum(axis=-1)
     assert counts[:4].tolist() == [1, 2, 3, 1]
     report = deeplift(g, {"x": xs}, ref, target=("o", 0))
     assert_report_rows(report, [deeplift(g, {"x": x}, ref, target=("o", 0)) for x in xs])

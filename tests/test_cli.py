@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from deltalift.genomics import (
     build_genomics_cnn,
     one_hot_encode,
+    onehot_constraint_groups,
     read_fasta,
     write_fasta,
 )
@@ -386,6 +387,45 @@ class TestErrors:
         assert lines[0] == (f"error code=invalid-input detail={bad}:1: "
                             "header 'a' has no sequence line")
         assert not (tmp_path / "o.tsv").exists()
+
+    @pytest.mark.parametrize("header, detail", [
+        (">a label=x", "2: malformed header token 'label=x'"),
+        (">a label=1 spans=3:GATA", "2: malformed header token 'spans=3:GATA'"),
+        (">a label=1 spans=2-9:GATA",
+         "2: header token 'spans=2-9:GATA' has a span outside the 4-base sequence"),
+    ], ids=["label", "span-syntax", "span-range"])
+    def test_malformed_fasta_header_exit_code(self, workspace, tmp_path, header, detail):
+        bad = tmp_path / "bad.fa"
+        bad.write_text(f"\n{header}\nACGT\n")
+        res = run_cli(
+            "compare", "--model", str(workspace["trained"]), "--data", str(bad),
+            "--out", str(tmp_path / "o.tsv"),
+        )
+        assert res.returncode == 4
+        assert res.stderr.splitlines() == [f"error code=invalid-input detail={bad}:{detail}"]
+        assert not (tmp_path / "o.tsv").exists()
+
+    def test_compare_on_a_softmax_head_exit_code(self, workspace, tmp_path):
+        # a softmax head's column 0 is P(class 0), not P(positive)
+        rng = np.random.default_rng(3)
+        b = GraphBuilder()
+        x = b.input("seq", (60, 4))
+        h = b.maxpool1d("pool", b.relu("act", b.conv1d(
+            "conv", x, rng.normal(size=(3, 5, 4)) * 0.3, np.zeros(3))), 8, 8)
+        b.softmax("prob", b.affine("logits", h, rng.normal(size=(2, 21)) * 0.3, np.zeros(2)))
+        model = tmp_path / "softmax.json"
+        save_model(b.build(outputs=["prob"], constraint_groups=onehot_constraint_groups(x, 60)),
+                   model)
+        res = run_cli(
+            "compare", "--model", str(model), "--data", str(workspace["data"] / "test.fa"),
+            "--out", str(tmp_path / "cmp.tsv"),
+        )
+        assert res.returncode == 5
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error code=runtime detail=method comparison reads "
+                                   "P(positive) from a one-unit sigmoid head")
+        assert not (tmp_path / "cmp.tsv").exists()
 
     @pytest.mark.parametrize("flags, field", [
         (["--batch-size", "-4"], "batch_size"),

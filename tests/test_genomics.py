@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deltalift.baselines import gradient_times_input
-from deltalift.engine import ATTRIBUTE_CHUNK, ContributionReport, deeplift
+from deltalift.engine import ATTRIBUTE_CHUNK, AttributionError, ContributionReport, deeplift
 from deltalift.genomics import (
     Dataset,
     DatasetSpec,
@@ -313,6 +313,29 @@ class TestCompareMethods:
             assert row.deeplift_recovery == pytest.approx(
                 motif_recovery_score(report, ex, input_id="dna"), abs=1e-12)
 
+    @pytest.mark.parametrize("head, units", [("softmax", 2), ("sigmoid", 2)])
+    def test_head_other_than_one_sigmoid_unit_rejected(self, head, units):
+        # column 0 of a softmax head is P(class 0), not P(positive): every
+        # sequence would be scored against the wrong class
+        graph = one_hot_head_graph(head, units)
+        data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=12,
+                                            length=60, seed=4))
+        with pytest.raises(AttributionError, match="one-unit sigmoid head"):
+            compare_methods(graph, data.test)
+
+
+def one_hot_head_graph(head, units, seed=5):
+    """conv -> relu -> pool -> affine(units) -> ``head`` on (60, 4) one-hot
+    sequences, with the one-hot constraint groups declared."""
+    rng = np.random.default_rng(seed)
+    b = GraphBuilder()
+    x = b.input("seq", (60, 4))
+    h = b.conv1d("conv", x, rng.normal(size=(3, 5, 4)) * 0.3, np.zeros(3))
+    h = b.maxpool1d("pool", b.relu("act", h), 8, 8)
+    logits = b.affine("logits", h, rng.normal(size=(units, 21)) * 0.3, np.zeros(units))
+    getattr(b, head)("prob", logits)
+    return b.build(outputs=["prob"], constraint_groups=onehot_constraint_groups(x, 60))
+
 
 class TestSequenceFiles:
     def test_round_trip(self, tmp_path):
@@ -371,3 +394,31 @@ class TestSequenceFiles:
         with pytest.raises(ValueError) as err:
             read_fasta(path)
         assert str(err.value) == f"{path}:{line}: header '{sid}' has no sequence line"
+
+    @pytest.mark.parametrize("header, token", [
+        (">a label=x", "label=x"),
+        (">a label=1 spans=3:GATA", "spans=3:GATA"),
+        (">a label=1 spans=0-4:GATA:x", "spans=0-4:GATA:x"),
+        (">a label=1 spans=a-4:GATA", "spans=a-4:GATA"),
+    ], ids=["label-not-int", "span-without-end", "span-two-names", "span-start-not-int"])
+    def test_malformed_header_token_rejected(self, tmp_path, header, token):
+        path = tmp_path / "bad.fa"
+        path.write_text(f">ok label=0\nACGT\n{header}\nACGT\n")
+        with pytest.raises(ValueError) as err:
+            read_fasta(path)
+        assert str(err.value) == f"{path}:3: malformed header token '{token}'"
+
+    @pytest.mark.parametrize("spans", ["2-9:GATA", "0-4:GATA,3-3:GATA", "4-5:A"],
+                             ids=["past-the-end", "empty", "start-at-the-end"])
+    def test_span_outside_its_sequence_rejected(self, tmp_path, spans):
+        path = tmp_path / "bad.fa"
+        path.write_text(f">a label=1 spans={spans}\nACGT\n")
+        with pytest.raises(ValueError) as err:
+            read_fasta(path)
+        assert str(err.value) == (f"{path}:1: header token 'spans={spans}' has a span "
+                                  "outside the 4-base sequence")
+
+    def test_spans_covering_the_whole_sequence_accepted(self, tmp_path):
+        path = tmp_path / "edge.fa"
+        path.write_text(">a label=1 spans=0-2:GA,2-4:TA\nGATA\n")
+        assert read_fasta(path)[0].motif_spans == (MotifSpan(0, 2, "GA"), MotifSpan(2, 4, "TA"))

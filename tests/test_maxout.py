@@ -1,4 +1,9 @@
-"""Piecewise-linear decomposition of maxout units along the input path."""
+"""Piecewise-linear decomposition of maxout units along the input path.
+
+``maxout_segments`` returns each piece's share of the path; the scalar
+oracle ``_envelope_segments`` below scans one unit at a time and gives
+the intervals those shares sum.
+"""
 
 import numpy as np
 import pytest
@@ -10,7 +15,6 @@ from deltalift.engine import (
     compute_reference,
     deeplift,
     maxout_segments,
-    path_envelope,
     propagate_multipliers,
 )
 from deltalift.graph import GraphBuilder, forward
@@ -25,18 +29,12 @@ def maxout_unit(weights, biases):
     return b.build(outputs=["m"])
 
 
-def kernel_triples(bounds, pieces):
-    """(piece, t_start, t_end) triples of one row of ``path_envelope``."""
-    return [(int(p), float(t0), float(t1))
-            for p, t0, t1 in zip(pieces, bounds[:-1], bounds[1:]) if p >= 0]
-
-
 def unit_segments(node, x0, x1, unit=0):
-    """(piece, t_start, t_end) triples of one maxout unit along the
-    straight path from input x0 to x1, through ``path_envelope``."""
+    """(piece, t_start, t_end) intervals of one maxout unit along the
+    straight path from input x0 to x1, from the scalar oracle."""
     w = node.params["weights"][:, unit, :]
     b = node.params["biases"][:, unit]
-    return kernel_triples(*path_envelope(w @ x0 + b, w @ (x1 - x0)))
+    return _envelope_segments(w @ x0 + b, w @ (x1 - x0))
 
 
 def unit_multipliers(graph, x0, x1, unit=0):
@@ -201,19 +199,20 @@ class TestRandomDecompositions:
 
 
 # ---------------------------------------------------------------------------
-# The vectorized envelope kernel against a scalar oracle that scans one
-# envelope at a time.
+# The vectorized shares against a scalar oracle that scans one envelope at
+# a time.
 
 
 def _envelope_segments(values0, slopes):
     """Upper envelope of lines value0_i + slope_i * t over t in [0, 1].
 
-    Candidate boundaries are the exact pairwise crossing roots; crossings
-    closer than CROSSING_TOL merge.  The dominating piece of each
-    interval is read off at its midpoint, with exact-value ties broken by
-    larger slope and then by lowest index, so degenerate ties at an
-    interval start resolve to the piece that dominates just after it.
-    Returns (piece, t_start, t_end) triples with increasing boundaries.
+    The exact pairwise crossing roots inside (CROSSING_TOL,
+    1 - CROSSING_TOL) cut [0, 1] into intervals.  The dominating piece of
+    each interval is read off at its midpoint, with exact-value ties
+    broken by larger slope and then by lowest index, so degenerate ties
+    at an interval start resolve to the piece that dominates just after
+    it.  Returns one (piece, t_start, t_end) triple per interval, with
+    increasing boundaries.
     """
     n = len(values0)
     cuts = set()
@@ -226,74 +225,74 @@ def _envelope_segments(values0, slopes):
             if CROSSING_TOL < cross < 1.0 - CROSSING_TOL:
                 cuts.add(float(cross))
 
-    bounds = [0.0]
-    for cross in sorted(cuts):
-        if cross - bounds[-1] > CROSSING_TOL:
-            bounds.append(cross)
-    bounds.append(1.0)
-
+    bounds = [0.0] + sorted(cuts) + [1.0]
     segments = []
     for t0, t1 in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (t0 + t1)
         vals = values0 + slopes * mid
         tied = np.flatnonzero(vals == vals.max())
-        piece = int(tied[np.argmax(slopes[tied])])
-        if segments and segments[-1][0] == piece:
-            prev_piece, prev_t0, _ = segments[-1]
-            segments[-1] = (prev_piece, prev_t0, t1)
-        else:
-            segments.append((piece, t0, t1))
+        segments.append((int(tied[np.argmax(slopes[tied])]), t0, t1))
     return segments
 
 
-def assert_kernel_matches_oracle(values0, slopes):
-    """Rows of (values0, slopes) through the kernel in one call, each
-    against the oracle: the same pieces and bit-identical bounds."""
-    bounds, pieces = path_envelope(values0, slopes)
-    n_pieces = values0.shape[-1]
-    assert bounds.shape == values0.shape[:-1] + (n_pieces * (n_pieces - 1) // 2 + 2,)
-    assert pieces.shape == bounds.shape[:-1] + (bounds.shape[-1] - 1,)
-    for row in np.ndindex(values0.shape[:-1]):
-        got = kernel_triples(bounds[row], pieces[row])
-        expected = _envelope_segments(values0[row], slopes[row])
-        assert [p for p, _, _ in got] == [p for p, _, _ in expected], row
-        # bit-identical bounds, not approximately equal
-        assert [t for _, t0, t1 in got for t in (t0, t1)] == \
-            [t for _, t0, t1 in expected for t in (t0, t1)], row
-        # padding after the last segment has length exactly 0
-        assert (bounds[row][len(got):] == 1.0).all()
-        assert (pieces[row][len(got):] == -1).all()
+def oracle_shares(values0, slopes):
+    """Each piece's summed interval length, in path order."""
+    shares = np.zeros(len(values0))
+    for piece, t0, t1 in _envelope_segments(values0, slopes):
+        shares[piece] += t1 - t0
+    return shares
 
 
-class TestPathEnvelopeKernel:
+def line_units(values0, slopes):
+    """A one-input maxout node whose unit u, on the path from x0 = 0 to
+    x1 = 1, has the lines values0[u] + slopes[u] * t: biases values0 and
+    weights slopes, both (units, pieces)."""
+    values0, slopes = np.asarray(values0, float), np.asarray(slopes, float)
+    return maxout_unit(slopes.T[:, :, None], values0.T).nodes["m"]
+
+
+def assert_shares_match_oracle(values0, slopes):
+    """Rows of (values0, slopes) as the units of one node, in one call,
+    each against the oracle: bit-identical shares."""
+    share = maxout_segments(line_units(values0, slopes), np.zeros(1), np.ones(1))
+    assert share.shape == (1,) + values0.shape
+    for unit, (v0, s) in enumerate(zip(values0, slopes)):
+        assert np.array_equal(share[0, unit], oracle_shares(v0, s)), unit
+    return share[0]
+
+
+class TestMaxoutShares:
     def test_random_units_match_oracle(self):
         rng = np.random.default_rng(6006)
         n_multi = 0
         for n_pieces in range(1, 7):
             values0 = rng.normal(size=(400, n_pieces))
             slopes = rng.normal(size=(400, n_pieces)) * 2.0
-            assert_kernel_matches_oracle(values0, slopes)
-            bounds, pieces = path_envelope(values0, slopes)
-            n_multi += int(((pieces >= 0).sum(axis=-1) >= 3).sum())
+            share = assert_shares_match_oracle(values0, slopes)
+            n_multi += int(((share > 0).sum(axis=-1) >= 3).sum())
         # 2,400 units, and many of them cross more than once on [0, 1]
         assert n_multi >= 100
 
     def test_maxout_layer_units_match_oracle(self, rng):
-        # values and slopes formed the way a maxout layer forms them
+        # values and slopes formed by a maxout layer on a batch of inputs
         w = rng.normal(size=(4, 8, 5))
         b = rng.normal(size=(4, 8))
         x0, x1 = rng.normal(size=5), rng.normal(size=(3, 5))
-        values0 = (w @ x0 + b).T
-        slopes = np.einsum("puk,rk->rup", w, x1 - x0)
-        assert_kernel_matches_oracle(np.broadcast_to(values0, slopes.shape), slopes)
+        share = maxout_segments(maxout_unit(w, b).nodes["m"], x0, x1)
+        assert share.shape == (3, 8, 4)
+        for row in range(3):
+            for unit in range(8):
+                expected = oracle_shares(w[:, unit] @ x0 + b[:, unit],
+                                         w[:, unit] @ (x1[row] - x0))
+                assert_allclose(share[row, unit], expected, rtol=0, atol=1e-12)
 
-    def test_broadcast_values_match_expanded(self, rng):
-        values0 = rng.normal(size=(1, 6, 4))
-        slopes = rng.normal(size=(5, 6, 4))
-        got = path_envelope(values0, slopes)
-        expected = path_envelope(np.broadcast_to(values0, slopes.shape).copy(), slopes)
-        for g, e in zip(got, expected):
-            assert np.array_equal(g, e)
+    def test_single_reference_row_pairs_with_every_input_row(self, rng):
+        node = maxout_unit(rng.normal(size=(4, 6, 3)), rng.normal(size=(4, 6))).nodes["m"]
+        x0, x1 = rng.normal(size=3), rng.normal(size=(5, 3))
+        got = maxout_segments(node, x0, x1)
+        expected = maxout_segments(node, np.tile(x0, (5, 1)), x1)
+        assert got.shape == expected.shape == (5, 6, 4)
+        assert_allclose(got, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("values0, slopes, pieces", [
         # parallel pieces: the higher line wins throughout
@@ -307,8 +306,8 @@ class TestPathEnvelopeKernel:
         ([1e20, 1e20, 1e20], [1.0, 2.0, 2.0], [1]),
         # a crossing within CROSSING_TOL of 1 is dropped
         ([0.0, 1.0 - 0.5 * CROSSING_TOL], [1.0, 0.0], [1]),
-        # two crossings within CROSSING_TOL of each other merge
-        ([0.0, 0.5, 1.0 + CROSSING_TOL], [1.0, 0.0, -1.0], [2, 0]),
+        # crossings within CROSSING_TOL of each other stay apart
+        ([0.0, 0.5, 1.0 + CROSSING_TOL], [1.0, 0.0, -1.0], [0, 2]),
         # x1 == x0: every slope 0, the piece on top at the reference
         ([0.3, 0.9, -0.2], [0.0, 0.0, 0.0], [1]),
         # a single piece is one segment
@@ -316,7 +315,13 @@ class TestPathEnvelopeKernel:
     ], ids=["parallel", "identical", "tie-at-0", "tie-below-rounding", "crossing-near-1",
             "close-crossings", "x1-equals-x0", "one-piece"])
     def test_degenerate_units_match_oracle(self, values0, slopes, pieces):
-        values0, slopes = np.array([values0]), np.array([slopes])
-        assert_kernel_matches_oracle(values0, slopes)
-        bounds, got = path_envelope(values0, slopes)
-        assert [p for p in got[0] if p >= 0] == pieces
+        share = assert_shares_match_oracle(np.array([values0]), np.array([slopes]))
+        assert np.flatnonzero(share[0]).tolist() == pieces
+        assert abs(share[0].sum() - 1.0) < 1e-15
+
+    def test_sliver_between_close_crossings_goes_to_the_piece_on_top(self):
+        # the flat piece tops the other two only on [0.5 - tol/4, 0.5 + tol/4]
+        share = assert_shares_match_oracle(
+            np.array([[0.0, 0.5 + 0.25 * CROSSING_TOL, 1.0]]), np.array([[1.0, 0.0, -1.0]]))
+        assert_allclose(share[0], [0.5 - 0.25 * CROSSING_TOL, 0.5 * CROSSING_TOL,
+                                   0.5 - 0.25 * CROSSING_TOL], rtol=1e-3, atol=0)

@@ -9,6 +9,11 @@ array of the routed sweep must agree with the oracle's within 1e-12 of
 its largest entry: where windows overlap, a routed index repeats and the
 dense array sums its values after, not before, the rules below the pool.
 
+The LRP oracle also differs in what it sweeps: relevances, filtered at
+affine and conv1d nodes and passed through rectifiers, where
+``lrp_epsilon`` sweeps multipliers whose product with the activations is
+the relevance.
+
 The last section checks the routes themselves: ``forward`` records each
 pool's window argmax in the trace, and no sweep over that trace scans the
 windows again.
@@ -138,8 +143,8 @@ def dense_deeplift_rules(reference, eps_stable=EPS_STABLE):
 
 
 def dense_lrp_rules(epsilon, bias_rel):
-    """epsilon-LRP's table with the dense filtering, pass-through and
-    max-pool rules."""
+    """epsilon-LRP as a relevance sweep: dense filtering, pass-through and
+    max-pool rules, seeded with the target's relevance."""
 
     def filtering(node, r_out, trace, relevance, _):
         if not r_out.any():
@@ -187,17 +192,24 @@ def assert_close(got, want, what):
 
 def compare_sweeps(method, graph, inputs, seeds, reference_input=None):
     """Run one sweep under the routed and the oracle tables; compare every
-    node's array (and LRP's bias shares) and return the routed values."""
+    node's array (and LRP's bias shares) and return the routed values.
+    LRP compares relevances: the routed sweep's multipliers times the
+    activations against the oracle's sweep seeded with ``seeds`` times
+    the activations."""
     trace = forward(graph, inputs)
     reference = None
     if method == "deeplift":
         reference = compute_reference(graph, reference_input)
     routed, dense, routed_bias, dense_bias = tables(method, reference)
     got, _ = vjp_sweep(graph, trace, seeds, rules=routed)
+    if method == "lrp":
+        seeds = {nid: seed * trace[nid] for nid, seed in seeds.items()}
     want, _ = vjp_sweep(graph, trace, seeds, rules=dense)
     assert set(got) == set(want) == set(graph.nodes)
     for nid in graph.nodes:
         assert type(got[nid]) is np.ndarray, nid
+        if method == "lrp":
+            got[nid] = trace[nid] * got[nid]
         assert_close(got[nid], want[nid], (method, nid))
     if routed_bias is not None:
         assert set(routed_bias) == set(dense_bias)
@@ -206,12 +218,9 @@ def compare_sweeps(method, graph, inputs, seeds, reference_input=None):
     return got
 
 
-def target_seeds(graph, target, trace_batch, trace=None, method="gradient"):
+def target_seeds(graph, target, trace_batch):
     t_node, t_index = resolve_target(graph, target, trace_batch)
-    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
-    if method == "lrp":
-        seed = seed * trace[t_node]
-    return {t_node: seed}
+    return {t_node: target_seed(graph.nodes[t_node].output_shape, t_index)}
 
 
 def compare_params(graph, inputs, seeds):
@@ -252,7 +261,7 @@ def test_routed_sweep_matches_dense_oracle_on_random_graphs(method):
         for batch in BATCHES:
             inputs = {"x": batch_of(shape, batch, rng)}
             trace = forward(graph, inputs)
-            seeds = target_seeds(graph, case.target, trace.batch, trace, method)
+            seeds = target_seeds(graph, case.target, trace.batch)
             compare_sweeps(method, graph, inputs, seeds, case.reference)
             if method == "deeplift" and batch is not None:
                 # a batched reference pairs its rows with the inputs
@@ -376,7 +385,7 @@ def test_routed_sweep_matches_dense_oracle_on_hand_built_graphs(name, batch):
     compare_sweeps("gradient", graph, inputs, seeds)
     compare_sweeps("deeplift", graph, inputs, seeds, {"x": rng.normal(size=shape)})
     if lrp_applies(graph):
-        compare_sweeps("lrp", graph, inputs, {k: v * trace[k] for k, v in seeds.items()})
+        compare_sweeps("lrp", graph, inputs, seeds)
     compare_params(graph, inputs, seeds)
 
 
@@ -434,7 +443,7 @@ def test_paper_cnn_routed_sweep_matches_dense_oracle(method, batch):
         graph = relu_twin(graph)
     inputs = {"seq": one_hot(rng, (200,) if batch is None else (batch, 200))}
     trace = forward(graph, inputs)
-    seeds = target_seeds(graph, ("logit", 0), trace.batch, trace, method)
+    seeds = target_seeds(graph, ("logit", 0), trace.batch)
     compare_sweeps(method, graph, inputs, seeds, {"seq": np.full((200, 4), 0.25)})
 
 
@@ -548,7 +557,7 @@ def test_sweeps_over_a_forward_trace_never_scan_the_windows(argmax_calls, batch)
     argmax_calls[0] = 0
     backward(graph, trace, ("out", 1))
     propagate_multipliers(graph, trace, reference, ("out", 1))
-    seeds = target_seeds(graph, ("out", 1), trace.batch, trace, "lrp")
+    seeds = target_seeds(graph, ("out", 1), trace.batch)
     vjp_sweep(graph, trace, seeds, rules=_lrp_rules(LRP_EPSILON, {}))
     vjp_sweep(graph, trace, seeds, want_param_grads=True)
     assert argmax_calls[0] == 0
@@ -609,9 +618,8 @@ def test_a_hand_built_trace_finds_the_same_routes_and_results():
                                         want_param_grads=True)[1],
                 }
                 if i % 2 == 0:  # piecewise linear, so LRP applies
-                    lrp_seeds = target_seeds(graph, case.target, trace.batch, trace, "lrp")
                     got["lrp bias"] = {}
-                    got["lrp"] = vjp_sweep(graph, trace, lrp_seeds,
+                    got["lrp"] = vjp_sweep(graph, trace, seeds,
                                            rules=_lrp_rules(LRP_EPSILON, got["lrp bias"]))[0]
                 results.append(got)
             assert_identical(results[1], results[0], i)

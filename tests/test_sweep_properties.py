@@ -1,5 +1,7 @@
-"""Property test: for every rule table of the sweep, a batched call equals
-the per-sample calls stacked, within 1e-12 of each array's largest entry.
+"""Property tests of the sweep's rule tables.
+
+For every rule table, a batched call equals the per-sample calls
+stacked, within 1e-12 of each array's largest entry.
 
 The gradient and DeepLIFT sweeps get the stack of the per-sample forward
 traces as their batched trace, so the comparison isolates the sweep.  A
@@ -8,6 +10,10 @@ delta ratios can magnify that round-off past 1e-12 (graphgen seed
 225095, batch 2: 1.6e-12 at the input); batched against per-sample
 forwards is checked in ``test_batched.py``.  lrp_epsilon runs its own
 forward.
+
+epsilon-LRP telescopes at every epsilon: the input relevance plus every
+filtering node's bias share (which holds its stabilizer term) is the
+target's activation.
 """
 
 import numpy as np
@@ -16,6 +22,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from deltalift.baselines import lrp_epsilon
 from deltalift.graph import ForwardTrace, forward
 
 from graphgen import random_graph_case
@@ -43,3 +50,19 @@ def test_batched_sweep_equals_stacked_per_sample_sweeps(method, seed, batch):
         assert batched[nid].shape == expected.shape
         scale = max(np.max(np.abs(expected)), 1e-300)
         assert np.max(np.abs(batched[nid] - expected)) <= RTOL * scale, nid
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 5]),
+       epsilon=st.sampled_from([1e-9, 1e-2, 1.0]))
+def test_lrp_relevance_telescopes_to_the_target_activation(seed, batch, epsilon):
+    rng = np.random.default_rng(seed)
+    case = random_graph_case(rng, piecewise_linear_only=True)
+    xs = rng.normal(size=(batch,) + case.graph.nodes["x"].output_shape)
+    rel = lrp_epsilon(case.graph, {"x": xs}, target=case.target, epsilon=epsilon)
+    inputs = rel["x"].reshape(batch, -1)
+    total = inputs.sum(axis=1) + sum(rel.bias_relevance.values())
+    # round-off of a sum is relative to the magnitudes it adds up
+    scale = (np.abs(rel.target_activation) + np.abs(inputs).sum(axis=1)
+             + sum(np.abs(v) for v in rel.bias_relevance.values()))
+    assert np.all(np.abs(total - rel.target_activation) <= 1e-12 * scale)
