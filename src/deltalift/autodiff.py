@@ -1,9 +1,12 @@
 """Reverse-mode differentiation over forward traces.
 
 ``vjp_sweep`` is the package's one reverse sweep: ``backward`` and
-training run it with the gradient rules, and DeepLIFT (``engine``) and
-epsilon-LRP (``baselines``) with rule tables that replace some of them.
-The finite difference checker is the numerical oracle for the gradients.
+training run it with the gradient rules (``GRADIENT_RULES``, one per
+node kind), and DeepLIFT (``engine``) and epsilon-LRP (``baselines``)
+with tables that extend it, replacing some of its rules.  The sweep
+walks the graph's plan (``Graph.plan``) and reaches each rule by one
+table lookup.  The finite difference checker is the numerical oracle
+for the gradients.
 
 Max-pooling sends each window's value to one input unit, its route:
 the window's first argmax, which ``forward`` records in the trace as it
@@ -12,8 +15,9 @@ windows again.  Below a pool a sweep buffer is then mostly zeros, and
 the pool rules write it as a ``Routed`` buffer instead: (flat index,
 value) entries of the dense array.  The elementwise rules and conv1d
 take such a buffer and work on its entries only; the sweep makes a
-buffer dense on a second write, before any other rule and when it
-returns.
+buffer dense on a second write and before any other rule.  What it
+returns (``SweepValues``) makes a routed buffer dense, and an unreached
+node's zeros, only when a caller reads that node.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .graph import (
     conv1d_windows,
     forward,
     maxout_pieces,
-    topo_order,
 )
 
 
@@ -76,12 +79,20 @@ def resolve_target(graph: Graph, target, batch: int | None = None):
     return node_id, index
 
 
+def one_per_call(value) -> bool:
+    """Whether ``value`` (a target index, or a target's value) holds one
+    entry for the call rather than one per sample.  A Python int or float,
+    what a single sample gives, skips ``np.ndim``, which takes
+    microseconds on one."""
+    return type(value) is int or type(value) is float or np.ndim(value) == 0
+
+
 def target_seed(shape, index) -> Tensor:
     """1 at the target's flat index of each sample, 0 elsewhere.
 
     Shaped ``shape`` for one index, (batch, *shape) for one per sample.
     """
-    if np.ndim(index) == 0:
+    if one_per_call(index):
         seed = np.zeros(shape)
         seed.flat[index] = 1.0
         return seed
@@ -93,7 +104,7 @@ def target_seed(shape, index) -> Tensor:
 def target_value(values: Tensor, index):
     """Entry of ``values`` at the target's flat index: a float for one
     sample, an array with one entry per sample for a batch."""
-    if np.ndim(index) == 0:
+    if one_per_call(index):
         return float(values.flat[index])
     return values.reshape(len(index), -1)[np.arange(len(index)), index]
 
@@ -135,8 +146,9 @@ class Routed:
         return bool(self.values.any())
 
     def dense(self) -> Tensor:
-        """The dense array, formed once: a conv1d rule reads it, and the
-        sweep returns it."""
+        """The dense array, formed once: for a second write, for a rule
+        outside ``ROUTED_KINDS``, or when a caller reads the node in the
+        sweep's result."""
         if self._dense is None:
             self._dense = np.bincount(self.index.ravel(), self.values.ravel(),
                                       self.size).reshape(self.shape)
@@ -181,101 +193,130 @@ def _forms(src: str, trace: ForwardTrace, grads: dict, param_grads) -> bool:
             or trace.graph.nodes[src].kind != "input")
 
 
-def vjp_node(node, grad_out, trace: ForwardTrace, grads: dict,
-             param_grads: dict | None = None) -> None:
-    """The gradient rule of one node, the sweep's default for every kind.
+def _one_input(input_grad, param_grad=None):
+    """The gradient rule of a one-input kind.
 
-    Accumulates input gradients into ``grads`` and, given
-    ``param_grads``, stores the node's parameter gradients (see
-    ``_param_grads``).  A batched trace's gradients carry its batch axis.
-    Max-pooling writes its input a ``Routed`` buffer at the trace's route,
-    and for the kinds of ``ROUTED_KINDS`` ``grad_out`` may be one, which
-    the rule keeps routed.
+    Given ``param_grads`` it stores ``param_grad(node, grad_out, x,
+    lead)``, the node's parameter gradients; its input then accumulates
+    ``input_grad(node, grad_out, x, trace, lead)``.  ``x`` is the input's
+    activation and ``lead`` the number of batch axes.
     """
-    kind = node.kind
-    if kind == "input":
-        return
-    lead = 0 if trace.batch is None else 1
-    src = node.inputs[0]
-    x = trace[src]
-    if param_grads is not None and kind in PARAM_KINDS:
-        param_grads[node.id] = _param_grads(node, grad_out, x, lead)
-    if kind == "product":
-        for src, other in zip(node.inputs, reversed(node.inputs)):
-            if _forms(src, trace, grads, param_grads):
-                accumulate(grads, src, grad_out * trace[other])
-        return
-    if not _forms(src, trace, grads, param_grads):
-        return
 
-    if kind == "affine":
-        gx = (grad_out @ node.params["weights"]).reshape(x.shape)
-    elif kind == "conv1d" and type(grad_out) is Routed:
-        # the output rows that hold entries, as dense rows, times the filters:
-        # one product over those rows, then one scatter into their windows
-        filters = node.params["filters"]
+    def rule(node, grad_out, trace, grads, param_grads=None):
+        src = node.inputs[0]
+        x = trace[src]
+        lead = 0 if trace.batch is None else 1
+        if param_grads is not None and param_grad is not None:
+            param_grads[node.id] = param_grad(node, grad_out, x, lead)
+        if _forms(src, trace, grads, param_grads):
+            accumulate(grads, src, input_grad(node, grad_out, x, trace, lead))
+
+    return rule
+
+
+def _affine_input_grad(node, grad_out, x, trace, lead):
+    return (grad_out @ node.params["weights"]).reshape(x.shape)
+
+
+def _conv1d_input_grad(node, grad_out, x, trace, lead):
+    filters = node.params["filters"]
+    if type(grad_out) is Routed:
+        # the output rows that hold entries, read off one scatter of the
+        # entries into the output's shape, times the filters: one product
+        # over those rows, then one scatter into their windows.  Packing
+        # the entries into those rows alone takes more numpy calls and
+        # pays only at large batches; the buffer itself stays routed.
         n_filt = len(filters)
-        dense = grad_out.dense().reshape(-1, n_filt)
-        rows = np.flatnonzero(np.bincount(grad_out.index.ravel() // n_filt,
-                                          minlength=len(dense)))
+        index = grad_out.index.ravel()
+        dense = np.bincount(index, grad_out.values.ravel(), grad_out.size)
+        dense = dense.reshape(-1, n_filt)
+        rows = np.flatnonzero(np.bincount(index // n_filt, minlength=len(dense)))
         taps = dense[rows] @ filters.reshape(n_filt, -1)
         starts = _read_starts(node, grad_out, x, lead)[rows]
         reads = starts[:, None] + np.arange(taps.shape[1])
-        gx = np.bincount(reads.ravel(), taps.ravel(), x.size).reshape(x.shape)
-    elif kind == "conv1d":
-        filters = node.params["filters"]
-        n_filt, width, _ = filters.shape
-        stride = int(node.params["stride"])
-        gs = grad_out.reshape((-1,) + grad_out.shape[lead:])  # (B, P, F)
-        n_samples, n_out = gs.shape[:2]
-        rows = gs.reshape(-1, n_filt)  # (B*P, F)
-        # col2im: the taps' (B*P, F) @ (F, C) products as one stacked
-        # matmul per group of taps, each added in place, in tap order, into
-        # the rows it reads.  A group's (taps, B*P, C) result is no larger
-        # than one sample's full stack, so a batch allocates no large
-        # transient; one sample takes every tap in one product.
-        per_group = max(1, width // max(1, n_samples))
-        by_tap = filters.transpose(1, 0, 2)  # (K, F, C)
-        gx = np.zeros(x.shape)
-        gxs = gx.reshape((n_samples,) + x.shape[lead:])  # (B, L, C) view
-        span = stride * (n_out - 1) + 1
-        for first in range(0, width, per_group):
-            taps = np.matmul(rows, by_tap[first:first + per_group])
-            for k, tap in enumerate(taps, first):
-                view = gxs[:, k:k + span:stride]
-                np.add(view, tap.reshape(view.shape), out=view)
-    elif kind == "maxpool1d":
-        gx = Routed(trace.route(node.id), grad_out, x.shape)
-    elif kind in ELEMENTWISE_KINDS:
-        g, at, like = aligned(grad_out)
-        gx = like(elementwise_grad(node, g, trace, at))
-    elif kind == "maxout":
-        w = node.params["weights"]
-        # active piece per unit, lowest index on ties
-        active = maxout_pieces(node, x, lead).argmax(axis=-2)
-        gx = (grad_out[..., None, :] @ w[active, np.arange(w.shape[1])]).reshape(x.shape)
-    elif kind == "softmax":
-        y = trace[node.id]
-        gx = y * (grad_out - (grad_out * y).sum(axis=-1, keepdims=True))
-    else:
-        raise GraphError(f"no gradient rule for node kind '{kind}'")
-    accumulate(grads, src, gx)
+        return np.bincount(reads.ravel(), taps.ravel(), x.size).reshape(x.shape)
+    n_filt, width, _ = filters.shape
+    stride = int(node.params["stride"])
+    gs = grad_out.reshape((-1,) + grad_out.shape[lead:])  # (B, P, F)
+    n_samples, n_out = gs.shape[:2]
+    rows = gs.reshape(-1, n_filt)  # (B*P, F)
+    # col2im: the taps' (B*P, F) @ (F, C) products as one stacked
+    # matmul per group of taps, each added in place, in tap order, into
+    # the rows it reads.  A group's (taps, B*P, C) result is no larger
+    # than one sample's full stack, so a batch allocates no large
+    # transient; one sample takes every tap in one product.
+    per_group = max(1, width // max(1, n_samples))
+    by_tap = filters.transpose(1, 0, 2)  # (K, F, C)
+    gx = np.zeros(x.shape)
+    gxs = gx.reshape((n_samples,) + x.shape[lead:])  # (B, L, C) view
+    span = stride * (n_out - 1) + 1
+    for first in range(0, width, per_group):
+        taps = np.matmul(rows, by_tap[first:first + per_group])
+        for k, tap in enumerate(taps, first):
+            view = gxs[:, k:k + span:stride]
+            np.add(view, tap.reshape(view.shape), out=view)
+    return gx
+
+
+def _maxpool_input_grad(node, grad_out, x, trace, lead):
+    return Routed(trace.route(node.id), grad_out, x.shape)
+
+
+def _elementwise_input_grad(node, grad_out, x, trace, lead):
+    g, at, like = aligned(grad_out)
+    return like(elementwise_grad(node, g, trace, at))
+
+
+def _maxout_input_grad(node, grad_out, x, trace, lead):
+    w = node.params["weights"]
+    # active piece per unit, lowest index on ties
+    active = maxout_pieces(node, x, lead).argmax(axis=-2)
+    return (grad_out[..., None, :] @ w[active, np.arange(w.shape[1])]).reshape(x.shape)
+
+
+def _softmax_input_grad(node, grad_out, x, trace, lead):
+    y = trace[node.id]
+    return y * (grad_out - (grad_out * y).sum(axis=-1, keepdims=True))
+
+
+def _product_rule(node, grad_out, trace, grads, param_grads=None):
+    for src, other in zip(node.inputs, reversed(node.inputs)):
+        if _forms(src, trace, grads, param_grads):
+            accumulate(grads, src, grad_out * trace[other])
+
+
+def _input_rule(node, grad_out, trace, grads, param_grads=None):
+    """An input node passes nothing on."""
+
+
+def _relu_derivative(node, g, trace, at):
+    return g * (at(trace[node.inputs[0]]) > 0)
+
+
+def _prelu_derivative(node, g, trace, at):
+    x = at(trace[node.inputs[0]])
+    return g * ((x > 0) + (x <= 0) * at(node.sample_slopes))
+
+
+def _sigmoid_derivative(node, g, trace, at):
+    y = at(trace[node.id])
+    return g * y * (1.0 - y)
+
+
+def _tanh_derivative(node, g, trace, at):
+    y = at(trace[node.id])
+    return g * (1.0 - y * y)
+
+
+_DERIVATIVES = {"relu": _relu_derivative, "prelu": _prelu_derivative,
+                "sigmoid": _sigmoid_derivative, "tanh": _tanh_derivative}
 
 
 def elementwise_grad(node, g, trace: ForwardTrace, at) -> Tensor:
     """``g`` times the derivative of a relu, prelu, sigmoid or tanh node at
     ``trace``'s activations, read by ``at`` (see ``aligned``); g = 1.0
     gives the derivative itself."""
-    kind = node.kind
-    if kind == "relu":
-        return g * (at(trace[node.inputs[0]]) > 0)
-    if kind == "prelu":
-        x = at(trace[node.inputs[0]])
-        return g * ((x > 0) + (x <= 0) * at(node.sample_slopes))
-    y = at(trace[node.id])
-    if kind == "sigmoid":
-        return g * y * (1.0 - y)
-    return g * (1.0 - y * y)  # tanh
+    return _DERIVATIVES[node.kind](node, g, trace, at)
 
 
 @functools.lru_cache(maxsize=64)
@@ -306,9 +347,6 @@ def _flat_windows(x: Tensor, size: int) -> Tensor:
     return win
 
 
-PARAM_KINDS = frozenset(["affine", "conv1d", "prelu", "maxout"])
-
-
 def _channel_sums(rows: Tensor) -> Tensor:
     """Column sums of a tall (rows, channels) array as one matrix-vector
     product; ``rows.sum(axis=0)`` runs a loop over only ``channels``
@@ -316,17 +354,20 @@ def _channel_sums(rows: Tensor) -> Tensor:
     return np.ones(len(rows)) @ rows
 
 
-def _param_grads(node, grad_out: Tensor, x: Tensor, lead: int) -> dict:
-    """Parameter gradients of a node of ``PARAM_KINDS`` with input ``x``,
-    summed over the batch axis (the first ``lead`` axes)."""
-    kind = node.kind
-    if kind == "affine":
-        rows = grad_out.reshape(-1, node.params["weights"].shape[0])
-        return {"weights": rows.T @ x.reshape(len(rows), -1), "bias": rows.sum(axis=0)}
-    if kind == "conv1d" and type(grad_out) is Routed:
+# Parameter gradients of a node with input ``x``, summed over the batch
+# axis (the first ``lead`` axes): ``param_grad(node, grad_out, x, lead)``.
+
+
+def _affine_param_grads(node, grad_out, x, lead):
+    rows = grad_out.reshape(-1, node.params["weights"].shape[0])
+    return {"weights": rows.T @ x.reshape(len(rows), -1), "bias": rows.sum(axis=0)}
+
+
+def _conv1d_param_grads(node, grad_out, x, lead):
+    filters = node.params["filters"]
+    if type(grad_out) is Routed:
         # each entry's value times the window its filter read; the entries
         # end with the channel axis, whose position is the filter
-        filters = node.params["filters"]
         n_filt = len(filters)
         values = grad_out.values.reshape(-1, n_filt).T  # (F, entries per filter)
         rows = grad_out.index.reshape(-1, n_filt).T // n_filt
@@ -334,31 +375,34 @@ def _param_grads(node, grad_out: Tensor, x: Tensor, lead: int) -> dict:
         windows = _flat_windows(x, filters[0].size)[starts]
         dw = np.matmul(values[:, None, :], windows)
         return {"filters": dw.reshape(filters.shape), "bias": _channel_sums(values.T)}
-    if kind == "conv1d":
-        filters = node.params["filters"]
-        n_filt, width, _ = filters.shape
-        stride = int(node.params["stride"])
-        rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
-        xs, gs = (x, grad_out) if lead else (x[None], grad_out[None])
-        # im2col products summed over blocks of whole samples: one
-        # (F, B*P) @ (B*P, K*C) product would copy every window at once,
-        # more than the cache holds
-        per_block = max(1, IM2COL_BLOCK_ROWS // gs.shape[1])
-        dw = np.zeros((n_filt, filters[0].size))
-        for i in range(0, len(xs), per_block):
-            g = gs[i:i + per_block].reshape(-1, n_filt)
-            cols = conv1d_windows(xs[i:i + per_block], width, stride, 1)
-            dw += g.T @ cols.reshape(len(g), -1)
-        return {"filters": dw.reshape(filters.shape), "bias": _channel_sums(rows)}
-    if kind == "prelu":
-        g, at, _ = aligned(grad_out)
-        gs = np.minimum(at(x), 0.0)
-        gs *= g
-        n = node.params["slopes"].size
-        if type(grad_out) is Routed:  # the entry at flat index i has channel i % n
-            return {"slopes": np.bincount(grad_out.index.ravel() % n, gs.ravel(), n)}
-        return {"slopes": _channel_sums(gs.reshape(-1, n))}
-    w = node.params["weights"]  # maxout: each unit's active piece
+    n_filt, width, _ = filters.shape
+    stride = int(node.params["stride"])
+    rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
+    xs, gs = (x, grad_out) if lead else (x[None], grad_out[None])
+    # im2col products summed over blocks of whole samples: one
+    # (F, B*P) @ (B*P, K*C) product would copy every window at once,
+    # more than the cache holds
+    per_block = max(1, IM2COL_BLOCK_ROWS // gs.shape[1])
+    dw = np.zeros((n_filt, filters[0].size))
+    for i in range(0, len(xs), per_block):
+        g = gs[i:i + per_block].reshape(-1, n_filt)
+        cols = conv1d_windows(xs[i:i + per_block], width, stride, 1)
+        dw += g.T @ cols.reshape(len(g), -1)
+    return {"filters": dw.reshape(filters.shape), "bias": _channel_sums(rows)}
+
+
+def _prelu_param_grads(node, grad_out, x, lead):
+    g, at, _ = aligned(grad_out)
+    gs = np.minimum(at(x), 0.0)
+    gs *= g
+    n = node.params["slopes"].size
+    if type(grad_out) is Routed:  # the entry at flat index i has channel i % n
+        return {"slopes": np.bincount(grad_out.index.ravel() % n, gs.ravel(), n)}
+    return {"slopes": _channel_sums(gs.reshape(-1, n))}
+
+
+def _maxout_param_grads(node, grad_out, x, lead):
+    w = node.params["weights"]  # each unit's active piece
     _, out_dim, in_dim = w.shape
     active = maxout_pieces(node, x, lead).argmax(axis=-2).reshape(-1, out_dim)
     units = np.arange(out_dim)
@@ -370,8 +414,90 @@ def _param_grads(node, grad_out: Tensor, x: Tensor, lead: int) -> dict:
     return {"weights": dw, "biases": db}
 
 
+_elementwise_rule = _one_input(_elementwise_input_grad)
+
+# The gradient rule of every kind, ``rule(node, grad_out, trace, grads,
+# param_grads=None)``: the sweep's default table, which DeepLIFT's and
+# epsilon-LRP's extend.  Max-pooling writes its input a ``Routed`` buffer
+# at the trace's route, and the rules of ``ROUTED_KINDS`` take one and
+# keep it routed.
+GRADIENT_RULES = {
+    "input": _input_rule,
+    "affine": _one_input(_affine_input_grad, _affine_param_grads),
+    "conv1d": _one_input(_conv1d_input_grad, _conv1d_param_grads),
+    "maxpool1d": _one_input(_maxpool_input_grad),
+    "relu": _elementwise_rule,
+    "prelu": _one_input(_elementwise_input_grad, _prelu_param_grads),
+    "sigmoid": _elementwise_rule,
+    "tanh": _elementwise_rule,
+    "maxout": _one_input(_maxout_input_grad, _maxout_param_grads),
+    "product": _product_rule,
+    "softmax": _one_input(_softmax_input_grad),
+}
+
 # kinds whose rules, in every rule table, keep a ``Routed`` buffer routed
 ROUTED_KINDS = ELEMENTWISE_KINDS | {"conv1d"}
+
+
+def vjp_node(node, grad_out, trace: ForwardTrace, grads: dict,
+             param_grads: dict | None = None) -> None:
+    """The gradient rule of one node (``GRADIENT_RULES`` of its kind).
+
+    Accumulates input gradients into ``grads`` and, given
+    ``param_grads``, stores the node's parameter gradients, summed over a
+    batched trace's batch axis; input gradients carry it.
+    """
+    GRADIENT_RULES[node.kind](node, grad_out, trace, grads, param_grads)
+
+
+class SweepValues(dict):
+    """A sweep's result: a dense array for every node id of the graph.
+
+    The sweep leaves a routed node's ``Routed`` buffer, and for a node it
+    never reached only the shape of its zeros; each becomes its dense
+    array when first read, and is kept.  A caller that reads only the
+    inputs and the target, as the reports do, so never forms the others.
+    Indexing, ``get``, ``pop``, ``values``, ``items``, ``dict(...)`` and
+    ``**`` unpacking all see the dense arrays.
+    """
+
+    def __getitem__(self, node_id):
+        value = dict.__getitem__(self, node_id)
+        if type(value) is Routed:
+            value = value.dense()
+        elif type(value) is tuple:
+            value = np.zeros(value)
+        else:
+            return value
+        dict.__setitem__(self, node_id, value)
+        return value
+
+    def get(self, node_id, default=None):
+        return self[node_id] if node_id in self else default
+
+    def __iter__(self):
+        # not dict's own iterator: dict(values), {**values} and update()
+        # then read through __getitem__
+        return dict.__iter__(self)
+
+    def values(self):
+        return [self[nid] for nid in self]
+
+    def items(self):
+        return [(nid, self[nid]) for nid in self]
+
+    def copy(self):
+        return dict(self)
+
+    def pop(self, node_id, *default):
+        if node_id not in self:
+            return dict.pop(self, node_id, *default)
+        value = self[node_id]
+        dict.__delitem__(self, node_id)
+        return value
+
+    def __repr__(self):
+        return repr(self.copy())
 
 
 def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
@@ -380,52 +506,56 @@ def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
 
     From copies of ``seeds`` (node id -> array shaped like its
     activations), nodes run in reverse topological order under
-    ``rules[kind]``, default ``vjp_node``.  A rule ``rule(node, out,
-    trace, values, param_grads)`` writes into its sources with
+    ``rules[kind]``, a table with a rule for every kind (default
+    ``GRADIENT_RULES``, which other tables extend).  A rule ``rule(node,
+    out, trace, values, param_grads)`` writes into its sources with
     ``accumulate``, so a node gets a buffer only once a consumer writes
     into it; nodes without one are skipped, and a rule whose outcome
-    depends on an all-zero ``out`` (one that raises) checks for it.
+    depends on an all-zero ``out`` (one that raises) checks for it.  The
+    trace needs the activations of the nodes the sweep reaches only, so
+    a forward pass up to the seeded node (``forward(..., upto=...)``)
+    serves.
 
     A max-pool rule writes its input a ``Routed`` buffer: only the window
     maxima's entries, not a dense array that is zero elsewhere (on the
     paper CNN, 60 of 3,720 entries per sample).  Rules for
     ``ROUTED_KINDS`` take it and pass routed values on (see ``aligned``),
     so the elementwise rules and conv1d below a pool touch only those
-    entries.  A buffer becomes dense here and nowhere else: on a second
-    write (``accumulate``), before a rule of any other kind, and at the
-    end of a sweep that returns values.
+    entries.  A buffer becomes dense on a second write (``accumulate``)
+    and before a rule of any other kind.
 
-    Without ``want_param_grads`` the result is (a dense entry for every
-    node, zeros where the sweep never reached, None).  With it the sweep
-    serves training and returns (None, parameter gradients): each node's
-    gradient is dropped once propagated.
+    Without ``want_param_grads`` the result is (a ``SweepValues`` with an
+    entry for every node, None): a routed node's dense array, and an
+    unreached node's zeros, are formed when a caller reads them.  With it
+    the sweep serves training and returns (None, parameter gradients):
+    each node's gradient is dropped once propagated.
     """
     grads = {nid: np.array(seed, dtype=np.float64) for nid, seed in seeds.items()}
     param_grads: dict | None = {} if want_param_grads else None
     take = grads.pop if want_param_grads else grads.get
-    rules = rules or {}
-    routed = []
-    for node_id in reversed(topo_order(graph)):
+    rules = rules or GRADIENT_RULES
+    nodes = graph.nodes
+    for node_id in reversed(graph.plan().order):
         out = take(node_id, None)
         if out is None:
             continue
-        node = graph.nodes[node_id]
-        if type(out) is Routed:
-            routed.append(node_id)
-            if node.kind not in ROUTED_KINDS:
-                out = out.dense()
-        rules.get(node.kind, vjp_node)(node, out, trace, grads, param_grads)
+        node = nodes[node_id]
+        if type(out) is Routed and node.kind not in ROUTED_KINDS:
+            out = out.dense()
+        rules[node.kind](node, out, trace, grads, param_grads)
     if want_param_grads:
         return None, param_grads
-    # made dense last, once the rules' temporaries are freed
-    grads.update((nid, grads[nid].dense()) for nid in routed)
-    grads.update((nid, np.zeros(trace[nid].shape)) for nid in graph.nodes if nid not in grads)
-    return grads, None
+    values = SweepValues(grads)
+    lead = () if trace.batch is None else (trace.batch,)
+    for node_id, node in nodes.items():
+        if node_id not in grads:
+            dict.__setitem__(values, node_id, lead + node.output_shape)
+    return values, None
 
 
 def backward(graph: Graph, trace: ForwardTrace, target) -> dict[str, Tensor]:
     """Gradient of the target activation w.r.t. every node activation,
-    keyed by node id.
+    keyed by node id (a ``SweepValues``).
 
     ``target`` is a ``(node_id, flat_index)`` pair (or a bare node id,
     meaning index 0); a batched trace takes one index or one per sample.

@@ -10,7 +10,13 @@ which ``equivalence_report`` demonstrates over a random ensemble.
 epsilon-LRP is gradient*input with a modified gradient (Ancona et al.,
 ICLR 2018): one ``autodiff.vjp_sweep`` carries multipliers m, a node's
 relevance is its activation times m, and only the filtering rule at
-affine and conv1d differs from the gradient's.
+affine and conv1d differs from the gradient's: its rule table extends
+``autodiff.GRADIENT_RULES``.
+
+``gradient_times_input`` is a report-only call: when the graph alone
+fixes the target (``engine.fixed_target_node``) it evaluates only the
+target's ancestors.  ``lrp_epsilon`` evaluates every node, since the
+``RelevanceTrace`` it returns exposes the whole trace.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    GRADIENT_RULES,
     aligned,
     backward,
     target_seed,
@@ -32,8 +39,10 @@ from .engine import (
     ContributionReport,
     ReferenceState,
     _reference_on,
+    check_stabilizer,
     contribution_report,
     contributions,
+    fixed_target_node,
     select_attribution_target,
 )
 from .graph import (
@@ -59,10 +68,12 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
     gradient * (input - reference); the default reference is zero,
     evaluated once per graph.  The report's residual records how far the
     scores are from the difference-from-reference of the target
-    (gradients conserve nothing, so this is diagnostic, not small).
+    (gradients conserve nothing, so this is diagnostic, not small).  When
+    the graph alone fixes the target (``engine.fixed_target_node``) only
+    the target's ancestors are evaluated.
     """
     graph.require_valid()
-    trace = forward(graph, inputs)
+    trace = forward(graph, inputs, upto=fixed_target_node(graph, target, class_index))
     resolved = select_attribution_target(graph, target, class_index, trace)
     grads = backward(graph, trace, resolved)
     ref = _reference_on(graph, reference, reference_input)
@@ -113,8 +124,11 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     the gradient rule, so relevance passes through a rectifier and goes
     to each window's argmax.  The target's relevance is its own
     activation.  ``inputs`` holds one sample or a batch.  Raises
-    AttributionError when relevance reaches any other node kind.
+    AttributionError when relevance reaches any other node kind, and
+    ValueError unless ``epsilon`` is a finite number >= 0.  The forward
+    trace covers every node, since ``RelevanceTrace`` exposes it.
     """
+    check_stabilizer("epsilon", epsilon)
     graph.require_valid()
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, class_index, trace)
@@ -155,7 +169,7 @@ def _lrp_rules(epsilon: float, bias_rel: dict) -> dict:
                 f"it supports {', '.join(sorted(LRP_KINDS - {'input'}))}"
             )
 
-    return {**dict.fromkeys(KNOWN_KINDS - LRP_KINDS, reject),
+    return {**GRADIENT_RULES, **dict.fromkeys(KNOWN_KINDS - LRP_KINDS, reject),
             "affine": filtering, "conv1d": filtering}
 
 

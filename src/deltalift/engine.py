@@ -30,16 +30,27 @@ affine layer instead of the softmax output; sigmoid heads default to the
 pre-sigmoid node (see ``select_attribution_target``).
 
 Like ``forward``, the entry points take one sample or a batch stacked
-along a leading axis; each rule is written once for both, and the linear
-kinds keep the gradient rule ``vjp_node``.  A reference computed from a
+along a leading axis; each rule is written once for both.  DeepLIFT's
+rule table extends the gradient table (``autodiff.GRADIENT_RULES``), so
+the linear kinds keep the gradient rule.  A reference computed from a
 batch of the same size pairs row-wise with the inputs.
-``propagate_multipliers`` returns the sweep's per-node dict, and
-``contributions`` turns any such multipliers (DeepLIFT's, or gradients
-for gradient*input) into a report of C = m * delta.
+``propagate_multipliers`` returns the sweep's per-node mapping
+(``autodiff.SweepValues``), and ``contributions`` turns any such
+multipliers (DeepLIFT's, or gradients for gradient*input) into a report
+of C = m * delta.
+
+A report-only call (``deeplift``, and ``gradient_times_input`` in
+``baselines``) reads only the inputs' and the target's arrays.  When the
+graph alone fixes the target (``fixed_target_node``: an explicit target,
+a sigmoid head, or a softmax head given ``class_index``) its forward pass
+evaluates only the target's ancestors, and the sweep's result forms no
+other node's array.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +64,12 @@ from .graph import (
     forward,
 )
 from .autodiff import (
+    GRADIENT_RULES,
     Routed,
     accumulate,
     aligned,
     elementwise_grad,
+    one_per_call,
     resolve_target,
     take_at,
     target_seed,
@@ -76,6 +89,18 @@ ATTRIBUTE_CHUNK = 8
 
 class AttributionError(Exception):
     """Attribution cannot proceed: bad target, unsupported node, etc."""
+
+
+def check_stabilizer(name: str, value) -> float:
+    """Return ``value``; raise ValueError unless it is a finite number
+    >= 0.  A NaN ``eps_stable`` would send every Rescale unit to the
+    derivative fallback, and a NaN LRP epsilon would make every score
+    NaN."""
+    number = type(value) is float or (isinstance(value, numbers.Real)
+                                      and not isinstance(value, bool))
+    if not (number and math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +186,10 @@ def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceSta
     src = node.inputs[0]
     dx = at(trace[src]) - at(reference[src])
     dy = at(trace[node.id]) - at(reference[node.id])
-    # dx and dy are fresh arrays, so the ratio is formed in dy's memory
+    # dx and dy are fresh arrays, so the ratio is formed in dy's memory;
+    # count_nonzero tests for all-true without ndarray.all's Python wrapper
     ratio_ok = np.abs(dx) > eps_stable
-    if ratio_ok.all():
+    if np.count_nonzero(ratio_ok) == ratio_ok.size:
         return np.divide(dy, dx, out=dy)
     dx[~ratio_ok] = 1.0
     np.divide(dy, dx, out=dy)
@@ -257,8 +283,10 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
     (every array then carries the batch axis) against the one reference,
     or row i against row i of a batched reference.  Raises
     AttributionError if the sweep would have to cross a softmax node
-    (target its pre-activations instead).
+    (target its pre-activations instead), and ValueError unless
+    ``eps_stable`` is a finite number >= 0.
     """
+    check_stabilizer("eps_stable", eps_stable)
     graph.require_valid()
     t_node, t_index = resolve_target(graph, target, trace.batch)
     seed = target_seed(graph.nodes[t_node].output_shape, t_index)
@@ -268,8 +296,9 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
 
 
 def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
-    """DeepLIFT's rules for ``vjp_sweep``; affine and conv1d keep the
-    gradient rule, since their multipliers are the weights."""
+    """DeepLIFT's rule table for ``vjp_sweep``: the gradient table with
+    its nonlinear kinds replaced; affine and conv1d keep the gradient
+    rule, since their multipliers are the weights."""
 
     def rescale(node, m_out, trace, mult, _):
         m, at, like = aligned(m_out)
@@ -294,8 +323,9 @@ def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
                 "pre-softmax activations (mean-normalized) instead"
             )
 
-    return {**dict.fromkeys(ELEMENTWISE_KINDS, rescale), "product": product,
-            "maxpool1d": maxpool, "maxout": maxout, "softmax": softmax}
+    return {**GRADIENT_RULES, **dict.fromkeys(ELEMENTWISE_KINDS, rescale),
+            "product": product, "maxpool1d": maxpool, "maxout": maxout,
+            "softmax": softmax}
 
 
 def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
@@ -386,7 +416,7 @@ class ContributionReport:
 
     @property
     def batch(self) -> int | None:
-        return None if np.ndim(self.delta_target) == 0 else len(self.delta_target)
+        return None if one_per_call(self.delta_target) else len(self.delta_target)
 
     def total(self):
         """Sum of all contributions: a float, or one per sample of a batch."""
@@ -476,6 +506,28 @@ def select_attribution_target(graph: Graph, requested=None, class_index=None,
     )
 
 
+def fixed_target_node(graph: Graph, requested=None, class_index=None) -> str | None:
+    """The node ``select_attribution_target`` picks when the graph alone
+    fixes it: an explicit target's, a sigmoid head's pre-activation, or a
+    softmax head's given ``class_index``.  None when the choice needs a
+    forward trace (a softmax head's predicted class) or will fail.
+
+    A report-only call evaluates just this node and its ancestors
+    (``forward(..., upto=...)``): on the paper CNN it skips the sigmoid.
+    """
+    if requested is not None:
+        node_id = requested
+        if isinstance(requested, (tuple, list)) and len(requested) == 2:
+            node_id = requested[0]
+        return node_id if isinstance(node_id, str) and node_id in graph.nodes else None
+    if len(graph.outputs) != 1:
+        return None
+    head = graph.nodes[graph.outputs[0]]
+    if head.kind == "sigmoid" or (head.kind == "softmax" and class_index is not None):
+        return head.inputs[0]
+    return None
+
+
 def deeplift(graph: Graph, inputs: dict[str, Tensor],
              reference_input: dict[str, Tensor] | None = None,
              target=None, class_index=None, eps_stable: float = EPS_STABLE,
@@ -493,12 +545,16 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     ``reference_input``.  A reference computed from a batch of reference
     inputs pairs row-wise with a batch of ``inputs`` of the same size:
     row i is attributed against reference row i, as the single call with
-    that pair would be (nothing is averaged over references).
+    that pair would be (nothing is averaged over references).  When the
+    graph alone fixes the target (see ``fixed_target_node``) only the
+    target's ancestors are evaluated.  Raises ValueError unless
+    ``eps_stable`` is a finite number >= 0.
     """
     graph.require_valid()
     normalized = _normalize_softmax_head_if_any(graph)
     ref = _reference_on(normalized, reference, reference_input)
-    trace = forward(normalized, inputs)
+    trace = forward(normalized, inputs,
+                    upto=fixed_target_node(normalized, target, class_index))
     resolved = select_attribution_target(normalized, target, class_index, trace)
     mult = propagate_multipliers(normalized, trace, ref, resolved, eps_stable)
     return contributions(trace, ref, resolved, mult)

@@ -19,6 +19,7 @@ from .engine import (
     EPS_STABLE,
     AttributionError,
     ContributionReport,
+    check_stabilizer,
     compute_reference,
     deeplift,
     zeros_reference,
@@ -364,8 +365,10 @@ def compare_methods(graph: Graph, test_set,
     first (outputs unchanged); both methods then run on that same model
     against the all-zeros reference, ``ATTRIBUTE_CHUNK`` sequences per
     call.  Only correctly classified positives are scored; each row keeps
-    both methods' per-position scores.
+    both methods' per-position scores.  Raises ValueError unless
+    ``eps_stable`` is a finite number >= 0.
     """
+    check_stabilizer("eps_stable", eps_stable)
     input_ids = graph.input_ids()
     if len(input_ids) != 1 or len(graph.outputs) != 1:
         raise AttributionError(

@@ -3,8 +3,10 @@
 A :class:`Graph` is an immutable DAG of typed nodes (input, affine, conv1d,
 maxpool1d, relu, prelu, sigmoid, tanh, maxout, product, softmax).  Forward
 evaluation returns a :class:`ForwardTrace` holding the activation of every
-node and the route of every max pool; gradient and attribution passes
-consume that trace.
+node (or, given ``upto``, of one node's ancestors) and the route of every
+max pool; gradient and attribution passes consume that trace.  Each graph
+keeps a :class:`Plan` of its structure, made once: the topological order,
+the inputs and each node's forward rule (``FORWARD_RULES``, one per kind).
 
 Conventions:
   * all tensors are C-contiguous float64 arrays; vectors have shape (n,),
@@ -176,6 +178,7 @@ class Graph:
         )
         self._report: ValidationReport | None = None
         self._order: tuple[str, ...] | None = None
+        self._plan: Plan | None = None
         # objects other modules derive from this graph and keep with it;
         # the graph is immutable, so they never go stale
         self._memo: dict = {}
@@ -192,14 +195,22 @@ class Graph:
         if not self._report.ok:
             raise GraphError("; ".join(self._report.violations))
 
+    def plan(self) -> "Plan":
+        """This graph's :class:`Plan`, made on first use; raises GraphError
+        if the graph is malformed."""
+        if self._plan is None:
+            self.require_valid()
+            self._plan = Plan.of(self)
+        return self._plan
+
     def replace_params(self, updates: dict) -> "Graph":
         """Return a new graph with parameter arrays swapped per node.
 
         ``updates`` maps node id to a dict of param-name -> array.  Every
         swapped array must keep the shape of the array it replaces, else
         GraphError.  Structure and shapes are then unchanged, so the new
-        graph inherits this one's validation report and topological order
-        instead of validating again.
+        graph inherits this one's validation report, topological order and
+        plan instead of working them out again.
         """
         nodes = []
         for node in self.nodes.values():
@@ -220,6 +231,7 @@ class Graph:
         graph = Graph(nodes, self.outputs, self.constraint_groups)
         graph._report = self._report
         graph._order = self._order
+        graph._plan = self._plan
         return graph
 
 
@@ -533,56 +545,101 @@ def maxout_pieces(node: NodeSpec, x: Tensor, lead: int = 0) -> Tensor:
     return z.reshape(z.shape[:lead] + (pieces, out_dim)) + b
 
 
-def eval_node(node: NodeSpec, args: list[Tensor], lead: int = 0) -> Tensor:
-    """Evaluate one node on the activations of its inputs.
+def _eval_affine(node, acts, lead):
+    x = acts[node.inputs[0]]
+    w, b = node.params["weights"], node.params["bias"]
+    return x.reshape(x.shape[:lead] + (-1,)) @ w.T + b
 
-    The first ``lead`` axes of every argument, and of the result, are
-    batch axes: 0 for one sample, 1 for a batch.  Max-pooling is not
-    evaluated here: ``forward`` reads it off the trace's route.
+
+def _eval_conv1d(node, acts, lead):
+    # im2col: (rows, K*C) @ (K*C, F) products over blocks of whole
+    # samples, each written into its rows of one output
+    filters, bias = node.params["filters"], node.params["bias"]
+    n_filt, width, channels = filters.shape
+    win = conv1d_windows(acts[node.inputs[0]], width, int(node.params["stride"]), lead)
+    samples = win.reshape((-1,) + win.shape[lead:])  # (B, P, K, C) view
+    n_samples, n_out = samples.shape[:2]
+    per_block = max(1, IM2COL_BLOCK_ROWS // n_out)
+    w_t = filters.reshape(n_filt, -1).T
+    out = np.empty((n_samples * n_out, n_filt))
+    for i in range(0, n_samples, per_block):
+        block = samples[i:i + per_block]
+        np.matmul(block.reshape(-1, width * channels), w_t,
+                  out=out[i * n_out:(i + len(block)) * n_out])
+    out += bias
+    return out.reshape(win.shape[:lead + 1] + (n_filt,))
+
+
+def _eval_prelu(node, acts, lead):
+    # max(x, 0) + slopes * min(x, 0), formed in place: equal to
+    # where(x > 0, x, slopes * x), which is several times slower on
+    # large batches
+    x = acts[node.inputs[0]]
+    out = np.minimum(x, 0.0)
+    out *= node.sample_slopes
+    out += np.maximum(x, 0.0)
+    return out
+
+
+# The forward rule of each kind: ``rule(node, acts, lead)`` returns the
+# node's activation, reading its inputs' from ``acts`` (node id -> array),
+# whose first ``lead`` axes are batch axes.  Max-pooling has none, since
+# ``forward`` reads it off the trace's route.
+FORWARD_RULES = {
+    "affine": _eval_affine,
+    "conv1d": _eval_conv1d,
+    "relu": lambda node, acts, lead: np.maximum(acts[node.inputs[0]], 0.0),
+    "prelu": _eval_prelu,
+    "sigmoid": lambda node, acts, lead: stable_sigmoid(acts[node.inputs[0]]),
+    "tanh": lambda node, acts, lead: np.tanh(acts[node.inputs[0]]),
+    "maxout": lambda node, acts, lead:
+        maxout_pieces(node, acts[node.inputs[0]], lead).max(axis=-2),
+    "product": lambda node, acts, lead: acts[node.inputs[0]] * acts[node.inputs[1]],
+    "softmax": lambda node, acts, lead: stable_softmax(acts[node.inputs[0]]),
+}
+
+
+@dataclass(eq=False)
+class Plan:
+    """What evaluation needs of a valid graph's structure, worked out once.
+
+    ``order`` holds every node id in topological order, ``inputs`` each
+    input node's id and declared shape, and ``steps`` every other node in
+    that order as (id, forward rule, source ids): the rule of its kind
+    from ``FORWARD_RULES``, or None for a max pool, which ``forward``
+    reads off its route.  A plan holds no parameters, so a graph that
+    only swaps them (``Graph.replace_params``) keeps its plan.
     """
-    kind = node.kind
-    x = args[0]
-    if kind == "affine":
-        w, b = node.params["weights"], node.params["bias"]
-        return x.reshape(x.shape[:lead] + (-1,)) @ w.T + b
-    if kind == "conv1d":
-        # im2col: (rows, K*C) @ (K*C, F) products over blocks of whole
-        # samples, each written into its rows of one output
-        filters, bias = node.params["filters"], node.params["bias"]
-        n_filt, width, channels = filters.shape
-        win = conv1d_windows(x, width, int(node.params["stride"]), lead)
-        samples = win.reshape((-1,) + win.shape[lead:])  # (B, P, K, C) view
-        n_samples, n_out = samples.shape[:2]
-        per_block = max(1, IM2COL_BLOCK_ROWS // n_out)
-        w_t = filters.reshape(n_filt, -1).T
-        out = np.empty((n_samples * n_out, n_filt))
-        for i in range(0, n_samples, per_block):
-            block = samples[i:i + per_block]
-            np.matmul(block.reshape(-1, width * channels), w_t,
-                      out=out[i * n_out:(i + len(block)) * n_out])
-        out += bias
-        return out.reshape(win.shape[:lead + 1] + (n_filt,))
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "prelu":
-        # max(x, 0) + slopes * min(x, 0), formed in place: equal to
-        # where(x > 0, x, slopes * x), which is several times slower on
-        # large batches
-        out = np.minimum(x, 0.0)
-        out *= node.sample_slopes
-        out += np.maximum(x, 0.0)
-        return out
-    if kind == "sigmoid":
-        return stable_sigmoid(x)
-    if kind == "tanh":
-        return np.tanh(x)
-    if kind == "maxout":
-        return maxout_pieces(node, x, lead).max(axis=-2)
-    if kind == "product":
-        return x * args[1]
-    if kind == "softmax":
-        return stable_softmax(x)
-    raise GraphError(f"cannot evaluate node kind '{kind}'")
+
+    order: tuple[str, ...]
+    inputs: tuple[tuple[str, tuple[int, ...]], ...]
+    steps: tuple[tuple, ...]
+    _upto: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, graph: Graph) -> "Plan":
+        order = tuple(topo_order(graph))
+        return cls(
+            order,
+            tuple((n.id, n.output_shape) for n in graph.nodes.values()
+                  if n.kind == "input"),
+            tuple((nid, FORWARD_RULES.get(graph.nodes[nid].kind), graph.nodes[nid].inputs)
+                  for nid in order if graph.nodes[nid].kind != "input"),
+        )
+
+    def steps_upto(self, node_id: str) -> tuple:
+        """The steps that ``node_id``'s activation depends on: its own and
+        its ancestors', in order."""
+        steps = self._upto.get(node_id)
+        if steps is None:
+            if node_id not in self.order:
+                raise GraphError(f"node '{node_id}' does not exist")
+            needed = {node_id}
+            for nid, _, srcs in reversed(self.steps):
+                if nid in needed:
+                    needed.update(srcs)
+            steps = self._upto[node_id] = tuple(s for s in self.steps if s[0] in needed)
+        return steps
 
 
 @dataclass
@@ -620,7 +677,7 @@ class ForwardTrace:
         return route
 
 
-def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
+def forward(graph: Graph, inputs: dict[str, Tensor], upto: str | None = None) -> ForwardTrace:
     """Evaluate the graph on one sample or on a batch of samples.
 
     ``inputs`` maps every input-node id to a tensor of the declared
@@ -629,18 +686,20 @@ def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
     rules, which treat any leading batch axis as extra rows.  A max-pool
     node is one argmax over its windows: its route goes into the trace's
     ``routes`` and its output is the input read there, the window maxima.
-    Returns a trace with an entry for every node; evaluation is
-    deterministic, so identical graph and inputs give bitwise-identical
-    traces.
+    Returns a trace with an entry for every node, or, given ``upto``, for
+    the inputs, that node and its ancestors alone (every input is still
+    checked); evaluation is deterministic, so identical graph and inputs
+    give bitwise-identical traces.
     """
-    graph.require_valid()
+    plan = graph.plan()
     activations: dict[str, Tensor] = {}
     sizes = set()
-    for node_id in graph.input_ids():
-        shape = graph.nodes[node_id].output_shape
+    for node_id, shape in plan.inputs:
         if node_id not in inputs:
             raise GraphError(f"missing tensor for input node '{node_id}'")
-        x = as_tensor(inputs[node_id], name=f"input '{node_id}'")
+        x = np.ascontiguousarray(inputs[node_id], dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise ValueError(f"input '{node_id}': non-finite values are not allowed")
         if x.shape == shape:
             sizes.add(None)
         elif x.shape[1:] == shape:
@@ -661,13 +720,12 @@ def forward(graph: Graph, inputs: dict[str, Tensor]) -> ForwardTrace:
         raise GraphError("a batch of inputs needs at least one sample")
     lead = 0 if batch is None else 1
     trace = ForwardTrace(activations, graph, batch)
-    for node_id in topo_order(graph):
-        node = graph.nodes[node_id]
-        if node.kind == "maxpool1d":
-            activations[node_id] = activations[node.inputs[0]].take(trace.route(node_id))
-        elif node.kind != "input":
-            args = [activations[src] for src in node.inputs]
-            activations[node_id] = eval_node(node, args, lead)
+    nodes = graph.nodes
+    for node_id, rule, srcs in plan.steps if upto is None else plan.steps_upto(upto):
+        if rule is None:  # max pool
+            activations[node_id] = activations[srcs[0]].take(trace.route(node_id))
+        else:
+            activations[node_id] = rule(nodes[node_id], activations, lead)
     return trace
 
 

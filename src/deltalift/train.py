@@ -125,6 +125,9 @@ def _loss_and_seed(graph: Graph, trace, head_id: str, pre_id: str, labels):
     z = trace[pre_id]
     if head.kind == "sigmoid":
         y = labels.astype(np.float64)
+        bad = (y != 0.0) & (y != 1.0)
+        if bad.any():
+            raise TrainingError(f"label {labels[bad][0]} outside sigmoid labels {{0, 1}}")
         losses = np.logaddexp(0.0, z[:, 0]) - y * z[:, 0]
         seed = trace[head_id] - y[:, None]
     else:

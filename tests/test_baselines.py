@@ -220,3 +220,10 @@ class TestForwardsPerCall:
             report = lrp_as_contribution_report(g, inputs, rel)
         assert len(calls) == 3
         assert report.delta_target == forward(g, inputs)["head"][0]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+def test_lrp_rejects_an_invalid_epsilon(rng, value):
+    g, inputs = random_relu_mlp(rng, EnsembleSpec())
+    with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+        lrp_epsilon(g, inputs, target=("head", 0), epsilon=value)

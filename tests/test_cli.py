@@ -461,6 +461,46 @@ class TestErrors:
         assert res.stderr.startswith("error code=invalid-input detail=training config: "
                                      "epochs must be")
 
+    @pytest.mark.parametrize("flags, name", [
+        (["attribute", "--eps-stable", "nan"], "eps_stable"),
+        (["attribute", "--eps-stable=-1e-7"], "eps_stable"),
+        (["attribute", "--method", "lrp", "--lrp-epsilon", "nan"], "epsilon"),
+        (["attribute", "--method", "lrp", "--lrp-epsilon=-1e-9"], "epsilon"),
+        (["compare", "--eps-stable", "inf"], "eps_stable"),
+    ], ids=["nan-eps-stable", "negative-eps-stable", "nan-lrp-epsilon",
+            "negative-lrp-epsilon", "infinite-compare-eps-stable"])
+    def test_invalid_stabilizer_exit_code(self, workspace, tmp_path, flags, name):
+        command, *rest = flags
+        res = run_cli(
+            command, "--model", str(workspace["trained"]), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"), *rest,
+        )
+        assert res.returncode == 4
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error code=invalid-input detail={name} must be "
+                                   "a finite number >= 0")
+
+    def test_sigmoid_label_outside_zero_one_exit_code(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        examples = read_fasta(workspace["data"] / "train.fa")[:4]
+        with open(data / "train.fa", "w", encoding="utf-8") as fh:
+            for ex, label in zip(examples, [2, 0, 3, 1]):
+                fh.write(f">{ex.sid} label={label}\n{ex.sequence}\n")
+        out = tmp_path / "m.json"
+        res = run_cli(
+            "train", "--data", str(data), "--out", str(out),
+            "--model", str(workspace["model"]), "--epochs", "1", "--quiet",
+        )
+        assert res.returncode == 5
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        # the first out-of-range label of the first shuffled batch
+        assert lines[0] in [f"error code=runtime detail=label {k} outside sigmoid labels "
+                            "{0, 1}" for k in (2, 3)]
+        assert not out.exists()
+
     def test_invalid_config_exit_code(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 1, "optimizer": "adam"}')

@@ -561,3 +561,26 @@ class TestAttributeDispatch:
         g, inputs = random_relu_mlp(np.random.default_rng(3), EnsembleSpec())
         with pytest.raises(AttributionError, match="unknown method"):
             attribute(g, inputs, "saliency", target=("head", 0))
+
+
+class TestInvalidStabilizer:
+    """A NaN eps_stable would send every Rescale unit to the derivative
+    fallback; NaN, infinite and negative values are all refused."""
+
+    BAD = [float("nan"), float("inf"), -float("inf"), -1e-7, "1e-7", True]
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_deeplift_and_propagation_reject(self, rng, value):
+        g, inputs = random_relu_mlp(rng, EnsembleSpec())
+        with pytest.raises(ValueError, match="eps_stable must be a finite number >= 0"):
+            deeplift(g, inputs, target=("head", 0), eps_stable=value)
+        reference = compute_reference(g, zeros_reference(g))
+        with pytest.raises(ValueError, match="eps_stable must be a finite number >= 0"):
+            propagate_multipliers(g, forward(g, inputs), reference, ("head", 0), value)
+        with pytest.raises(ValueError, match="eps_stable"):
+            attribute(g, inputs, "deeplift", target=("head", 0), eps_stable=value)
+
+    def test_zero_is_accepted(self, rng):
+        g, inputs = random_relu_mlp(rng, EnsembleSpec())
+        report = deeplift(g, inputs, target=("head", 0), eps_stable=0.0)
+        assert report.residual <= 1e-9 * max(1.0, abs(report.delta_target))

@@ -422,3 +422,14 @@ class TestSequenceFiles:
         path = tmp_path / "edge.fa"
         path.write_text(">a label=1 spans=0-2:GA,2-4:TA\nGATA\n")
         assert read_fasta(path)[0].motif_spans == (MotifSpan(0, 2, "GA"), MotifSpan(2, 4, "TA"))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("bias", [8.0, -50.0], ids=["positives", "no-positives"])
+def test_compare_methods_rejects_an_invalid_eps_stable(value, bias):
+    data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=8, length=60, seed=3))
+    graph = build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
+                               dense_units=12, seed=9)
+    graph = graph.replace_params({"logit": {"bias": np.array([bias])}})
+    with pytest.raises(ValueError, match="eps_stable must be a finite number >= 0"):
+        compare_methods(graph, data.test, eps_stable=value)

@@ -194,3 +194,13 @@ def test_edge_of_range_config_trains():
     assert config.check() is config
     _, history = train_loop(small_mlp(), separable_toy_set(n=4), None, config)
     assert len(history) == 1
+
+
+@pytest.mark.parametrize("labels", [[2, 0, 3, 1], [0, 1, -1, 1], [0, 0.5, 1, 1]])
+def test_sigmoid_head_rejects_labels_outside_zero_one(labels):
+    data = [(x, label) for (x, _), label in zip(separable_toy_set(n=4), labels)]
+    bad = "|".join(str(label) for label in labels if label not in (0, 1))
+    with pytest.raises(TrainingError, match=f"label ({bad}) outside sigmoid labels"):
+        train_loop(small_mlp(), data, None, TrainConfig(epochs=1, batch_size=4))
+    with pytest.raises(TrainingError, match=f"label ({bad}) outside sigmoid labels"):
+        evaluate(small_mlp(), data)
