@@ -31,6 +31,7 @@ import numpy as np
 from .graph import (
     ELEMENTWISE_KINDS,
     IM2COL_BLOCK_ROWS,
+    DenseOnRead,
     ForwardTrace,
     Graph,
     GraphError,
@@ -258,10 +259,6 @@ def _conv1d_input_grad(node, grad_out, x, trace, lead):
     return gx
 
 
-def _maxpool_input_grad(node, grad_out, x, trace, lead):
-    return Routed(trace.route(node.id), grad_out, x.shape)
-
-
 def _elementwise_input_grad(node, grad_out, x, trace, lead):
     g, at, like = aligned(grad_out)
     return like(elementwise_grad(node, g, trace, at))
@@ -283,6 +280,17 @@ def _product_rule(node, grad_out, trace, grads, param_grads=None):
     for src, other in zip(node.inputs, reversed(node.inputs)):
         if _forms(src, trace, grads, param_grads):
             accumulate(grads, src, grad_out * trace[other])
+
+
+def _maxpool_rule(node, grad_out, trace, grads, param_grads=None):
+    # the source's shape comes from its spec: reading its activation would
+    # form one that a batched forward deferred (``Plan.deferred``)
+    src = node.inputs[0]
+    if _forms(src, trace, grads, param_grads):
+        shape = trace.graph.nodes[src].output_shape
+        if trace.batch is not None:
+            shape = (trace.batch,) + shape
+        accumulate(grads, src, Routed(trace.route(node.id), grad_out, shape))
 
 
 def _input_rule(node, grad_out, trace, grads, param_grads=None):
@@ -425,7 +433,7 @@ GRADIENT_RULES = {
     "input": _input_rule,
     "affine": _one_input(_affine_input_grad, _affine_param_grads),
     "conv1d": _one_input(_conv1d_input_grad, _conv1d_param_grads),
-    "maxpool1d": _one_input(_maxpool_input_grad),
+    "maxpool1d": _maxpool_rule,
     "relu": _elementwise_rule,
     "prelu": _one_input(_elementwise_input_grad, _prelu_param_grads),
     "sigmoid": _elementwise_rule,
@@ -450,7 +458,7 @@ def vjp_node(node, grad_out, trace: ForwardTrace, grads: dict,
     GRADIENT_RULES[node.kind](node, grad_out, trace, grads, param_grads)
 
 
-class SweepValues(dict):
+class SweepValues(DenseOnRead):
     """A sweep's result: a dense array for every node id of the graph.
 
     The sweep leaves a routed node's ``Routed`` buffer, and for a node it
@@ -461,43 +469,13 @@ class SweepValues(dict):
     ``**`` unpacking all see the dense arrays.
     """
 
-    def __getitem__(self, node_id):
-        value = dict.__getitem__(self, node_id)
+    @staticmethod
+    def _dense(value):
         if type(value) is Routed:
-            value = value.dense()
-        elif type(value) is tuple:
-            value = np.zeros(value)
-        else:
-            return value
-        dict.__setitem__(self, node_id, value)
-        return value
-
-    def get(self, node_id, default=None):
-        return self[node_id] if node_id in self else default
-
-    def __iter__(self):
-        # not dict's own iterator: dict(values), {**values} and update()
-        # then read through __getitem__
-        return dict.__iter__(self)
-
-    def values(self):
-        return [self[nid] for nid in self]
-
-    def items(self):
-        return [(nid, self[nid]) for nid in self]
-
-    def copy(self):
-        return dict(self)
-
-    def pop(self, node_id, *default):
-        if node_id not in self:
-            return dict.pop(self, node_id, *default)
-        value = self[node_id]
-        dict.__delitem__(self, node_id)
-        return value
-
-    def __repr__(self):
-        return repr(self.copy())
+            return value.dense()
+        if type(value) is tuple:
+            return np.zeros(value)
+        return None
 
 
 def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],

@@ -13,7 +13,9 @@ input or config, 5 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -81,8 +83,6 @@ def cmd_gen_data(args) -> int:
         substitution_rate=args.sub_rate,
     )
     data = generate_dataset(spec)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     for split in ("train", "val", "test"):
         write_fasta(os.path.join(args.out, f"{split}.fa"), getattr(data, split))
@@ -92,8 +92,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    import os
-
     from .genomics import build_genomics_cnn
 
     if args.config:
@@ -106,7 +104,10 @@ def cmd_train(args) -> int:
         if value is not None:
             setattr(config, key, value)
 
-    train_ex = read_fasta(os.path.join(args.data, "train.fa"))
+    train_path = os.path.join(args.data, "train.fa")
+    train_ex = read_fasta(train_path)
+    if not train_ex:
+        raise ValueError(f"{train_path}: no sequences to train on")
     val_path = os.path.join(args.data, "val.fa")
     val_ex = read_fasta(val_path) if os.path.exists(val_path) else []
     length = len(train_ex[0].sequence)
@@ -167,32 +168,41 @@ def cmd_attribute(args) -> int:
     input_id = graph.input_ids()[0]
     template = _row_template(int(np.prod(graph.nodes[input_id].output_shape)))
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(
-            "sample_id\tfeature_index\tfeature_label\tdelta\tmultiplier\t"
-            "contribution\n"
-        )
-        for start in range(0, len(examples), ATTRIBUTE_CHUNK):
-            chunk = examples[start:start + ATTRIBUTE_CHUNK]
-            report = attribute(graph, {input_id: encode_batch(chunk)}, args.method,
-                               reference=reference, target=target,
-                               eps_stable=args.eps_stable,
-                               lrp_epsilon=args.lrp_epsilon)
-            t_node, t_index = report.target
-            # per sample: delta, multiplier, contribution of each feature
-            values = np.stack(
-                [report.deltas[input_id], report.multipliers[input_id],
-                 report.contributions[input_id]],
-                axis=-1,
-            ).reshape(len(chunk), -1).tolist()
-            for i, ex in enumerate(chunk):
-                fh.write(
-                    f"# sample={ex.sid} method={report.method} "
-                    f"target={t_node}:{t_index[i]} "
-                    f"residual={report.residual[i]:.6g}\n"
-                )
-                fh.write(template.replace("{sid}", ex.sid.replace("%", "%%"))
-                         % tuple(values[i]))
+    # rows stream to <out>.partial, which becomes --out only once every
+    # chunk is attributed: a failed run leaves no output and no manifest
+    partial = f"{args.out}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(
+                "sample_id\tfeature_index\tfeature_label\tdelta\tmultiplier\t"
+                "contribution\n"
+            )
+            for start in range(0, len(examples), ATTRIBUTE_CHUNK):
+                chunk = examples[start:start + ATTRIBUTE_CHUNK]
+                report = attribute(graph, {input_id: encode_batch(chunk)}, args.method,
+                                   reference=reference, target=target,
+                                   eps_stable=args.eps_stable,
+                                   lrp_epsilon=args.lrp_epsilon)
+                t_node, t_index = report.target
+                # per sample: delta, multiplier, contribution of each feature
+                values = np.stack(
+                    [report.deltas[input_id], report.multipliers[input_id],
+                     report.contributions[input_id]],
+                    axis=-1,
+                ).reshape(len(chunk), -1).tolist()
+                for i, ex in enumerate(chunk):
+                    fh.write(
+                        f"# sample={ex.sid} method={report.method} "
+                        f"target={t_node}:{t_index[i]} "
+                        f"residual={report.residual[i]:.6g}\n"
+                    )
+                    fh.write(template.replace("{sid}", ex.sid.replace("%", "%%"))
+                             % tuple(values[i]))
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+    os.replace(partial, args.out)
     _write_manifest(args.out, args, reference_normalized=normalized)
     print(f"attributed {len(examples)} sequences with {args.method} -> {args.out}")
     return EXIT_OK

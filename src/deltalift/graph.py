@@ -4,7 +4,8 @@ A :class:`Graph` is an immutable DAG of typed nodes (input, affine, conv1d,
 maxpool1d, relu, prelu, sigmoid, tanh, maxout, product, softmax).  Forward
 evaluation returns a :class:`ForwardTrace` holding the activation of every
 node (or, given ``upto``, of one node's ancestors) and the route of every
-max pool; gradient and attribution passes consume that trace.  Each graph
+max pool; gradient and attribution passes consume that trace.  On a batch,
+a rectifier that only max pools read is formed when first read.  Each graph
 keeps a :class:`Plan` of its structure, made once: the topological order,
 the inputs and each node's forward rule (``FORWARD_RULES``, one per kind).
 
@@ -570,13 +571,12 @@ def _eval_conv1d(node, acts, lead):
     return out.reshape(win.shape[:lead + 1] + (n_filt,))
 
 
-def _eval_prelu(node, acts, lead):
+def _prelu(x, slopes):
     # max(x, 0) + slopes * min(x, 0), formed in place: equal to
     # where(x > 0, x, slopes * x), which is several times slower on
     # large batches
-    x = acts[node.inputs[0]]
     out = np.minimum(x, 0.0)
-    out *= node.sample_slopes
+    out *= slopes
     out += np.maximum(x, 0.0)
     return out
 
@@ -589,7 +589,7 @@ FORWARD_RULES = {
     "affine": _eval_affine,
     "conv1d": _eval_conv1d,
     "relu": lambda node, acts, lead: np.maximum(acts[node.inputs[0]], 0.0),
-    "prelu": _eval_prelu,
+    "prelu": lambda node, acts, lead: _prelu(acts[node.inputs[0]], node.sample_slopes),
     "sigmoid": lambda node, acts, lead: stable_sigmoid(acts[node.inputs[0]]),
     "tanh": lambda node, acts, lead: np.tanh(acts[node.inputs[0]]),
     "maxout": lambda node, acts, lead:
@@ -597,6 +597,52 @@ FORWARD_RULES = {
     "product": lambda node, acts, lead: acts[node.inputs[0]] * acts[node.inputs[1]],
     "softmax": lambda node, acts, lead: stable_softmax(acts[node.inputs[0]]),
 }
+
+# The activation of a relu or prelu node at flat indices ``index`` (C
+# order) of its input's activation ``x``: its forward rule on those
+# entries alone, so each value has the bits of the dense array's entry.
+_RECTIFIED_AT = {
+    "relu": lambda node, x, index: np.maximum(x.take(index), 0.0),
+    "prelu": lambda node, x, index: _prelu(
+        x.take(index), node.params["slopes"].take(index % node.params["slopes"].size)),
+}
+
+
+def _pool_rectified(pool: NodeSpec, act: NodeSpec, x: Tensor, lead: int):
+    """Route and output of max pool ``pool`` over the relu or prelu node
+    ``act``, from ``x``, ``act``'s input activation, without forming
+    ``act``'s own.  Both are bitwise what the pool takes from that
+    activation.
+
+    Where a window's largest ``x`` is positive (and, for prelu, its
+    members' slopes are >= 0) the rectifier's forward rule returns that
+    value unchanged and maps every other member below it, so the window's
+    route and output are ``x``'s first argmax and max.  In every other
+    window the rule is evaluated on the window's members, and the first
+    argmax taken: rounding of a*x can tie two different inputs.
+    """
+    width, stride = int(pool.params["width"]), int(pool.params["stride"])
+    route = _pool_argmax(x, width, stride, lead)
+    out = x.take(route)
+    sure = out > 0
+    slopes = act.params.get("slopes")
+    if slopes is not None and slopes.min() < 0:
+        # a window runs along one channel, so its members share a slope,
+        # unless they are the positions of a vector with a slope each
+        if len(act.output_shape) == 1 and slopes.size > 1:
+            sure[...] = False
+        else:
+            sure &= slopes.take(route % slopes.size) >= 0
+    if np.count_nonzero(sure) < sure.size:
+        redo = np.flatnonzero(~sure)
+        starts, step = _pool_window_starts(x.shape, width, stride, lead)
+        members = starts.take(redo)[:, None] + step * np.arange(width)
+        values = _RECTIFIED_AT[act.kind](act, x, members)
+        pick = (np.arange(len(redo)), values.argmax(axis=1))
+        route.put(redo, members[pick])
+        out.put(redo, values[pick])
+    route.setflags(write=False)
+    return route, out
 
 
 @dataclass(eq=False)
@@ -607,24 +653,35 @@ class Plan:
     input node's id and declared shape, and ``steps`` every other node in
     that order as (id, forward rule, source ids): the rule of its kind
     from ``FORWARD_RULES``, or None for a max pool, which ``forward``
-    reads off its route.  A plan holds no parameters, so a graph that
-    only swaps them (``Graph.replace_params``) keeps its plan.
+    reads off its route.  ``deferred`` holds the relu and prelu nodes
+    that only max pools read and that are not graph outputs, whose
+    activations a batched ``forward`` forms only when read.  A plan holds
+    no parameters, so a graph that only swaps them
+    (``Graph.replace_params``) keeps its plan.
     """
 
     order: tuple[str, ...]
     inputs: tuple[tuple[str, tuple[int, ...]], ...]
     steps: tuple[tuple, ...]
+    deferred: frozenset = frozenset()
     _upto: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def of(cls, graph: Graph) -> "Plan":
         order = tuple(topo_order(graph))
+        nodes = graph.nodes
+        readers: dict[str, set] = {nid: set() for nid in nodes}
+        for node in nodes.values():
+            for src in node.inputs:
+                readers[src].add(node.kind)
         return cls(
             order,
-            tuple((n.id, n.output_shape) for n in graph.nodes.values()
-                  if n.kind == "input"),
-            tuple((nid, FORWARD_RULES.get(graph.nodes[nid].kind), graph.nodes[nid].inputs)
-                  for nid in order if graph.nodes[nid].kind != "input"),
+            tuple((n.id, n.output_shape) for n in nodes.values() if n.kind == "input"),
+            tuple((nid, FORWARD_RULES.get(nodes[nid].kind), nodes[nid].inputs)
+                  for nid in order if nodes[nid].kind != "input"),
+            frozenset(nid for nid, node in nodes.items()
+                      if node.kind in _RECTIFIED_AT and readers[nid] == {"maxpool1d"}
+                      and nid not in graph.outputs),
         )
 
     def steps_upto(self, node_id: str) -> tuple:
@@ -642,6 +699,58 @@ class Plan:
         return steps
 
 
+class DenseOnRead(dict):
+    """A dict whose entries may wait in a cheaper form, each made its
+    array when first read and then kept.
+
+    ``_dense(value)`` returns the array of a waiting entry, and None for
+    an entry that is one already.  Here a waiting entry is a
+    ``functools.partial`` call that returns it: a batched trace's
+    deferred activation (see ``forward``).  Indexing, ``get``, ``pop``,
+    ``values``, ``items``, ``dict(...)`` and ``**`` unpacking all see the
+    arrays.
+    """
+
+    @staticmethod
+    def _dense(value):
+        return value() if type(value) is functools.partial else None
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        dense = self._dense(value)
+        if dense is None:
+            return value
+        dict.__setitem__(self, key, dense)
+        return dense
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __iter__(self):
+        # not dict's own iterator: dict(mapping), {**mapping} and update()
+        # then read through __getitem__
+        return dict.__iter__(self)
+
+    def values(self):
+        return [self[key] for key in self]
+
+    def items(self):
+        return [(key, self[key]) for key in self]
+
+    def copy(self):
+        return dict(self)
+
+    def pop(self, key, *default):
+        if key not in self:
+            return dict.pop(self, key, *default)
+        value = self[key]
+        dict.__delitem__(self, key)
+        return value
+
+    def __repr__(self):
+        return repr(self.copy())
+
+
 @dataclass
 class ForwardTrace:
     """Per-node activations from one forward pass.
@@ -650,6 +759,8 @@ class ForwardTrace:
     the trace holds a single sample.  ``routes`` maps each max-pool node
     to its route (see ``route``): ``forward`` records it while it
     evaluates the pool, and a trace built by hand finds it on first read.
+    A batched ``forward`` leaves ``activations`` a ``DenseOnRead`` whose
+    deferred entries are formed when first read.
     """
 
     activations: dict[str, Tensor]
@@ -690,6 +801,13 @@ def forward(graph: Graph, inputs: dict[str, Tensor], upto: str | None = None) ->
     the inputs, that node and its ancestors alone (every input is still
     checked); evaluation is deterministic, so identical graph and inputs
     give bitwise-identical traces.
+
+    On a batch, the relu and prelu nodes that only max pools read
+    (``Plan.deferred``) are not evaluated: each pool takes its route and
+    output from the rectifier's input (``_pool_rectified``), and the
+    rectifier's activation is formed by its forward rule when a caller
+    first reads it.  Training, ``evaluate``, gradient*input and LRP
+    never do; DeepLIFT does.
     """
     plan = graph.plan()
     activations: dict[str, Tensor] = {}
@@ -719,11 +837,32 @@ def forward(graph: Graph, inputs: dict[str, Tensor], upto: str | None = None) ->
     if batch == 0:
         raise GraphError("a batch of inputs needs at least one sample")
     lead = 0 if batch is None else 1
+    # Only a batch defers.  On one sample the deferred pool's ~10 extra
+    # numpy calls cost more than the small rectifier they skip, and the
+    # small conv graphs' per-call time rose.  So the two paths split on
+    # what the code sees, a batched trace: training and batched
+    # attribution defer, the per-sample calls evaluate every node.
+    deferred = plan.deferred if lead else frozenset()
+    if deferred:
+        activations = DenseOnRead(activations)
     trace = ForwardTrace(activations, graph, batch)
     nodes = graph.nodes
     for node_id, rule, srcs in plan.steps if upto is None else plan.steps_upto(upto):
         if rule is None:  # max pool
-            activations[node_id] = activations[srcs[0]].take(trace.route(node_id))
+            src = srcs[0]
+            if src in deferred:
+                act = nodes[src]
+                route, activations[node_id] = _pool_rectified(
+                    nodes[node_id], act, activations[act.inputs[0]], lead)
+                trace.routes[node_id] = route
+            else:
+                activations[node_id] = activations[src].take(trace.route(node_id))
+        elif node_id in deferred:
+            # the call reads its input from a dict of its own: one that
+            # held ``activations`` would make a reference cycle, which
+            # keeps the trace's arrays alive until the cyclic collector runs
+            activations[node_id] = functools.partial(
+                rule, nodes[node_id], {srcs[0]: activations[srcs[0]]}, lead)
         else:
             activations[node_id] = rule(nodes[node_id], activations, lead)
     return trace

@@ -9,6 +9,7 @@ import pytest
 
 from numpy.testing import assert_allclose
 
+from deltalift.engine import ATTRIBUTE_CHUNK
 from deltalift.genomics import (
     build_genomics_cnn,
     one_hot_encode,
@@ -480,6 +481,47 @@ class TestErrors:
         assert len(lines) == 1
         assert lines[0].startswith(f"error code=invalid-input detail={name} must be "
                                    "a finite number >= 0")
+
+    def test_failed_attribute_leaves_no_output_and_no_manifest(self, workspace, tmp_path):
+        out = tmp_path / "o.tsv"
+        res = run_cli(
+            "attribute", "--model", str(workspace["trained"]), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(out), "--eps-stable", "nan",
+        )
+        assert res.returncode == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+        # a run that fails after its first chunk was written leaves the
+        # files of an earlier run as they were
+        out.write_text("earlier\n")
+        examples = read_fasta(workspace["data"] / "train.fa")
+        assert len(examples) > ATTRIBUTE_CHUNK
+        short = tmp_path / "short.fa"
+        with open(short, "w", encoding="utf-8") as fh:
+            for i, ex in enumerate(examples):
+                sequence = ex.sequence[:-1] if i == ATTRIBUTE_CHUNK else ex.sequence
+                fh.write(f">{ex.sid} label={ex.label}\n{sequence}\n")
+        res = run_cli(
+            "attribute", "--model", str(workspace["trained"]), "--data", str(short),
+            "--out", str(out),
+        )
+        assert res.returncode == 4
+        assert res.stderr.startswith("error code=invalid-input detail=sequences differ in "
+                                     "length")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.tsv", "short.fa"]
+        assert out.read_text() == "earlier\n"
+
+    def test_train_on_an_empty_file_exit_code(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.fa").write_text("")
+        out = tmp_path / "m.json"
+        res = run_cli(
+            "train", "--data", str(data), "--out", str(out), "--quiet",
+        )
+        assert res.returncode == 4
+        assert res.stderr.splitlines() == [
+            f"error code=invalid-input detail={data / 'train.fa'}: no sequences to train on"]
+        assert not out.exists()
 
     def test_sigmoid_label_outside_zero_one_exit_code(self, workspace, tmp_path):
         data = tmp_path / "data"
