@@ -541,10 +541,17 @@ def backward(graph: Graph, trace: ForwardTrace, target) -> dict[str, Tensor]:
     argmax of each window, maxout differentiates the active piece.
     """
     graph.require_valid()
-    node_id, index = resolve_target(graph, target, trace.batch)
-    seed = target_seed(graph.nodes[node_id].output_shape, index)
-    grads, _ = vjp_sweep(graph, trace, {node_id: seed})
-    return grads
+    return _target_sweep(graph, trace, resolve_target(graph, target, trace.batch))
+
+
+def _target_sweep(graph: Graph, trace: ForwardTrace, target,
+                 rules: dict | None = None) -> "SweepValues":
+    """The values of one ``vjp_sweep`` under ``rules``, seeded with 1 at
+    the resolved ``target``: gradients, or an attribution method's
+    multipliers."""
+    t_node, t_index = target
+    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
+    return vjp_sweep(graph, trace, {t_node: seed}, rules=rules)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,14 @@ networks (affine, conv1d, maxpool1d, relu) with biases included in the
 denominators it converges to gradient*input as epsilon goes to zero,
 which ``equivalence_report`` demonstrates over a random ensemble.
 
-epsilon-LRP is gradient*input with a modified gradient (Ancona et al.,
-ICLR 2018): one ``autodiff.vjp_sweep`` carries multipliers m, a node's
-relevance is its activation times m, and only the filtering rule at
-affine and conv1d differs from the gradient's: its rule table extends
-``autodiff.GRADIENT_RULES``.
-
-``gradient_times_input`` is a report-only call: when the graph alone
-fixes the target (``engine.fixed_target_node``) it evaluates only the
-target's ancestors.  ``lrp_epsilon`` evaluates every node, since the
+Both are modified gradients (Ancona et al., ICLR 2018), so they run
+through ``engine``'s one attribution core: gradient*input with the
+gradient table (``autodiff.GRADIENT_RULES``) and deltas from a
+reference, epsilon-LRP with a table that replaces only the filtering
+rule at affine and conv1d, and deltas that are the activations (the
+sweep then carries multipliers m; a node's relevance is its activation
+times m).  ``gradient_times_input`` and ``attribute(..., "lrp")`` are
+report-only; ``lrp_epsilon`` evaluates every node, since the
 ``RelevanceTrace`` it returns exposes the whole trace.
 """
 
@@ -25,25 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    GRADIENT_RULES,
-    aligned,
-    backward,
-    target_seed,
-    target_value,
-    vjp_node,
-    vjp_sweep,
-)
+from .autodiff import GRADIENT_RULES, _target_sweep, aligned, target_value, vjp_node
 from .engine import (
+    LRP_EPSILON,
     AttributionError,
     ContributionReport,
     ReferenceState,
-    _reference_on,
+    _attribute,
+    _traced_target,
     check_stabilizer,
-    contribution_report,
     contributions,
-    fixed_target_node,
-    select_attribution_target,
 )
 from .graph import (
     KNOWN_KINDS,
@@ -63,7 +53,8 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
     """Per-feature scores gradient * input for one sample or a batch.
 
     The target resolves like attribution targets elsewhere: explicit, or
-    the pre-nonlinearity head.  With ``reference_input`` (or a computed
+    the pre-nonlinearity head, a softmax head's on its mean-normalized
+    weights (as ``deeplift``).  With ``reference_input`` (or a computed
     ``reference`` state, which wins) given, scores become
     gradient * (input - reference); the default reference is zero,
     evaluated once per graph.  The report's residual records how far the
@@ -72,12 +63,8 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
     the graph alone fixes the target (``engine.fixed_target_node``) only
     the target's ancestors are evaluated.
     """
-    graph.require_valid()
-    trace = forward(graph, inputs, upto=fixed_target_node(graph, target, class_index))
-    resolved = select_attribution_target(graph, target, class_index, trace)
-    grads = backward(graph, trace, resolved)
-    ref = _reference_on(graph, reference, reference_input)
-    return contributions(trace, ref, resolved, grads, "grad_input")
+    return _attribute(graph, inputs, "grad_input", target, class_index, reference,
+                      reference_input)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +72,6 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
 
 
 LRP_KINDS = frozenset(["input", "affine", "conv1d", "maxpool1d", "relu"])
-LRP_EPSILON = 1e-9
 
 
 @dataclass
@@ -123,22 +109,18 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     (bias included in the denominator); max-pooling and rectifiers keep
     the gradient rule, so relevance passes through a rectifier and goes
     to each window's argmax.  The target's relevance is its own
-    activation.  ``inputs`` holds one sample or a batch.  Raises
+    activation; a softmax head's is taken on its mean-normalized weights,
+    as every method's is.  ``inputs`` holds one sample or a batch.  Raises
     AttributionError when relevance reaches any other node kind, and
     ValueError unless ``epsilon`` is a finite number >= 0.  The forward
     trace covers every node, since ``RelevanceTrace`` exposes it.
     """
     check_stabilizer("epsilon", epsilon)
-    graph.require_valid()
-    trace = forward(graph, inputs)
-    resolved = select_attribution_target(graph, target, class_index, trace)
-    t_node, t_index = resolved
-    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
+    trace, resolved = _traced_target(graph, inputs, target, class_index, every_node=True)
     bias_rel: dict[str, float] = {}
-    mult, _ = vjp_sweep(graph, trace, {t_node: seed},
-                        rules=_lrp_rules(epsilon, bias_rel))
+    mult = _target_sweep(trace.graph, trace, resolved, _lrp_rules(epsilon, bias_rel))
     return RelevanceTrace(trace, mult, bias_rel, epsilon, resolved,
-                          target_value(trace[t_node], t_index))
+                          target_value(trace[resolved[0]], resolved[1]))
 
 
 def _lrp_rules(epsilon: float, bias_rel: dict) -> dict:
@@ -175,13 +157,10 @@ def _lrp_rules(epsilon: float, bias_rel: dict) -> dict:
 
 def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
                                trace: RelevanceTrace) -> ContributionReport:
-    """Package input-layer relevances in the common report shape."""
-    scores = {nid: trace[nid] for nid in graph.input_ids()}
-    deltas = {nid: np.asarray(inputs[nid], dtype=np.float64) for nid in scores}
-    mults = {nid: np.divide(score, deltas[nid], out=np.zeros(score.shape),
-                            where=deltas[nid] != 0.0) for nid, score in scores.items()}
-    return contribution_report(trace.target, "lrp", scores, mults, deltas,
-                               trace.target_activation)
+    """Input-layer relevances of ``lrp_epsilon(graph, inputs, ...)`` in
+    the common report shape: deltas are the inputs, and ``delta_target``
+    the target's activation."""
+    return contributions(trace.trace, None, trace.target, trace.multipliers, "lrp")
 
 
 # ---------------------------------------------------------------------------

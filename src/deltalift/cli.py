@@ -29,8 +29,6 @@ from .engine import (
     METHODS,
     AttributionError,
     attribute,
-    compute_reference,
-    zeros_reference,
 )
 from .genomics import (
     BASES,
@@ -133,23 +131,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _attribution_reference(graph, mode):
-    """(graph to attribute, reference input, whether weights were normalized).
-
-    ``zeros-normalized`` applies the constrained-input pass when the graph
-    declares constraint groups; without groups there is nothing to
-    normalize and the graph is used as it is.
-    """
-    if mode == "zeros":
-        return graph, zeros_reference(graph), False
-    if mode == "zeros-normalized":
-        if not graph.constraint_groups:
-            return graph, zeros_reference(graph), False
-        normalized = normalize_constrained_weights(graph)
-        return normalized, zeros_reference(normalized), True
-    raise ValueError(f"unknown reference mode '{mode}'")
-
-
 def _row_template(n_features: int) -> str:
     """One sample's TSV rows, with ``{sid}`` standing for its id and
     ``%.10g`` for each feature's delta, multiplier and contribution."""
@@ -163,8 +144,11 @@ def cmd_attribute(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
     target = _parse_target(args.target)
-    graph, ref_input, normalized = _attribution_reference(graph, args.reference)
-    reference = compute_reference(graph, ref_input)
+    # every mode attributes against the all-zeros reference; zeros-normalized
+    # first applies the constrained-input pass if the graph declares groups
+    normalized = args.reference == "zeros-normalized" and bool(graph.constraint_groups)
+    if normalized:
+        graph = normalize_constrained_weights(graph)
     input_id = graph.input_ids()[0]
     template = _row_template(int(np.prod(graph.nodes[input_id].output_shape)))
 
@@ -180,8 +164,7 @@ def cmd_attribute(args) -> int:
             for start in range(0, len(examples), ATTRIBUTE_CHUNK):
                 chunk = examples[start:start + ATTRIBUTE_CHUNK]
                 report = attribute(graph, {input_id: encode_batch(chunk)}, args.method,
-                                   reference=reference, target=target,
-                                   eps_stable=args.eps_stable,
+                                   target=target, eps_stable=args.eps_stable,
                                    lrp_epsilon=args.lrp_epsilon)
                 t_node, t_index = report.target
                 # per sample: delta, multiplier, contribution of each feature
@@ -313,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="deeplift")
     p.add_argument("--reference", choices=["zeros", "zeros-normalized"],
                    default="zeros-normalized",
-                   help="reference input mode for deeplift")
+                   help="the reference deeplift and grad_input measure deltas "
+                        "from, and whether the model all three methods score is "
+                        "first normalized over its constraint groups")
     p.add_argument("--target", default="auto",
                    help="'auto' or node_id[:index]")
     p.add_argument("--eps-stable", type=float, default=EPS_STABLE)

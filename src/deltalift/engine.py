@@ -25,10 +25,6 @@ so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
     every (sample, unit) at once)
   * product:         m1 = ref2 + delta2/2, m2 = ref1 + delta1/2
 
-Softmax heads are handled by targeting the mean-normalized pre-softmax
-affine layer instead of the softmax output; sigmoid heads default to the
-pre-sigmoid node (see ``select_attribution_target``).
-
 Like ``forward``, the entry points take one sample or a batch stacked
 along a leading axis; each rule is written once for both.  DeepLIFT's
 rule table extends the gradient table (``autodiff.GRADIENT_RULES``), so
@@ -36,15 +32,19 @@ the linear kinds keep the gradient rule.  A reference computed from a
 batch of the same size pairs row-wise with the inputs.
 ``propagate_multipliers`` returns the sweep's per-node mapping
 (``autodiff.SweepValues``), and ``contributions`` turns any such
-multipliers (DeepLIFT's, or gradients for gradient*input) into a report
-of C = m * delta.
+multipliers (DeepLIFT's, gradients, or epsilon-LRP's) into a report of
+C = m * delta.
 
-A report-only call (``deeplift``, and ``gradient_times_input`` in
-``baselines``) reads only the inputs' and the target's arrays.  When the
-graph alone fixes the target (``fixed_target_node``: an explicit target,
-a sigmoid head, or a softmax head given ``class_index``) its forward pass
-evaluates only the target's ancestors, and the sweep's result forms no
-other node's array.
+DeepLIFT, gradient*input and epsilon-LRP (``baselines``) run through one
+core (``_attribute``) and differ only in the rule table and the deltas:
+from a reference, or for LRP the activations (a reference whose every
+activation is 0).  The core validates the graph, mean-normalizes an
+affine + softmax head, runs the forward pass, resolves the target
+(``select_attribution_target``: the pre-softmax or pre-sigmoid node),
+sweeps and builds the report, so all three explain the same target.
+Its calls are report-only: they read only the inputs' and the target's
+arrays, and when the graph alone fixes the target (``fixed_target_node``)
+the forward pass evaluates only the target's ancestors.
 """
 
 from __future__ import annotations
@@ -66,19 +66,20 @@ from .graph import (
 from .autodiff import (
     GRADIENT_RULES,
     Routed,
+    _target_sweep,
     accumulate,
     aligned,
     elementwise_grad,
     one_per_call,
     resolve_target,
     take_at,
-    target_seed,
     target_value,
-    vjp_sweep,
     whole,
 )
 
 EPS_STABLE = 1e-7
+# epsilon-LRP's stabilizer (``baselines.lrp_epsilon``)
+LRP_EPSILON = 1e-9
 # maxout path crossings closer than this to either end of the path are
 # dropped, so rounding at a shared endpoint makes no sliver interval
 CROSSING_TOL = 1e-12
@@ -157,13 +158,16 @@ def _reference_on(graph: Graph, reference: ReferenceState | None = None,
     return twin
 
 
-def compute_deltas(trace: ForwardTrace, reference: ReferenceState,
+def compute_deltas(trace: ForwardTrace, reference: ReferenceState | None,
                    node_ids=None) -> dict[str, Tensor]:
-    """Differences from reference of ``node_ids`` (default: every node)."""
-    if trace.graph is not reference.graph:
-        raise AttributionError("trace and reference come from different graphs")
+    """Differences from reference of ``node_ids`` (default: every node);
+    with no ``reference`` (LRP's convention) the activations themselves."""
     if node_ids is None:
         node_ids = trace.activations
+    if reference is None:
+        return {nid: trace[nid] for nid in node_ids}
+    if trace.graph is not reference.graph:
+        raise AttributionError("trace and reference come from different graphs")
     return {nid: trace[nid] - reference[nid] for nid in node_ids}
 
 
@@ -288,11 +292,8 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
     """
     check_stabilizer("eps_stable", eps_stable)
     graph.require_valid()
-    t_node, t_index = resolve_target(graph, target, trace.batch)
-    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
-    mult, _ = vjp_sweep(graph, trace, {t_node: seed},
-                        rules=_deeplift_rules(reference, eps_stable))
-    return mult
+    return _target_sweep(graph, trace, resolve_target(graph, target, trace.batch),
+                         _deeplift_rules(reference, eps_stable))
 
 
 def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
@@ -439,33 +440,57 @@ class ContributionReport:
         )
 
 
-def contribution_report(target, method: str, scores: dict[str, Tensor],
-                        multipliers: dict[str, Tensor], deltas: dict[str, Tensor],
-                        delta_target) -> ContributionReport:
-    """A report whose residual is |sum(scores) - delta_target|, per sample."""
-    report = ContributionReport(target, method, scores, multipliers, deltas,
-                                delta_target, residual=0.0)
-    report.residual = abs(report.total() - delta_target)
-    return report
-
-
-def contributions(trace: ForwardTrace, reference: ReferenceState, target,
+def contributions(trace: ForwardTrace, reference: ReferenceState | None, target,
                   multipliers: dict[str, Tensor],
                   method: str = "deeplift") -> ContributionReport:
     """Contributions C = m * delta per input feature of the trace's graph,
     with deltas from ``reference``, plus the conservation residual
-    |sum(C) - delta(target)|; ``target`` is resolved."""
+    |sum(C) - delta(target)|; ``target`` is resolved.  With no
+    ``reference`` the deltas are the activations (``compute_deltas``)."""
     input_ids = trace.graph.input_ids()
     t_node, t_index = target
     deltas = compute_deltas(trace, reference, input_ids + [t_node])
-    return contribution_report(
+    delta_target = target_value(deltas[t_node], t_index)
+    report = ContributionReport(
         target,
         method,
         {nid: multipliers[nid] * deltas[nid] for nid in input_ids},
         {nid: multipliers[nid] for nid in input_ids},
         {nid: deltas[nid] for nid in input_ids},
-        target_value(deltas[t_node], t_index),
+        delta_target,
+        residual=0.0,
     )
+    report.residual = abs(report.total() - delta_target)
+    return report
+
+
+def _head_target(graph: Graph, class_index=None, trace: ForwardTrace | None = None):
+    """The (node id, index) target of a sigmoid or softmax head: its
+    pre-activation at ``class_index``, by default 0 for a sigmoid and
+    each sample's predicted class in ``trace`` for a softmax.  Raises
+    AttributionError for any other head, or a softmax head given neither."""
+    if len(graph.outputs) != 1:
+        raise AttributionError(
+            "automatic target selection needs a single-output graph; "
+            "pass an explicit (node_id, index) target"
+        )
+    head = graph.nodes[graph.outputs[0]]
+    if head.kind not in ("sigmoid", "softmax"):
+        raise AttributionError(
+            f"graph head '{head.id}' ({head.kind}) is not a sigmoid or softmax; "
+            "pass an explicit (node_id, index) target"
+        )
+    if class_index is None:
+        if head.kind == "sigmoid":
+            class_index = 0
+        elif trace is None:
+            raise AttributionError(
+                "softmax head: pass class_index (or a forward trace to "
+                "target the predicted class)"
+            )
+        else:
+            class_index = np.argmax(trace[head.id], axis=-1)
+    return head.inputs[0], class_index
 
 
 def select_attribution_target(graph: Graph, requested=None, class_index=None,
@@ -479,31 +504,10 @@ def select_attribution_target(graph: Graph, requested=None, class_index=None,
     asks for an explicit choice.  With a batched trace the index holds
     one entry per sample, and each sample's predicted class may differ.
     """
-    batch = None if trace is None else trace.batch
-    if requested is not None:
-        return resolve_target(graph, requested, batch)
-    graph.require_valid()
-    if len(graph.outputs) != 1:
-        raise AttributionError(
-            "automatic target selection needs a single-output graph; "
-            "pass an explicit (node_id, index) target"
-        )
-    head = graph.nodes[graph.outputs[0]]
-    if head.kind == "sigmoid":
-        return resolve_target(graph, (head.inputs[0], class_index or 0), batch)
-    if head.kind == "softmax":
-        if class_index is None:
-            if trace is None:
-                raise AttributionError(
-                    "softmax head: pass class_index (or a forward trace to "
-                    "target the predicted class)"
-                )
-            class_index = np.argmax(trace[head.id], axis=-1)
-        return resolve_target(graph, (head.inputs[0], class_index), batch)
-    raise AttributionError(
-        f"graph head '{head.id}' ({head.kind}) is not a sigmoid or softmax; "
-        "pass an explicit (node_id, index) target"
-    )
+    if requested is None:
+        graph.require_valid()
+        requested = _head_target(graph, class_index, trace)
+    return resolve_target(graph, requested, None if trace is None else trace.batch)
 
 
 def fixed_target_node(graph: Graph, requested=None, class_index=None) -> str | None:
@@ -515,17 +519,71 @@ def fixed_target_node(graph: Graph, requested=None, class_index=None) -> str | N
     A report-only call evaluates just this node and its ancestors
     (``forward(..., upto=...)``): on the paper CNN it skips the sigmoid.
     """
-    if requested is not None:
-        node_id = requested
-        if isinstance(requested, (tuple, list)) and len(requested) == 2:
-            node_id = requested[0]
-        return node_id if isinstance(node_id, str) and node_id in graph.nodes else None
-    if len(graph.outputs) != 1:
-        return None
-    head = graph.nodes[graph.outputs[0]]
-    if head.kind == "sigmoid" or (head.kind == "softmax" and class_index is not None):
-        return head.inputs[0]
-    return None
+    if requested is None:
+        try:
+            requested = _head_target(graph, class_index)
+        except AttributionError:
+            return None
+    node_id = requested
+    if isinstance(requested, (tuple, list)) and len(requested) == 2:
+        node_id = requested[0]
+    return node_id if isinstance(node_id, str) and node_id in graph.nodes else None
+
+
+def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
+    """``graph`` with an affine + softmax head mean-normalized, else
+    ``graph`` itself; decided and built once per graph."""
+    if "softmax_head" not in graph._memo:
+        from .normalize import NormalizationError, mean_normalize_softmax_weights
+
+        try:
+            graph._memo["softmax_head"] = mean_normalize_softmax_weights(graph)
+        except NormalizationError:
+            graph._memo["softmax_head"] = None
+    return graph._memo["softmax_head"] or graph
+
+
+def _traced_target(graph: Graph, inputs: dict[str, Tensor], target=None,
+                   class_index=None, every_node: bool = False):
+    """(trace, resolved target) on ``graph`` with a softmax head
+    mean-normalized; the trace holds only the target's ancestors when
+    the graph fixes the target (``fixed_target_node``), unless
+    ``every_node``."""
+    graph.require_valid()
+    graph = _normalize_softmax_head_if_any(graph)
+    upto = None if every_node else fixed_target_node(graph, target, class_index)
+    trace = forward(graph, inputs, upto=upto)
+    return trace, select_attribution_target(graph, target, class_index, trace)
+
+
+def _method_report(trace: ForwardTrace, reference: ReferenceState | None, target,
+                   method: str, eps_stable: float = EPS_STABLE,
+                   lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
+    """``method``'s sweep over ``trace`` to the resolved ``target`` and
+    its report; LRP's ``reference`` is None."""
+    if method == "deeplift":
+        rules = _deeplift_rules(reference, eps_stable)
+    elif method == "lrp":
+        rules = _lrp_rules(lrp_epsilon, {})
+    else:
+        rules = GRADIENT_RULES
+    mult = _target_sweep(trace.graph, trace, target, rules)
+    return contributions(trace, reference, target, mult, method)
+
+
+def _attribute(graph: Graph, inputs: dict[str, Tensor], method: str, target=None,
+               class_index=None, reference: ReferenceState | None = None,
+               reference_input: dict[str, Tensor] | None = None,
+               eps_stable: float = EPS_STABLE,
+               lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
+    """The report-only path of ``deeplift``, ``gradient_times_input`` and
+    ``attribute``; it checks both stabilizers first."""
+    check_stabilizer("eps_stable", eps_stable)
+    check_stabilizer("epsilon", lrp_epsilon)
+    trace, resolved = _traced_target(graph, inputs, target, class_index)
+    ref = None if method == "lrp" else _reference_on(trace.graph, reference,
+                                                     reference_input)
+    return _method_report(trace, ref, resolved, method, eps_stable, lrp_epsilon)
 
 
 def deeplift(graph: Graph, inputs: dict[str, Tensor],
@@ -550,42 +608,15 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     target's ancestors are evaluated.  Raises ValueError unless
     ``eps_stable`` is a finite number >= 0.
     """
-    graph.require_valid()
-    normalized = _normalize_softmax_head_if_any(graph)
-    ref = _reference_on(normalized, reference, reference_input)
-    trace = forward(normalized, inputs,
-                    upto=fixed_target_node(normalized, target, class_index))
-    resolved = select_attribution_target(normalized, target, class_index, trace)
-    mult = propagate_multipliers(normalized, trace, ref, resolved, eps_stable)
-    return contributions(trace, ref, resolved, mult)
-
-
-def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
-    if len(graph.outputs) != 1:
-        return graph
-    head = graph.nodes[graph.outputs[0]]
-    if head.kind != "softmax":
-        return graph
-    pre = graph.nodes[head.inputs[0]]
-    if pre.kind != "affine":
-        return graph
-    if "softmax_head" not in graph._memo:
-        from .normalize import mean_normalize_softmax_weights
-
-        graph._memo["softmax_head"] = mean_normalize_softmax_weights(graph)
-    return graph._memo["softmax_head"]
+    return _attribute(graph, inputs, "deeplift", target, class_index, reference,
+                      reference_input, eps_stable)
 
 
 METHODS = ("deeplift", "grad_input", "lrp")
 
 # baselines imports the names above from this module, so it loads here,
 # once they exist
-from .baselines import (  # noqa: E402
-    LRP_EPSILON,
-    gradient_times_input,
-    lrp_as_contribution_report,
-    lrp_epsilon as _lrp_epsilon,
-)
+from .baselines import _lrp_rules  # noqa: E402
 
 
 def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
@@ -596,17 +627,12 @@ def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
 
     ``reference`` is the state deeplift propagates against and grad_input
     measures input differences from (default all zeros); lrp has none.
+    Raises ValueError unless both ``eps_stable`` and ``lrp_epsilon`` are
+    finite numbers >= 0, whichever method runs.
     """
-    if method == "deeplift":
-        return deeplift(graph, inputs, target=target, class_index=class_index,
-                        eps_stable=eps_stable, reference=reference)
-    if method == "grad_input":
-        return gradient_times_input(graph, inputs, target=target,
-                                    class_index=class_index, reference=reference)
-    if method == "lrp":
-        relevance = _lrp_epsilon(graph, inputs, target=target, epsilon=lrp_epsilon,
-                                 class_index=class_index)
-        return lrp_as_contribution_report(graph, inputs, relevance)
-    raise AttributionError(
-        f"unknown method '{method}'; expected one of {', '.join(METHODS)}"
-    )
+    if method not in METHODS:
+        raise AttributionError(
+            f"unknown method '{method}'; expected one of {', '.join(METHODS)}"
+        )
+    return _attribute(graph, inputs, method, target, class_index, reference, None,
+                      eps_stable, lrp_epsilon)

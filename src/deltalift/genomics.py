@@ -19,12 +19,12 @@ from .engine import (
     EPS_STABLE,
     AttributionError,
     ContributionReport,
+    _method_report,
+    _traced_target,
     check_stabilizer,
     compute_reference,
-    deeplift,
     zeros_reference,
 )
-from .baselines import gradient_times_input
 from .graph import ConstraintGroup, Graph, GraphBuilder, Tensor, forward
 from .normalize import normalize_constrained_weights
 
@@ -364,7 +364,8 @@ def compare_methods(graph: Graph, test_set,
     model is weight-normalized over the one-hot constraint groups
     first (outputs unchanged); both methods then run on that same model
     against the all-zeros reference, ``ATTRIBUTE_CHUNK`` sequences per
-    call.  Only correctly classified positives are scored; each row keeps
+    call, their sweeps sharing one forward pass of each chunk up to the
+    logit.  Only correctly classified positives are scored; each row keeps
     both methods' per-position scores.  Raises ValueError unless
     ``eps_stable`` is a finite number >= 0.
     """
@@ -396,9 +397,10 @@ def compare_methods(graph: Graph, test_set,
     rows = []
     for start in range(0, len(selected), ATTRIBUTE_CHUNK):
         chunk = selected[start:start + ATTRIBUTE_CHUNK]
-        batch = {input_id: np.stack([x for _, x, _ in chunk])}
-        dl = deeplift(normalized, batch, reference=reference, eps_stable=eps_stable)
-        gi = gradient_times_input(normalized, batch, reference=reference)
+        trace, target = _traced_target(normalized,
+                                       {input_id: np.stack([x for _, x, _ in chunk])})
+        dl = _method_report(trace, reference, target, "deeplift", eps_stable)
+        gi = _method_report(trace, reference, target, "grad_input")
         for i, (ex, _, prob) in enumerate(chunk):
             dl_track = per_position_scores(dl.sample(i), ex, input_id)
             gi_track = per_position_scores(gi.sample(i), ex, input_id)

@@ -468,8 +468,12 @@ class TestErrors:
         (["attribute", "--method", "lrp", "--lrp-epsilon", "nan"], "epsilon"),
         (["attribute", "--method", "lrp", "--lrp-epsilon=-1e-9"], "epsilon"),
         (["compare", "--eps-stable", "inf"], "eps_stable"),
+        # every method checks both stabilizers, whichever one it uses
+        (["attribute", "--method", "grad_input", "--eps-stable", "nan"], "eps_stable"),
+        (["attribute", "--method", "deeplift", "--lrp-epsilon", "nan"], "epsilon"),
     ], ids=["nan-eps-stable", "negative-eps-stable", "nan-lrp-epsilon",
-            "negative-lrp-epsilon", "infinite-compare-eps-stable"])
+            "negative-lrp-epsilon", "infinite-compare-eps-stable",
+            "grad-input-nan-eps-stable", "deeplift-nan-lrp-epsilon"])
     def test_invalid_stabilizer_exit_code(self, workspace, tmp_path, flags, name):
         command, *rest = flags
         res = run_cli(

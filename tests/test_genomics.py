@@ -287,6 +287,40 @@ class TestCompareMethods:
                 assert_allclose(track, expected, rtol=0,
                                 atol=1e-12 * np.abs(expected).max())
 
+    def test_each_scored_positive_is_forwarded_once(self, monkeypatch):
+        import deltalift.baselines as baselines_module
+        import deltalift.engine as engine_module
+        import deltalift.genomics as genomics_module
+
+        data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=24, seed=3))
+        graph = build_genomics_cnn(seed=9)
+        graph = graph.replace_params({"logit": {"bias": np.array([8.0])}})
+        rows = []  # samples per forward pass
+        for module in (baselines_module, engine_module, genomics_module):
+            monkeypatch.setattr(
+                module, "forward",
+                lambda g, inputs, *a, _real=forward, **k: rows.append(
+                    len(inputs["seq"]) if inputs["seq"].ndim == 3 else 1)
+                or _real(g, inputs, *a, **k),
+            )
+        comparison = compare_methods(graph, data.test)
+        n_positives = sum(ex.label == 1 for ex in data.test)
+        assert comparison.n_correct_positives > ATTRIBUTE_CHUNK  # two chunks
+        # the reference, every positive to select, each scored positive once
+        assert sum(rows) == 1 + n_positives + comparison.n_correct_positives
+        # both methods' sweeps share the chunk's trace, and their scores are
+        # those of the batched calls over the same chunks, byte for byte
+        normalized = normalize_constrained_weights(graph)
+        for start in range(0, len(comparison.rows), ATTRIBUTE_CHUNK):
+            chunk = comparison.rows[start:start + ATTRIBUTE_CHUNK]
+            batch = {"seq": encode_batch([row.example for row in chunk])}
+            reports = deeplift(normalized, batch), gradient_times_input(normalized, batch)
+            for i, row in enumerate(chunk):
+                for track, report in zip((row.deeplift_track, row.grad_input_track),
+                                         reports):
+                    expected = per_position_scores(report.sample(i), row.example)
+                    assert track.tobytes() == expected.tobytes()
+
     def test_node_ids_come_from_the_graph(self):
         # conv -> relu -> pool -> affine -> sigmoid, no node named seq/prob
         rng = np.random.default_rng(5)

@@ -4,8 +4,9 @@ calls that evaluate only the target's ancestors.
 The oracle is the public every-node path: a full ``forward`` trace,
 ``propagate_multipliers`` or ``backward`` over it, and ``contributions``
 built from their results; for epsilon-LRP, the full ``relevances``.  The
-reports of ``deeplift``, ``gradient_times_input`` and
-``lrp_as_contribution_report`` must equal it byte for byte.
+reports of ``deeplift``, ``gradient_times_input``,
+``lrp_as_contribution_report`` and ``attribute(..., "lrp")`` must equal it
+byte for byte.
 """
 
 import numpy as np
@@ -13,14 +14,16 @@ import pytest
 
 import deltalift.baselines as baselines
 import deltalift.engine as engine
-from deltalift.autodiff import Routed, SweepValues, backward, vjp_sweep
+from deltalift.autodiff import Routed, SweepValues, backward, target_value, vjp_sweep
 from deltalift.baselines import (
     gradient_times_input,
     lrp_as_contribution_report,
     lrp_epsilon,
 )
 from deltalift.engine import (
+    METHODS,
     _normalize_softmax_head_if_any,
+    attribute,
     compute_reference,
     contributions,
     deeplift,
@@ -30,7 +33,7 @@ from deltalift.engine import (
 )
 from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import Graph, GraphBuilder, GraphError, NodeSpec, forward
-from deltalift.normalize import normalize_constrained_weights
+from deltalift.normalize import mean_normalize_softmax_weights, normalize_constrained_weights
 from deltalift.train import TrainConfig, train_step
 
 from graphgen import random_graph_case
@@ -65,6 +68,8 @@ def full_deeplift(graph, inputs, reference_input=None, target=None, class_index=
 
 
 def full_grad_input(graph, inputs, reference_input=None, target=None, class_index=None):
+    """Gradient*input's report, on the same normalized head as DeepLIFT's."""
+    graph = _normalize_softmax_head_if_any(graph)
     ref = compute_reference(graph, reference_input or zeros_reference(graph))
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, class_index, trace)
@@ -79,6 +84,8 @@ def check_lrp(graph, inputs, target=None):
     assert set(full) == set(graph.nodes)
     for nid in graph.input_ids():
         assert identical(report.contributions[nid], full[nid]), nid
+    # the report-only call equals the report built from the full trace
+    assert_same_report(attribute(graph, inputs, "lrp", target=target), report, target)
 
 
 def batch_of(shape, batch, rng):
@@ -218,6 +225,28 @@ def test_a_softmax_head_is_evaluated_unless_the_class_is_given(recorded):
         recorded["traces"].clear()
         call(class_index=2)
         assert [("head" in t.activations) for t in recorded["traces"]] == [False]
+
+
+@pytest.mark.parametrize("batch", [None, 5])
+@pytest.mark.parametrize("class_index", [None, 1])
+def test_every_method_explains_the_normalized_softmax_logit(batch, class_index):
+    rng = np.random.default_rng(16)
+    graph = softmax_graph(rng)
+    inputs = {"x": batch_of((4,), batch, rng)}
+    reference = compute_reference(graph, {"x": rng.normal(size=4)})
+    reports = {method: attribute(graph, inputs, method, reference=reference,
+                                 class_index=class_index) for method in METHODS}
+    t_node, t_index = reports["deeplift"].target
+    assert t_node == "pre"
+    for report in reports.values():
+        assert report.target[0] == t_node and identical(report.target[1], t_index)
+    assert identical(reports["grad_input"].delta_target, reports["deeplift"].delta_target)
+    normalized = mean_normalize_softmax_weights(graph)
+    logit = forward(normalized, inputs)["pre"]
+    assert identical(reports["lrp"].delta_target, target_value(logit, t_index))
+    ref_logit = forward(normalized, reference.reference_input)["pre"]
+    assert np.allclose(reports["deeplift"].delta_target,
+                       target_value(logit - ref_logit, t_index), rtol=0, atol=1e-12)
 
 
 def test_forward_upto_evaluates_the_ancestors_only():
