@@ -73,6 +73,9 @@ def resolve_target(graph: Graph, target, batch: int | None = None):
         index = np.broadcast_to(index, (batch,))
         in_range = index.size == 0 or (index.min() >= 0 and index.max() < size)
     if not in_range:
+        if batch is not None:  # name the first bad row, not the whole array
+            row = int(np.flatnonzero((index < 0) | (index >= size))[0])
+            index = f"{index[row]} (sample {row} of the batch)"
         raise GraphError(
             f"target index {index} out of range for node '{node_id}' "
             f"with {size} elements"

@@ -31,6 +31,7 @@ from .engine import (
     ContributionReport,
     ReferenceState,
     _attribute,
+    _normalize_softmax_head_if_any,
     _traced_target,
     check_stabilizer,
     contributions,
@@ -159,8 +160,18 @@ def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
                                trace: RelevanceTrace) -> ContributionReport:
     """Input-layer relevances of ``lrp_epsilon(graph, inputs, ...)`` in
     the common report shape: deltas are the inputs, and ``delta_target``
-    the target's activation."""
-    return contributions(trace.trace, None, trace.target, trace.multipliers, "lrp")
+    the target's activation.  Raises AttributionError unless ``trace``
+    ran on ``graph`` (or on its head-normalized graph) and on ``inputs``."""
+    traced = trace.trace
+    if graph is not traced.graph and _normalize_softmax_head_if_any(graph) is not traced.graph:
+        raise AttributionError("the relevance trace was computed on another graph")
+    for node_id, _ in traced.graph.plan().inputs:
+        # the same array object, as lrp_epsilon's caller passes, is not compared
+        x = inputs.get(node_id)
+        if x is not traced[node_id] and not np.array_equal(x, traced[node_id]):
+            raise AttributionError(
+                f"input '{node_id}' is not the input the relevance trace ran on")
+    return contributions(traced, None, trace.target, trace.multipliers, "lrp")
 
 
 # ---------------------------------------------------------------------------

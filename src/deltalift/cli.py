@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -131,13 +132,45 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _row_template(n_features: int) -> str:
-    """One sample's TSV rows, with ``{sid}`` standing for its id and
-    ``%.10g`` for each feature's delta, multiplier and contribution."""
-    return "".join(
-        f"{{sid}}\t{i}\t{i // 4}:{BASES[i % 4]}\t%.10g\t%.10g\t%.10g\n"
-        for i in range(n_features)
-    )
+# each attribute row ends in its delta, multiplier and contribution cells;
+# a cell that is exactly 0, -0 or 1 (on one-hot input, most deltas and
+# contributions, and the multipliers of features no routed window reads)
+# is written as the text "%.10g" gives it, and only the rest is formatted.
+# One ending per combination of the three cells' kinds, indexed by
+# 16 * kind(delta) + 4 * kind(multiplier) + kind(contribution)
+_CELL_KINDS = ("0", "-0", "1", "%.10g")
+_ROW_ENDINGS = np.array(
+    ["\t".join(cells) + "\n" for cells in itertools.product(_CELL_KINDS, repeat=3)],
+    dtype=object,
+)
+_KIND_WEIGHTS = np.array([16, 4, 1])
+
+
+def _feature_prefixes(n_features: int) -> list[str]:
+    """The text between a row's sample id and its value cells: the
+    feature's index and its position:base label."""
+    return [f"\t{i}\t{i // 4}:{BASES[i % 4]}\t" for i in range(n_features)]
+
+
+def _attribute_rows(sids, values, prefixes) -> list[str]:
+    """Each sample's TSV rows as one string: row j of sample i is
+    ``sids[i] + prefixes[j]`` and the cells ``values[i, j]`` (delta,
+    multiplier, contribution) as ``"%.10g"`` writes them."""
+    kind = np.where(values == 0, np.signbit(values), 3)
+    kind[values == 1] = 2
+    formatted = kind == 3
+    endings = _ROW_ENDINGS[kind @ _KIND_WEIGHTS].tolist()
+    numbers = values[formatted].tolist()
+    stops = np.cumsum(formatted.reshape(len(sids), -1).sum(axis=1)).tolist()
+    parts = [""] * (3 * len(prefixes))
+    parts[1::3] = prefixes
+    rows, start = [], 0
+    for sid, sample_endings, stop in zip(sids, endings, stops):
+        parts[0::3] = [sid.replace("%", "%%")] * len(prefixes)
+        parts[2::3] = sample_endings
+        rows.append("".join(parts) % tuple(numbers[start:stop]))
+        start = stop
+    return rows
 
 
 def cmd_attribute(args) -> int:
@@ -150,7 +183,7 @@ def cmd_attribute(args) -> int:
     if normalized:
         graph = normalize_constrained_weights(graph)
     input_id = graph.input_ids()[0]
-    template = _row_template(int(np.prod(graph.nodes[input_id].output_shape)))
+    prefixes = _feature_prefixes(int(np.prod(graph.nodes[input_id].output_shape)))
 
     # rows stream to <out>.partial, which becomes --out only once every
     # chunk is attributed: a failed run leaves no output and no manifest
@@ -167,20 +200,20 @@ def cmd_attribute(args) -> int:
                                    target=target, eps_stable=args.eps_stable,
                                    lrp_epsilon=args.lrp_epsilon)
                 t_node, t_index = report.target
-                # per sample: delta, multiplier, contribution of each feature
+                # per sample and feature: delta, multiplier, contribution
                 values = np.stack(
                     [report.deltas[input_id], report.multipliers[input_id],
                      report.contributions[input_id]],
                     axis=-1,
-                ).reshape(len(chunk), -1).tolist()
+                ).reshape(len(chunk), len(prefixes), 3)
+                rows = _attribute_rows([ex.sid for ex in chunk], values, prefixes)
                 for i, ex in enumerate(chunk):
                     fh.write(
                         f"# sample={ex.sid} method={report.method} "
                         f"target={t_node}:{t_index[i]} "
                         f"residual={report.residual[i]:.6g}\n"
                     )
-                    fh.write(template.replace("{sid}", ex.sid.replace("%", "%%"))
-                             % tuple(values[i]))
+                    fh.write(rows[i])
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(partial)

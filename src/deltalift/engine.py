@@ -142,11 +142,17 @@ def _reference_on(graph: Graph, reference: ReferenceState | None = None,
     if reference is None:
         if reference_input is not None:
             return compute_reference(graph, reference_input)
-        if "zeros_reference" not in graph._memo:
-            graph._memo["zeros_reference"] = compute_reference(
-                graph, zeros_reference(graph)
-            )
-        return graph._memo["zeros_reference"]
+        # the memo keeps the state's fields but not the graph: a state in
+        # its own graph's memo would make a cycle that outlives the graph's
+        # last use until the cyclic collector runs
+        kept = graph._memo.get("zeros_reference")
+        if kept is None:
+            state = compute_reference(graph, zeros_reference(graph))
+            kept = graph._memo["zeros_reference"] = (
+                state.activations, state.batch, state.routes, state.reference_input)
+        activations, batch, routes, reference_input = kept
+        return ReferenceState(activations, graph, batch, routes,
+                              reference_input=reference_input)
     if reference.graph is graph:
         return reference
     # a reference computed on another graph object, such as the caller's

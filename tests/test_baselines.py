@@ -147,6 +147,32 @@ class TestLrp:
         assert rel["x"][1] == 0.0 and rel["x"][2] == 0.0
         assert rel["x"][0] != 0.0 and rel["x"][3] != 0.0
 
+    def test_report_rejects_another_graph_or_other_inputs(self):
+        rng = np.random.default_rng(47)
+        g, inputs = random_relu_mlp(rng, EnsembleSpec())
+        other, _ = random_relu_mlp(rng, EnsembleSpec())
+        rel = lrp_epsilon(g, inputs, target=("head", 0))
+        report = lrp_as_contribution_report(g, inputs, rel)
+        equal = lrp_as_contribution_report(g, {"x": inputs["x"].copy()}, rel)
+        assert np.array_equal(equal.contributions["x"], report.contributions["x"])
+        with pytest.raises(AttributionError, match="another graph"):
+            lrp_as_contribution_report(other, inputs, rel)
+        for changed in ({"x": inputs["x"] + 1.0}, {"x": inputs["x"][None]}, {}):
+            with pytest.raises(AttributionError, match="input 'x' is not the input"):
+                lrp_as_contribution_report(g, changed, rel)
+
+    def test_report_accepts_the_graph_before_head_normalization(self, rng):
+        b = GraphBuilder()
+        h = b.relu("h", b.affine("fc", b.input("x", (4,)), rng.normal(size=(5, 4)),
+                                 rng.normal(size=5)))
+        b.softmax("head", b.affine("pre", h, rng.normal(size=(3, 5)), rng.normal(size=3)))
+        g = b.build(outputs=["head"])
+        inputs = {"x": rng.normal(size=4)}
+        rel = lrp_epsilon(g, inputs, class_index=1)
+        assert rel.trace.graph is not g  # traced on the mean-normalized head
+        report = lrp_as_contribution_report(g, inputs, rel)
+        assert np.array_equal(report.contributions["x"], rel["x"])
+
 
 class TestEquivalence:
     def test_bias_free_net_zero_input_both_methods_zero(self):

@@ -342,8 +342,13 @@ def test_per_sample_targets_of_a_batch():
     report = deeplift(g, {"x": xs}, target=("y", np.array([3, 0, 2, 0])))
     assert_report_rows(report, [deeplift(g, {"x": x}, target=("y", k))
                                 for x, k in zip(xs, [3, 0, 2, 0])])
-    with pytest.raises(GraphError, match="out of range"):
-        deeplift(g, {"x": xs}, target=("y", np.array([0, 1, 2, 4])))
+    with pytest.raises(GraphError, match=r"^target index 4 \(sample 2 of the batch\) "
+                                         r"out of range for node 'y' with 4 elements$"):
+        deeplift(g, {"x": xs}, target=("y", np.array([0, 1, 4, 5])))
+    with pytest.raises(GraphError, match=r"^target index 5 \(sample 0 of the batch\) "):
+        deeplift(g, {"x": xs}, target=("y", 5))
+    with pytest.raises(GraphError, match=r"^target index -1 \(sample 1 "):
+        deeplift(g, {"x": xs}, target=("y", np.array([0, -1, 9, 0])))
     with pytest.raises(GraphError, match="one target index or 4"):
         deeplift(g, {"x": xs}, target=("y", np.array([0, 1])))
 

@@ -1,5 +1,7 @@
 """End-to-end runs of every subcommand through the console entry point."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,16 +11,21 @@ import pytest
 
 from numpy.testing import assert_allclose
 
-from deltalift.engine import ATTRIBUTE_CHUNK
+from deltalift import cli
+from deltalift.engine import ATTRIBUTE_CHUNK, METHODS, attribute
 from deltalift.genomics import (
     build_genomics_cnn,
+    encode_batch,
     one_hot_encode,
     onehot_constraint_groups,
     read_fasta,
     write_fasta,
 )
-from deltalift.graph import GraphBuilder, forward
+from deltalift.graph import Graph, GraphBuilder, NodeSpec, forward
+from deltalift.normalize import normalize_constrained_weights
 from deltalift.serialize import load_model, save_model
+
+from tsv_oracle import attribute_tsv
 
 
 def run_cli(*argv, cwd=None):
@@ -207,6 +214,47 @@ class TestAttribute:
         whole_values, split_values = np.array(whole_values), np.array(split_values)
         assert_allclose(split_values, whole_values, rtol=1e-9,
                         atol=1e-12 * np.abs(whole_values).max())
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_output_equals_a_per_value_writer(self, workspace, tmp_path, method):
+        """In process: every cell is the one "%.10g" gives the value in
+        ``attribute``'s report, scored in the command's chunks."""
+        graph = load_model(workspace["trained"])
+        if method == "lrp":  # LRP takes the same net with relu units
+            graph = Graph([NodeSpec(n.id, "relu", n.inputs, n.output_shape)
+                           if n.kind == "prelu" else n for n in graph.nodes.values()],
+                          graph.outputs, graph.constraint_groups)
+        model, out = tmp_path / "model.json", tmp_path / "scores.tsv"
+        save_model(graph, model)
+        examples = read_fasta(workspace["data"] / "train.fa")
+        assert len(examples) > ATTRIBUTE_CHUNK
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["attribute", "--model", str(model), "--data",
+                             str(workspace["data"] / "train.fa"), "--out", str(out),
+                             "--method", method])
+        assert code == 0
+        normalized = normalize_constrained_weights(load_model(model))
+        reports = [attribute(normalized, {"seq": encode_batch(examples[k:k + ATTRIBUTE_CHUNK])},
+                             method)
+                   for k in range(0, len(examples), ATTRIBUTE_CHUNK)]
+        text = out.read_text(encoding="utf-8")
+        assert text == attribute_tsv(examples, reports, "seq")
+        literal = sum(cell in ("0", "-0", "1") for line in text.splitlines()
+                      if not line.startswith(("#", "sample_id"))
+                      for cell in line.split("\t")[3:])
+        assert literal > 0
+
+    def test_out_of_range_target_names_the_first_bad_sample(self, workspace, tmp_path):
+        res = run_cli(
+            "attribute", "--model", str(workspace["trained"]), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+            "--target", "logit:5",
+        )
+        assert res.returncode == 4
+        assert res.stderr == (
+            "error code=invalid-input detail=target index 5 (sample 0 of the batch) "
+            "out of range for node 'logit' with 1 elements\n"
+        )
 
 
 class TestCompare:

@@ -1,5 +1,8 @@
 """Multiplier rules, propagation, and the conservation property."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -26,6 +29,7 @@ from deltalift.engine import (
     select_attribution_target,
     zeros_reference,
 )
+from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import GraphBuilder, forward
 
 from graphgen import random_graph_case
@@ -66,6 +70,35 @@ class TestReference:
         tr = forward(case.graph, case.reference)
         for nid in case.graph.nodes:
             assert np.array_equal(ref[nid], tr[nid])
+
+    def test_memoized_zeros_reference_leaves_no_cycle(self, monkeypatch):
+        """The zeros reference is evaluated once per graph, and keeping it
+        does not keep the graph: with the cyclic collector off, a graph
+        attributed against it is freed at its last reference."""
+        import deltalift.engine as engine_module
+
+        calls = []
+        monkeypatch.setattr(
+            engine_module, "forward",
+            lambda *a, _real=forward, **k: calls.append(1) or _real(*a, **k),
+        )
+        rng = np.random.default_rng(46)
+        inputs = {"seq": np.eye(4)[rng.integers(0, 4, size=(3, 200))]}
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            cnn = build_genomics_cnn(seed=3)
+            first = deeplift(cnn, inputs).contributions["seq"]
+            assert len(calls) == 2  # the inputs and the zeros reference
+            attribute(cnn, inputs, "grad_input")
+            assert len(calls) == 3  # the memo is hit: one forward per call
+            assert np.array_equal(deeplift(cnn, inputs).contributions["seq"], first)
+            alive = weakref.ref(cnn)
+            del cnn
+            assert alive() is None
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def affine_multiplier_rows(g, trace, ref):

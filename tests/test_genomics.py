@@ -28,6 +28,8 @@ from deltalift.genomics import (
 from deltalift.graph import GraphBuilder, forward, n_parameters, validate_graph
 from deltalift.normalize import normalize_constrained_weights
 
+from tsv_oracle import per_value_row
+
 
 class TestGeneration:
     def test_consensus_motifs_when_no_substitution(self):
@@ -389,14 +391,12 @@ class TestSequenceFiles:
 
     def test_score_tracks_match_per_value_formatting(self, tmp_path, rng):
         def per_value_writer(path, entries):
-            # one f-string per position on numpy scalars
+            # one row per position, one "%.10g" per numpy scalar
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("sample_id\tposition\tbase\tdeeplift\tgrad_input\n")
                 for ex, dl, gi in entries:
                     for pos, base in enumerate(ex.sequence):
-                        fh.write(
-                            f"{ex.sid}\t{pos}\t{base}\t{dl[pos]:.10g}\t{gi[pos]:.10g}\n"
-                        )
+                        fh.write(per_value_row(ex.sid, pos, base, dl[pos], gi[pos]))
 
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0 / 3,
                             1e-300, 123456789012.5, np.inf, -np.inf, np.nan])
