@@ -49,6 +49,7 @@ the forward pass evaluates only the target's ancestors.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -229,6 +230,16 @@ def local_multipliers_product(node, trace: ForwardTrace,
 # Maxout: piecewise-linear decomposition along the reference-to-input path
 
 
+@functools.lru_cache(maxsize=16)
+def _piece_pairs(n_pieces: int) -> tuple[Tensor, Tensor]:
+    """Indices (i, j) of every piece pair i < j, as ``np.triu_indices``
+    gives them; cached per piece count, so the arrays are read-only."""
+    pairs = np.triu_indices(n_pieces, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tensor:
     """Share of the straight reference-to-input path on which each piece
     of each maxout unit dominates, shaped (rows, units, pieces).
@@ -249,12 +260,12 @@ def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tens
     if node.kind != "maxout":
         raise AttributionError(f"node '{node.id}' is not a maxout node")
     n_pieces, out_dim, in_dim = node.params["weights"].shape
-    coeffs = node.params["weights"].transpose(1, 0, 2).reshape(-1, in_dim)
+    coeffs = node.piece_coefficients
     x0 = reference_input.reshape(-1, in_dim)
     x1 = input_values.reshape(-1, in_dim)
     values0 = (x0 @ coeffs.T).reshape(-1, out_dim, n_pieces) + node.params["biases"].T
     slopes = ((x1 - x0) @ coeffs.T).reshape(-1, out_dim, n_pieces)
-    i, j = np.triu_indices(n_pieces, 1)  # every piece pair i < j
+    i, j = _piece_pairs(n_pieces)
     gap = values0[..., i] - values0[..., j]
     dslope = slopes[..., j] - slopes[..., i]
     # interval bounds: 0, the sorted crossings, 1; parallel pairs and
@@ -272,7 +283,7 @@ def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tens
     # each interval's length added to its owner's share, in path order
     owner = owner.reshape(-1, owner.shape[-1])
     owner += n_pieces * np.arange(len(owner))[:, None]
-    share = np.bincount(owner.ravel(), np.diff(bounds, axis=-1).ravel(),
+    share = np.bincount(owner.ravel(), (bounds[..., 1:] - bounds[..., :-1]).ravel(),
                         len(owner) * n_pieces)
     return share.reshape(-1, out_dim, n_pieces)
 
@@ -391,13 +402,12 @@ def _maxout_multiplier_backprop(node, m_out, trace, reference, mult):
     product.  A batched reference pairs its rows with the trace's.
     Multipliers accumulate into the source's buffer in ``mult``.
     """
-    n_pieces, out_dim, in_dim = node.params["weights"].shape
+    n_pieces, out_dim = node.params["weights"].shape[:2]
     src = node.inputs[0]
-    coeffs = node.params["weights"].transpose(1, 0, 2).reshape(-1, in_dim)
     share = maxout_segments(node, reference[src], trace[src])
     share *= m_out.reshape(-1, out_dim, 1)
-    accumulate(mult, src,
-               (share.reshape(-1, out_dim * n_pieces) @ coeffs).reshape(trace[src].shape))
+    accumulate(mult, src, (share.reshape(-1, out_dim * n_pieces)
+                           @ node.piece_coefficients).reshape(trace[src].shape))
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,17 @@ class NodeSpec:
         """
         return _frozen(np.broadcast_to(self.params["slopes"], self.output_shape))
 
+    @functools.cached_property
+    def piece_coefficients(self) -> Tensor:
+        """A maxout node's weights as one (units*pieces, in) matrix, the
+        pieces of each unit in consecutive rows.
+
+        DeepLIFT's maxout rule reads it on every call; a node is
+        immutable, so the transposed copy is made once.
+        """
+        weights = self.params["weights"]
+        return _frozen(weights.transpose(1, 0, 2).reshape(-1, weights.shape[2]))
+
     def with_params(self, **updates) -> "NodeSpec":
         params = dict(self.params)
         params.update(updates)

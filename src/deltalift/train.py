@@ -200,7 +200,8 @@ def evaluate(graph: Graph, dataset) -> tuple[float, float]:
     """Mean loss and auROC of the positive-class score over a dataset.
 
     Samples are scored in batched forward passes of at most
-    ``EVAL_CHUNK``.
+    ``EVAL_CHUNK``.  The auROC is nan on a set with no positive (label 1)
+    or no negative (label 0), as it is with no validation set.
     """
     head_id, pre_id = _resolve_head(graph)
     dataset = list(dataset)
@@ -212,8 +213,11 @@ def evaluate(graph: Graph, dataset) -> tuple[float, float]:
         chunk_losses, _ = _loss_and_seed(graph, trace, head_id, pre_id, labels)
         losses.append(chunk_losses)
         scores.append(trace[head_id][:, -1])
+    loss = float(np.concatenate(losses).mean())
     labels = [int(label) for _, label in dataset]
-    return float(np.concatenate(losses).mean()), auroc(np.concatenate(scores), labels)
+    if 0 not in labels or 1 not in labels:
+        return loss, float("nan")
+    return loss, auroc(np.concatenate(scores), labels)
 
 
 def train_loop(graph: Graph, train_set, val_set=None,

@@ -5,6 +5,8 @@ oracle ``_envelope_segments`` below scans one unit at a time and gives
 the intervals those shares sum.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +19,7 @@ from deltalift.engine import (
     maxout_segments,
     propagate_multipliers,
 )
-from deltalift.graph import GraphBuilder, forward
+from deltalift.graph import GraphBuilder, NodeSpec, forward
 
 
 def maxout_unit(weights, biases):
@@ -110,15 +112,21 @@ def test_single_piece_reduces_to_affine_rule(rng):
         assert_allclose(unit_multipliers(graph, x0, x1, unit), w[0, unit])
 
 
-def test_sweep_calls_maxout_segments_once_per_maxout_node(rng, monkeypatch):
-    # the sweep's maxout rule gets its path shares from maxout_segments,
-    # looked up on the module, as the benchmark's tracer wraps it
+def two_maxout_layers(rng):
+    """Maxout layers "m1" (3 pieces) and "m2" (2 pieces) on input "x" of
+    size 4, read by a one-unit affine output "o"."""
     b = GraphBuilder()
     h = b.maxout("m1", b.input("x", (4,)), rng.normal(size=(3, 5, 4)),
                  rng.normal(size=(3, 5)))
     h = b.maxout("m2", h, rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3)))
     b.affine("o", h, rng.normal(size=(1, 3)), np.zeros(1))
-    graph = b.build(outputs=["o"])
+    return b.build(outputs=["o"])
+
+
+def test_sweep_calls_maxout_segments_once_per_maxout_node(rng, monkeypatch):
+    # the sweep's maxout rule gets its path shares from maxout_segments,
+    # looked up on the module, as the benchmark's tracer wraps it
+    graph = two_maxout_layers(rng)
     xs = rng.normal(size=(6, 4))
     expected = deeplift(graph, {"x": xs}, target=("o", 0))
     calls = []
@@ -134,6 +142,63 @@ def test_sweep_calls_maxout_segments_once_per_maxout_node(rng, monkeypatch):
     calls.clear()
     deeplift(graph, {"x": xs[0]}, target=("o", 0))
     assert sorted(calls) == ["m1", "m2"]
+
+
+def test_piece_coefficients_are_built_once_per_node(rng, monkeypatch):
+    # the rule reads one (units*pieces, in) matrix per node, made on
+    # first use and kept read-only for the node's life
+    builds = []
+    build = NodeSpec.__dict__["piece_coefficients"].func
+
+    def counting(node):
+        builds.append(node.id)
+        return build(node)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(NodeSpec, "piece_coefficients")
+    monkeypatch.setattr(NodeSpec, "piece_coefficients", counted)
+    graph = two_maxout_layers(rng)
+    xs = rng.normal(size=(6, 4))
+    for x in (xs, xs[0], xs[1], xs):
+        deeplift(graph, {"x": x}, target=("o", 0))
+    assert sorted(builds) == ["m1", "m2"]
+    for node in (graph.nodes["m1"], graph.nodes["m2"]):
+        coeffs = node.piece_coefficients
+        w = node.params["weights"]
+        assert np.array_equal(coeffs, w.transpose(1, 0, 2).reshape(-1, w.shape[2]))
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0, 0] = 1.0
+    assert sorted(builds) == ["m1", "m2"]
+
+
+def test_new_weights_get_their_own_piece_coefficients(rng):
+    # a node made with other weights, by with_params or replace_params,
+    # must not read the coefficients cached on the node it came from
+    values0, slopes = rng.normal(size=(2, 40, 4))
+    graph = maxout_unit(slopes.T[:, :, None], values0.T)
+    node = graph.nodes["m"]
+    maxout_segments(node, np.zeros(1), np.ones(1))
+    new_values0, new_slopes = rng.normal(size=(2, 40, 4)) * 2.0
+    weights, biases = new_slopes.T[:, :, None], new_values0.T
+    renewed = graph.replace_params({"m": {"weights": weights, "biases": biases}})
+    for new in (node.with_params(weights=weights, biases=biases), renewed.nodes["m"]):
+        share = maxout_segments(new, np.zeros(1), np.ones(1))
+        for unit in range(40):
+            assert np.array_equal(share[0, unit],
+                                  oracle_shares(new_values0[unit], new_slopes[unit]))
+
+
+@pytest.mark.parametrize("n_pieces", [1, 2, 3, 5])
+def test_piece_pairs_are_cached_and_read_only(n_pieces):
+    i, j = engine._piece_pairs(n_pieces)
+    expected = np.triu_indices(n_pieces, 1)
+    assert np.array_equal(i, expected[0]) and np.array_equal(j, expected[1])
+    assert i.dtype == expected[0].dtype and len(i) == n_pieces * (n_pieces - 1) // 2
+    assert engine._piece_pairs(n_pieces)[0] is i
+    for index in (i, j):
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index += 1
 
 
 class TestRandomDecompositions:

@@ -1,11 +1,14 @@
 """Trainer behavior: convergence, determinism, abort diagnostics."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deltalift import cli
+from deltalift.genomics import DatasetSpec, auroc, generate_dataset, write_fasta
 from deltalift.graph import GraphBuilder, forward
 from deltalift.train import (
     TrainConfig,
@@ -140,6 +143,33 @@ def test_evaluate_reports_loss_and_auroc():
     loss, roc = evaluate(trained, data)
     assert loss < 0.2
     assert roc == 1.0
+
+
+def test_one_class_validation_set_gives_nan_auroc(tmp_path, capsys):
+    # auROC needs both classes: a validation set of positives alone
+    # reports nan each epoch, as training with no validation set does
+    data = separable_toy_set()
+    positives = [example for example in data if example[1] == 1][:2]
+    _, history = train_loop(small_mlp(), data[:16], positives,
+                            TrainConfig(seed=0, epochs=2, batch_size=8))
+    assert len(history) == 2
+    assert all(np.isfinite(h.val_loss) and math.isnan(h.val_auroc) for h in history)
+    loss, roc = evaluate(small_mlp(), positives)
+    assert np.isfinite(loss) and math.isnan(roc)
+    with pytest.raises(ValueError, match="at least one positive and one negative"):
+        auroc([0.2, 0.7], [1, 1])
+
+    generated = generate_dataset(DatasetSpec(n_train=16, n_val=8, n_test=2, seed=5))
+    write_fasta(tmp_path / "train.fa", generated.train)
+    write_fasta(tmp_path / "val.fa", [ex for ex in generated.val if ex.label == 1][:2])
+    out = tmp_path / "m.json"
+    assert cli.main(["train", "--data", str(tmp_path), "--out", str(out),
+                     "--epochs", "2", "--batch-size", "8", "--quiet"]) == 0
+    assert "val_auroc=nan" in capsys.readouterr().out
+    assert out.exists()
+    rows = (tmp_path / "m.json.losses.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[3] for row in rows] == ["nan", "nan"]
+    assert all(np.isfinite(float(row.split("\t")[2])) for row in rows)
 
 
 def test_loss_curve_tsv_format(tmp_path):
