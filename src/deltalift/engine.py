@@ -376,7 +376,9 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
     chosen = trace.route(node.id)
     chosen_dx = delta_at(chosen)
     ok = np.abs(chosen_dx) > eps_stable
-    if not ok.all():
+    if ok.all():  # no window reroutes: bitwise the where-form below
+        values = route / chosen_dx
+    else:
         # the |delta| argmax, taken only over the windows that reroute; the
         # trace's route stays as it is
         weak = ~ok
@@ -389,7 +391,7 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
         chosen[weak] = starts + step * pick
         chosen_dx[weak] = members_dx[np.arange(len(pick)), pick]
         ok = np.abs(chosen_dx) > eps_stable
-    values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
+        values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
     accumulate(mult, src, Routed(chosen, values, x.shape))
 
 

@@ -265,9 +265,16 @@ def encode_dataset(examples) -> list[tuple[Tensor, int]]:
 
 
 def auroc(scores, labels) -> float:
-    """Area under the ROC curve via the rank-sum statistic, ties counted half."""
+    """Area under the ROC curve via the rank-sum statistic, ties counted half.
+
+    Labels are 1 (positive) or 0 (negative); raises ValueError naming the
+    first other label, and unless both classes occur.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    other = (labels != 0) & (labels != 1)
+    if other.any():
+        raise ValueError(f"auroc needs labels 0 or 1, got {labels[other][0].item()!r}")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

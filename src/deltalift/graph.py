@@ -125,6 +125,13 @@ class NodeSpec:
         return _frozen(np.broadcast_to(self.params["slopes"], self.output_shape))
 
     @functools.cached_property
+    def sample_bias(self) -> Tensor:
+        """A conv1d node's bias broadcast to one sample's output shape, for
+        the reason ``sample_slopes`` gives: the forward's bias add then
+        runs its inner loop over the whole sample."""
+        return _frozen(np.broadcast_to(self.params["bias"], self.output_shape))
+
+    @functools.cached_property
     def piece_coefficients(self) -> Tensor:
         """A maxout node's weights as one (units*pieces, in) matrix, the
         pieces of each unit in consecutive rows.
@@ -422,6 +429,9 @@ def validate_graph(graph: Graph) -> ValidationReport:
             violations.append(f"constraint: group {i} is empty")
         elif min(group.indices) < 0 or max(group.indices) >= size:
             violations.append(f"constraint: group {i} has indices outside [0, {size})")
+        elif len(set(group.indices)) < len(group.indices):
+            repeat = next(j for n, j in enumerate(group.indices) if j in group.indices[:n])
+            violations.append(f"constraint: group {i} repeats index {repeat}")
         if not math.isfinite(group.total):
             violations.append(f"constraint: group {i} has a non-finite total")
 
@@ -565,8 +575,10 @@ def _eval_affine(node, acts, lead):
 
 def _eval_conv1d(node, acts, lead):
     # im2col: (rows, K*C) @ (K*C, F) products over blocks of whole
-    # samples, each written into its rows of one output
-    filters, bias = node.params["filters"], node.params["bias"]
+    # samples, each written into its rows of one output.  A block is
+    # copied into contiguous rows first: one sample's rows reshape to an
+    # overlapping view, which matmul would copy itself, more slowly.
+    filters = node.params["filters"]
     n_filt, width, channels = filters.shape
     win = conv1d_windows(acts[node.inputs[0]], width, int(node.params["stride"]), lead)
     samples = win.reshape((-1,) + win.shape[lead:])  # (B, P, K, C) view
@@ -576,10 +588,11 @@ def _eval_conv1d(node, acts, lead):
     out = np.empty((n_samples * n_out, n_filt))
     for i in range(0, n_samples, per_block):
         block = samples[i:i + per_block]
-        np.matmul(block.reshape(-1, width * channels), w_t,
+        np.matmul(np.ascontiguousarray(block.reshape(-1, width * channels)), w_t,
                   out=out[i * n_out:(i + len(block)) * n_out])
-    out += bias
-    return out.reshape(win.shape[:lead + 1] + (n_filt,))
+    out = out.reshape(win.shape[:lead + 1] + (n_filt,))
+    out += node.sample_bias
+    return out
 
 
 def _prelu(x, slopes):

@@ -201,7 +201,8 @@ def evaluate(graph: Graph, dataset) -> tuple[float, float]:
 
     Samples are scored in batched forward passes of at most
     ``EVAL_CHUNK``.  The auROC is nan on a set with no positive (label 1)
-    or no negative (label 0), as it is with no validation set.
+    or no negative (label 0), or with any other label, as it is with no
+    validation set.
     """
     head_id, pre_id = _resolve_head(graph)
     dataset = list(dataset)
@@ -215,7 +216,7 @@ def evaluate(graph: Graph, dataset) -> tuple[float, float]:
         scores.append(trace[head_id][:, -1])
     loss = float(np.concatenate(losses).mean())
     labels = [int(label) for _, label in dataset]
-    if 0 not in labels or 1 not in labels:
+    if set(labels) != {0, 1}:
         return loss, float("nan")
     return loss, auroc(np.concatenate(scores), labels)
 

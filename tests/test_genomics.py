@@ -188,6 +188,13 @@ class TestAuroc:
         with pytest.raises(ValueError, match="positive"):
             auroc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("labels, first", [([0, 2, 1], "2"), ([1, -1, 3, 0], "-1"),
+                                               ([0.0, 0.5, 1.0], "0.5")])
+    def test_label_outside_0_1_rejected(self, labels, first):
+        # label 2 read as neither class gave auroc 2.0 here
+        with pytest.raises(ValueError, match=f"labels 0 or 1, got {first}$"):
+            auroc([0.1, 0.2, 0.3, 0.4][:len(labels)], labels)
+
 
 def report_from_contributions(contrib):
     return ContributionReport(

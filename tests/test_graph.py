@@ -93,6 +93,11 @@ class TestValidation:
              "constraint: group 200 has a non-finite total"),
             (ConstraintGroup("seq", (0, 1), -float("inf")),
              "constraint: group 200 has a non-finite total"),
+            # normalization would shift weight twice onto index 0 and change
+            # outputs on inputs that satisfy the group
+            (ConstraintGroup("seq", (0, 0, 1), 1.0), "constraint: group 200 repeats index 0"),
+            (ConstraintGroup("seq", (3, 5, 7, 5, 3), 1.0),
+             "constraint: group 200 repeats index 5"),
         ],
     )
     def test_constraint_group_violation_reported(self, bad, message):

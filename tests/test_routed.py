@@ -14,16 +14,21 @@ affine and conv1d nodes and passed through rectifiers, where
 ``lrp_epsilon`` sweeps multipliers whose product with the activations is
 the relevance.
 
-The last section checks the routes themselves: ``forward`` records each
+A later section checks the routes themselves: ``forward`` records each
 pool's window argmax in the trace, and no sweep over that trace scans the
-windows again.
+windows again.  The last checks two kernels alone: the routed conv1d
+transpose against a per-entry ``np.add.at`` loop, and DeepLIFT's max-pool
+rule against its ``np.where`` form where no window reroutes.
 """
 
 import numpy as np
 import pytest
 
+import deltalift.engine
 import deltalift.graph
 from deltalift.autodiff import (
+    Routed,
+    _conv1d_input_grad,
     accumulate,
     backward,
     resolve_target,
@@ -661,3 +666,180 @@ def test_compute_reference_keeps_its_input_and_the_routes():
     assert set(reference.routes) == {"pool"}
     np.testing.assert_array_equal(reference.routes["pool"],
                                   _pool_argmax(reference["act"], 4, 2))
+
+
+# ---------------------------------------------------------------------------
+# The routed conv1d transpose and DeepLIFT's max-pool rule, kernel by kernel
+
+
+def per_entry_transpose(node, buf, x_shape, lead):
+    """The transpose of a conv1d node over a ``Routed`` buffer of its
+    output, one entry at a time: the entry at flat index i sits on output
+    row i // F and belongs to filter i % F; its value times that filter's
+    (K, C) taps is added into the K input rows the row reads."""
+    filters = node.params["filters"]
+    n_filt, width, channels = filters.shape
+    stride = int(node.params["stride"])
+    n_out, length = buf.shape[lead], x_shape[lead]
+    expected = np.zeros(int(np.prod(x_shape)))
+    for i, value in zip(buf.index.ravel(), buf.values.ravel()):
+        row, f = divmod(int(i), n_filt)
+        sample, pos = divmod(row, n_out)
+        start = (sample * length + pos * stride) * channels
+        np.add.at(expected, start + np.arange(width * channels), value * filters[f].ravel())
+    return expected.reshape(x_shape)
+
+
+def assert_entry_filters(buf, n_filt):
+    """An entry's filter is its position on the values' last axis."""
+    assert buf.values.shape == buf.index.shape
+    np.testing.assert_array_equal(buf.index % n_filt,
+                                  np.broadcast_to(np.arange(n_filt), buf.index.shape))
+
+
+# (length, filters, width, pool width, pool stride): "zoo" is the zoo's
+# conv member relu_conv_sigmoid_32, whose 352 entries per sample share at
+# most 44 rows at stride 1; "overlapping" windows route one row twice
+TRANSPOSE_GEOMETRY = {
+    "disjoint": (30, 6, 4, 3, 3),
+    "overlapping": (30, 6, 4, 4, 2),
+    "zoo": (48, 32, 5, 4, 4),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(TRANSPOSE_GEOMETRY))
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("batch", [None, 1, 8])
+def test_routed_conv_transpose_matches_per_entry_add_at_oracle(geometry, stride, batch):
+    length, n_filt, width, pool_width, pool_stride = TRANSPOSE_GEOMETRY[geometry]
+    rng = np.random.default_rng(59)
+    b = GraphBuilder()
+    conv = b.conv1d("conv", b.input("x", (length, 4)), rng.normal(size=(n_filt, width, 4)),
+                    rng.normal(size=n_filt), stride=stride)
+    b.maxpool1d("pool", b.relu("act", conv), pool_width, pool_stride)
+    graph = b.build(outputs=["pool"])
+    lead = 0 if batch is None else 1
+    trace = forward(graph, {"x": batch_of((length, 4), batch, rng)})
+    route = trace.route("pool")
+    buf = Routed(route, rng.normal(size=route.shape), trace["conv"].shape)
+    assert_entry_filters(buf, n_filt)
+    rows = np.unique(route // n_filt)
+    if geometry == "zoo" and stride == 1:
+        assert route.shape[lead:] == (11, 32) and rows.size <= 44 * (batch or 1)
+    if geometry == "overlapping":  # some row holds two entries of one filter
+        assert np.unique(route).size < route.size
+    node = graph.nodes["conv"]
+    x = trace["x"]
+    got = _conv1d_input_grad(node, buf, x, trace, lead)
+    assert got.shape == x.shape
+    assert_close(got, per_entry_transpose(node, buf, x.shape, lead), (geometry, stride))
+    # the dense transpose of the same buffer agrees too
+    assert_close(got, _conv1d_input_grad(node, buf.dense(), x, trace, lead), "dense")
+
+
+@pytest.mark.parametrize("batch", [None, 1, 8])
+def test_routed_conv_transpose_of_a_deeplift_reroute(batch):
+    # conv -> pool, with each sample's reference equal to its input on the
+    # input rows that one window's argmax reads: that member's delta is 0
+    # while its neighbours' are not, so the window reroutes off its route
+    rng = np.random.default_rng(61)
+    b = GraphBuilder()
+    conv = b.conv1d("conv", b.input("x", (24, 4)), rng.normal(size=(5, 3, 4)),
+                    rng.normal(size=5), stride=2)  # (11, 5)
+    b.maxpool1d("pool", conv, 4, 2)  # (4, 5)
+    graph = b.build(outputs=["pool"])
+    lead = 0 if batch is None else 1
+    xs = batch_of((24, 4), batch, rng)
+    trace = forward(graph, {"x": xs})
+    route = trace.route("pool").reshape(-1, 4, 5)
+    ref = xs + rng.normal(size=xs.shape)
+    refs = ref.reshape(-1, 24, 4)
+    for sample in range(len(refs)):
+        row = route[sample, 1, sample % 5] // 5 - sample * 11 * lead
+        refs[sample, 2 * row:2 * row + 3] = xs.reshape(-1, 24, 4)[sample, 2 * row:2 * row + 3]
+    reference = compute_reference(graph, {"x": ref})
+    mult = {}
+    m_out = rng.normal(size=trace["pool"].shape)
+    _deeplift_rules(reference, EPS_STABLE)["maxpool1d"](graph.nodes["pool"], m_out, trace,
+                                                        mult, None)
+    buf = mult["conv"]
+    assert type(buf) is Routed
+    assert_entry_filters(buf, 5)
+    moved = buf.index != trace.route("pool")
+    assert moved.sum() >= len(refs)
+    x = trace["x"]
+    got = _conv1d_input_grad(graph.nodes["conv"], buf, x, trace, lead)
+    assert_close(got, per_entry_transpose(graph.nodes["conv"], buf, x.shape, lead), "reroute")
+
+
+def where_form(trace, reference, pool_id, src, m_out, eps_stable):
+    """DeepLIFT's max-pool values on the trace's route, written with the
+    ``np.where`` guards of the rerouting rule."""
+    route = trace.route(pool_id)
+    x, ref = trace[src], np.broadcast_to(reference[src], trace[src].shape)
+    chosen_dx = x.take(route) - ref.take(route)
+    ok = np.abs(chosen_dx) > eps_stable
+    values = np.where(ok, (trace[pool_id] - reference[pool_id]) * m_out, 0.0)
+    return ok, values / np.where(ok, chosen_dx, 1.0)
+
+
+@pytest.fixture
+def reroutes(monkeypatch):
+    """The number of DeepLIFT max-pool calls that took the reroute branch,
+    the only one that reads the window starts."""
+    calls = [0]
+    starts = deltalift.engine._pool_window_starts
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return starts(*args, **kwargs)
+
+    monkeypatch.setattr(deltalift.engine, "_pool_window_starts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [None, 1, 8])
+def test_deeplift_max_pool_without_a_reroute_is_bitwise_the_where_form(reroutes, batch):
+    rng = np.random.default_rng(67)
+    graph = build_genomics_cnn(seed=3)
+    inputs = {"seq": one_hot(rng, (200,) if batch is None else (batch, 200))}
+    trace = forward(graph, inputs)
+    reference = compute_reference(graph, {"seq": np.full((200, 4), 0.25)})
+    m_out = rng.normal(size=trace["pool"].shape)
+    mult = {}
+    _deeplift_rules(reference, EPS_STABLE)["maxpool1d"](graph.nodes["pool"], m_out, trace,
+                                                        mult, None)
+    ok, want = where_form(trace, reference, "pool", "conv_act", m_out, EPS_STABLE)
+    assert ok.all() and reroutes[0] == 0
+    buf = mult["conv_act"]
+    assert buf.index is trace.route("pool")
+    assert buf.values.tobytes() == want.tobytes()
+
+
+def test_deeplift_max_pool_reroute_branch_still_runs(reroutes):
+    # rows 4-7 of channel 0: the window's max sits at its reference while
+    # another member moved, so the rule reroutes it (and the windows that
+    # share that max) off the route; every other window keeps its
+    # where-form value bit for bit
+    rng = np.random.default_rng(71)
+    b = GraphBuilder()
+    pool = b.maxpool1d("pool", b.relu("act", b.input("x", (12, 2))), 4, 2)
+    b.affine("out", pool, rng.normal(size=(1, 10)), [0.2])
+    graph = b.build(outputs=["out"])
+    xs = rng.integers(0, 4, size=(12, 2)).astype(float)
+    ref = xs + 0.5
+    xs[4:8, 0], ref[4:8, 0] = [5, 1, 2, 0], [5, 1, 7, 0]
+    trace = forward(graph, {"x": xs})
+    reference = compute_reference(graph, {"x": ref})
+    m_out = rng.normal(size=trace["pool"].shape)
+    mult = {}
+    _deeplift_rules(reference, EPS_STABLE)["maxpool1d"](graph.nodes["pool"], m_out, trace,
+                                                        mult, None)
+    assert reroutes[0] == 1
+    ok, want = where_form(trace, reference, "pool", "act", m_out, EPS_STABLE)
+    buf = mult["act"]
+    assert not ok.all()
+    moved = buf.index != trace.route("pool")
+    assert moved.any() and np.array_equal(moved, ~ok)
+    assert buf.values[~moved].tobytes() == want[~moved].tobytes()
+    assert buf.values[moved].any()

@@ -285,6 +285,11 @@ def set_conv_shape(payload):
     return json.dumps(payload)
 
 
+def repeat_group_index(payload):
+    payload["constraint_groups"][0]["indices"] = [0, 0, 1]
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -292,8 +297,9 @@ def set_conv_shape(payload):
         lambda payload: json.dumps(payload).replace('"total": 1.0', '"total": 1e999', 1),
         # the paper CNN's conv output is (186, 20)
         set_conv_shape,
+        repeat_group_index,
     ],
-    ids=["infinite-total", "conv-shape"],
+    ids=["infinite-total", "conv-shape", "repeated-group-index"],
 )
 def test_file_that_parses_but_fails_validation(tmp_path, edit):
     path = tmp_path / "invalid.json"

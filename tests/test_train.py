@@ -172,6 +172,32 @@ def test_one_class_validation_set_gives_nan_auroc(tmp_path, capsys):
     assert all(np.isfinite(float(row.split("\t")[2])) for row in rows)
 
 
+def three_class_mlp():
+    rng = np.random.default_rng(2)
+    b = GraphBuilder()
+    x = b.input("x", (2,))
+    h = b.tanh("t", b.affine("fc1", x, rng.normal(size=(8, 2)) * 0.5, np.zeros(8)))
+    b.softmax("prob", b.affine("logit", h, rng.normal(size=(3, 8)) * 0.5, np.zeros(3)))
+    return b.build(outputs=["prob"])
+
+
+def test_validation_set_with_a_third_class_gives_nan_auroc():
+    # the auROC of the last class's score against label 1 is undefined
+    # once a label is neither 0 nor 1; it read 0.778 with class 2 ranked
+    # among the negatives
+    rng = np.random.default_rng(3)
+    data = [({"x": rng.normal(size=2) + label}, label) for label in [0, 1, 2] * 6]
+    loss, roc = evaluate(three_class_mlp(), data)
+    assert np.isfinite(loss) and math.isnan(roc)
+    _, history = train_loop(three_class_mlp(), data, data,
+                            TrainConfig(seed=0, epochs=2, batch_size=6))
+    assert len(history) == 2
+    assert all(np.isfinite(h.val_loss) and math.isnan(h.val_auroc) for h in history)
+    # two classes on the same head still get an auROC
+    loss, roc = evaluate(three_class_mlp(), [d for d in data if d[1] < 2])
+    assert np.isfinite(loss) and 0.0 <= roc <= 1.0
+
+
 def test_loss_curve_tsv_format(tmp_path):
     data = separable_toy_set(n=20)
     _, history = train_loop(small_mlp(), data, data,
