@@ -30,6 +30,8 @@ print("probe output:    ", forward(graph, probe)["out"][0])       # 0.1
 grads = backward(graph, forward(graph, probe), ("out", 0))
 print("gradient at probe:", grads["x"], "(relu is off: nothing flows)")
 
+# ``reference`` takes the reference input arrays, as here, or the state
+# ``compute_reference`` makes from them, which serves many calls
 report = deeplift(graph, probe, reference, target=("out", 0))
 print("contributions:    ", report.contributions["x"])
 print("their sum:        ", report.contributions["x"].sum(),
@@ -39,7 +41,9 @@ print("conservation residual:", report.residual)
 # Redundant features behind a squashing head: contributions to the
 # sigmoid output shrink as more redundant features activate, because the
 # sigmoid's delta is bounded.  Targeting the pre-sigmoid node (the
-# default) keeps feature scores at full scale.
+# default) keeps feature scores at full scale.  A softmax head's default
+# is each sample's predicted class; class k is the explicit target
+# (pre-softmax node, k).
 b = GraphBuilder()
 x = b.input("x", (2,))
 s = b.affine("s", x, [[1.0, 1.0]], [0.0])

@@ -43,6 +43,8 @@ print(f"test: loss={loss:.4f} auroc={roc:.4f} (small-scale demo; the "
 
 # Attribution on one correctly predicted positive.
 normalized = normalize_constrained_weights(graph)
+# ``reference`` takes input arrays or, as here, a state computed once
+# that can serve many calls
 reference = compute_reference(normalized, zeros_reference(normalized))
 for ex in data.test:
     if ex.label != 1:

@@ -47,7 +47,8 @@ def resolve_target(graph: Graph, target, batch: int | None = None):
 
     For a batch of ``batch`` samples the index becomes one flat index per
     sample, shape (batch,): a single index is repeated, a per-sample
-    index array is checked.
+    index array is checked.  A bool, float or str index, or an array of
+    them, raises GraphError rather than being truncated or parsed.
     """
     if isinstance(target, str):
         node_id, index = target, 0
@@ -57,11 +58,15 @@ def resolve_target(graph: Graph, target, batch: int | None = None):
     if node is None:
         raise GraphError(f"target node '{node_id}' does not exist")
     size = math.prod(node.output_shape)
+    if type(index) is not int:  # a Python int, the common case, is final
+        array = np.asarray(index)
+        if array.dtype.kind not in "iu":
+            raise GraphError(f"target index {index!r} for node '{node_id}' "
+                             "is not an integer")
+        if batch is None and array.ndim != 0:
+            raise GraphError("per-sample target indices need a batch of inputs")
+        index = int(array) if batch is None else array
     if batch is None:
-        if type(index) is not int:  # a Python int, the common case, is final
-            if np.ndim(index) != 0:
-                raise GraphError("per-sample target indices need a batch of inputs")
-            index = int(index)
         in_range = 0 <= index < size
     else:
         index = np.asarray(index).astype(np.intp)

@@ -3,9 +3,9 @@
 Gradient*input is the first-order Taylor score around zero.  The LRP
 filtering rule redistributes relevance proportionally to weighted
 activations with an epsilon-stabilized denominator; on piecewise-linear
-networks (affine, conv1d, maxpool1d, relu) with biases included in the
-denominators it converges to gradient*input as epsilon goes to zero,
-which ``equivalence_report`` demonstrates over a random ensemble.
+networks (affine, conv1d, maxpool1d, relu, prelu) with biases included
+in the denominators it converges to gradient*input as epsilon goes to
+zero, which ``equivalence_report`` demonstrates over a random ensemble.
 
 Both are modified gradients (Ancona et al., ICLR 2018), so they run
 through ``engine``'s one attribution core: gradient*input with the
@@ -47,32 +47,30 @@ from .graph import (
 
 
 def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
-                         class_index=None,
-                         reference_input: dict[str, Tensor] | None = None,
-                         reference: ReferenceState | None = None
+                         reference: ReferenceState | dict | None = None
                          ) -> ContributionReport:
     """Per-feature scores gradient * input for one sample or a batch.
 
-    The target resolves like attribution targets elsewhere: explicit, or
-    the pre-nonlinearity head, a softmax head's on its mean-normalized
-    weights (as ``deeplift``).  With ``reference_input`` (or a computed
-    ``reference`` state, which wins) given, scores become
-    gradient * (input - reference); the default reference is zero,
-    evaluated once per graph.  The report's residual records how far the
-    scores are from the difference-from-reference of the target
-    (gradients conserve nothing, so this is diagnostic, not small).  When
-    the graph alone fixes the target (``engine.fixed_target_node``) only
-    the target's ancestors are evaluated.
+    The target resolves as ``deeplift``'s does: explicit, or the head's
+    pre-activation, a softmax head's on its mean-normalized weights.
+    With a ``reference`` given (reference inputs or their computed state,
+    as ``deeplift`` takes) scores become gradient * (input - reference);
+    the default reference is zero, evaluated once per graph.  The
+    report's residual records how far the scores are from the
+    difference-from-reference of the target (gradients conserve nothing,
+    so this is diagnostic, not small).  Only the target node's ancestors
+    are evaluated.
     """
-    return _attribute(graph, inputs, "grad_input", target, class_index, reference,
-                      reference_input)
+    return _attribute(graph, inputs, "grad_input", target, reference)
 
 
 # ---------------------------------------------------------------------------
 # epsilon-LRP
 
 
-LRP_KINDS = frozenset(["input", "affine", "conv1d", "maxpool1d", "relu"])
+# prelu, like relu, is positively homogeneous (f(x) = f'(x) x), so its
+# gradient rule passes relevance through unchanged
+LRP_KINDS = frozenset(["input", "affine", "conv1d", "maxpool1d", "relu", "prelu"])
 
 
 @dataclass
@@ -103,21 +101,22 @@ class RelevanceTrace:
 
 
 def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
-                epsilon: float = LRP_EPSILON, class_index=None) -> RelevanceTrace:
+                epsilon: float = LRP_EPSILON) -> RelevanceTrace:
     """Relevance propagation with the epsilon-stabilized filtering rule.
 
     Supports piecewise-linear graphs: affine and conv1d filter layers
-    (bias included in the denominator); max-pooling and rectifiers keep
-    the gradient rule, so relevance passes through a rectifier and goes
-    to each window's argmax.  The target's relevance is its own
-    activation; a softmax head's is taken on its mean-normalized weights,
-    as every method's is.  ``inputs`` holds one sample or a batch.  Raises
+    (bias included in the denominator); max-pooling and the rectifiers
+    (relu, prelu) keep the gradient rule, so relevance passes through a
+    rectifier and goes to each window's argmax.  The target resolves as
+    ``deeplift``'s does, and its relevance is its own activation; a
+    softmax head's is taken on its mean-normalized weights, as every
+    method's is.  ``inputs`` holds one sample or a batch.  Raises
     AttributionError when relevance reaches any other node kind, and
     ValueError unless ``epsilon`` is a finite number >= 0.  The forward
     trace covers every node, since ``RelevanceTrace`` exposes it.
     """
     check_stabilizer("epsilon", epsilon)
-    trace, resolved = _traced_target(graph, inputs, target, class_index, every_node=True)
+    trace, resolved = _traced_target(graph, inputs, target, every_node=True)
     bias_rel: dict[str, float] = {}
     mult = _target_sweep(trace.graph, trace, resolved, _lrp_rules(epsilon, bias_rel))
     return RelevanceTrace(trace, mult, bias_rel, epsilon, resolved,

@@ -43,8 +43,9 @@ affine + softmax head, runs the forward pass, resolves the target
 (``select_attribution_target``: the pre-softmax or pre-sigmoid node),
 sweeps and builds the report, so all three explain the same target.
 Its calls are report-only: they read only the inputs' and the target's
-arrays, and when the graph alone fixes the target (``fixed_target_node``)
-the forward pass evaluates only the target's ancestors.
+arrays.  The target's node is known before the forward pass
+(``fixed_target_node``), which then evaluates only its ancestors; a
+softmax head's predicted class is read from its pre-activations.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .graph import (
     Tensor,
     _pool_window_starts,
     forward,
+    stable_softmax,
 )
 from .autodiff import (
     GRADIENT_RULES,
@@ -133,16 +135,15 @@ def compute_reference(graph: Graph, reference_input: dict[str, Tensor]) -> Refer
                           reference_input=dict(reference_input))
 
 
-def _reference_on(graph: Graph, reference: ReferenceState | None = None,
-                  reference_input: dict[str, Tensor] | None = None) -> ReferenceState:
+def _reference_on(graph: Graph, reference=None) -> ReferenceState:
     """The reference state to attribute against on ``graph``.
 
-    A passed ``reference`` wins over ``reference_input``; without either
-    the all-zeros reference is used, evaluated once per graph.
+    ``reference`` is a ``ReferenceState`` or a dict of reference input
+    arrays, which is evaluated as ``compute_reference`` would; without
+    one the all-zeros reference is used, evaluated once per graph.
+    Raises AttributionError for anything else.
     """
     if reference is None:
-        if reference_input is not None:
-            return compute_reference(graph, reference_input)
         # the memo keeps the state's fields but not the graph: a state in
         # its own graph's memo would make a cycle that outlives the graph's
         # last use until the cyclic collector runs
@@ -154,6 +155,12 @@ def _reference_on(graph: Graph, reference: ReferenceState | None = None,
         activations, batch, routes, reference_input = kept
         return ReferenceState(activations, graph, batch, routes,
                               reference_input=reference_input)
+    if isinstance(reference, dict):
+        return compute_reference(graph, reference)
+    if not isinstance(reference, ReferenceState):
+        raise AttributionError(
+            "reference must be a ReferenceState or a dict of reference input "
+            f"arrays, got {type(reference).__name__}")
     if reference.graph is graph:
         return reference
     # a reference computed on another graph object, such as the caller's
@@ -482,66 +489,53 @@ def contributions(trace: ForwardTrace, reference: ReferenceState | None, target,
     return report
 
 
-def _head_target(graph: Graph, class_index=None, trace: ForwardTrace | None = None):
-    """The (node id, index) target of a sigmoid or softmax head: its
-    pre-activation at ``class_index``, by default 0 for a sigmoid and
-    each sample's predicted class in ``trace`` for a softmax.  Raises
-    AttributionError for any other head, or a softmax head given neither."""
-    if len(graph.outputs) != 1:
-        raise AttributionError(
-            "automatic target selection needs a single-output graph; "
-            "pass an explicit (node_id, index) target"
-        )
-    head = graph.nodes[graph.outputs[0]]
-    if head.kind not in ("sigmoid", "softmax"):
-        raise AttributionError(
-            f"graph head '{head.id}' ({head.kind}) is not a sigmoid or softmax; "
-            "pass an explicit (node_id, index) target"
-        )
-    if class_index is None:
-        if head.kind == "sigmoid":
-            class_index = 0
-        elif trace is None:
-            raise AttributionError(
-                "softmax head: pass class_index (or a forward trace to "
-                "target the predicted class)"
-            )
-        else:
-            class_index = np.argmax(trace[head.id], axis=-1)
-    return head.inputs[0], class_index
+def _head(graph: Graph):
+    """The sigmoid or softmax node a single-output graph ends in, else None."""
+    head = graph.nodes[graph.outputs[0]] if len(graph.outputs) == 1 else None
+    return head if head is not None and head.kind in ("sigmoid", "softmax") else None
 
 
-def select_attribution_target(graph: Graph, requested=None, class_index=None,
+def select_attribution_target(graph: Graph, requested=None,
                               trace: ForwardTrace | None = None) -> tuple[str, int]:
     """Resolve the attribution target to a concrete (node id, index).
 
-    Explicit requests pass through unchanged.  Automatic selection finds
-    the network head: a sigmoid head targets the pre-sigmoid node, a
-    softmax head targets the pre-softmax node at ``class_index`` (or the
-    predicted class when a trace is supplied).  Anything else raises and
-    asks for an explicit choice.  With a batched trace the index holds
-    one entry per sample, and each sample's predicted class may differ.
+    Explicit requests pass through unchanged; softmax class k is the
+    explicit target (pre-softmax node, k).  Automatic selection targets
+    the pre-activation of a sigmoid head at 0, or of a softmax head at
+    the class ``trace`` predicts, one per sample of a batch: the argmax
+    of the head's own forward rule on the pre-activations, so a trace
+    that stops there serves.  Any other graph, or a softmax head without
+    a trace, raises AttributionError and asks for an explicit choice.
     """
     if requested is None:
         graph.require_valid()
-        requested = _head_target(graph, class_index, trace)
+        head = _head(graph)
+        if head is None:
+            outputs = ", ".join(f"'{o}' ({graph.nodes[o].kind})" for o in graph.outputs)
+            raise AttributionError(
+                f"automatic target selection needs one sigmoid or softmax output, got "
+                f"{outputs}; pass an explicit (node_id, index) target")
+        pre = head.inputs[0]
+        if head.kind == "sigmoid":
+            requested = pre, 0
+        elif trace is None:
+            raise AttributionError(
+                "softmax head: pass a forward trace to target the predicted class, "
+                f"or an explicit ('{pre}', class) target")
+        else:
+            requested = pre, np.argmax(stable_softmax(trace[pre]), axis=-1)
     return resolve_target(graph, requested, None if trace is None else trace.batch)
 
 
-def fixed_target_node(graph: Graph, requested=None, class_index=None) -> str | None:
-    """The node ``select_attribution_target`` picks when the graph alone
-    fixes it: an explicit target's, a sigmoid head's pre-activation, or a
-    softmax head's given ``class_index``.  None when the choice needs a
-    forward trace (a softmax head's predicted class) or will fail.
-
-    A report-only call evaluates just this node and its ancestors
-    (``forward(..., upto=...)``): on the paper CNN it skips the sigmoid.
-    """
+def fixed_target_node(graph: Graph, requested=None) -> str | None:
+    """The node ``select_attribution_target`` resolves ``requested`` to,
+    known before the forward pass: an explicit target's node, or a head's
+    pre-activation; None when there is none (resolving then fails).  A
+    report-only call evaluates just this node and its ancestors
+    (``forward(..., upto=...)``), so never the head itself."""
     if requested is None:
-        try:
-            requested = _head_target(graph, class_index)
-        except AttributionError:
-            return None
+        head = _head(graph)
+        return head and head.inputs[0]
     node_id = requested
     if isinstance(requested, (tuple, list)) and len(requested) == 2:
         node_id = requested[0]
@@ -562,16 +556,15 @@ def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
 
 
 def _traced_target(graph: Graph, inputs: dict[str, Tensor], target=None,
-                   class_index=None, every_node: bool = False):
+                   every_node: bool = False):
     """(trace, resolved target) on ``graph`` with a softmax head
-    mean-normalized; the trace holds only the target's ancestors when
-    the graph fixes the target (``fixed_target_node``), unless
-    ``every_node``."""
+    mean-normalized; the trace holds only the target node's ancestors
+    (``fixed_target_node``), unless ``every_node``."""
     graph.require_valid()
     graph = _normalize_softmax_head_if_any(graph)
-    upto = None if every_node else fixed_target_node(graph, target, class_index)
+    upto = None if every_node else fixed_target_node(graph, target)
     trace = forward(graph, inputs, upto=upto)
-    return trace, select_attribution_target(graph, target, class_index, trace)
+    return trace, select_attribution_target(graph, target, trace)
 
 
 def _method_report(trace: ForwardTrace, reference: ReferenceState | None, target,
@@ -590,44 +583,38 @@ def _method_report(trace: ForwardTrace, reference: ReferenceState | None, target
 
 
 def _attribute(graph: Graph, inputs: dict[str, Tensor], method: str, target=None,
-               class_index=None, reference: ReferenceState | None = None,
-               reference_input: dict[str, Tensor] | None = None,
-               eps_stable: float = EPS_STABLE,
+               reference=None, eps_stable: float = EPS_STABLE,
                lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
     """The report-only path of ``deeplift``, ``gradient_times_input`` and
     ``attribute``; it checks both stabilizers first."""
     check_stabilizer("eps_stable", eps_stable)
     check_stabilizer("epsilon", lrp_epsilon)
-    trace, resolved = _traced_target(graph, inputs, target, class_index)
-    ref = None if method == "lrp" else _reference_on(trace.graph, reference,
-                                                     reference_input)
+    trace, resolved = _traced_target(graph, inputs, target)
+    ref = None if method == "lrp" else _reference_on(trace.graph, reference)
     return _method_report(trace, ref, resolved, method, eps_stable, lrp_epsilon)
 
 
 def deeplift(graph: Graph, inputs: dict[str, Tensor],
-             reference_input: dict[str, Tensor] | None = None,
-             target=None, class_index=None, eps_stable: float = EPS_STABLE,
-             reference: ReferenceState | None = None) -> ContributionReport:
+             reference: ReferenceState | dict | None = None, target=None,
+             eps_stable: float = EPS_STABLE) -> ContributionReport:
     """Contribution scores of every input feature to the target.
 
     ``inputs`` holds one sample, or a batch stacked along a leading axis
-    (see ``forward``), which gives a batched report.  ``reference_input``
-    defaults to all zeros, evaluated once per graph.  When the graph ends
-    in an affine + softmax head, the head weights are mean-normalized
-    first (this never changes model outputs but removes the arbitrary
-    shared component of per-class multipliers); the normalized graph is
-    built once per graph.  Pass a precomputed ``reference`` state to
-    amortize it across samples; it takes precedence over
-    ``reference_input``.  A reference computed from a batch of reference
-    inputs pairs row-wise with a batch of ``inputs`` of the same size:
-    row i is attributed against reference row i, as the single call with
-    that pair would be (nothing is averaged over references).  When the
-    graph alone fixes the target (see ``fixed_target_node``) only the
-    target's ancestors are evaluated.  Raises ValueError unless
-    ``eps_stable`` is a finite number >= 0.
+    (see ``forward``), which gives a batched report.  ``reference`` is a
+    dict of reference input arrays or the state ``compute_reference``
+    makes from one, which amortizes it across calls; by default all
+    zeros, evaluated once per graph.  A reference computed from a batch
+    pairs row-wise with a batch of ``inputs`` of the same size (nothing
+    is averaged over references).  ``target`` is an explicit (node id,
+    index); by default the head's pre-activation, at a softmax head each
+    sample's predicted class (class k is the target (pre-softmax id, k)).
+    An affine + softmax head is mean-normalized first, once per graph;
+    this never changes model outputs but removes the arbitrary shared
+    component of per-class multipliers.  Only the target node's
+    ancestors are evaluated.  Raises ValueError unless ``eps_stable`` is
+    a finite number >= 0.
     """
-    return _attribute(graph, inputs, "deeplift", target, class_index, reference,
-                      reference_input, eps_stable)
+    return _attribute(graph, inputs, "deeplift", target, reference, eps_stable)
 
 
 METHODS = ("deeplift", "grad_input", "lrp")
@@ -638,19 +625,20 @@ from .baselines import _lrp_rules  # noqa: E402
 
 
 def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
-              reference: ReferenceState | None = None, target=None,
-              class_index=None, eps_stable: float = EPS_STABLE,
+              reference: ReferenceState | dict | None = None, target=None,
+              eps_stable: float = EPS_STABLE,
               lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
     """Score one sample or a batch with deeplift, grad_input or lrp.
 
-    ``reference`` is the state deeplift propagates against and grad_input
-    measures input differences from (default all zeros); lrp has none.
-    Raises ValueError unless both ``eps_stable`` and ``lrp_epsilon`` are
-    finite numbers >= 0, whichever method runs.
+    ``reference``, reference inputs or their state (as ``deeplift``
+    takes), is what deeplift propagates against and grad_input measures
+    input differences from (default all zeros); lrp has none and ignores
+    it.  ``target`` resolves as ``deeplift``'s does.  Raises ValueError
+    unless both ``eps_stable`` and ``lrp_epsilon`` are finite numbers
+    >= 0, whichever method runs.
     """
     if method not in METHODS:
         raise AttributionError(
             f"unknown method '{method}'; expected one of {', '.join(METHODS)}"
         )
-    return _attribute(graph, inputs, method, target, class_index, reference, None,
-                      eps_stable, lrp_epsilon)
+    return _attribute(graph, inputs, method, target, reference, eps_stable, lrp_epsilon)

@@ -63,6 +63,22 @@ class TestBackward:
         with pytest.raises(GraphError, match="nope"):
             backward(g, tr, ("nope", 0))
 
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("index", [
+        1.7, True, np.float64(2.9), "1", np.array([1.0, 2.0]), np.array([True, False]),
+        np.array(["1", "2"]),
+    ], ids=repr)
+    def test_non_integer_target_index_rejected(self, rng, batch, index):
+        b = GraphBuilder()
+        b.affine("h", b.input("x", (2,)), rng.normal(size=(3, 2)), rng.normal(size=3))
+        g = b.build(outputs=["h"])
+        tr = forward(g, {"x": rng.normal(size=(2,) if batch is None else (batch, 2))})
+        with pytest.raises(GraphError, match=r"target index .* is not an integer"):
+            backward(g, tr, ("h", index))
+        for index in (1, np.int64(2), np.uint8(0), np.array(1)) + (
+                () if batch is None else (np.array([2, 0]),)):
+            assert backward(g, tr, ("h", index))["x"].shape == tr["x"].shape
+
     def test_inactive_relu_blocks_gradient(self):
         b = GraphBuilder()
         x = b.input("x", (2,))

@@ -13,6 +13,7 @@ from deltalift.baselines import (
     random_relu_mlp,
 )
 from deltalift.engine import AttributionError
+from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import GraphBuilder, forward
 
 from graphgen import random_graph_case
@@ -127,6 +128,21 @@ class TestLrp:
         assert_allclose(rel["x"].sum(), seed, atol=1e-10)
         assert_allclose(sum(rel.bias_relevance.values()), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_runs_and_telescopes_on_the_paper_cnn(self, batch):
+        cnn = build_genomics_cnn(seed=5)
+        assert "prelu" in {node.kind for node in cnn.nodes.values()}
+        rng = np.random.default_rng(8)
+        seqs = np.eye(4)[rng.integers(0, 4, size=(batch or 1, 200))]
+        inputs = {"seq": seqs if batch else seqs[0]}
+        for epsilon in (1e-9, 1e-2, 1.0):
+            rel = lrp_epsilon(cnn, inputs, epsilon=epsilon)
+            assert rel.target[0] == "logit"  # the pre-sigmoid node
+            terms = [rel["seq"].reshape(batch or 1, -1).sum(axis=1)]
+            terms += [np.reshape(v, -1) for v in rel.bias_relevance.values()]
+            scale = np.abs(rel.target_activation) + sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(sum(terms) - rel.target_activation) <= 1e-12 * scale)
+
     def test_unsupported_interior_kind_rejected(self, rng):
         b = GraphBuilder()
         x = b.input("x", (2,))
@@ -168,7 +184,7 @@ class TestLrp:
         b.softmax("head", b.affine("pre", h, rng.normal(size=(3, 5)), rng.normal(size=3)))
         g = b.build(outputs=["head"])
         inputs = {"x": rng.normal(size=4)}
-        rel = lrp_epsilon(g, inputs, class_index=1)
+        rel = lrp_epsilon(g, inputs, target=("pre", 1))
         assert rel.trace.graph is not g  # traced on the mean-normalized head
         report = lrp_as_contribution_report(g, inputs, rel)
         assert np.array_equal(report.contributions["x"], rel["x"])

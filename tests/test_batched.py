@@ -307,9 +307,9 @@ def test_batched_deeplift_and_grad_input_equal_stacked_calls():
                            near_reference=[MOVED])
         assert_conserves(dl)
         gi = gradient_times_input(case.graph, {"x": xs}, target=target,
-                                  reference_input=case.reference)
+                                  reference=case.reference)
         assert_report_rows(gi, [gradient_times_input(case.graph, {"x": x}, target=target,
-                                                     reference_input=case.reference)
+                                                     reference=case.reference)
                                 for x in xs])
         if head == "softmax":
             split_classes += len(set(dl.target[1])) > 1

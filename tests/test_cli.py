@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -28,10 +30,15 @@ from deltalift.serialize import load_model, save_model
 from tsv_oracle import attribute_tsv
 
 
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*argv, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "deltalift", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -243,6 +250,16 @@ class TestAttribute:
                       if not line.startswith(("#", "sample_id"))
                       for cell in line.split("\t")[3:])
         assert literal > 0
+
+    def test_non_integer_target_index_is_invalid_input(self, workspace, tmp_path):
+        res = run_cli(
+            "attribute", "--model", str(workspace["trained"]), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+            "--target", "logit:1.5",
+        )
+        assert res.returncode == 4
+        assert res.stderr.startswith("error code=invalid-input detail=")
+        assert not (tmp_path / "o.tsv").exists()
 
     def test_out_of_range_target_names_the_first_bad_sample(self, workspace, tmp_path):
         res = run_cli(

@@ -460,8 +460,8 @@ class TestSoftmaxHeadReuse:
         x0 = {"x": rng.normal(size=4)}
         reference = compute_reference(g, x0)
         probes = [{"x": rng.normal(size=4)} for _ in range(3)]
-        fresh = [deeplift(g, p, x0, class_index=1) for p in probes]
-        deeplift(g, probes[0], class_index=1, reference=reference)
+        fresh = [deeplift(g, p, x0, target=("pre", 1)) for p in probes]
+        deeplift(g, probes[0], target=("pre", 1), reference=reference)
 
         calls = []
         for module, name in [(normalize_module, "mean_normalize_softmax_weights"),
@@ -473,7 +473,7 @@ class TestSoftmaxHeadReuse:
                 lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
             )
         for probe, expected in zip(probes, fresh):
-            report = deeplift(g, probe, class_index=1, reference=reference)
+            report = deeplift(g, probe, target=("pre", 1), reference=reference)
             assert_allclose(report.contributions["x"], expected.contributions["x"],
                             rtol=0, atol=1e-12)
             assert report.delta_target == pytest.approx(expected.delta_target)
@@ -499,8 +499,8 @@ class TestTargetSelection:
         node, index = select_attribution_target(g, trace=tr)
         assert node == "pre"
         assert index == int(np.argmax(tr["out"]))
-        assert select_attribution_target(g, class_index=2) == ("pre", 2)
-        with pytest.raises(AttributionError, match="class_index"):
+        assert select_attribution_target(g, ("pre", 2)) == ("pre", 2)
+        with pytest.raises(AttributionError, match="forward trace.*explicit"):
             select_attribution_target(g)
 
     def test_explicit_hidden_target_honored(self, rng):
@@ -579,7 +579,7 @@ class TestAttributeDispatch:
         direct = {
             "deeplift": deeplift(g, inputs, target=target, reference=reference),
             "grad_input": gradient_times_input(
-                g, inputs, target=target, reference_input=reference.reference_input),
+                g, inputs, target=target, reference=reference.reference_input),
             "lrp": lrp_as_contribution_report(
                 g, inputs, lrp_epsilon(g, inputs, target=target, epsilon=1e-4)),
         }

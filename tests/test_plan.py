@@ -57,22 +57,22 @@ def assert_same_report(got, want, what):
     assert identical(got.residual, want.residual), what
 
 
-def full_deeplift(graph, inputs, reference_input=None, target=None, class_index=None):
+def full_deeplift(graph, inputs, reference_input=None, target=None):
     """DeepLIFT's report from a trace of every node and the public sweep."""
     graph = _normalize_softmax_head_if_any(graph)
     ref = compute_reference(graph, reference_input or zeros_reference(graph))
     trace = forward(graph, inputs)
-    resolved = select_attribution_target(graph, target, class_index, trace)
+    resolved = select_attribution_target(graph, target, trace)
     mult = propagate_multipliers(graph, trace, ref, resolved)
     return contributions(trace, ref, resolved, dict(mult))
 
 
-def full_grad_input(graph, inputs, reference_input=None, target=None, class_index=None):
+def full_grad_input(graph, inputs, reference_input=None, target=None):
     """Gradient*input's report, on the same normalized head as DeepLIFT's."""
     graph = _normalize_softmax_head_if_any(graph)
     ref = compute_reference(graph, reference_input or zeros_reference(graph))
     trace = forward(graph, inputs)
-    resolved = select_attribution_target(graph, target, class_index, trace)
+    resolved = select_attribution_target(graph, target, trace)
     return contributions(trace, ref, resolved, dict(backward(graph, trace, resolved)),
                          "grad_input")
 
@@ -107,24 +107,22 @@ def test_reports_equal_the_every_node_path_on_random_graphs():
         seen["maxpool1d"] += "maxpool1d" in case.kinds
         seen[f"{head} head"] = seen.get(f"{head} head", 0) + 1
         # explicit targets, the head's own, and a softmax class fixed in advance
-        targets = [(case.target, None)]
+        targets = [case.target]
         if head in ("sigmoid", "softmax"):
-            targets.append((None, None))
+            targets.append(None)
         if head == "softmax":
-            targets.append((None, case.target[1]))
+            targets.append(("pre_head", case.target[1]))
         for batch in (None, 1, 5):
             inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
-            for target, class_index in targets:
-                what = (i, batch, target, class_index)
+            for target in targets:
+                what = (i, batch, target)
                 assert_same_report(
-                    deeplift(graph, inputs, case.reference, target=target,
-                             class_index=class_index),
-                    full_deeplift(graph, inputs, case.reference, target, class_index), what)
+                    deeplift(graph, inputs, case.reference, target=target),
+                    full_deeplift(graph, inputs, case.reference, target), what)
                 assert_same_report(
                     gradient_times_input(graph, inputs, target=target,
-                                         class_index=class_index,
-                                         reference_input=case.reference),
-                    full_grad_input(graph, inputs, case.reference, target, class_index),
+                                         reference=case.reference),
+                    full_grad_input(graph, inputs, case.reference, target),
                     what)
             if i % 3 == 2:
                 check_lrp(graph, inputs, case.target)
@@ -213,29 +211,29 @@ def softmax_graph(rng):
     return b.build(outputs=["head"])
 
 
-def test_a_softmax_head_is_evaluated_unless_the_class_is_given(recorded):
+def test_a_softmax_head_is_never_evaluated(recorded):
     graph = softmax_graph(np.random.default_rng(9))
     x = {"x": np.random.default_rng(10).normal(size=(6, 4))}
     for call in (lambda **kw: deeplift(graph, x, **kw),
                  lambda **kw: gradient_times_input(graph, x, **kw)):
         call()  # evaluates the memoized zeros reference
         recorded["traces"].clear()
-        call()
-        assert [("head" in t.activations) for t in recorded["traces"]] == [True]
+        call()  # the predicted class is read from the pre-activations
+        assert [("head" in t.activations) for t in recorded["traces"]] == [False]
         recorded["traces"].clear()
-        call(class_index=2)
+        call(target=("pre", 2))
         assert [("head" in t.activations) for t in recorded["traces"]] == [False]
 
 
 @pytest.mark.parametrize("batch", [None, 5])
-@pytest.mark.parametrize("class_index", [None, 1])
-def test_every_method_explains_the_normalized_softmax_logit(batch, class_index):
+@pytest.mark.parametrize("target", [None, ("pre", 1)], ids=["None", "1"])
+def test_every_method_explains_the_normalized_softmax_logit(batch, target):
     rng = np.random.default_rng(16)
     graph = softmax_graph(rng)
     inputs = {"x": batch_of((4,), batch, rng)}
     reference = compute_reference(graph, {"x": rng.normal(size=4)})
     reports = {method: attribute(graph, inputs, method, reference=reference,
-                                 class_index=class_index) for method in METHODS}
+                                 target=target) for method in METHODS}
     t_node, t_index = reports["deeplift"].target
     assert t_node == "pre"
     for report in reports.values():
@@ -247,6 +245,58 @@ def test_every_method_explains_the_normalized_softmax_logit(batch, class_index):
     ref_logit = forward(normalized, reference.reference_input)["pre"]
     assert np.allclose(reports["deeplift"].delta_target,
                        target_value(logit - ref_logit, t_index), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 5])
+def test_reference_inputs_equal_their_computed_state(batch):
+    rng = np.random.default_rng(23)
+    heads = set()
+    for i in range(40):
+        case = random_graph_case(rng)
+        graph = case.graph
+        heads.add(graph.nodes[graph.outputs[0]].kind)
+        inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
+        references = [case.reference]
+        if batch:  # a batch of references pairs row-wise with the inputs
+            references.append({"x": batch_of(graph.nodes["x"].output_shape, batch, rng)})
+        for reference in references:
+            state = compute_reference(graph, reference)  # before head normalization
+            what = (i, batch)
+            assert_same_report(deeplift(graph, inputs, reference, case.target),
+                               deeplift(graph, inputs, state, case.target), what)
+            assert_same_report(gradient_times_input(graph, inputs, case.target, reference),
+                               gradient_times_input(graph, inputs, case.target, state), what)
+            for method in ("deeplift", "grad_input"):
+                assert_same_report(
+                    attribute(graph, inputs, method, reference, case.target),
+                    attribute(graph, inputs, method, state, case.target), what)
+    assert {"softmax", "sigmoid"} <= heads
+    for bad in ([np.zeros(3)], np.zeros(3), "zeros"):
+        with pytest.raises(engine.AttributionError, match="ReferenceState or a dict"):
+            deeplift(graph, inputs, bad, case.target)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 5])
+def test_a_softmax_auto_target_is_the_full_forwards_argmax(batch):
+    rng = np.random.default_rng(24)
+    graphs = [(softmax_graph(rng), "pre", None)]
+    while len(graphs) < 25:
+        case = random_graph_case(rng)
+        if case.graph.nodes[case.graph.outputs[0]].kind == "softmax":
+            graphs.append((case.graph, "pre_head", case.reference))
+    for i, (graph, pre, reference) in enumerate(graphs):
+        inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
+        probs = forward(_normalize_softmax_head_if_any(graph), inputs)[graph.outputs[0]]
+        explicit = (pre, np.argmax(probs, axis=-1))
+        # LRP supports the relu-only graph alone
+        for method in METHODS if i == 0 else ("deeplift", "grad_input"):
+            auto = attribute(graph, inputs, method, reference)
+            assert_same_report(auto, attribute(graph, inputs, method, reference, explicit),
+                               (i, method))
+            assert identical(auto.target[1], np.asarray(explicit[1])), (i, method)
+        if i == 0:
+            rel = lrp_epsilon(graph, inputs)
+            assert rel.target[0] == pre and identical(rel.target[1], auto.target[1])
 
 
 def test_forward_upto_evaluates_the_ancestors_only():

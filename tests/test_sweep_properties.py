@@ -13,7 +13,8 @@ forward.
 
 epsilon-LRP telescopes at every epsilon: the input relevance plus every
 filtering node's bias share (which holds its stabilizer term) is the
-target's activation.
+target's activation.  It does so with relu or prelu rectifiers, both
+positively homogeneous (f(x) = f'(x) x).
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from deltalift.baselines import lrp_epsilon
-from deltalift.graph import ForwardTrace, forward
+from deltalift.graph import ForwardTrace, Graph, NodeSpec, forward
 
 from graphgen import random_graph_case
 from test_sweep import sweep_values
@@ -52,14 +53,28 @@ def test_batched_sweep_equals_stacked_per_sample_sweeps(method, seed, batch):
         assert np.max(np.abs(batched[nid] - expected)) <= RTOL * scale, nid
 
 
+def prelu_twin(graph, rng):
+    """``graph`` with each relu a prelu of random per-channel slopes,
+    negative and above 1 included."""
+    nodes = [NodeSpec(n.id, "prelu", n.inputs, n.output_shape,
+                      {"slopes": rng.uniform(-0.5, 1.5, size=n.output_shape[-1])})
+             if n.kind == "relu" else n for n in graph.nodes.values()]
+    return Graph(nodes, graph.outputs, graph.constraint_groups)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 5]),
-       epsilon=st.sampled_from([1e-9, 1e-2, 1.0]))
-def test_lrp_relevance_telescopes_to_the_target_activation(seed, batch, epsilon):
+       epsilon=st.sampled_from([1e-9, 1e-2, 1.0]),
+       rectifier=st.sampled_from(["relu", "prelu"]))
+def test_lrp_relevance_telescopes_to_the_target_activation(seed, batch, epsilon, rectifier):
     rng = np.random.default_rng(seed)
     case = random_graph_case(rng, piecewise_linear_only=True)
     xs = rng.normal(size=(batch,) + case.graph.nodes["x"].output_shape)
-    rel = lrp_epsilon(case.graph, {"x": xs}, target=case.target, epsilon=epsilon)
+    graph = case.graph
+    if rectifier == "prelu":
+        graph = prelu_twin(graph, rng)
+        assert "relu" not in {node.kind for node in graph.nodes.values()}
+    rel = lrp_epsilon(graph, {"x": xs}, target=case.target, epsilon=epsilon)
     inputs = rel["x"].reshape(batch, -1)
     total = inputs.sum(axis=1) + sum(rel.bias_relevance.values())
     # round-off of a sum is relative to the magnitudes it adds up
