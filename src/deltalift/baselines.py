@@ -115,7 +115,7 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     ValueError unless ``epsilon`` is a finite number >= 0.  The forward
     trace covers every node, since ``RelevanceTrace`` exposes it.
     """
-    check_stabilizer("epsilon", epsilon)
+    check_stabilizer(epsilon)
     trace, resolved = _traced_target(graph, inputs, target, every_node=True)
     bias_rel: dict[str, float] = {}
     mult = _target_sweep(trace.graph, trace, resolved, _lrp_rules(epsilon, bias_rel))

@@ -26,7 +26,6 @@ from . import __version__
 from .baselines import LRP_EPSILON, EnsembleSpec, equivalence_report, write_equivalence_tsv
 from .engine import (
     ATTRIBUTE_CHUNK,
-    EPS_STABLE,
     METHODS,
     AttributionError,
     attribute,
@@ -63,6 +62,23 @@ def _write_manifest(out_path, args: argparse.Namespace, **facts) -> None:
     with open(f"{out_path}.manifest", "w", encoding="utf-8") as fh:
         json.dump(resolved, fh, indent=1, default=str)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _written_whole(*paths):
+    """Yield a ``<path>.partial`` name per path to write; they become
+    ``paths`` only once the block succeeds, and a failed block removes
+    them, so a failed run leaves none of its outputs."""
+    partials = [f"{path}.partial" for path in paths]
+    try:
+        yield partials
+    except BaseException:
+        for partial in partials:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(partial)
+        raise
+    for partial, path in zip(partials, paths):
+        os.replace(partial, path)
 
 
 def _parse_target(text):
@@ -187,38 +203,31 @@ def cmd_attribute(args) -> int:
 
     # rows stream to <out>.partial, which becomes --out only once every
     # chunk is attributed: a failed run leaves no output and no manifest
-    partial = f"{args.out}.partial"
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(
-                "sample_id\tfeature_index\tfeature_label\tdelta\tmultiplier\t"
-                "contribution\n"
-            )
-            for start in range(0, len(examples), ATTRIBUTE_CHUNK):
-                chunk = examples[start:start + ATTRIBUTE_CHUNK]
-                report = attribute(graph, {input_id: encode_batch(chunk)}, args.method,
-                                   target=target, eps_stable=args.eps_stable,
-                                   lrp_epsilon=args.lrp_epsilon)
-                t_node, t_index = report.target
-                # per sample and feature: delta, multiplier, contribution
-                values = np.stack(
-                    [report.deltas[input_id], report.multipliers[input_id],
-                     report.contributions[input_id]],
-                    axis=-1,
-                ).reshape(len(chunk), len(prefixes), 3)
-                rows = _attribute_rows([ex.sid for ex in chunk], values, prefixes)
-                for i, ex in enumerate(chunk):
-                    fh.write(
-                        f"# sample={ex.sid} method={report.method} "
-                        f"target={t_node}:{t_index[i]} "
-                        f"residual={report.residual[i]:.6g}\n"
-                    )
-                    fh.write(rows[i])
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
-        raise
-    os.replace(partial, args.out)
+    with _written_whole(args.out) as (partial,), \
+            open(partial, "w", encoding="utf-8") as fh:
+        fh.write(
+            "sample_id\tfeature_index\tfeature_label\tdelta\tmultiplier\t"
+            "contribution\n"
+        )
+        for start in range(0, len(examples), ATTRIBUTE_CHUNK):
+            chunk = examples[start:start + ATTRIBUTE_CHUNK]
+            report = attribute(graph, {input_id: encode_batch(chunk)}, args.method,
+                               target=target, lrp_epsilon=args.lrp_epsilon)
+            t_node, t_index = report.target
+            # per sample and feature: delta, multiplier, contribution
+            values = np.stack(
+                [report.deltas[input_id], report.multipliers[input_id],
+                 report.contributions[input_id]],
+                axis=-1,
+            ).reshape(len(chunk), len(prefixes), 3)
+            rows = _attribute_rows([ex.sid for ex in chunk], values, prefixes)
+            for i, ex in enumerate(chunk):
+                fh.write(
+                    f"# sample={ex.sid} method={report.method} "
+                    f"target={t_node}:{t_index[i]} "
+                    f"residual={report.residual[i]:.6g}\n"
+                )
+                fh.write(rows[i])
     _write_manifest(args.out, args, reference_normalized=normalized)
     print(f"attributed {len(examples)} sequences with {args.method} -> {args.out}")
     return EXIT_OK
@@ -227,13 +236,15 @@ def cmd_attribute(args) -> int:
 def cmd_compare(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
-    comparison = compare_methods(graph, examples, eps_stable=args.eps_stable)
-    write_comparison_tsv(args.out, comparison)
-    if args.tracks_out:
-        write_score_tracks(args.tracks_out, [
-            (row.example, row.deeplift_track, row.grad_input_track)
-            for row in comparison.rows
-        ])
+    comparison = compare_methods(graph, examples)
+    outputs = [args.out] + ([args.tracks_out] if args.tracks_out else [])
+    with _written_whole(*outputs) as partials:
+        write_comparison_tsv(partials[0], comparison)
+        if args.tracks_out:
+            write_score_tracks(partials[1], [
+                (row.example, row.deeplift_track, row.grad_input_track)
+                for row in comparison.rows
+            ])
     _write_manifest(args.out, args)
     print(
         f"compared methods on {comparison.n_correct_positives} correctly "
@@ -334,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "first normalized over its constraint groups")
     p.add_argument("--target", default="auto",
                    help="'auto' or node_id[:index]")
-    p.add_argument("--eps-stable", type=float, default=EPS_STABLE)
     p.add_argument("--lrp-epsilon", type=float, default=LRP_EPSILON)
     p.set_defaults(func=cmd_attribute)
 
@@ -343,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tracks-out", help="optional per-position score TSV")
-    p.add_argument("--eps-stable", type=float, default=EPS_STABLE)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check-lrp", help="epsilon-LRP vs gradient*input deviations")

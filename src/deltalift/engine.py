@@ -14,11 +14,11 @@ so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
   * affine / conv1d: multipliers equal the weights
   * maxpool1d:       each window's delta routes to the current argmax,
     the route ``forward`` recorded in the trace (rerouted where that
-    member's delta is below eps_stable), written as a routed buffer
+    member's delta is at most EPS_STABLE), written as a routed buffer
     (``autodiff.Routed``): the rules below the pool form deltas and
     multipliers only at the routed units
   * relu / prelu / sigmoid / tanh: m = delta_out / delta_in, falling back
-    to the derivative at the reference when delta_in is tiny
+    to the derivative at the reference where |delta_in| <= EPS_STABLE
   * maxout:          piece coefficients weighted by each piece's share
     of the straight path from reference to input (``maxout_segments``:
     the intervals between sorted crossing points, summed per piece over
@@ -80,6 +80,7 @@ from .autodiff import (
     whole,
 )
 
+# DeepLIFT divides by an input delta only where |delta| exceeds this
 EPS_STABLE = 1e-7
 # epsilon-LRP's stabilizer (``baselines.lrp_epsilon``)
 LRP_EPSILON = 1e-9
@@ -95,15 +96,13 @@ class AttributionError(Exception):
     """Attribution cannot proceed: bad target, unsupported node, etc."""
 
 
-def check_stabilizer(name: str, value) -> float:
-    """Return ``value``; raise ValueError unless it is a finite number
-    >= 0.  A NaN ``eps_stable`` would send every Rescale unit to the
-    derivative fallback, and a NaN LRP epsilon would make every score
-    NaN."""
+def check_stabilizer(value) -> float:
+    """Return epsilon-LRP's stabilizer ``value`` (DeepLIFT's is the constant
+    ``EPS_STABLE``); raise ValueError unless it is a finite number >= 0."""
     number = type(value) is float or (isinstance(value, numbers.Real)
                                       and not isinstance(value, bool))
     if not (number and math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        raise ValueError(f"epsilon must be a finite number >= 0, got {value!r}")
     return value
 
 
@@ -190,10 +189,10 @@ def compute_deltas(trace: ForwardTrace, reference: ReferenceState | None,
 
 
 def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceState,
-                              eps_stable: float = EPS_STABLE, at=whole) -> Tensor:
+                              at=whole) -> Tensor:
     """Elementwise multipliers delta_out/delta_in for a 1-input nonlinearity.
 
-    Where |delta_in| <= eps_stable the ratio is replaced by the analytic
+    Where |delta_in| <= EPS_STABLE the ratio is replaced by the analytic
     derivative of the nonlinearity at the reference pre-activation (the
     limit value), which keeps multipliers continuous across the switch.
     ``at`` reads the activations at a routed buffer's entries (see
@@ -206,7 +205,7 @@ def local_multipliers_rescale(node, trace: ForwardTrace, reference: ReferenceSta
     dy = at(trace[node.id]) - at(reference[node.id])
     # dx and dy are fresh arrays, so the ratio is formed in dy's memory;
     # count_nonzero tests for all-true without ndarray.all's Python wrapper
-    ratio_ok = np.abs(dx) > eps_stable
+    ratio_ok = np.abs(dx) > EPS_STABLE
     if np.count_nonzero(ratio_ok) == ratio_ok.size:
         return np.divide(dy, dx, out=dy)
     dx[~ratio_ok] = 1.0
@@ -300,8 +299,7 @@ def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tens
 
 
 def propagate_multipliers(graph: Graph, trace: ForwardTrace,
-                          reference: ReferenceState, target,
-                          eps_stable: float = EPS_STABLE) -> dict[str, Tensor]:
+                          reference: ReferenceState, target) -> dict[str, Tensor]:
     """Multipliers m[x -> target] of every node x, keyed by node id.
 
     One ``vjp_sweep`` under DeepLIFT's rule table accumulates, for each
@@ -311,23 +309,21 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
     (every array then carries the batch axis) against the one reference,
     or row i against row i of a batched reference.  Raises
     AttributionError if the sweep would have to cross a softmax node
-    (target its pre-activations instead), and ValueError unless
-    ``eps_stable`` is a finite number >= 0.
+    (target its pre-activations instead).
     """
-    check_stabilizer("eps_stable", eps_stable)
     graph.require_valid()
     return _target_sweep(graph, trace, resolve_target(graph, target, trace.batch),
-                         _deeplift_rules(reference, eps_stable))
+                         _deeplift_rules(reference))
 
 
-def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
+def _deeplift_rules(reference: ReferenceState) -> dict:
     """DeepLIFT's rule table for ``vjp_sweep``: the gradient table with
     its nonlinear kinds replaced; affine and conv1d keep the gradient
     rule, since their multipliers are the weights."""
 
     def rescale(node, m_out, trace, mult, _):
         m, at, like = aligned(m_out)
-        local = local_multipliers_rescale(node, trace, reference, eps_stable, at)
+        local = local_multipliers_rescale(node, trace, reference, at)
         local *= m
         accumulate(mult, node.inputs[0], like(local))
 
@@ -336,7 +332,7 @@ def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
             accumulate(mult, src, m_out * m)
 
     def maxpool(node, m_out, trace, mult, _):
-        _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable)
+        _max_multiplier_backprop(node, m_out, trace, reference, mult)
 
     def maxout(node, m_out, trace, mult, _):
         _maxout_multiplier_backprop(node, m_out, trace, reference, mult)
@@ -353,7 +349,7 @@ def _deeplift_rules(reference: ReferenceState, eps_stable: float) -> dict:
             "softmax": softmax}
 
 
-def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
+def _max_multiplier_backprop(node, m_out, trace, reference, mult):
     """Route each window's contribution to its argmax input, the route
     ``forward`` recorded in the trace.
 
@@ -365,7 +361,7 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
     contribution; it is rerouted to the window member with the largest
     |delta| instead, which keeps conservation exact.  The max operation
     is 1-Lipschitz in the sup norm, so a window with nonzero output
-    delta always has such a member (up to eps_stable, below which the
+    delta always has such a member (up to EPS_STABLE, below which the
     routed quantity is itself negligible).  Input deltas are formed only
     at the chosen members, and at every member of a rerouting window.
     The multipliers go into the source's buffer in ``mult`` as a
@@ -382,7 +378,7 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
     route = (trace[node.id] - reference[node.id]) * m_out
     chosen = trace.route(node.id)
     chosen_dx = delta_at(chosen)
-    ok = np.abs(chosen_dx) > eps_stable
+    ok = np.abs(chosen_dx) > EPS_STABLE
     if ok.all():  # no window reroutes: bitwise the where-form below
         values = route / chosen_dx
     else:
@@ -397,7 +393,7 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult, eps_stable):
         chosen = chosen.copy()
         chosen[weak] = starts + step * pick
         chosen_dx[weak] = members_dx[np.arange(len(pick)), pick]
-        ok = np.abs(chosen_dx) > eps_stable
+        ok = np.abs(chosen_dx) > EPS_STABLE
         values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
     accumulate(mult, src, Routed(chosen, values, x.shape))
 
@@ -568,12 +564,11 @@ def _traced_target(graph: Graph, inputs: dict[str, Tensor], target=None,
 
 
 def _method_report(trace: ForwardTrace, reference: ReferenceState | None, target,
-                   method: str, eps_stable: float = EPS_STABLE,
-                   lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
+                   method: str, lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
     """``method``'s sweep over ``trace`` to the resolved ``target`` and
     its report; LRP's ``reference`` is None."""
     if method == "deeplift":
-        rules = _deeplift_rules(reference, eps_stable)
+        rules = _deeplift_rules(reference)
     elif method == "lrp":
         rules = _lrp_rules(lrp_epsilon, {})
     else:
@@ -583,20 +578,18 @@ def _method_report(trace: ForwardTrace, reference: ReferenceState | None, target
 
 
 def _attribute(graph: Graph, inputs: dict[str, Tensor], method: str, target=None,
-               reference=None, eps_stable: float = EPS_STABLE,
-               lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
+               reference=None, lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
     """The report-only path of ``deeplift``, ``gradient_times_input`` and
-    ``attribute``; it checks both stabilizers first."""
-    check_stabilizer("eps_stable", eps_stable)
-    check_stabilizer("epsilon", lrp_epsilon)
+    ``attribute``; it checks the LRP epsilon first."""
+    check_stabilizer(lrp_epsilon)
     trace, resolved = _traced_target(graph, inputs, target)
     ref = None if method == "lrp" else _reference_on(trace.graph, reference)
-    return _method_report(trace, ref, resolved, method, eps_stable, lrp_epsilon)
+    return _method_report(trace, ref, resolved, method, lrp_epsilon)
 
 
 def deeplift(graph: Graph, inputs: dict[str, Tensor],
-             reference: ReferenceState | dict | None = None, target=None,
-             eps_stable: float = EPS_STABLE) -> ContributionReport:
+             reference: ReferenceState | dict | None = None,
+             target=None) -> ContributionReport:
     """Contribution scores of every input feature to the target.
 
     ``inputs`` holds one sample, or a batch stacked along a leading axis
@@ -611,10 +604,9 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     An affine + softmax head is mean-normalized first, once per graph;
     this never changes model outputs but removes the arbitrary shared
     component of per-class multipliers.  Only the target node's
-    ancestors are evaluated.  Raises ValueError unless ``eps_stable`` is
-    a finite number >= 0.
+    ancestors are evaluated.
     """
-    return _attribute(graph, inputs, "deeplift", target, reference, eps_stable)
+    return _attribute(graph, inputs, "deeplift", target, reference)
 
 
 METHODS = ("deeplift", "grad_input", "lrp")
@@ -626,7 +618,6 @@ from .baselines import _lrp_rules  # noqa: E402
 
 def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
               reference: ReferenceState | dict | None = None, target=None,
-              eps_stable: float = EPS_STABLE,
               lrp_epsilon: float = LRP_EPSILON) -> ContributionReport:
     """Score one sample or a batch with deeplift, grad_input or lrp.
 
@@ -634,11 +625,11 @@ def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",
     takes), is what deeplift propagates against and grad_input measures
     input differences from (default all zeros); lrp has none and ignores
     it.  ``target`` resolves as ``deeplift``'s does.  Raises ValueError
-    unless both ``eps_stable`` and ``lrp_epsilon`` are finite numbers
-    >= 0, whichever method runs.
+    unless ``lrp_epsilon`` is a finite number >= 0, whichever method
+    runs.
     """
     if method not in METHODS:
         raise AttributionError(
             f"unknown method '{method}'; expected one of {', '.join(METHODS)}"
         )
-    return _attribute(graph, inputs, method, target, reference, eps_stable, lrp_epsilon)
+    return _attribute(graph, inputs, method, target, reference, lrp_epsilon)

@@ -16,12 +16,10 @@ import numpy as np
 
 from .engine import (
     ATTRIBUTE_CHUNK,
-    EPS_STABLE,
     AttributionError,
     ContributionReport,
     _method_report,
     _traced_target,
-    check_stabilizer,
     compute_reference,
     zeros_reference,
 )
@@ -362,21 +360,18 @@ class MethodComparison:
     n_correct_positives: int
 
 
-def compare_methods(graph: Graph, test_set,
-                    eps_stable: float = EPS_STABLE) -> MethodComparison:
+def compare_methods(graph: Graph, test_set) -> MethodComparison:
     """Motif recovery of reference-based scores versus gradient*input.
 
     The graph takes one sequence input and ends in one one-unit sigmoid,
-    read as P(positive); any other graph raises AttributionError.  The
-    model is weight-normalized over the one-hot constraint groups
-    first (outputs unchanged); both methods then run on that same model
+    read as P(positive); any other graph raises AttributionError.  A
+    model declaring constraint groups is weight-normalized over them
+    first (outputs unchanged); both methods then run on that model
     against the all-zeros reference, ``ATTRIBUTE_CHUNK`` sequences per
     call, their sweeps sharing one forward pass of each chunk up to the
-    logit.  Only correctly classified positives are scored; each row keeps
-    both methods' per-position scores.  Raises ValueError unless
-    ``eps_stable`` is a finite number >= 0.
+    logit.  Only correctly classified positives are scored; each row
+    keeps both methods' per-position scores.
     """
-    check_stabilizer("eps_stable", eps_stable)
     input_ids = graph.input_ids()
     if len(input_ids) != 1 or len(graph.outputs) != 1:
         raise AttributionError(
@@ -390,7 +385,7 @@ def compare_methods(graph: Graph, test_set,
             f"method comparison reads P(positive) from a one-unit sigmoid head; "
             f"head '{head}' is a {node.kind} of shape {node.output_shape}"
         )
-    normalized = normalize_constrained_weights(graph)
+    normalized = normalize_constrained_weights(graph) if graph.constraint_groups else graph
     reference = compute_reference(normalized, zeros_reference(normalized))
 
     positives = [ex for ex in test_set if ex.label == 1]
@@ -406,7 +401,7 @@ def compare_methods(graph: Graph, test_set,
         chunk = selected[start:start + ATTRIBUTE_CHUNK]
         trace, target = _traced_target(normalized,
                                        {input_id: np.stack([x for _, x, _ in chunk])})
-        dl = _method_report(trace, reference, target, "deeplift", eps_stable)
+        dl = _method_report(trace, reference, target, "deeplift")
         gi = _method_report(trace, reference, target, "grad_input")
         for i, (ex, _, prob) in enumerate(chunk):
             dl_track = per_position_scores(dl.sample(i), ex, input_id)

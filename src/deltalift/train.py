@@ -131,7 +131,11 @@ def _loss_and_seed(graph: Graph, trace, head_id: str, pre_id: str, labels):
         losses = np.logaddexp(0.0, z[:, 0]) - y * z[:, 0]
         seed = trace[head_id] - y[:, None]
     else:
-        k = labels.astype(int)
+        y = labels.astype(np.float64)
+        whole = np.isfinite(y) & (y == np.round(y))
+        if not whole.all():
+            raise TrainingError(f"softmax label {labels[~whole][0]} is not an integer")
+        k = y.astype(int)
         bad = (k < 0) | (k >= z.shape[1])
         if bad.any():
             raise TrainingError(

@@ -67,6 +67,20 @@ def workspace(tmp_path_factory):
             "trained": trained_path}
 
 
+def save_plain_model(path, bias=0.0):
+    """Save conv -> relu -> pool -> affine -> sigmoid on (60, 4) one-hot
+    sequences, with no constraint groups declared; return ``path``."""
+    rng = np.random.default_rng(5)
+    b = GraphBuilder()
+    x = b.input("seq", (60, 4))
+    h = b.conv1d("conv", x, rng.normal(size=(3, 5, 4)) * 0.3, np.zeros(3))
+    h = b.maxpool1d("pool", b.relu("act", h), 8, 8)
+    logit = b.affine("logit", h, rng.normal(size=(1, 21)) * 0.3, np.array([bias]))
+    b.sigmoid("prob", logit)
+    save_model(b.build(outputs=["prob"]), path)
+    return path
+
+
 def shift_conv_length(payload):
     """The payload with its conv node declaring one output row too few."""
     conv = next(n for n in payload["nodes"] if n["kind"] == "conv1d")
@@ -155,17 +169,8 @@ class TestAttribute:
                 assert residual < 1e-6
 
     def test_model_without_constraint_groups(self, workspace, tmp_path):
-        # conv -> relu -> pool -> affine -> sigmoid, no constraint groups:
         # the default zeros-normalized reference has nothing to normalize
-        rng = np.random.default_rng(5)
-        b = GraphBuilder()
-        x = b.input("seq", (60, 4))
-        h = b.conv1d("conv", x, rng.normal(size=(3, 5, 4)) * 0.3, np.zeros(3))
-        h = b.maxpool1d("pool", b.relu("act", h), 8, 8)
-        logit = b.affine("logit", h, rng.normal(size=(1, 21)) * 0.3, np.zeros(1))
-        b.sigmoid("prob", logit)
-        model = tmp_path / "plain.json"
-        save_model(b.build(outputs=["prob"]), model)
+        model = save_plain_model(tmp_path / "plain.json")
         out = tmp_path / "plain.tsv"
         res = run_cli(
             "attribute", "--model", str(model), "--data",
@@ -289,6 +294,19 @@ class TestCompare:
         assert lines[1].startswith("sample_id\t")
         track_lines = tracks.read_text().splitlines()
         assert track_lines[0] == "sample_id\tposition\tbase\tdeeplift\tgrad_input"
+
+    def test_model_without_constraint_groups(self, workspace, tmp_path):
+        # nothing to normalize over: the model is compared as given, as
+        # attribute scores it; a logit bias makes every positive correct
+        model = save_plain_model(tmp_path / "plain.json", bias=50.0)
+        data = workspace["data"] / "test.fa"
+        out = tmp_path / "cmp.tsv"
+        res = run_cli("compare", "--model", str(model), "--data", str(data),
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        n_positives = sum(ex.label == 1 for ex in read_fasta(data))
+        assert out.read_text().startswith(f"# n_correct_positives={n_positives} ")
+        assert n_positives > 0 and (tmp_path / "cmp.tsv.manifest").exists()
 
 
     def test_tracks_of_repeated_ids_keep_their_own_bases(self, tmp_path, rng):
@@ -528,17 +546,11 @@ class TestErrors:
                                      "epochs must be")
 
     @pytest.mark.parametrize("flags, name", [
-        (["attribute", "--eps-stable", "nan"], "eps_stable"),
-        (["attribute", "--eps-stable=-1e-7"], "eps_stable"),
         (["attribute", "--method", "lrp", "--lrp-epsilon", "nan"], "epsilon"),
         (["attribute", "--method", "lrp", "--lrp-epsilon=-1e-9"], "epsilon"),
-        (["compare", "--eps-stable", "inf"], "eps_stable"),
-        # every method checks both stabilizers, whichever one it uses
-        (["attribute", "--method", "grad_input", "--eps-stable", "nan"], "eps_stable"),
+        # every method checks the LRP epsilon, whichever one runs
         (["attribute", "--method", "deeplift", "--lrp-epsilon", "nan"], "epsilon"),
-    ], ids=["nan-eps-stable", "negative-eps-stable", "nan-lrp-epsilon",
-            "negative-lrp-epsilon", "infinite-compare-eps-stable",
-            "grad-input-nan-eps-stable", "deeplift-nan-lrp-epsilon"])
+    ], ids=["nan-lrp-epsilon", "negative-lrp-epsilon", "deeplift-nan-lrp-epsilon"])
     def test_invalid_stabilizer_exit_code(self, workspace, tmp_path, flags, name):
         command, *rest = flags
         res = run_cli(
@@ -555,7 +567,7 @@ class TestErrors:
         out = tmp_path / "o.tsv"
         res = run_cli(
             "attribute", "--model", str(workspace["trained"]), "--data",
-            str(workspace["data"] / "test.fa"), "--out", str(out), "--eps-stable", "nan",
+            str(workspace["data"] / "test.fa"), "--out", str(out), "--lrp-epsilon", "nan",
         )
         assert res.returncode == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == []
@@ -578,6 +590,30 @@ class TestErrors:
                                      "length")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.tsv", "short.fa"]
         assert out.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("command", ["attribute", "compare"])
+    def test_eps_stable_is_not_an_option(self, workspace, tmp_path, command):
+        # DeepLIFT's stabilizer is a constant: the flag is a usage error
+        res = run_cli(
+            command, "--model", str(workspace["trained"]), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+            "--eps-stable", "1e-7",
+        )
+        assert res.returncode == 2
+        assert "unrecognized arguments: --eps-stable 1e-7" in res.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_failed_compare_leaves_no_output_and_no_manifest(self, workspace, tmp_path):
+        # the tracks file cannot be written: the table, written first,
+        # must not be left behind either
+        res = run_cli(
+            "compare", "--model", str(workspace["trained"]), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "cmp.tsv"),
+            "--tracks-out", str(tmp_path / "nodir" / "t.tsv"),
+        )
+        assert res.returncode == 3
+        assert res.stderr.startswith("error code=missing-file detail=")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_train_on_an_empty_file_exit_code(self, workspace, tmp_path):
         data = tmp_path / "data"

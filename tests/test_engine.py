@@ -16,6 +16,7 @@ from deltalift.baselines import (
     random_relu_mlp,
 )
 from deltalift.engine import (
+    EPS_STABLE,
     AttributionError,
     _max_multiplier_backprop,
     attribute,
@@ -213,7 +214,7 @@ class TestMaxRule:
         # overlapping windows; the reference equals the input on the first
         # rows of every sample, so some windows' argmax has no delta and
         # reroutes to the member with the largest |delta|
-        width, stride, eps = 4, 2, 1e-7
+        width, stride, eps = 4, 2, EPS_STABLE
         b = GraphBuilder()
         v = b.input("v", (12, 2))
         b.maxpool1d("p", v, width, stride)
@@ -230,7 +231,7 @@ class TestMaxRule:
         ref = compute_reference(g, {"v": x_ref})
         m_out = rng.normal(size=tr["p"].shape)
         mult = {}
-        _max_multiplier_backprop(g.nodes["p"], m_out, tr, ref, mult, eps)
+        _max_multiplier_backprop(g.nodes["p"], m_out, tr, ref, mult)
 
         dx = x - x_ref
         route = (tr["p"] - ref["p"]) * m_out
@@ -282,9 +283,22 @@ class TestRescaleRule:
         m = local_multipliers_rescale(g.nodes["t"], tr, ref)
         assert_allclose(m, [np.tanh(3.0) / 3.0])
 
+    @pytest.mark.parametrize("shift, expected", [(EPS_STABLE, 0.0), (2 * EPS_STABLE, 1.0)],
+                             ids=["at-eps", "twice-eps"])
+    def test_relu_switches_to_the_ratio_only_above_the_stabilizer(self, shift, expected):
+        # the ratio needs |delta_in| > EPS_STABLE; exactly EPS_STABLE still
+        # takes the derivative at the reference input 0, which is 0
+        b = GraphBuilder()
+        x = b.input("x", (1,))
+        b.relu("r", x)
+        g = b.build(outputs=["r"])
+        ref = compute_reference(g, {"x": np.zeros(1)})
+        m = local_multipliers_rescale(g.nodes["r"], forward(g, {"x": np.array([shift])}), ref)
+        assert m.tolist() == [expected]
+
     @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
     def test_continuity_across_stability_threshold(self, kind, rng):
-        # the ratio just above eps_stable and the derivative fallback just
+        # the ratio just above EPS_STABLE and the derivative fallback just
         # below it must agree closely: no jump at the switch
         b = GraphBuilder()
         x = b.input("x", (1,))
@@ -292,7 +306,7 @@ class TestRescaleRule:
         g = b.build(outputs=["y"])
         for _ in range(20):
             x0 = rng.normal(size=1)
-            eps = 1e-7
+            eps = EPS_STABLE
             ref = compute_reference(g, {"x": x0})
             above = local_multipliers_rescale(
                 g.nodes["y"], forward(g, {"x": x0 + 1.01 * eps}), ref
@@ -596,24 +610,11 @@ class TestAttributeDispatch:
             attribute(g, inputs, "saliency", target=("head", 0))
 
 
-class TestInvalidStabilizer:
-    """A NaN eps_stable would send every Rescale unit to the derivative
-    fallback; NaN, infinite and negative values are all refused."""
-
-    BAD = [float("nan"), float("inf"), -float("inf"), -1e-7, "1e-7", True]
-
-    @pytest.mark.parametrize("value", BAD)
-    def test_deeplift_and_propagation_reject(self, rng, value):
+class TestFixedStabilizer:
+    def test_eps_stable_is_not_a_parameter(self, rng):
+        # DeepLIFT's stabilizer is the constant EPS_STABLE
         g, inputs = random_relu_mlp(rng, EnsembleSpec())
-        with pytest.raises(ValueError, match="eps_stable must be a finite number >= 0"):
-            deeplift(g, inputs, target=("head", 0), eps_stable=value)
-        reference = compute_reference(g, zeros_reference(g))
-        with pytest.raises(ValueError, match="eps_stable must be a finite number >= 0"):
-            propagate_multipliers(g, forward(g, inputs), reference, ("head", 0), value)
-        with pytest.raises(ValueError, match="eps_stable"):
-            attribute(g, inputs, "deeplift", target=("head", 0), eps_stable=value)
-
-    def test_zero_is_accepted(self, rng):
-        g, inputs = random_relu_mlp(rng, EnsembleSpec())
-        report = deeplift(g, inputs, target=("head", 0), eps_stable=0.0)
-        assert report.residual <= 1e-9 * max(1.0, abs(report.delta_target))
+        with pytest.raises(TypeError, match="eps_stable"):
+            deeplift(g, inputs, target=("head", 0), eps_stable=EPS_STABLE)
+        with pytest.raises(TypeError, match="eps_stable"):
+            attribute(g, inputs, "deeplift", target=("head", 0), eps_stable=EPS_STABLE)

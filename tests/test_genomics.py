@@ -25,7 +25,7 @@ from deltalift.genomics import (
     write_fasta,
     write_score_tracks,
 )
-from deltalift.graph import GraphBuilder, forward, n_parameters, validate_graph
+from deltalift.graph import Graph, GraphBuilder, forward, n_parameters, validate_graph
 from deltalift.normalize import normalize_constrained_weights
 
 from tsv_oracle import per_value_row
@@ -356,6 +356,25 @@ class TestCompareMethods:
             assert row.deeplift_recovery == pytest.approx(
                 motif_recovery_score(report, ex, input_id="dna"), abs=1e-12)
 
+    def test_model_without_constraint_groups_is_scored_as_given(self):
+        # with no groups declared there is nothing to normalize over: both
+        # methods score the model itself, as attribute does
+        grouped = build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
+                                     dense_units=12, seed=9)
+        graph = Graph(grouped.replace_params({"logit": {"bias": np.array([8.0])}})
+                      .nodes.values(), grouped.outputs)
+        assert graph.constraint_groups == ()
+        data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=12,
+                                            length=60, seed=4))
+        comparison = compare_methods(graph, data.test)
+        assert comparison.n_correct_positives == sum(ex.label == 1 for ex in data.test) > 0
+        for row in comparison.rows:
+            x = {"seq": one_hot_encode(row.example.sequence)}
+            for track, report in ((row.deeplift_track, deeplift(graph, x)),
+                                  (row.grad_input_track, gradient_times_input(graph, x))):
+                expected = per_position_scores(report, row.example)
+                assert_allclose(track, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
     @pytest.mark.parametrize("head, units", [("softmax", 2), ("sigmoid", 2)])
     def test_head_other_than_one_sigmoid_unit_rejected(self, head, units):
         # column 0 of a softmax head is P(class 0), not P(positive): every
@@ -463,14 +482,3 @@ class TestSequenceFiles:
         path = tmp_path / "edge.fa"
         path.write_text(">a label=1 spans=0-2:GA,2-4:TA\nGATA\n")
         assert read_fasta(path)[0].motif_spans == (MotifSpan(0, 2, "GA"), MotifSpan(2, 4, "TA"))
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-@pytest.mark.parametrize("bias", [8.0, -50.0], ids=["positives", "no-positives"])
-def test_compare_methods_rejects_an_invalid_eps_stable(value, bias):
-    data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=8, length=60, seed=3))
-    graph = build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
-                               dense_units=12, seed=9)
-    graph = graph.replace_params({"logit": {"bias": np.array([bias])}})
-    with pytest.raises(ValueError, match="eps_stable must be a finite number >= 0"):
-        compare_methods(graph, data.test, eps_stable=value)

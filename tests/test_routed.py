@@ -104,14 +104,14 @@ def dense_vjp(node, grad_out, trace, grads, param_grads=None):
 DENSE_GRADIENT = dict.fromkeys(KNOWN_KINDS, dense_vjp)
 
 
-def dense_deeplift_rules(reference, eps_stable=EPS_STABLE):
+def dense_deeplift_rules(reference):
     """DeepLIFT's table with the dense Rescale and max-pool rules."""
 
     def rescale(node, m_out, trace, mult, _):
         src = node.inputs[0]
         dx = trace[src] - reference[src]
         dy = trace[node.id] - reference[node.id]
-        ratio_ok = np.abs(dx) > eps_stable
+        ratio_ok = np.abs(dx) > EPS_STABLE
         deriv = {}
         dense_vjp(node, np.ones(reference[node.id].shape), reference, deriv)
         dx[~ratio_ok] = 1.0
@@ -130,7 +130,7 @@ def dense_deeplift_rules(reference, eps_stable=EPS_STABLE):
         dx_flat = dx.ravel()
         chosen = _pool_argmax(x, width, stride, lead)
         chosen_dx = dx_flat[chosen]
-        ok = np.abs(chosen_dx) > eps_stable
+        ok = np.abs(chosen_dx) > EPS_STABLE
         if not ok.all():
             weak = ~ok
             starts, step = _pool_window_starts(x.shape, width, stride, lead)
@@ -138,12 +138,12 @@ def dense_deeplift_rules(reference, eps_stable=EPS_STABLE):
             members = starts[:, None] + step * np.arange(width)
             chosen[weak] = starts + step * np.abs(dx_flat[members]).argmax(axis=1)
             chosen_dx = dx_flat[chosen]
-            ok = np.abs(chosen_dx) > eps_stable
+            ok = np.abs(chosen_dx) > EPS_STABLE
         values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
         accumulate(mult, src, np.bincount(chosen.ravel(), values.ravel(),
                                           x.size).reshape(x.shape))
 
-    return {**_deeplift_rules(reference, eps_stable),
+    return {**_deeplift_rules(reference),
             **dict.fromkeys(ELEMENTWISE_KINDS, rescale), "maxpool1d": maxpool}
 
 
@@ -181,8 +181,7 @@ def tables(method, reference):
     if method == "gradient":
         return None, DENSE_GRADIENT, None, None
     if method == "deeplift":
-        return (_deeplift_rules(reference, EPS_STABLE), dense_deeplift_rules(reference),
-                None, None)
+        return _deeplift_rules(reference), dense_deeplift_rules(reference), None, None
     routed_bias, dense_bias = {}, {}
     return (_lrp_rules(LRP_EPSILON, routed_bias), dense_lrp_rules(LRP_EPSILON, dense_bias),
             routed_bias, dense_bias)
@@ -760,8 +759,7 @@ def test_routed_conv_transpose_of_a_deeplift_reroute(batch):
     reference = compute_reference(graph, {"x": ref})
     mult = {}
     m_out = rng.normal(size=trace["pool"].shape)
-    _deeplift_rules(reference, EPS_STABLE)["maxpool1d"](graph.nodes["pool"], m_out, trace,
-                                                        mult, None)
+    _deeplift_rules(reference)["maxpool1d"](graph.nodes["pool"], m_out, trace, mult, None)
     buf = mult["conv"]
     assert type(buf) is Routed
     assert_entry_filters(buf, 5)
@@ -772,13 +770,13 @@ def test_routed_conv_transpose_of_a_deeplift_reroute(batch):
     assert_close(got, per_entry_transpose(graph.nodes["conv"], buf, x.shape, lead), "reroute")
 
 
-def where_form(trace, reference, pool_id, src, m_out, eps_stable):
+def where_form(trace, reference, pool_id, src, m_out):
     """DeepLIFT's max-pool values on the trace's route, written with the
     ``np.where`` guards of the rerouting rule."""
     route = trace.route(pool_id)
     x, ref = trace[src], np.broadcast_to(reference[src], trace[src].shape)
     chosen_dx = x.take(route) - ref.take(route)
-    ok = np.abs(chosen_dx) > eps_stable
+    ok = np.abs(chosen_dx) > EPS_STABLE
     values = np.where(ok, (trace[pool_id] - reference[pool_id]) * m_out, 0.0)
     return ok, values / np.where(ok, chosen_dx, 1.0)
 
@@ -807,9 +805,8 @@ def test_deeplift_max_pool_without_a_reroute_is_bitwise_the_where_form(reroutes,
     reference = compute_reference(graph, {"seq": np.full((200, 4), 0.25)})
     m_out = rng.normal(size=trace["pool"].shape)
     mult = {}
-    _deeplift_rules(reference, EPS_STABLE)["maxpool1d"](graph.nodes["pool"], m_out, trace,
-                                                        mult, None)
-    ok, want = where_form(trace, reference, "pool", "conv_act", m_out, EPS_STABLE)
+    _deeplift_rules(reference)["maxpool1d"](graph.nodes["pool"], m_out, trace, mult, None)
+    ok, want = where_form(trace, reference, "pool", "conv_act", m_out)
     assert ok.all() and reroutes[0] == 0
     buf = mult["conv_act"]
     assert buf.index is trace.route("pool")
@@ -833,10 +830,9 @@ def test_deeplift_max_pool_reroute_branch_still_runs(reroutes):
     reference = compute_reference(graph, {"x": ref})
     m_out = rng.normal(size=trace["pool"].shape)
     mult = {}
-    _deeplift_rules(reference, EPS_STABLE)["maxpool1d"](graph.nodes["pool"], m_out, trace,
-                                                        mult, None)
+    _deeplift_rules(reference)["maxpool1d"](graph.nodes["pool"], m_out, trace, mult, None)
     assert reroutes[0] == 1
-    ok, want = where_form(trace, reference, "pool", "act", m_out, EPS_STABLE)
+    ok, want = where_form(trace, reference, "pool", "act", m_out)
     buf = mult["act"]
     assert not ok.all()
     moved = buf.index != trace.route("pool")

@@ -15,6 +15,7 @@ from deltalift.train import (
     TrainingError,
     evaluate,
     train_loop,
+    train_step,
     write_loss_curve,
 )
 
@@ -196,6 +197,28 @@ def test_validation_set_with_a_third_class_gives_nan_auroc():
     # two classes on the same head still get an auROC
     loss, roc = evaluate(three_class_mlp(), [d for d in data if d[1] < 2])
     assert np.isfinite(loss) and 0.0 <= roc <= 1.0
+
+
+@pytest.mark.parametrize("labels, bad", [([1.7, 0, 2, 1], "1.7"), ([0, 1, 0.2, 2], "0.2"),
+                                         ([0, float("nan"), 1, 2], "nan")])
+def test_softmax_head_rejects_non_integer_labels(labels, bad):
+    # 1.7 and 0.2 once trained as classes 1 and 0
+    rng = np.random.default_rng(4)
+    data = [({"x": rng.normal(size=2)}, label) for label in labels]
+    with pytest.raises(TrainingError, match=f"softmax label {bad} is not an integer"):
+        train_step(three_class_mlp(), data, TrainConfig(), None)
+    with pytest.raises(TrainingError, match=f"softmax label {bad} is not an integer"):
+        evaluate(three_class_mlp(), data)
+
+
+def test_softmax_head_accepts_integral_float_labels():
+    rng = np.random.default_rng(4)
+    xs = [{"x": rng.normal(size=2)} for _ in range(4)]
+    as_int = [(x, label) for x, label in zip(xs, [0, 1, 2, 1])]
+    as_float = [(x, float(label)) for x, label in as_int]
+    assert evaluate(three_class_mlp(), as_float)[0] == evaluate(three_class_mlp(), as_int)[0]
+    _, _, loss = train_step(three_class_mlp(), as_float, TrainConfig(), None)
+    assert loss == train_step(three_class_mlp(), as_int, TrainConfig(), None)[2]
 
 
 def test_loss_curve_tsv_format(tmp_path):
