@@ -545,23 +545,39 @@ class TestErrors:
         assert res.stderr.startswith("error code=invalid-input detail=training config: "
                                      "epochs must be")
 
-    @pytest.mark.parametrize("flags, name", [
-        (["attribute", "--method", "lrp", "--lrp-epsilon", "nan"], "epsilon"),
-        (["attribute", "--method", "lrp", "--lrp-epsilon=-1e-9"], "epsilon"),
+    @pytest.mark.parametrize("flags, code, error", [
+        # DeepLIFT's stabilizer is the constant EPS_STABLE: no command
+        # takes --eps-stable, whatever its value or method
+        (["attribute", "--eps-stable", "nan"], 2,
+         "deltalift: error: unrecognized arguments: --eps-stable nan"),
+        (["attribute", "--eps-stable=-1e-7"], 2,
+         "deltalift: error: unrecognized arguments: --eps-stable=-1e-7"),
+        (["attribute", "--method", "lrp", "--lrp-epsilon", "nan"], 4, "epsilon"),
+        (["attribute", "--method", "lrp", "--lrp-epsilon=-1e-9"], 4, "epsilon"),
+        (["compare", "--eps-stable", "inf"], 2,
+         "deltalift: error: unrecognized arguments: --eps-stable inf"),
+        (["attribute", "--method", "grad_input", "--eps-stable", "nan"], 2,
+         "deltalift: error: unrecognized arguments: --eps-stable nan"),
         # every method checks the LRP epsilon, whichever one runs
-        (["attribute", "--method", "deeplift", "--lrp-epsilon", "nan"], "epsilon"),
-    ], ids=["nan-lrp-epsilon", "negative-lrp-epsilon", "deeplift-nan-lrp-epsilon"])
-    def test_invalid_stabilizer_exit_code(self, workspace, tmp_path, flags, name):
+        (["attribute", "--method", "deeplift", "--lrp-epsilon", "nan"], 4, "epsilon"),
+    ], ids=["nan-eps-stable", "negative-eps-stable", "nan-lrp-epsilon",
+            "negative-lrp-epsilon", "infinite-compare-eps-stable",
+            "grad-input-nan-eps-stable", "deeplift-nan-lrp-epsilon"])
+    def test_invalid_stabilizer_exit_code(self, workspace, tmp_path, flags, code, error):
         command, *rest = flags
         res = run_cli(
             command, "--model", str(workspace["trained"]), "--data",
             str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"), *rest,
         )
-        assert res.returncode == 4
+        assert res.returncode == code
         lines = res.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error code=invalid-input detail={name} must be "
-                                   "a finite number >= 0")
+        if code == 2:  # argparse's usage error
+            assert lines[-1] == error
+        else:
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error code=invalid-input detail={error} must be "
+                                       "a finite number >= 0")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_failed_attribute_leaves_no_output_and_no_manifest(self, workspace, tmp_path):
         out = tmp_path / "o.tsv"
@@ -590,18 +606,6 @@ class TestErrors:
                                      "length")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.tsv", "short.fa"]
         assert out.read_text() == "earlier\n"
-
-    @pytest.mark.parametrize("command", ["attribute", "compare"])
-    def test_eps_stable_is_not_an_option(self, workspace, tmp_path, command):
-        # DeepLIFT's stabilizer is a constant: the flag is a usage error
-        res = run_cli(
-            command, "--model", str(workspace["trained"]), "--data",
-            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
-            "--eps-stable", "1e-7",
-        )
-        assert res.returncode == 2
-        assert "unrecognized arguments: --eps-stable 1e-7" in res.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_failed_compare_leaves_no_output_and_no_manifest(self, workspace, tmp_path):
         # the tracks file cannot be written: the table, written first,

@@ -610,11 +610,19 @@ class TestAttributeDispatch:
             attribute(g, inputs, "saliency", target=("head", 0))
 
 
-class TestFixedStabilizer:
-    def test_eps_stable_is_not_a_parameter(self, rng):
-        # DeepLIFT's stabilizer is the constant EPS_STABLE
+class TestInvalidStabilizer:
+    """DeepLIFT's stabilizer is the constant EPS_STABLE: no eps_stable
+    value is taken, bad or good."""
+
+    VALUES = [float("nan"), float("inf"), -float("inf"), -1e-7, "1e-7", True, EPS_STABLE]
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_deeplift_and_propagation_reject(self, rng, value):
         g, inputs = random_relu_mlp(rng, EnsembleSpec())
         with pytest.raises(TypeError, match="eps_stable"):
-            deeplift(g, inputs, target=("head", 0), eps_stable=EPS_STABLE)
+            deeplift(g, inputs, target=("head", 0), eps_stable=value)
+        reference = compute_reference(g, zeros_reference(g))
+        with pytest.raises(TypeError, match="positional arguments"):
+            propagate_multipliers(g, forward(g, inputs), reference, ("head", 0), value)
         with pytest.raises(TypeError, match="eps_stable"):
-            attribute(g, inputs, "deeplift", target=("head", 0), eps_stable=EPS_STABLE)
+            attribute(g, inputs, "deeplift", target=("head", 0), eps_stable=value)
