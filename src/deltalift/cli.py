@@ -1,6 +1,9 @@
 """Command-line entry points for reproducible runs.
 
 Subcommands: gen-data, train, attribute, compare, check-lrp, normalize.
+``attribute`` and ``compare`` score a model normalized over its declared
+constraint groups, if any; ``normalize`` applies that pass, and the softmax
+pass when the head (``graph.Plan.head``) is a softmax over an affine node.
 Every run writes ``<output>.manifest`` echoing the resolved configuration,
 and failures print one machine-parsable line to stderr:
 
@@ -44,7 +47,7 @@ from .genomics import (
 )
 from .graph import GraphError
 from .normalize import NormalizationError, mean_normalize_softmax_weights, \
-    normalize_constrained_weights
+    normalize_constrained_weights, softmax_over_affine
 from .serialize import ModelFormatError, load_model, save_model
 from .train import TrainConfig, TrainingError, train_loop, write_loss_curve
 
@@ -193,9 +196,9 @@ def cmd_attribute(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
     target = _parse_target(args.target)
-    # every mode attributes against the all-zeros reference; zeros-normalized
-    # first applies the constrained-input pass if the graph declares groups
-    normalized = args.reference == "zeros-normalized" and bool(graph.constraint_groups)
+    # every method scores the model normalized over its declared constraint
+    # groups, if any, against the all-zeros reference
+    normalized = bool(graph.constraint_groups)
     if normalized:
         graph = normalize_constrained_weights(graph)
     input_id = graph.input_ids()[0]
@@ -256,16 +259,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check_lrp(args) -> int:
+    if args.n_nets < 1:
+        raise ValueError(f"--n-nets must be at least 1, got {args.n_nets}")
     epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
     if not epsilons:
         raise ValueError("no epsilons given")
     spec = EnsembleSpec(n_nets=args.n_nets, seed=args.seed)
     rows = equivalence_report(spec, epsilons)
-    write_equivalence_tsv(args.out, rows)
-    _write_manifest(args.out, args)
     worst = {eps: max(r.max_rel_dev for r in rows if r.epsilon == eps)
              for eps in epsilons}
     summary = " ".join(f"eps={eps:g}:max_dev={dev:.3g}" for eps, dev in worst.items())
+    with _written_whole(args.out) as (partial,):
+        write_equivalence_tsv(partial, rows)
+    _write_manifest(args.out, args)
     print(f"checked {args.n_nets} nets: {summary}")
     return EXIT_OK
 
@@ -273,25 +279,15 @@ def cmd_check_lrp(args) -> int:
 def cmd_normalize(args) -> int:
     graph = load_model(args.model)
     applied = []
-    if args.passes in ("auto", "constrained"):
-        try:
-            graph = normalize_constrained_weights(graph)
-            applied.append("constrained")
-        except NormalizationError:
-            if args.passes == "constrained":
-                raise
-    if args.passes in ("auto", "softmax"):
-        try:
-            graph = mean_normalize_softmax_weights(graph)
-            applied.append("softmax")
-        except NormalizationError:
-            if args.passes == "softmax":
-                raise
+    if graph.constraint_groups:
+        graph = normalize_constrained_weights(graph)
+        applied.append("constrained")
+    if softmax_over_affine(graph):
+        graph = mean_normalize_softmax_weights(graph)
+        applied.append("softmax")
     if not applied:
-        raise NormalizationError(
-            "no normalization pass applies: the graph declares no constraint "
-            "groups and has no affine+softmax head"
-        )
+        raise NormalizationError("no normalization pass applies: the graph declares "
+                                 "no constraint groups and no softmax over an affine node")
     save_model(graph, args.out)
     _write_manifest(args.out, args)
     print(f"applied {'+'.join(applied)} normalization -> {args.out}")
@@ -338,11 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="FASTA-like sequence file")
     p.add_argument("--out", required=True, help="output TSV")
     p.add_argument("--method", choices=METHODS, default="deeplift")
-    p.add_argument("--reference", choices=["zeros", "zeros-normalized"],
-                   default="zeros-normalized",
-                   help="the reference deeplift and grad_input measure deltas "
-                        "from, and whether the model all three methods score is "
-                        "first normalized over its constraint groups")
     p.add_argument("--target", default="auto",
                    help="'auto' or node_id[:index]")
     p.add_argument("--lrp-epsilon", type=float, default=LRP_EPSILON)
@@ -365,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="apply output-preserving weight passes")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--passes", choices=["auto", "softmax", "constrained"],
-                   default="auto")
     p.set_defaults(func=cmd_normalize)
     return parser
 

@@ -38,10 +38,11 @@ C = m * delta.
 DeepLIFT, gradient*input and epsilon-LRP (``baselines``) run through one
 core (``_attribute``) and differ only in the rule table and the deltas:
 from a reference, or for LRP the activations (a reference whose every
-activation is 0).  The core validates the graph, mean-normalizes an
-affine + softmax head, runs the forward pass, resolves the target
-(``select_attribution_target``: the pre-softmax or pre-sigmoid node),
-sweeps and builds the report, so all three explain the same target.
+activation is 0).  The core validates the graph, mean-normalizes a
+softmax head that reads an affine node, runs the forward pass, resolves
+the target (``select_attribution_target``: by default the pre-activation
+of the head that ``graph.Plan.head`` names), sweeps and builds the
+report, so all three explain the same target.
 Its calls are report-only: they read only the inputs' and the target's
 arrays.  The target's node is known before the forward pass
 (``fixed_target_node``), which then evaluates only its ancestors; a
@@ -79,6 +80,7 @@ from .autodiff import (
     target_value,
     whole,
 )
+from .normalize import mean_normalize_softmax_weights, softmax_over_affine
 
 # DeepLIFT divides by an input delta only where |delta| exceeds this
 EPS_STABLE = 1e-7
@@ -485,34 +487,28 @@ def contributions(trace: ForwardTrace, reference: ReferenceState | None, target,
     return report
 
 
-def _head(graph: Graph):
-    """The sigmoid or softmax node a single-output graph ends in, else None."""
-    head = graph.nodes[graph.outputs[0]] if len(graph.outputs) == 1 else None
-    return head if head is not None and head.kind in ("sigmoid", "softmax") else None
-
-
 def select_attribution_target(graph: Graph, requested=None,
                               trace: ForwardTrace | None = None) -> tuple[str, int]:
     """Resolve the attribution target to a concrete (node id, index).
 
     Explicit requests pass through unchanged; softmax class k is the
     explicit target (pre-softmax node, k).  Automatic selection targets
-    the pre-activation of a sigmoid head at 0, or of a softmax head at
-    the class ``trace`` predicts, one per sample of a batch: the argmax
-    of the head's own forward rule on the pre-activations, so a trace
-    that stops there serves.  Any other graph, or a softmax head without
-    a trace, raises AttributionError and asks for an explicit choice.
+    the pre-activation of the graph's head (``Plan.head``): of a one-unit
+    sigmoid at 0, or of a softmax at the class ``trace`` predicts, one
+    per sample of a batch: the argmax of the head's own forward rule on
+    the pre-activations, so a trace that stops there serves.  A graph
+    without a head, or a softmax head without a trace, raises
+    AttributionError and asks for an explicit choice.
     """
     if requested is None:
-        graph.require_valid()
-        head = _head(graph)
+        head = graph.plan().head
         if head is None:
-            outputs = ", ".join(f"'{o}' ({graph.nodes[o].kind})" for o in graph.outputs)
             raise AttributionError(
-                f"automatic target selection needs one sigmoid or softmax output, got "
-                f"{outputs}; pass an explicit (node_id, index) target")
-        pre = head.inputs[0]
-        if head.kind == "sigmoid":
+                "automatic target selection needs one output that is a one-unit "
+                f"sigmoid or a softmax, got {graph.describe_outputs()}; pass an "
+                "explicit (node_id, index) target")
+        head_id, pre = head
+        if graph.nodes[head_id].kind == "sigmoid":
             requested = pre, 0
         elif trace is None:
             raise AttributionError(
@@ -525,13 +521,14 @@ def select_attribution_target(graph: Graph, requested=None,
 
 def fixed_target_node(graph: Graph, requested=None) -> str | None:
     """The node ``select_attribution_target`` resolves ``requested`` to,
-    known before the forward pass: an explicit target's node, or a head's
-    pre-activation; None when there is none (resolving then fails).  A
-    report-only call evaluates just this node and its ancestors
-    (``forward(..., upto=...)``), so never the head itself."""
+    known before the forward pass: an explicit target's node, or the
+    head's pre-activation (``Plan.head``); None when there is none
+    (resolving then fails).  A report-only call evaluates just this node
+    and its ancestors (``forward(..., upto=...)``), so never the head
+    itself."""
     if requested is None:
-        head = _head(graph)
-        return head and head.inputs[0]
+        head = graph.plan().head
+        return head and head[1]
     node_id = requested
     if isinstance(requested, (tuple, list)) and len(requested) == 2:
         node_id = requested[0]
@@ -539,24 +536,24 @@ def fixed_target_node(graph: Graph, requested=None) -> str | None:
 
 
 def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
-    """``graph`` with an affine + softmax head mean-normalized, else
-    ``graph`` itself; decided and built once per graph."""
-    if "softmax_head" not in graph._memo:
-        from .normalize import NormalizationError, mean_normalize_softmax_weights
-
-        try:
-            graph._memo["softmax_head"] = mean_normalize_softmax_weights(graph)
-        except NormalizationError:
-            graph._memo["softmax_head"] = None
-    return graph._memo["softmax_head"] or graph
+    """``graph`` with a softmax head that reads an affine node
+    mean-normalized (``softmax_over_affine``), built once per graph, else
+    ``graph`` itself: a softmax that reads any other kind is explained as
+    given."""
+    if not softmax_over_affine(graph):
+        return graph
+    normalized = graph._memo.get("softmax_head")
+    if normalized is None:
+        normalized = graph._memo["softmax_head"] = mean_normalize_softmax_weights(graph)
+    return normalized
 
 
 def _traced_target(graph: Graph, inputs: dict[str, Tensor], target=None,
                    every_node: bool = False):
     """(trace, resolved target) on ``graph`` with a softmax head
     mean-normalized; the trace holds only the target node's ancestors
-    (``fixed_target_node``), unless ``every_node``."""
-    graph.require_valid()
+    (``fixed_target_node``), unless ``every_node``.  Raises GraphError
+    if the graph is malformed."""
     graph = _normalize_softmax_head_if_any(graph)
     upto = None if every_node else fixed_target_node(graph, target)
     trace = forward(graph, inputs, upto=upto)
@@ -601,9 +598,10 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     is averaged over references).  ``target`` is an explicit (node id,
     index); by default the head's pre-activation, at a softmax head each
     sample's predicted class (class k is the target (pre-softmax id, k)).
-    An affine + softmax head is mean-normalized first, once per graph;
-    this never changes model outputs but removes the arbitrary shared
-    component of per-class multipliers.  Only the target node's
+    A softmax head that reads an affine node is mean-normalized first,
+    once per graph; this never changes model outputs but removes the
+    arbitrary shared component of per-class multipliers.  A softmax that
+    reads any other kind is explained as given.  Only the target node's
     ancestors are evaluated.
     """
     return _attribute(graph, inputs, "deeplift", target, reference)

@@ -363,28 +363,25 @@ class MethodComparison:
 def compare_methods(graph: Graph, test_set) -> MethodComparison:
     """Motif recovery of reference-based scores versus gradient*input.
 
-    The graph takes one sequence input and ends in one one-unit sigmoid,
-    read as P(positive); any other graph raises AttributionError.  A
-    model declaring constraint groups is weight-normalized over them
-    first (outputs unchanged); both methods then run on that model
-    against the all-zeros reference, ``ATTRIBUTE_CHUNK`` sequences per
-    call, their sweeps sharing one forward pass of each chunk up to the
-    logit.  Only correctly classified positives are scored; each row
-    keeps both methods' per-position scores.
+    The graph takes one sequence input and its head (``Plan.head``) is a
+    one-unit sigmoid, read as P(positive); any other graph raises
+    AttributionError.  A model declaring constraint groups is
+    weight-normalized over them first (outputs unchanged); both methods
+    then run on that model against the all-zeros reference.  Only
+    correctly classified positives are scored: a full forward of each
+    chunk of ``ATTRIBUTE_CHUNK`` positives selects those with P > 0.5,
+    and both methods' sweeps share one forward of each chunk of those,
+    up to the logit.  Each row keeps both methods' per-position scores.
     """
     input_ids = graph.input_ids()
-    if len(input_ids) != 1 or len(graph.outputs) != 1:
+    if len(input_ids) != 1:
+        raise AttributionError(f"method comparison needs one input, got {input_ids}")
+    head = graph.plan().head
+    if head is None or graph.nodes[head[0]].kind != "sigmoid":
         raise AttributionError(
-            f"method comparison needs one input and one output, got inputs "
-            f"{input_ids} and outputs {list(graph.outputs)}"
-        )
-    input_id, head = input_ids[0], graph.outputs[0]
-    node = graph.nodes[head]
-    if node.kind != "sigmoid" or node.output_shape != (1,):
-        raise AttributionError(
-            f"method comparison reads P(positive) from a one-unit sigmoid head; "
-            f"head '{head}' is a {node.kind} of shape {node.output_shape}"
-        )
+            "method comparison reads P(positive) from a one-unit sigmoid head; "
+            f"the graph outputs {graph.describe_outputs()}")
+    input_id, head_id = input_ids[0], head[0]
     normalized = normalize_constrained_weights(graph) if graph.constraint_groups else graph
     reference = compute_reference(normalized, zeros_reference(normalized))
 
@@ -393,7 +390,7 @@ def compare_methods(graph: Graph, test_set) -> MethodComparison:
     for start in range(0, len(positives), ATTRIBUTE_CHUNK):
         chunk = positives[start:start + ATTRIBUTE_CHUNK]
         xs = encode_batch(chunk)
-        probs = forward(normalized, {input_id: xs})[head][:, 0]
+        probs = forward(normalized, {input_id: xs})[head_id][:, 0]
         selected += [(ex, x, float(p)) for ex, x, p in zip(chunk, xs, probs) if p > 0.5]
 
     rows = []

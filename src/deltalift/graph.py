@@ -7,7 +7,8 @@ node (or, given ``upto``, of one node's ancestors) and the route of every
 max pool; gradient and attribution passes consume that trace.  On a batch,
 a rectifier that only max pools read is formed when first read.  Each graph
 keeps a :class:`Plan` of its structure, made once: the topological order,
-the inputs and each node's forward rule (``FORWARD_RULES``, one per kind).
+the inputs, each node's forward rule (``FORWARD_RULES``, one per kind) and
+the model's head, which every other module reads from it.
 
 Conventions:
   * all tensors are C-contiguous float64 arrays; vectors have shape (n,),
@@ -207,6 +208,11 @@ class Graph:
 
     def consumers(self, node_id: str) -> list[str]:
         return [n.id for n in self.nodes.values() if node_id in n.inputs]
+
+    def describe_outputs(self) -> str:
+        """The outputs as error messages name them: id, kind and shape."""
+        return ", ".join(f"'{o}' ({self.nodes[o].kind}, shape "
+                         f"{self.nodes[o].output_shape})" for o in self.outputs)
 
     def require_valid(self) -> None:
         if self._report is None:
@@ -679,8 +685,12 @@ class Plan:
     from ``FORWARD_RULES``, or None for a max pool, which ``forward``
     reads off its route.  ``deferred`` holds the relu and prelu nodes
     that only max pools read and that are not graph outputs, whose
-    activations a batched ``forward`` forms only when read.  A plan holds
-    no parameters, so a graph that only swaps them
+    activations a batched ``forward`` forms only when read.  ``head`` is
+    (head id, pre-activation id) when the graph has exactly one output
+    and it is a one-unit sigmoid or a softmax, else None: the one
+    definition of a model's head that training, attribution targets,
+    normalization and the method comparison read.  A plan holds ids but
+    no node specs or parameters, so a graph that only swaps parameters
     (``Graph.replace_params``) keeps its plan.
     """
 
@@ -688,6 +698,7 @@ class Plan:
     inputs: tuple[tuple[str, tuple[int, ...]], ...]
     steps: tuple[tuple, ...]
     deferred: frozenset = frozenset()
+    head: tuple[str, str] | None = None
     _upto: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -695,6 +706,11 @@ class Plan:
         order = tuple(topo_order(graph))
         nodes = graph.nodes
         readers: dict[str, set] = {nid: set() for nid in nodes}
+        head = None
+        if len(graph.outputs) == 1:
+            out = nodes[graph.outputs[0]]
+            if out.kind == "softmax" or (out.kind == "sigmoid" and out.output_shape == (1,)):
+                head = out.id, out.inputs[0]
         for node in nodes.values():
             for src in node.inputs:
                 readers[src].add(node.kind)
@@ -706,6 +722,7 @@ class Plan:
             frozenset(nid for nid, node in nodes.items()
                       if node.kind in _RECTIFIED_AT and readers[nid] == {"maxpool1d"}
                       and nid not in graph.outputs),
+            head,
         )
 
     def steps_upto(self, node_id: str) -> tuple:

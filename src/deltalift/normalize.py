@@ -23,27 +23,27 @@ class NormalizationError(Exception):
     """The requested pass does not apply to this graph."""
 
 
+def softmax_over_affine(graph: Graph) -> bool:
+    """Whether the graph's head (``Plan.head``) is a softmax that reads an
+    affine node: the graphs ``mean_normalize_softmax_weights`` applies to."""
+    head = graph.plan().head
+    return (head is not None and graph.nodes[head[0]].kind == "softmax"
+            and graph.nodes[head[1]].kind == "affine")
+
+
 def mean_normalize_softmax_weights(graph: Graph) -> Graph:
     """Mean-center the final affine layer's weights across softmax classes.
 
-    Requires the graph head to be an affine node feeding a softmax
-    output.  Each input column of the weight matrix is shifted by its
-    mean over classes; the bias is untouched.  Softmax outputs are
-    identical before and after on every input.
+    Requires the graph's head to be a softmax that reads an affine node
+    (``softmax_over_affine``).  Each input column of the weight matrix is
+    shifted by its mean over classes; the bias is untouched.  Softmax
+    outputs are identical before and after on every input.
     """
-    graph.require_valid()
-    if len(graph.outputs) != 1:
-        raise NormalizationError("softmax normalization needs a single-output graph")
-    head = graph.nodes[graph.outputs[0]]
-    if head.kind != "softmax":
+    if not softmax_over_affine(graph):
         raise NormalizationError(
-            f"graph head '{head.id}' is {head.kind}, not softmax"
-        )
-    pre = graph.nodes[head.inputs[0]]
-    if pre.kind != "affine":
-        raise NormalizationError(
-            f"softmax input '{pre.id}' is {pre.kind}, not affine"
-        )
+            "softmax normalization needs one softmax output that reads an affine "
+            f"node; got {graph.describe_outputs()}")
+    pre = graph.nodes[graph.plan().head[1]]
     w = pre.params["weights"]
     centered = w - w.mean(axis=0, keepdims=True)
     return graph.replace_params({pre.id: {"weights": centered}})

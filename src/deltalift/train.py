@@ -1,8 +1,9 @@
 """Mini-batch SGD with momentum on cross-entropy, seeded and deterministic.
 
 The trainer accepts graphs ending in a 1-unit sigmoid head or a softmax
-head.  Loss gradients are seeded at the pre-head node (sigmoid(z) - y,
-or softmax(z) - onehot), which is exact and avoids saturating logs.
+head, the head that ``graph.Plan.head`` names.  Loss gradients are seeded
+at the pre-head node (sigmoid(z) - y, or softmax(z) - onehot), which is
+exact and avoids saturating logs.
 Each mini-batch is stacked into one batched forward pass and one
 parameter-gradient sweep.
 """
@@ -81,18 +82,15 @@ class EpochStats:
 
 
 def _resolve_head(graph: Graph) -> tuple[str, str]:
-    """Return (head id, pre-activation id); head must be sigmoid or softmax."""
-    if len(graph.outputs) != 1:
-        raise TrainingError("training expects a single-output graph")
-    head = graph.nodes[graph.outputs[0]]
-    if head.kind == "sigmoid" and head.output_shape == (1,):
-        return head.id, head.inputs[0]
-    if head.kind == "softmax":
-        return head.id, head.inputs[0]
-    raise TrainingError(
-        f"graph head '{head.id}' ({head.kind}, shape {head.output_shape}) is "
-        "not a 1-unit sigmoid or a softmax"
-    )
+    """Return the graph's (head id, pre-activation id), its ``Plan.head``;
+    raise TrainingError when it has none."""
+    head = graph.plan().head
+    if head is None:
+        if len(graph.outputs) != 1:
+            raise TrainingError("training expects a single-output graph")
+        raise TrainingError(f"graph head {graph.describe_outputs()} is not a 1-unit "
+                            "sigmoid or a softmax")
+    return head
 
 
 def _as_input_dict(graph: Graph, x) -> dict[str, Tensor]:
@@ -233,7 +231,6 @@ def train_loop(graph: Graph, train_set, val_set=None,
     two runs with the same seed produce identical final weights.
     """
     config = (config or TrainConfig()).check()
-    graph.require_valid()
     _resolve_head(graph)
     if not train_set:
         raise TrainingError("empty training set")

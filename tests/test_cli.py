@@ -169,7 +169,7 @@ class TestAttribute:
                 assert residual < 1e-6
 
     def test_model_without_constraint_groups(self, workspace, tmp_path):
-        # the default zeros-normalized reference has nothing to normalize
+        # nothing to normalize over: the model is scored as given
         model = save_plain_model(tmp_path / "plain.json")
         out = tmp_path / "plain.tsv"
         res = run_cli(
@@ -181,7 +181,8 @@ class TestAttribute:
         assert sum(l.startswith("# sample=") for l in lines) == 8
         assert len(lines) == 1 + 8 + 8 * 60 * 4
         manifest = json.loads((tmp_path / "plain.tsv.manifest").read_text())
-        assert manifest["reference"] == "zeros-normalized"
+        # attribute takes no --reference: the manifest echoes no such option
+        assert "reference" not in manifest
         assert manifest["reference_normalized"] is False
 
     def test_output_independent_of_run_and_chunking(self, workspace, tmp_path):
@@ -255,6 +256,35 @@ class TestAttribute:
                       if not line.startswith(("#", "sample_id"))
                       for cell in line.split("\t")[3:])
         assert literal > 0
+
+    def test_reference_is_not_an_option(self, workspace, tmp_path):
+        res = run_cli("attribute", "--model", str(workspace["trained"]), "--data",
+                      str(workspace["data"] / "test.fa"), "--out",
+                      str(tmp_path / "o.tsv"), "--reference", "zeros")
+        assert res.returncode == 2
+        assert res.stderr.splitlines()[-1] == (
+            "deltalift: error: unrecognized arguments: --reference zeros")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_multi_unit_sigmoid_head_needs_an_explicit_target(self, workspace, tmp_path):
+        # a 3-unit sigmoid is no head: the automatic target is refused, an
+        # explicit one is scored
+        b = GraphBuilder()
+        x = b.input("seq", (60, 4))
+        b.sigmoid("out", b.affine("pre", x, np.full((3, 240), 0.01), np.zeros(3)))
+        model = tmp_path / "m.json"
+        save_model(b.build(outputs=["out"]), model)
+        data = str(workspace["data"] / "test.fa")
+        res = run_cli("attribute", "--model", str(model), "--data", data,
+                      "--out", str(tmp_path / "o.tsv"))
+        assert res.returncode == 5
+        assert res.stderr.startswith("error code=runtime detail=automatic target "
+                                     "selection needs one output that is a one-unit "
+                                     "sigmoid or a softmax")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+        res = run_cli("attribute", "--model", str(model), "--data", data,
+                      "--out", str(tmp_path / "o.tsv"), "--target", "pre:2")
+        assert res.returncode == 0, res.stderr
 
     def test_non_integer_target_index_is_invalid_input(self, workspace, tmp_path):
         res = run_cli(
@@ -347,6 +377,19 @@ class TestCheckLrp:
             devs = [d for _, d in pairs]
             assert devs[0] > devs[1] > devs[2], (net_id, devs)
 
+    def test_no_nets_is_refused_before_any_work(self, tmp_path):
+        res = run_cli("check-lrp", "--out", str(tmp_path / "l.tsv"), "--n-nets", "0")
+        assert res.returncode == 4
+        assert res.stderr.splitlines() == [
+            "error code=invalid-input detail=--n-nets must be at least 1, got 0"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_files(self, tmp_path):
+        res = run_cli("check-lrp", "--out", str(tmp_path / "nodir" / "l.tsv"),
+                      "--n-nets", "2")
+        assert res.returncode == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
 
 class TestNormalize:
     def test_normalize_then_predictions_unchanged(self, workspace, tmp_path):
@@ -364,6 +407,31 @@ class TestNormalize:
             a = forward(before, {"seq": x})["prob"][0]
             b = forward(after, {"seq": x})["prob"][0]
             assert abs(a - b) < 1e-12
+
+    def test_a_declared_group_that_cannot_be_applied_fails(self, tmp_path):
+        # the group's input feeds a relu, which has no weights to shift; the
+        # softmax pass alone would apply, but the run must not skip the group
+        b = GraphBuilder()
+        x = b.input("x", (4,))
+        pre = b.affine("pre", b.relu("r", x), np.eye(3, 4), np.zeros(3))
+        b.softmax("out", pre)
+        model = tmp_path / "m.json"
+        save_model(b.build(outputs=["out"], constraint_groups=[("x", (0, 1, 2, 3), 1.0)]),
+                   model)
+        res = run_cli("normalize", "--model", str(model), "--out", str(tmp_path / "n.json"))
+        assert res.returncode == 4
+        assert res.stderr.splitlines() == [
+            "error code=invalid-input detail=constraint group on 'x' reaches node 'r' "
+            "(relu), which has no weights adjacent to the input"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    def test_passes_is_not_an_option(self, workspace, tmp_path):
+        res = run_cli("normalize", "--model", str(workspace["trained"]),
+                      "--out", str(tmp_path / "n.json"), "--passes", "auto")
+        assert res.returncode == 2
+        assert res.stderr.splitlines()[-1] == (
+            "deltalift: error: unrecognized arguments: --passes auto")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 class TestErrors:

@@ -463,7 +463,6 @@ class TestSoftmaxHeadReuse:
             self, rng, monkeypatch):
         import deltalift.engine as engine_module
         import deltalift.graph as graph_module
-        import deltalift.normalize as normalize_module
 
         b = GraphBuilder()
         x = b.input("x", (4,))
@@ -478,7 +477,7 @@ class TestSoftmaxHeadReuse:
         deeplift(g, probes[0], target=("pre", 1), reference=reference)
 
         calls = []
-        for module, name in [(normalize_module, "mean_normalize_softmax_weights"),
+        for module, name in [(engine_module, "mean_normalize_softmax_weights"),
                              (graph_module, "validate_graph"),
                              (engine_module, "compute_reference")]:
             real = getattr(module, name)
