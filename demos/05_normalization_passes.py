@@ -8,6 +8,11 @@ mean-centering consuming weights with a compensating bias keeps outputs
 identical on constraint-satisfying inputs while removing an arbitrary
 per-group offset from the contributions.
 
+``deeplift``, ``gradient_times_input`` and ``lrp_epsilon`` apply both
+passes themselves (``normalize.attribution_model``); this demo calls them
+by hand to show each one, and ``propagate_multipliers`` takes the graph
+as given.
+
 Run:  python3 demos/05_normalization_passes.py
 """
 

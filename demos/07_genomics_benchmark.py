@@ -21,8 +21,8 @@ from deltalift.genomics import (
     one_hot_encode,
     per_position_scores,
 )
-from deltalift.engine import compute_reference, deeplift, zeros_reference
-from deltalift.normalize import normalize_constrained_weights
+from deltalift.engine import deeplift
+from deltalift.graph import forward
 from deltalift.train import TrainConfig, evaluate, train_loop
 
 spec = DatasetSpec(n_train=600, n_val=200, n_test=200, seed=0)
@@ -41,20 +41,17 @@ loss, roc = evaluate(graph, encode_dataset(data.test))
 print(f"test: loss={loss:.4f} auroc={roc:.4f} (small-scale demo; the "
       "acceptance run trains on 4000 sequences)")
 
-# Attribution on one correctly predicted positive.
-normalized = normalize_constrained_weights(graph)
-# ``reference`` takes input arrays or, as here, a state computed once
-# that can serve many calls
-reference = compute_reference(normalized, zeros_reference(normalized))
+# Attribution on one correctly predicted positive.  deeplift explains the
+# model normalized over the CNN's one-hot constraint groups, as
+# compare_methods and ``deltalift attribute`` do, against the all-zeros
+# reference; both are worked out once per graph.
 for ex in data.test:
     if ex.label != 1:
         continue
     x = one_hot_encode(ex.sequence)
-    from deltalift.graph import forward
-
-    if forward(normalized, {"seq": x})["prob"][0] <= 0.5:
+    if forward(graph, {"seq": x})["prob"][0] <= 0.5:
         continue
-    report = deeplift(normalized, {"seq": x}, reference=reference)
+    report = deeplift(graph, {"seq": x})
     scores = per_position_scores(report, ex)
     print(f"\n{ex.sid}: recovery="
           f"{motif_recovery_score(report, ex):.3f} residual={report.residual:.2e}")

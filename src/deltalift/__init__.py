@@ -47,6 +47,7 @@ from .engine import (
 )
 from .normalize import (
     NormalizationError,
+    attribution_model,
     mean_normalize_softmax_weights,
     normalize_constrained_weights,
 )

@@ -31,7 +31,6 @@ from .engine import (
     ContributionReport,
     ReferenceState,
     _attribute,
-    _normalize_softmax_head_if_any,
     _traced_target,
     check_stabilizer,
     contributions,
@@ -44,6 +43,7 @@ from .graph import (
     Tensor,
     forward,
 )
+from .normalize import attribution_model
 
 
 def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
@@ -51,15 +51,15 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
                          ) -> ContributionReport:
     """Per-feature scores gradient * input for one sample or a batch.
 
-    The target resolves as ``deeplift``'s does: explicit, or the head's
-    pre-activation, a softmax head's on its mean-normalized weights.
-    With a ``reference`` given (reference inputs or their computed state,
-    as ``deeplift`` takes) scores become gradient * (input - reference);
-    the default reference is zero, evaluated once per graph.  The
-    report's residual records how far the scores are from the
-    difference-from-reference of the target (gradients conserve nothing,
-    so this is diagnostic, not small).  Only the target node's ancestors
-    are evaluated.
+    Like every method it explains the graph's attribution model
+    (``normalize.attribution_model``); the target resolves as
+    ``deeplift``'s does.  With a ``reference`` given (reference inputs or
+    their computed state, as ``deeplift`` takes) scores become
+    gradient * (input - reference); the default reference is zero,
+    evaluated once per graph.  The report's residual records how far the
+    scores are from the difference-from-reference of the target
+    (gradients conserve nothing, so this is diagnostic, not small).  Only
+    the target node's ancestors are evaluated.
     """
     return _attribute(graph, inputs, "grad_input", target, reference)
 
@@ -108,9 +108,9 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     (bias included in the denominator); max-pooling and the rectifiers
     (relu, prelu) keep the gradient rule, so relevance passes through a
     rectifier and goes to each window's argmax.  The target resolves as
-    ``deeplift``'s does, and its relevance is its own activation; a
-    softmax head's is taken on its mean-normalized weights, as every
-    method's is.  ``inputs`` holds one sample or a batch.  Raises
+    ``deeplift``'s does, on the same attribution model
+    (``normalize.attribution_model``), and its relevance is its own
+    activation.  ``inputs`` holds one sample or a batch.  Raises
     AttributionError when relevance reaches any other node kind, and
     ValueError unless ``epsilon`` is a finite number >= 0.  The forward
     trace covers every node, since ``RelevanceTrace`` exposes it.
@@ -160,9 +160,10 @@ def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
     """Input-layer relevances of ``lrp_epsilon(graph, inputs, ...)`` in
     the common report shape: deltas are the inputs, and ``delta_target``
     the target's activation.  Raises AttributionError unless ``trace``
-    ran on ``graph`` (or on its head-normalized graph) and on ``inputs``."""
+    ran on ``graph`` (on its attribution model, ``normalize.attribution_model``)
+    and on ``inputs``."""
     traced = trace.trace
-    if graph is not traced.graph and _normalize_softmax_head_if_any(graph) is not traced.graph:
+    if graph is not traced.graph and attribution_model(graph) is not traced.graph:
         raise AttributionError("the relevance trace was computed on another graph")
     for node_id, _ in traced.graph.plan().inputs:
         # the same array object, as lrp_epsilon's caller passes, is not compared

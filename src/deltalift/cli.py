@@ -1,9 +1,9 @@
 """Command-line entry points for reproducible runs.
 
 Subcommands: gen-data, train, attribute, compare, check-lrp, normalize.
-``attribute`` and ``compare`` score a model normalized over its declared
-constraint groups, if any; ``normalize`` applies that pass, and the softmax
-pass when the head (``graph.Plan.head``) is a softmax over an affine node.
+``attribute`` and ``compare`` score a model's attribution model
+(``normalize.attribution_model``), as the library does, and ``normalize``
+writes that model.
 Every run writes ``<output>.manifest`` echoing the resolved configuration,
 and failures print one machine-parsable line to stderr:
 
@@ -32,6 +32,7 @@ from .engine import (
     METHODS,
     AttributionError,
     attribute,
+    check_stabilizer,
 )
 from .genomics import (
     BASES,
@@ -46,8 +47,7 @@ from .genomics import (
     write_score_tracks,
 )
 from .graph import GraphError
-from .normalize import NormalizationError, mean_normalize_softmax_weights, \
-    normalize_constrained_weights, softmax_over_affine
+from .normalize import NormalizationError, attribution_model, attribution_passes
 from .serialize import ModelFormatError, load_model, save_model
 from .train import TrainConfig, TrainingError, train_loop, write_loss_curve
 
@@ -121,6 +121,7 @@ def cmd_train(args) -> int:
         value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)
+    config.check()  # before the data is read or a model built
 
     train_path = os.path.join(args.data, "train.fa")
     train_ex = read_fasta(train_path)
@@ -196,11 +197,9 @@ def cmd_attribute(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
     target = _parse_target(args.target)
-    # every method scores the model normalized over its declared constraint
-    # groups, if any, against the all-zeros reference
-    normalized = bool(graph.constraint_groups)
-    if normalized:
-        graph = normalize_constrained_weights(graph)
+    # every method scores the attribution model against the all-zeros
+    # reference; made here, a model it refuses fails before any output opens
+    model = attribution_model(graph)
     input_id = graph.input_ids()[0]
     prefixes = _feature_prefixes(int(np.prod(graph.nodes[input_id].output_shape)))
 
@@ -214,7 +213,7 @@ def cmd_attribute(args) -> int:
         )
         for start in range(0, len(examples), ATTRIBUTE_CHUNK):
             chunk = examples[start:start + ATTRIBUTE_CHUNK]
-            report = attribute(graph, {input_id: encode_batch(chunk)}, args.method,
+            report = attribute(model, {input_id: encode_batch(chunk)}, args.method,
                                target=target, lrp_epsilon=args.lrp_epsilon)
             t_node, t_index = report.target
             # per sample and feature: delta, multiplier, contribution
@@ -231,7 +230,7 @@ def cmd_attribute(args) -> int:
                     f"residual={report.residual[i]:.6g}\n"
                 )
                 fh.write(rows[i])
-    _write_manifest(args.out, args, reference_normalized=normalized)
+    _write_manifest(args.out, args, reference_normalized=bool(graph.constraint_groups))
     print(f"attributed {len(examples)} sequences with {args.method} -> {args.out}")
     return EXIT_OK
 
@@ -261,9 +260,11 @@ def cmd_compare(args) -> int:
 def cmd_check_lrp(args) -> int:
     if args.n_nets < 1:
         raise ValueError(f"--n-nets must be at least 1, got {args.n_nets}")
-    epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
+    epsilons = [check_stabilizer(float(tok)) for tok in args.epsilons.split(",") if tok]
     if not epsilons:
         raise ValueError("no epsilons given")
+    if len(set(epsilons)) < len(epsilons):
+        raise ValueError(f"--epsilons repeats a value: {args.epsilons}")
     spec = EnsembleSpec(n_nets=args.n_nets, seed=args.seed)
     rows = equivalence_report(spec, epsilons)
     worst = {eps: max(r.max_rel_dev for r in rows if r.epsilon == eps)
@@ -278,17 +279,11 @@ def cmd_check_lrp(args) -> int:
 
 def cmd_normalize(args) -> int:
     graph = load_model(args.model)
-    applied = []
-    if graph.constraint_groups:
-        graph = normalize_constrained_weights(graph)
-        applied.append("constrained")
-    if softmax_over_affine(graph):
-        graph = mean_normalize_softmax_weights(graph)
-        applied.append("softmax")
+    applied = attribution_passes(graph)
     if not applied:
         raise NormalizationError("no normalization pass applies: the graph declares "
                                  "no constraint groups and no softmax over an affine node")
-    save_model(graph, args.out)
+    save_model(attribution_model(graph), args.out)
     _write_manifest(args.out, args)
     print(f"applied {'+'.join(applied)} normalization -> {args.out}")
     return EXIT_OK

@@ -38,15 +38,15 @@ C = m * delta.
 DeepLIFT, gradient*input and epsilon-LRP (``baselines``) run through one
 core (``_attribute``) and differ only in the rule table and the deltas:
 from a reference, or for LRP the activations (a reference whose every
-activation is 0).  The core validates the graph, mean-normalizes a
-softmax head that reads an affine node, runs the forward pass, resolves
-the target (``select_attribution_target``: by default the pre-activation
-of the head that ``graph.Plan.head`` names), sweeps and builds the
-report, so all three explain the same target.
-Its calls are report-only: they read only the inputs' and the target's
-arrays.  The target's node is known before the forward pass
-(``fixed_target_node``), which then evaluates only its ancestors; a
-softmax head's predicted class is read from its pre-activations.
+activation is 0).  The core takes the graph's attribution model
+(``normalize.attribution_model``), fixes the target's node before any
+forward (``fixed_target_node``: by default the pre-activation of the
+head that ``graph.Plan.head`` names), runs the forward pass over that
+node's ancestors, resolves the target (``select_attribution_target``),
+sweeps and builds the report, so all three explain the same target of
+the model ``deltalift attribute`` explains.  Its calls are report-only:
+they read only the inputs' and the target's arrays; a softmax head's
+predicted class is read from its pre-activations.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .autodiff import (
     target_value,
     whole,
 )
-from .normalize import mean_normalize_softmax_weights, softmax_over_affine
+from .normalize import attribution_model
 
 # DeepLIFT divides by an input delta only where |delta| exceeds this
 EPS_STABLE = 1e-7
@@ -165,8 +165,8 @@ def _reference_on(graph: Graph, reference=None) -> ReferenceState:
     if reference.graph is graph:
         return reference
     # a reference computed on another graph object, such as the caller's
-    # graph before head normalization, is stale (pre-softmax activations
-    # shift); it is evaluated on this one once and kept
+    # graph before ``attribution_model``, is stale (normalized layers'
+    # activations shift); it is evaluated on this one once and kept
     twin = reference._twin
     if twin is None or twin.graph is not graph:
         twin = reference._twin = compute_reference(graph, reference.reference_input)
@@ -501,14 +501,8 @@ def select_attribution_target(graph: Graph, requested=None,
     AttributionError and asks for an explicit choice.
     """
     if requested is None:
-        head = graph.plan().head
-        if head is None:
-            raise AttributionError(
-                "automatic target selection needs one output that is a one-unit "
-                f"sigmoid or a softmax, got {graph.describe_outputs()}; pass an "
-                "explicit (node_id, index) target")
-        head_id, pre = head
-        if graph.nodes[head_id].kind == "sigmoid":
+        pre = fixed_target_node(graph)
+        if graph.nodes[graph.plan().head[0]].kind == "sigmoid":
             requested = pre, 0
         elif trace is None:
             raise AttributionError(
@@ -519,44 +513,34 @@ def select_attribution_target(graph: Graph, requested=None,
     return resolve_target(graph, requested, None if trace is None else trace.batch)
 
 
-def fixed_target_node(graph: Graph, requested=None) -> str | None:
+def fixed_target_node(graph: Graph, requested=None) -> str:
     """The node ``select_attribution_target`` resolves ``requested`` to,
     known before the forward pass: an explicit target's node, or the
-    head's pre-activation (``Plan.head``); None when there is none
-    (resolving then fails).  A report-only call evaluates just this node
-    and its ancestors (``forward(..., upto=...)``), so never the head
-    itself."""
+    head's pre-activation (``Plan.head``); raises, as resolving would,
+    when the graph has no such node (GraphError) or no head
+    (AttributionError).  A report-only call evaluates just this node and
+    its ancestors (``forward(..., upto=...)``), so never the head itself."""
     if requested is None:
         head = graph.plan().head
-        return head and head[1]
-    node_id = requested
-    if isinstance(requested, (tuple, list)) and len(requested) == 2:
-        node_id = requested[0]
-    return node_id if isinstance(node_id, str) and node_id in graph.nodes else None
-
-
-def _normalize_softmax_head_if_any(graph: Graph) -> Graph:
-    """``graph`` with a softmax head that reads an affine node
-    mean-normalized (``softmax_over_affine``), built once per graph, else
-    ``graph`` itself: a softmax that reads any other kind is explained as
-    given."""
-    if not softmax_over_affine(graph):
-        return graph
-    normalized = graph._memo.get("softmax_head")
-    if normalized is None:
-        normalized = graph._memo["softmax_head"] = mean_normalize_softmax_weights(graph)
-    return normalized
+        if head is None:
+            raise AttributionError(
+                "automatic target selection needs one output that is a one-unit "
+                f"sigmoid or a softmax, got {graph.describe_outputs()}; pass an "
+                "explicit (node_id, index) target")
+        return head[1]
+    node_id = requested if isinstance(requested, str) else requested[0]
+    return resolve_target(graph, (node_id, 0))[0]
 
 
 def _traced_target(graph: Graph, inputs: dict[str, Tensor], target=None,
                    every_node: bool = False):
-    """(trace, resolved target) on ``graph`` with a softmax head
-    mean-normalized; the trace holds only the target node's ancestors
-    (``fixed_target_node``), unless ``every_node``.  Raises GraphError
-    if the graph is malformed."""
-    graph = _normalize_softmax_head_if_any(graph)
-    upto = None if every_node else fixed_target_node(graph, target)
-    trace = forward(graph, inputs, upto=upto)
+    """(trace, resolved target) on ``graph``'s attribution model
+    (``normalize.attribution_model``); the trace holds only the target
+    node's ancestors (``fixed_target_node``), unless ``every_node``.
+    Raises GraphError if the graph is malformed."""
+    graph = attribution_model(graph)
+    upto = fixed_target_node(graph, target)
+    trace = forward(graph, inputs, upto=None if every_node else upto)
     return trace, select_attribution_target(graph, target, trace)
 
 
@@ -598,11 +582,13 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
     is averaged over references).  ``target`` is an explicit (node id,
     index); by default the head's pre-activation, at a softmax head each
     sample's predicted class (class k is the target (pre-softmax id, k)).
-    A softmax head that reads an affine node is mean-normalized first,
-    once per graph; this never changes model outputs but removes the
-    arbitrary shared component of per-class multipliers.  A softmax that
-    reads any other kind is explained as given.  Only the target node's
-    ancestors are evaluated.
+    The model explained is the graph's attribution model
+    (``normalize.attribution_model``, once per graph): normalized over its
+    declared constraint groups, then over a softmax head that reads an
+    affine node (a softmax over any other kind is explained as given).
+    Neither pass changes outputs on valid inputs; the softmax pass
+    removes the arbitrary shared component of per-class multipliers.
+    Only the target node's ancestors are evaluated.
     """
     return _attribute(graph, inputs, "deeplift", target, reference)
 

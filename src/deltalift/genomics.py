@@ -19,12 +19,11 @@ from .engine import (
     AttributionError,
     ContributionReport,
     _method_report,
+    _reference_on,
     _traced_target,
-    compute_reference,
-    zeros_reference,
 )
 from .graph import ConstraintGroup, Graph, GraphBuilder, Tensor, forward
-from .normalize import normalize_constrained_weights
+from .normalize import attribution_model
 
 BASES = "ACGT"
 BASE_INDEX = {base: i for i, base in enumerate(BASES)}
@@ -266,30 +265,25 @@ def auroc(scores, labels) -> float:
     """Area under the ROC curve via the rank-sum statistic, ties counted half.
 
     Labels are 1 (positive) or 0 (negative); raises ValueError naming the
-    first other label, and unless both classes occur.
+    first other label or non-finite score, and unless both classes occur.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     other = (labels != 0) & (labels != 1)
     if other.any():
         raise ValueError(f"auroc needs labels 0 or 1, got {labels[other][0].item()!r}")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise ValueError(f"auroc needs finite scores, got {scores[~finite][0].item()!r}")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auroc needs at least one positive and one negative")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
-    ranks[order] = np.arange(1, len(scores) + 1)
-    # average ranks within tie groups
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # 1-based ascending ranks; a tie group of `count` scores from 0-based
+    # position `first` shares the mean rank first + (count + 1) / 2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    ranks = (first + (counts + 1) / 2.0)[group]
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -365,9 +359,9 @@ def compare_methods(graph: Graph, test_set) -> MethodComparison:
 
     The graph takes one sequence input and its head (``Plan.head``) is a
     one-unit sigmoid, read as P(positive); any other graph raises
-    AttributionError.  A model declaring constraint groups is
-    weight-normalized over them first (outputs unchanged); both methods
-    then run on that model against the all-zeros reference.  Only
+    AttributionError.  Both methods explain its attribution model
+    (``normalize.attribution_model``) against the all-zeros reference, as
+    ``deltalift attribute`` does.  Only
     correctly classified positives are scored: a full forward of each
     chunk of ``ATTRIBUTE_CHUNK`` positives selects those with P > 0.5,
     and both methods' sweeps share one forward of each chunk of those,
@@ -382,21 +376,21 @@ def compare_methods(graph: Graph, test_set) -> MethodComparison:
             "method comparison reads P(positive) from a one-unit sigmoid head; "
             f"the graph outputs {graph.describe_outputs()}")
     input_id, head_id = input_ids[0], head[0]
-    normalized = normalize_constrained_weights(graph) if graph.constraint_groups else graph
-    reference = compute_reference(normalized, zeros_reference(normalized))
+    model = attribution_model(graph)
+    reference = _reference_on(model)
 
     positives = [ex for ex in test_set if ex.label == 1]
     selected = []  # (example, encoding, predicted probability)
     for start in range(0, len(positives), ATTRIBUTE_CHUNK):
         chunk = positives[start:start + ATTRIBUTE_CHUNK]
         xs = encode_batch(chunk)
-        probs = forward(normalized, {input_id: xs})[head_id][:, 0]
+        probs = forward(model, {input_id: xs})[head_id][:, 0]
         selected += [(ex, x, float(p)) for ex, x, p in zip(chunk, xs, probs) if p > 0.5]
 
     rows = []
     for start in range(0, len(selected), ATTRIBUTE_CHUNK):
         chunk = selected[start:start + ATTRIBUTE_CHUNK]
-        trace, target = _traced_target(normalized,
+        trace, target = _traced_target(model,
                                        {input_id: np.stack([x for _, x, _ in chunk])})
         dl = _method_report(trace, reference, target, "deeplift")
         gi = _method_report(trace, reference, target, "grad_input")

@@ -10,6 +10,9 @@ Two transformations used before attribution:
     constant c (one-hot rows, for instance), shift the consuming weights
     by their group mean and compensate the bias by c * mean, which keeps
     the output identical on every constraint-satisfying input
+
+``attribution_model`` decides, once per graph, which of them make the
+model that every attribution entry point explains.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ def normalize_constrained_weights(graph: Graph) -> Graph:
     the weights of each consuming affine or conv1d node are shifted by
     the group mean and the bias absorbs ``total * mean``.  Outputs are
     unchanged on all inputs satisfying the constraints.  Raises if a
-    grouped input feeds a node without weights.
+    grouped input feeds a node without weights.  ``attribution_model``
+    explains the result as given.
     """
     graph.require_valid()
     if not graph.constraint_groups:
@@ -66,15 +70,13 @@ def normalize_constrained_weights(graph: Graph) -> Graph:
     for group in graph.constraint_groups:
         by_input.setdefault(group.input_id, []).append(group)
 
+    # affine and conv1d read one input, so each consumer is visited once
     updates: dict[str, dict] = {}
     for input_id, groups in by_input.items():
         for consumer_id in graph.consumers(input_id):
             node = graph.nodes[consumer_id]
             if node.kind == "affine":
-                w = updates.get(consumer_id, {}).get(
-                    "weights", node.params["weights"]
-                ).copy()
-                b = updates.get(consumer_id, {}).get("bias", node.params["bias"]).copy()
+                w, b = node.params["weights"].copy(), node.params["bias"].copy()
                 for group in groups:
                     idx = list(group.indices)
                     mu = w[:, idx].mean(axis=1)
@@ -82,17 +84,19 @@ def normalize_constrained_weights(graph: Graph) -> Graph:
                     b += group.total * mu
                 updates[consumer_id] = {"weights": w, "bias": b}
             elif node.kind == "conv1d":
-                updates[consumer_id] = _normalize_conv(graph, node, groups, updates)
+                updates[consumer_id] = _normalize_conv(graph, node, groups)
             else:
                 raise NormalizationError(
                     f"constraint group on '{input_id}' reaches node "
                     f"'{consumer_id}' ({node.kind}), which has no weights "
                     "adjacent to the input"
                 )
-    return graph.replace_params(updates)
+    normalized = graph.replace_params(updates)
+    normalized._memo["constrained"] = True
+    return normalized
 
 
-def _normalize_conv(graph: Graph, node, groups, updates) -> dict:
+def _normalize_conv(graph: Graph, node, groups) -> dict:
     """Column-wise filter normalization for a conv layer on grouped rows.
 
     Every input row a filter window can see must be declared as one
@@ -104,8 +108,7 @@ def _normalize_conv(graph: Graph, node, groups, updates) -> dict:
     in_shape = graph.nodes[input_id].output_shape
     length, channels = in_shape
     stride = int(node.params["stride"])
-    filters = updates.get(node.id, {}).get("filters", node.params["filters"]).copy()
-    bias = updates.get(node.id, {}).get("bias", node.params["bias"]).copy()
+    filters, bias = node.params["filters"].copy(), node.params["bias"].copy()
     n_filt, width, _ = filters.shape
 
     row_total: dict[int, float] = {}
@@ -141,3 +144,34 @@ def _normalize_conv(graph: Graph, node, groups, updates) -> dict:
     filters -= mu[:, :, None]
     bias += total * mu.sum(axis=1)
     return {"filters": filters, "bias": bias}
+
+
+def attribution_passes(graph: Graph) -> dict:
+    """The passes ``attribution_model`` applies to ``graph``, by name in
+    order: "constrained" if it declares constraint groups and is not that
+    pass's result, then "softmax" if ``softmax_over_affine`` holds."""
+    if graph._memo.get("attribution_model") is True:
+        return {}
+    passes = {}
+    if graph.constraint_groups and not graph._memo.get("constrained"):
+        passes["constrained"] = normalize_constrained_weights
+    if softmax_over_affine(graph):
+        passes["softmax"] = mean_normalize_softmax_weights
+    return passes
+
+
+def attribution_model(graph: Graph) -> Graph:
+    """The model every attribution method explains for ``graph``: the
+    graph after its ``attribution_passes``, made once per graph and its
+    own attribution model.  Raises NormalizationError if a constraint
+    group cannot be applied, GraphError if the graph is malformed."""
+    model = graph._memo.get("attribution_model")
+    if model is None:
+        model = graph
+        for normalize in attribution_passes(graph).values():
+            model = normalize(model)
+        # a flag, not the model itself: no graph refers to itself
+        model._memo["attribution_model"] = True
+        if model is not graph:
+            graph._memo["attribution_model"] = model
+    return graph if model is True else model

@@ -41,14 +41,14 @@ class TrainConfig:
     weight_decay: float = 0.0  # L2 on weight matrices and filters only
 
     def check(self) -> "TrainConfig":
-        """Raise ValueError naming the first field out of range: epochs and
-        batch_size must be integers >= 1, the rates finite and >= 0."""
-        for name in ("epochs", "batch_size"):
+        """Raise ValueError naming the first field out of range: seed must be
+        an integer >= 0, epochs and batch_size >= 1, the rates finite and >= 0."""
+        for name, least in (("seed", 0), ("epochs", 1), ("batch_size", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < 1:
+                    or value < least:
                 raise ValueError(f"training config: {name} must be an integer "
-                                 f">= 1, got {value!r}")
+                                 f">= {least}, got {value!r}")
         for name in ("learning_rate", "momentum", "weight_decay"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -61,6 +61,9 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise TrainingError("training config must be a JSON object, got "
+                                f"{type(payload).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(payload) - known
         if extra:

@@ -257,6 +257,29 @@ class TestAttribute:
                       for cell in line.split("\t")[3:])
         assert literal > 0
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_library_explains_the_model_the_command_explains(self, workspace, tmp_path,
+                                                              method):
+        """``attribute`` on the loaded grouped model, normalized by nothing
+        but the library, gives every cell the command writes."""
+        graph = load_model(workspace["trained"])
+        assert graph.constraint_groups
+        if method == "lrp":  # LRP takes the same net with relu units
+            graph = Graph([NodeSpec(n.id, "relu", n.inputs, n.output_shape)
+                           if n.kind == "prelu" else n for n in graph.nodes.values()],
+                          graph.outputs, graph.constraint_groups)
+        model, out = tmp_path / "model.json", tmp_path / "scores.tsv"
+        save_model(graph, model)
+        data = workspace["data"] / "test.fa"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["attribute", "--model", str(model), "--data", str(data),
+                             "--out", str(out), "--method", method])
+        assert code == 0
+        examples = read_fasta(data)
+        assert len(examples) == ATTRIBUTE_CHUNK
+        report = attribute(load_model(model), {"seq": encode_batch(examples)}, method)
+        assert out.read_text(encoding="utf-8") == attribute_tsv(examples, [report], "seq")
+
     def test_reference_is_not_an_option(self, workspace, tmp_path):
         res = run_cli("attribute", "--model", str(workspace["trained"]), "--data",
                       str(workspace["data"] / "test.fa"), "--out",
@@ -295,6 +318,17 @@ class TestAttribute:
         assert res.returncode == 4
         assert res.stderr.startswith("error code=invalid-input detail=")
         assert not (tmp_path / "o.tsv").exists()
+
+    def test_missing_target_node_is_invalid_input(self, workspace, tmp_path):
+        res = run_cli(
+            "attribute", "--model", str(workspace["trained"]), "--data",
+            str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
+            "--target", "nope:0",
+        )
+        assert res.returncode == 4
+        assert res.stderr == (
+            "error code=invalid-input detail=target node 'nope' does not exist\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_out_of_range_target_names_the_first_bad_sample(self, workspace, tmp_path):
         res = run_cli(
@@ -382,6 +416,27 @@ class TestCheckLrp:
         assert res.returncode == 4
         assert res.stderr.splitlines() == [
             "error code=invalid-input detail=--n-nets must be at least 1, got 0"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("epsilons, detail", [
+        ("nan", "epsilon must be a finite number >= 0, got nan"),
+        ("-1", "epsilon must be a finite number >= 0, got -1.0"),
+        ("1e-3,1e-3", "--epsilons repeats a value: 1e-3,1e-3"),
+        ("1e-3,0.001", "--epsilons repeats a value: 1e-3,0.001"),
+    ], ids=["nan", "negative", "repeated", "repeated-value"])
+    def test_epsilons_are_checked_before_any_net(self, tmp_path, monkeypatch, capsys,
+                                                 epsilons, detail):
+        import deltalift.baselines as baselines_module
+
+        def no_net(*args):
+            raise AssertionError("a net was built")
+
+        monkeypatch.setattr(baselines_module, "random_relu_mlp", no_net)
+        code = cli.main(["check-lrp", "--out", str(tmp_path / "l.tsv"), "--n-nets", "2",
+                         f"--epsilons={epsilons}"])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error code=invalid-input detail={detail}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_files(self, tmp_path):
@@ -586,8 +641,9 @@ class TestErrors:
         (["--learning-rate", "nan"], "learning_rate"),
         (["--momentum", "-0.5"], "momentum"),
         (["--weight-decay", "inf"], "weight_decay"),
+        (["--seed=-1"], "seed"),
     ], ids=["negative-batch", "zero-batch", "zero-epochs", "nan-rate", "negative-momentum",
-            "infinite-decay"])
+            "infinite-decay", "negative-seed"])
     def test_out_of_range_training_config_exit_code(self, workspace, tmp_path, flags,
                                                     field):
         out = tmp_path / "m.json"
@@ -612,6 +668,28 @@ class TestErrors:
         assert res.returncode == 4
         assert res.stderr.startswith("error code=invalid-input detail=training config: "
                                      "epochs must be")
+
+    @pytest.mark.parametrize("payload, code, detail", [
+        ("5", 5, "training config must be a JSON object, got int"),
+        ('["seed"]', 5, "training config must be a JSON object, got list"),
+        ('{"seed": "x"}', 4, "training config: seed must be an integer >= 0, got 'x'"),
+        ('{"seed": 1.5}', 4, "training config: seed must be an integer >= 0, got 1.5"),
+        ('{"seed": true}', 4, "training config: seed must be an integer >= 0, got True"),
+        ('{"seed": -1}', 4, "training config: seed must be an integer >= 0, got -1"),
+    ], ids=["number", "list", "text-seed", "fractional-seed", "bool-seed",
+            "negative-seed"])
+    def test_malformed_config_file_is_one_error_line(self, workspace, tmp_path, payload,
+                                                     code, detail):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(payload)
+        res = run_cli(
+            "train", "--data", str(workspace["data"]), "--out",
+            str(tmp_path / "m.json"), "--config", str(cfg), "--quiet",
+        )
+        assert res.returncode == code
+        category = "invalid-input" if code == 4 else "runtime"
+        assert res.stderr.splitlines() == [f"error code={category} detail={detail}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("flags, code, error", [
         # DeepLIFT's stabilizer is the constant EPS_STABLE: no command

@@ -17,6 +17,7 @@ from deltalift.baselines import (
 )
 from deltalift.engine import (
     EPS_STABLE,
+    METHODS,
     AttributionError,
     _max_multiplier_backprop,
     attribute,
@@ -24,6 +25,7 @@ from deltalift.engine import (
     compute_reference,
     contributions,
     deeplift,
+    fixed_target_node,
     local_multipliers_product,
     local_multipliers_rescale,
     propagate_multipliers,
@@ -31,7 +33,7 @@ from deltalift.engine import (
     zeros_reference,
 )
 from deltalift.genomics import build_genomics_cnn
-from deltalift.graph import GraphBuilder, forward
+from deltalift.graph import GraphBuilder, GraphError, forward
 
 from graphgen import random_graph_case
 
@@ -463,6 +465,7 @@ class TestSoftmaxHeadReuse:
             self, rng, monkeypatch):
         import deltalift.engine as engine_module
         import deltalift.graph as graph_module
+        import deltalift.normalize as normalize_module
 
         b = GraphBuilder()
         x = b.input("x", (4,))
@@ -477,7 +480,7 @@ class TestSoftmaxHeadReuse:
         deeplift(g, probes[0], target=("pre", 1), reference=reference)
 
         calls = []
-        for module, name in [(engine_module, "mean_normalize_softmax_weights"),
+        for module, name in [(normalize_module, "mean_normalize_softmax_weights"),
                              (graph_module, "validate_graph"),
                              (engine_module, "compute_reference")]:
             real = getattr(module, name)
@@ -529,6 +532,38 @@ class TestTargetSelection:
         g = b.build(outputs=["y"])
         with pytest.raises(AttributionError, match="explicit"):
             select_attribution_target(g)
+
+    def test_an_unresolvable_target_is_refused_before_any_forward(self, rng, monkeypatch):
+        """Every method, whether it traces the target's ancestors or every
+        node, refuses an automatic target on a graph without a head and a
+        target node the graph lacks without running a forward pass."""
+        import deltalift.engine as engine_module
+
+        calls = []
+        monkeypatch.setattr(
+            engine_module, "forward",
+            lambda *a, _real=forward, **k: calls.append(1) or _real(*a, **k),
+        )
+        b = GraphBuilder()
+        x = b.input("x", (2,))
+        b.sigmoid("out", b.affine("pre", x, rng.normal(size=(3, 2)), np.zeros(3)))
+        g = b.build(outputs=["out"])
+        inputs = {"x": rng.normal(size=(4, 2))}
+        methods = [lambda target, method=method: attribute(g, inputs, method, target=target)
+                   for method in METHODS]
+        methods.append(lambda target: lrp_epsilon(g, inputs, target=target))
+        for call in methods:
+            with pytest.raises(AttributionError, match="automatic target selection "
+                                                       "needs one output"):
+                call(None)
+            with pytest.raises(GraphError, match="target node 'nope' does not exist"):
+                call(("nope", 0))
+        with pytest.raises(AttributionError, match="explicit"):
+            fixed_target_node(g)
+        with pytest.raises(GraphError, match="does not exist"):
+            fixed_target_node(g, "nope")
+        assert calls == []
+        assert fixed_target_node(g, ("pre", 2)) == "pre"
 
 
 class TestRedundantInputsHead:

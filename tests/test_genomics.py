@@ -184,6 +184,23 @@ class TestAuroc:
         assert wins / pairs == 0.75
         assert auroc(scores, labels) == 0.75
 
+    def test_ties_match_pair_counting(self, rng):
+        """On scores with many ties every auROC is the fraction of
+        (positive, negative) pairs ranked correctly, a tie counting half,
+        to the last bit."""
+        for _ in range(50):
+            n = int(rng.integers(2, 80))
+            scores = rng.integers(0, int(rng.integers(1, 6)), size=n) * 0.1
+            labels = rng.permutation(np.arange(n) % 2)
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            wins = ((pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum())
+            assert auroc(scores, labels) == wins / (len(pos) * len(neg))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected_naming_it(self, bad):
+        with pytest.raises(ValueError, match=f"auroc needs finite scores, got {bad!r}"):
+            auroc([0.1, bad, 0.3], [1, 0, 1])
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             auroc([0.1, 0.2], [1, 1])

@@ -10,14 +10,14 @@ import pytest
 
 from deltalift.engine import (
     AttributionError,
-    _normalize_softmax_head_if_any,
     attribute,
     deeplift,
     zeros_reference,
 )
 from deltalift.genomics import DatasetSpec, compare_methods, encode_batch, generate_dataset
 from deltalift.graph import GraphBuilder, forward
-from deltalift.normalize import NormalizationError, mean_normalize_softmax_weights
+from deltalift.normalize import NormalizationError, attribution_model, \
+    mean_normalize_softmax_weights
 from deltalift.train import TrainConfig, TrainingError, train_step
 
 LENGTH = 60
@@ -93,7 +93,7 @@ def test_every_module_reads_the_plans_head(kind, head, examples):
     normalizes = head_kind == "softmax" and graph.nodes[head[1]].kind == "affine"
     assert accepts(lambda: mean_normalize_softmax_weights(graph),
                    NormalizationError) == normalizes
-    assert (_normalize_softmax_head_if_any(graph) is not graph) == normalizes
+    assert (attribution_model(graph) is not graph) == normalizes
     if head is not None:
         report = deeplift(graph, {"seq": x})
         assert report.target[0] == head[1]

@@ -1,13 +1,26 @@
-"""Output-preserving weight normalization passes."""
+"""Output-preserving weight normalization passes, and the attribution
+model they make."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deltalift.engine import compute_reference, propagate_multipliers
-from deltalift.graph import ConstraintGroup, GraphBuilder, forward
+from deltalift.baselines import gradient_times_input, lrp_as_contribution_report, lrp_epsilon
+from deltalift.engine import (
+    METHODS,
+    attribute,
+    compute_reference,
+    deeplift,
+    propagate_multipliers,
+)
+from deltalift.graph import ConstraintGroup, Graph, GraphBuilder, forward
 from deltalift.normalize import (
     NormalizationError,
+    attribution_model,
+    attribution_passes,
     mean_normalize_softmax_weights,
     normalize_constrained_weights,
 )
@@ -144,3 +157,93 @@ class TestConstrainedNormalization:
         g = b.build(outputs=["y"])
         with pytest.raises(NormalizationError, match="constraint"):
             normalize_constrained_weights(g)
+
+
+def grouped_graph(rng, first="affine", head="softmax"):
+    """x (one-hot over 4) -> ``first`` -> relu -> affine -> ``head``, with
+    x's constant-sum group declared."""
+    b = GraphBuilder()
+    x = b.input("x", (4,))
+    h = (b.affine("fc", x, rng.normal(size=(4, 4)), rng.normal(size=4))
+         if first == "affine" else x)
+    units = 3 if head == "softmax" else 1
+    pre = b.affine("pre", b.relu("r", h), rng.normal(size=(units, 4)),
+                   rng.normal(size=units))
+    getattr(b, head)("out", pre)
+    return b.build(outputs=["out"], constraint_groups=[ConstraintGroup("x", (0, 1, 2, 3), 1.0)])
+
+
+def same_report(a, b):
+    return (a.target == b.target and a.delta_target == b.delta_target
+            and all(a.contributions[k].tobytes() == b.contributions[k].tobytes()
+                    for k in a.contributions))
+
+
+class TestAttributionModel:
+    def test_both_passes_in_order_once_per_graph(self, rng):
+        g = grouped_graph(rng)
+        model = attribution_model(g)
+        by_hand = mean_normalize_softmax_weights(normalize_constrained_weights(g))
+        for node_id in ("fc", "pre"):
+            for key, value in by_hand.nodes[node_id].params.items():
+                assert model.nodes[node_id].params[key].tobytes() == value.tobytes()
+        assert list(attribution_passes(g)) == ["constrained", "softmax"]
+        assert attribution_model(g) is model
+        # the model is its own attribution model
+        assert attribution_passes(model) == {}
+        assert attribution_model(model) is model
+
+    def test_every_method_explains_the_normalized_model(self, rng):
+        g = grouped_graph(rng, head="sigmoid")
+        x = {"x": np.eye(4)[2]}
+        # the normalized weights in a graph that declares no groups, which
+        # every method explains as given
+        normalized = normalize_constrained_weights(g)
+        plain = Graph(normalized.nodes.values(), normalized.outputs)
+        for method in METHODS:
+            assert same_report(attribute(g, x, method), attribute(plain, x, method))
+        assert same_report(lrp_as_contribution_report(g, x, lrp_epsilon(g, x)),
+                           attribute(plain, x, "lrp"))
+
+    def test_a_group_that_cannot_be_applied_is_refused(self, rng):
+        # the group's input feeds a relu, which has no weights to shift
+        g = grouped_graph(rng, first="relu")
+        x = {"x": np.eye(4)[1]}
+        for call in (lambda: deeplift(g, x), lambda: gradient_times_input(g, x),
+                     lambda: attribute(g, x, "lrp"), lambda: lrp_epsilon(g, x)):
+            with pytest.raises(NormalizationError, match=r"'r' \(relu\), which has no"):
+                call()
+
+    def test_a_constrained_result_is_explained_without_a_second_pass(self, monkeypatch):
+        import deltalift.normalize as normalize_module
+
+        graph = build_genomics_cnn(length=30, pool_width=8, pool_stride=8,
+                                   dense_units=12, seed=5)
+        x = {"seq": one_hot_encode("ACGTTGCA" * 3 + "GATACA")}
+        normalized = normalize_constrained_weights(graph)
+        calls = []
+        real = normalize_module.normalize_constrained_weights
+        monkeypatch.setattr(normalize_module, "normalize_constrained_weights",
+                            lambda g: calls.append(g) or real(g))
+        assert attribution_passes(normalized) == {}
+        given = deeplift(normalized, x)
+        assert calls == [] and attribution_model(normalized) is normalized
+        # the raw graph takes the pass once, and the same model results
+        assert same_report(deeplift(graph, x), given) and calls == [graph]
+        deeplift(graph, x)
+        assert calls == [graph]
+
+    def test_the_memo_keeps_no_cycle(self, rng):
+        """A graph and its attribution model are freed at their last
+        reference with the cyclic collector off."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            g = grouped_graph(rng)
+            model = weakref.ref(attribution_model(g))
+            alive = weakref.ref(g)
+            del g
+            assert alive() is None and model() is None
+        finally:
+            if collecting:
+                gc.enable()

@@ -22,7 +22,6 @@ from deltalift.baselines import (
 )
 from deltalift.engine import (
     METHODS,
-    _normalize_softmax_head_if_any,
     attribute,
     compute_reference,
     contributions,
@@ -33,7 +32,11 @@ from deltalift.engine import (
 )
 from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import Graph, GraphBuilder, GraphError, NodeSpec, forward
-from deltalift.normalize import mean_normalize_softmax_weights, normalize_constrained_weights
+from deltalift.normalize import (
+    attribution_model,
+    mean_normalize_softmax_weights,
+    normalize_constrained_weights,
+)
 from deltalift.train import TrainConfig, train_step
 
 from graphgen import random_graph_case
@@ -59,7 +62,7 @@ def assert_same_report(got, want, what):
 
 def full_deeplift(graph, inputs, reference_input=None, target=None):
     """DeepLIFT's report from a trace of every node and the public sweep."""
-    graph = _normalize_softmax_head_if_any(graph)
+    graph = attribution_model(graph)
     ref = compute_reference(graph, reference_input or zeros_reference(graph))
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, trace)
@@ -69,7 +72,7 @@ def full_deeplift(graph, inputs, reference_input=None, target=None):
 
 def full_grad_input(graph, inputs, reference_input=None, target=None):
     """Gradient*input's report, on the same normalized head as DeepLIFT's."""
-    graph = _normalize_softmax_head_if_any(graph)
+    graph = attribution_model(graph)
     ref = compute_reference(graph, reference_input or zeros_reference(graph))
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, trace)
@@ -286,7 +289,7 @@ def test_a_softmax_auto_target_is_the_full_forwards_argmax(batch):
             graphs.append((case.graph, "pre_head", case.reference))
     for i, (graph, pre, reference) in enumerate(graphs):
         inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
-        probs = forward(_normalize_softmax_head_if_any(graph), inputs)[graph.outputs[0]]
+        probs = forward(attribution_model(graph), inputs)[graph.outputs[0]]
         explicit = (pre, np.argmax(probs, axis=-1))
         # LRP supports the relu-only graph alone
         for method in METHODS if i == 0 else ("deeplift", "grad_input"):

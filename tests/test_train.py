@@ -251,11 +251,20 @@ def test_config_rejects_unknown_fields(tmp_path):
         TrainConfig.from_file(path)
 
 
+@pytest.mark.parametrize("payload", ["5", "[]", '"seed"', "null"])
+def test_config_file_must_be_an_object(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(payload)
+    with pytest.raises(TrainingError, match="training config must be a JSON object"):
+        TrainConfig.from_file(path)
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("epochs", -2), ("epochs", 1.5), ("batch_size", 0),
     ("batch_size", -4), ("batch_size", True), ("learning_rate", -0.1),
     ("learning_rate", float("nan")), ("momentum", float("inf")), ("momentum", -0.5),
-    ("weight_decay", -1e-4), ("weight_decay", "0.1"),
+    ("weight_decay", -1e-4), ("weight_decay", "0.1"), ("seed", -1), ("seed", 1.5),
+    ("seed", True), ("seed", "x"), ("seed", None),
 ])
 def test_out_of_range_config_rejected_naming_the_field(tmp_path, field, value):
     config = TrainConfig(**{field: value})
