@@ -9,9 +9,10 @@ identical on constraint-satisfying inputs while removing an arbitrary
 per-group offset from the contributions.
 
 ``deeplift``, ``gradient_times_input`` and ``lrp_epsilon`` apply both
-passes themselves (``normalize.attribution_model``); this demo calls them
-by hand to show each one, and ``propagate_multipliers`` takes the graph
-as given.
+passes themselves (``normalize.attribution_model``), so pass them the raw
+graph: one normalized by hand is normalized once more.  This demo calls
+the passes by hand only to show each one; ``propagate_multipliers``
+takes the graph as given.
 
 Run:  python3 demos/05_normalization_passes.py
 """

@@ -1,9 +1,8 @@
 """Command-line entry points for reproducible runs.
 
-Subcommands: gen-data, train, attribute, compare, check-lrp, normalize.
+Subcommands: gen-data, train, attribute, compare, check-lrp.
 ``attribute`` and ``compare`` score a model's attribution model
-(``normalize.attribution_model``), as the library does, and ``normalize``
-writes that model.
+(``normalize.attribution_model``), as the library does.
 Every run writes ``<output>.manifest`` echoing the resolved configuration,
 and failures print one machine-parsable line to stderr:
 
@@ -33,6 +32,7 @@ from .engine import (
     AttributionError,
     attribute,
     check_stabilizer,
+    fixed_target_node,
 )
 from .genomics import (
     BASES,
@@ -47,7 +47,7 @@ from .genomics import (
     write_score_tracks,
 )
 from .graph import GraphError
-from .normalize import NormalizationError, attribution_model, attribution_passes
+from .normalize import NormalizationError, attribution_model
 from .serialize import ModelFormatError, load_model, save_model
 from .train import TrainConfig, TrainingError, train_loop, write_loss_curve
 
@@ -197,9 +197,11 @@ def cmd_attribute(args) -> int:
     graph = load_model(args.model)
     examples = read_fasta(args.data)
     target = _parse_target(args.target)
-    # every method scores the attribution model against the all-zeros
-    # reference; made here, a model it refuses fails before any output opens
+    # every method scores the attribution model against the all-zeros reference;
+    # a model, target or epsilon it refuses fails here, before any output opens
     model = attribution_model(graph)
+    check_stabilizer(args.lrp_epsilon)
+    fixed_target_node(model, target)
     input_id = graph.input_ids()[0]
     prefixes = _feature_prefixes(int(np.prod(graph.nodes[input_id].output_shape)))
 
@@ -230,7 +232,7 @@ def cmd_attribute(args) -> int:
                     f"residual={report.residual[i]:.6g}\n"
                 )
                 fh.write(rows[i])
-    _write_manifest(args.out, args, reference_normalized=bool(graph.constraint_groups))
+    _write_manifest(args.out, args, reference_normalized=model is not graph)
     print(f"attributed {len(examples)} sequences with {args.method} -> {args.out}")
     return EXIT_OK
 
@@ -274,18 +276,6 @@ def cmd_check_lrp(args) -> int:
         write_equivalence_tsv(partial, rows)
     _write_manifest(args.out, args)
     print(f"checked {args.n_nets} nets: {summary}")
-    return EXIT_OK
-
-
-def cmd_normalize(args) -> int:
-    graph = load_model(args.model)
-    applied = attribution_passes(graph)
-    if not applied:
-        raise NormalizationError("no normalization pass applies: the graph declares "
-                                 "no constraint groups and no softmax over an affine node")
-    save_model(attribution_model(graph), args.out)
-    _write_manifest(args.out, args)
-    print(f"applied {'+'.join(applied)} normalization -> {args.out}")
     return EXIT_OK
 
 
@@ -347,11 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", default="1e-2,1e-5,1e-9")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_lrp)
-
-    p = sub.add_parser("normalize", help="apply output-preserving weight passes")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_normalize)
     return parser
 
 

@@ -10,6 +10,7 @@ positive attribution mass falling inside the known motif spans.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,8 +125,6 @@ def _make_example(rng: np.random.Generator, sid: str, length: int, label: int,
 
 def _make_split(rng: np.random.Generator, prefix: str, n: int, length: int,
                 substitution_rate: float) -> list[SequenceExample]:
-    if n % 2 != 0:
-        raise ValueError(f"split size {n} is odd; class balance must be exact")
     examples = []
     for i in range(n):
         label = 1 if i % 2 == 0 else 0
@@ -136,7 +135,16 @@ def _make_split(rng: np.random.Generator, prefix: str, n: int, length: int,
 
 
 def generate_dataset(spec: DatasetSpec) -> Dataset:
-    """Seed-deterministic train/val/test splits with disjoint generators."""
+    """Seed-deterministic train/val/test splits with disjoint generators;
+    raises ValueError, naming the field, unless each split size is an even
+    integer >= 0 and ``substitution_rate`` is a finite number in [0, 1]."""
+    for name in ("n_train", "n_val", "n_test"):
+        n = getattr(spec, name)
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0 or n % 2:
+            raise ValueError(f"{name} must be an even integer >= 0, got {n!r}")
+    rate = spec.substitution_rate  # nan fails the range check
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 <= rate <= 1:
+        raise ValueError(f"substitution_rate must be a finite number in [0, 1], got {rate!r}")
     splits = {}
     for k, (name, n) in enumerate(
         [("train", spec.n_train), ("val", spec.n_val), ("test", spec.n_test)]

@@ -11,8 +11,9 @@ Two transformations used before attribution:
     by their group mean and compensate the bias by c * mean, which keeps
     the output identical on every constraint-satisfying input
 
-``attribution_model`` decides, once per graph, which of them make the
-model that every attribution entry point explains.
+``attribution_model`` alone decides, once per graph, which of them make
+the model that every attribution entry point explains; callers pass the
+raw graph.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def normalize_constrained_weights(graph: Graph) -> Graph:
     the weights of each consuming affine or conv1d node are shifted by
     the group mean and the bias absorbs ``total * mean``.  Outputs are
     unchanged on all inputs satisfying the constraints.  Raises if a
-    grouped input feeds a node without weights.  ``attribution_model``
-    explains the result as given.
+    grouped input feeds a node without weights.  The result still
+    declares its groups, so ``attribution_model`` applies the pass to it
+    once more; the attribution methods want the raw graph.
     """
     graph.require_valid()
     if not graph.constraint_groups:
@@ -91,9 +93,7 @@ def normalize_constrained_weights(graph: Graph) -> Graph:
                     f"'{consumer_id}' ({node.kind}), which has no weights "
                     "adjacent to the input"
                 )
-    normalized = graph.replace_params(updates)
-    normalized._memo["constrained"] = True
-    return normalized
+    return graph.replace_params(updates)
 
 
 def _normalize_conv(graph: Graph, node, groups) -> dict:
@@ -146,30 +146,20 @@ def _normalize_conv(graph: Graph, node, groups) -> dict:
     return {"filters": filters, "bias": bias}
 
 
-def attribution_passes(graph: Graph) -> dict:
-    """The passes ``attribution_model`` applies to ``graph``, by name in
-    order: "constrained" if it declares constraint groups and is not that
-    pass's result, then "softmax" if ``softmax_over_affine`` holds."""
-    if graph._memo.get("attribution_model") is True:
-        return {}
-    passes = {}
-    if graph.constraint_groups and not graph._memo.get("constrained"):
-        passes["constrained"] = normalize_constrained_weights
-    if softmax_over_affine(graph):
-        passes["softmax"] = mean_normalize_softmax_weights
-    return passes
-
-
 def attribution_model(graph: Graph) -> Graph:
     """The model every attribution method explains for ``graph``: the
-    graph after its ``attribution_passes``, made once per graph and its
+    graph after ``normalize_constrained_weights`` if it declares
+    constraint groups, then after ``mean_normalize_softmax_weights`` if
+    ``softmax_over_affine`` holds.  It is made once per graph and is its
     own attribution model.  Raises NormalizationError if a constraint
     group cannot be applied, GraphError if the graph is malformed."""
     model = graph._memo.get("attribution_model")
     if model is None:
         model = graph
-        for normalize in attribution_passes(graph).values():
-            model = normalize(model)
+        if graph.constraint_groups:
+            model = normalize_constrained_weights(model)
+        if softmax_over_affine(graph):
+            model = mean_normalize_softmax_weights(model)
         # a flag, not the model itself: no graph refers to itself
         model._memo["attribution_model"] = True
         if model is not graph:

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deltalift.autodiff import backward, finite_difference_check
-from deltalift.baselines import EnsembleSpec, equivalence_report
+from deltalift.baselines import EnsembleSpec, equivalence_report, gradient_times_input
 from deltalift.engine import (
     compute_reference,
     deeplift,
@@ -65,6 +65,23 @@ def test_saturated_relu_fixture_contributions_and_zero_gradient():
         "saturated-relu fixture: contributions -0.1333/-0.2667, gradient 0",
         c_ok and g_ok,
         f"C={report.contributions['x']}, grad={grads['x']}",
+    )
+
+
+def test_threshold_relu_fixture_deeplift_half_grad_input_ten_and_a_half():
+    # y = relu(x - 10) at x = 10.5 against the zeros reference (Shrikumar,
+    # Greenside & Kundaje 2017): the output moved by 0.5, which DeepLIFT
+    # assigns to x, while the gradient is 1 and gradient*input reads 10.5
+    b = GraphBuilder()
+    b.relu("y", b.affine("pre", b.input("x", (1,)), [[1.0]], [-10.0]))
+    g = b.build(outputs=["y"])
+    probe = {"x": np.array([10.5])}
+    dl = deeplift(g, probe, {"x": np.zeros(1)}, target=("y", 0)).contributions["x"][0]
+    gi = gradient_times_input(g, probe, target=("y", 0)).contributions["x"][0]
+    _verdict(
+        "threshold-relu fixture: DeepLIFT 0.5, gradient*input 10.5",
+        abs(dl - 0.5) <= 1e-9 and abs(gi - 10.5) <= 1e-9,
+        f"DeepLIFT={dl}, gradient*input={gi}",
     )
 
 

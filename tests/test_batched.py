@@ -31,7 +31,7 @@ from deltalift.genomics import (
     generate_dataset,
 )
 from deltalift.graph import Graph, GraphBuilder, GraphError, NodeSpec, forward
-from deltalift.normalize import normalize_constrained_weights
+from deltalift.normalize import attribution_model
 from deltalift.train import EVAL_CHUNK, TrainConfig, evaluate, train_step
 
 from graphgen import random_graph_case
@@ -423,8 +423,8 @@ def relu_twin(graph):
 def test_batched_attribution_on_paper_cnn():
     data = generate_dataset(DatasetSpec(n_train=0, n_val=0, n_test=6, seed=9))
     xs = np.stack([x for x, _ in encode_dataset(data.test)])
-    cnn = normalize_constrained_weights(build_genomics_cnn(seed=9))
-    reference = compute_reference(cnn, zeros_reference(cnn))
+    cnn = build_genomics_cnn(seed=9)
+    reference = compute_reference(attribution_model(cnn), zeros_reference(cnn))
     dl = deeplift(cnn, {"seq": xs}, reference=reference)
     assert_conserves(dl)
     gi = gradient_times_input(cnn, {"seq": xs})

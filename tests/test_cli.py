@@ -1,10 +1,12 @@
 """End-to-end runs of every subcommand through the console entry point."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -24,13 +26,14 @@ from deltalift.genomics import (
     write_fasta,
 )
 from deltalift.graph import Graph, GraphBuilder, NodeSpec, forward
-from deltalift.normalize import normalize_constrained_weights
+from deltalift.normalize import attribution_model
 from deltalift.serialize import load_model, save_model
 
 from tsv_oracle import attribute_tsv
 
 
-SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(*argv, cwd=None):
@@ -97,6 +100,19 @@ class TestGenData:
         assert run_cli("gen-data", "--out", str(b_dir), *args).returncode == 0
         for split in ("train.fa", "val.fa", "test.fa"):
             assert (a_dir / split).read_bytes() == (b_dir / split).read_bytes()
+
+    @pytest.mark.parametrize("flags, detail", [
+        (["--n-train", "-4"], "n_train must be an even integer >= 0, got -4"),
+        (["--n-test", "3"], "n_test must be an even integer >= 0, got 3"),
+        (["--sub-rate", "1.5"], "substitution_rate must be a finite number in [0, 1], got 1.5"),
+        (["--sub-rate", "nan"], "substitution_rate must be a finite number in [0, 1], got nan"),
+    ], ids=["negative-size", "odd-size", "rate-above-one", "nan-rate"])
+    def test_bad_sizes_and_rates_write_nothing(self, tmp_path, flags, detail):
+        res = run_cli("gen-data", "--out", str(tmp_path / "data"), "--n-train", "4",
+                      "--n-val", "2", "--n-test", "2", "--length", "30", *flags)
+        assert res.returncode == 4
+        assert res.stderr.splitlines() == [f"error code=invalid-input detail={detail}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_manifest_written(self, workspace):
         manifest = json.loads(
@@ -185,6 +201,20 @@ class TestAttribute:
         assert "reference" not in manifest
         assert manifest["reference_normalized"] is False
 
+    def test_groupless_softmax_over_affine_reads_normalized(self, workspace, tmp_path):
+        # no groups, but the softmax pass applies: the manifest reads the
+        # decision attribution_model makes
+        b = GraphBuilder()
+        x = b.input("seq", (60, 4))
+        b.softmax("out", b.affine("pre", x, np.eye(3, 240), np.zeros(3)))
+        model, out = tmp_path / "m.json", tmp_path / "s.tsv"
+        save_model(b.build(outputs=["out"]), model)
+        res = run_cli("attribute", "--model", str(model), "--data",
+                      str(workspace["data"] / "test.fa"), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((tmp_path / "s.tsv.manifest").read_text())
+        assert manifest["reference_normalized"] is True
+
     def test_output_independent_of_run_and_chunking(self, workspace, tmp_path):
         """Two runs write the same bytes, and where the file's sequences
         fall in attribution chunks changes no value beyond the printed
@@ -246,8 +276,8 @@ class TestAttribute:
                              str(workspace["data"] / "train.fa"), "--out", str(out),
                              "--method", method])
         assert code == 0
-        normalized = normalize_constrained_weights(load_model(model))
-        reports = [attribute(normalized, {"seq": encode_batch(examples[k:k + ATTRIBUTE_CHUNK])},
+        loaded = load_model(model)
+        reports = [attribute(loaded, {"seq": encode_batch(examples[k:k + ATTRIBUTE_CHUNK])},
                              method)
                    for k in range(0, len(examples), ATTRIBUTE_CHUNK)]
         text = out.read_text(encoding="utf-8")
@@ -329,6 +359,25 @@ class TestAttribute:
         assert res.stderr == (
             "error code=invalid-input detail=target node 'nope' does not exist\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--method", "lrp", "--lrp-epsilon", "nan"],
+                                       ["--target", "nope:0"]],
+                             ids=["nan-lrp-epsilon", "missing-target-node"])
+    def test_options_are_checked_on_an_empty_file(self, workspace, tmp_path, flags):
+        """An empty FASTA is refused the options a non-empty one is, with
+        the same message, before any output opens."""
+        empty = tmp_path / "empty.fa"
+        empty.write_text("")
+        stderr = []
+        for data in (workspace["data"] / "test.fa", empty):
+            res = run_cli("attribute", "--model", str(workspace["trained"]), "--data",
+                          str(data), "--out", str(tmp_path / "o.tsv"), *flags)
+            assert res.returncode == 4
+            stderr.append(res.stderr)
+        assert stderr[0] == stderr[1]
+        assert stderr[1].startswith("error code=invalid-input detail=")
+        assert len(stderr[1].splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.fa"]
 
     def test_out_of_range_target_names_the_first_bad_sample(self, workspace, tmp_path):
         res = run_cli(
@@ -447,15 +496,10 @@ class TestCheckLrp:
 
 
 class TestNormalize:
-    def test_normalize_then_predictions_unchanged(self, workspace, tmp_path):
-        out = tmp_path / "normalized.json"
-        res = run_cli(
-            "normalize", "--model", str(workspace["trained"]),
-            "--out", str(out),
-        )
-        assert res.returncode == 0, res.stderr
+    def test_attribution_model_predictions_unchanged(self, workspace):
         before = load_model(workspace["trained"])
-        after = load_model(out)
+        after = attribution_model(before)
+        assert after is not before
         examples = read_fasta(workspace["data"] / "test.fa")
         for ex in examples:
             x = one_hot_encode(ex.sequence)
@@ -463,29 +507,36 @@ class TestNormalize:
             b = forward(after, {"seq": x})["prob"][0]
             assert abs(a - b) < 1e-12
 
-    def test_a_declared_group_that_cannot_be_applied_fails(self, tmp_path):
+    @pytest.mark.parametrize("command", ["attribute", "compare"])
+    def test_a_declared_group_that_cannot_be_applied_fails(self, workspace, tmp_path,
+                                                           command):
         # the group's input feeds a relu, which has no weights to shift; the
-        # softmax pass alone would apply, but the run must not skip the group
+        # softmax pass alone would apply to attribute's model, but the run
+        # must not skip the group (compare needs a one-unit sigmoid head)
         b = GraphBuilder()
         x = b.input("x", (4,))
-        pre = b.affine("pre", b.relu("r", x), np.eye(3, 4), np.zeros(3))
-        b.softmax("out", pre)
+        units = 3 if command == "attribute" else 1
+        pre = b.affine("pre", b.relu("r", x), np.eye(units, 4), np.zeros(units))
+        getattr(b, "softmax" if command == "attribute" else "sigmoid")("out", pre)
         model = tmp_path / "m.json"
         save_model(b.build(outputs=["out"], constraint_groups=[("x", (0, 1, 2, 3), 1.0)]),
                    model)
-        res = run_cli("normalize", "--model", str(model), "--out", str(tmp_path / "n.json"))
+        res = run_cli(command, "--model", str(model), "--data",
+                      str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"))
         assert res.returncode == 4
         assert res.stderr.splitlines() == [
             "error code=invalid-input detail=constraint group on 'x' reaches node 'r' "
             "(relu), which has no weights adjacent to the input"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
-    def test_passes_is_not_an_option(self, workspace, tmp_path):
+    def test_normalize_is_not_a_command(self, workspace, tmp_path):
+        # attribute and compare normalize the model they load; no command
+        # writes the normalized model
         res = run_cli("normalize", "--model", str(workspace["trained"]),
-                      "--out", str(tmp_path / "n.json"), "--passes", "auto")
+                      "--out", str(tmp_path / "n.json"))
         assert res.returncode == 2
-        assert res.stderr.splitlines()[-1] == (
-            "deltalift: error: unrecognized arguments: --passes auto")
+        assert res.stderr.splitlines()[-1].startswith(
+            "deltalift: error: argument command: invalid choice: 'normalize'")
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
@@ -807,3 +858,18 @@ class TestErrors:
         )
         assert res.returncode == 5
         assert res.stderr.startswith("error code=runtime")
+
+
+class TestDocs:
+    def test_the_docs_name_the_parser_s_subcommands(self):
+        """The ``Subcommands:`` line of ``cli``'s docstring lists exactly the
+        parser's subcommands, and README.md runs no ``deltalift <command>``
+        the parser lacks."""
+        commands = list(next(action for action in cli.build_parser()._actions
+                             if isinstance(action, argparse._SubParsersAction)).choices)
+        line = next(line for line in cli.__doc__.splitlines()
+                    if line.startswith("Subcommands:"))
+        assert line.removeprefix("Subcommands:").strip(" .").split(", ") == commands
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?:^\s*|`)deltalift ([a-z][\w-]*)", readme, re.M))
+        assert named and not named - set(commands), sorted(named - set(commands))

@@ -26,7 +26,6 @@ from deltalift.genomics import (
     write_score_tracks,
 )
 from deltalift.graph import Graph, GraphBuilder, forward, n_parameters, validate_graph
-from deltalift.normalize import normalize_constrained_weights
 
 from tsv_oracle import per_value_row
 
@@ -60,8 +59,26 @@ class TestGeneration:
         assert sum(labels) == 25
 
     def test_odd_counts_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
+        with pytest.raises(ValueError, match=r"^n_train must be an even integer >= 0, got 3$"):
             generate_dataset(DatasetSpec(n_train=3, n_val=2, n_test=2))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_train", -4), ("n_val", -2), ("n_test", 5), ("n_test", 2.0), ("n_val", True),
+        ("n_train", "4"), ("substitution_rate", 1.5), ("substitution_rate", -0.1),
+        ("substitution_rate", float("nan")), ("substitution_rate", float("inf")),
+        ("substitution_rate", True), ("substitution_rate", "0.1"),
+    ])
+    def test_bad_sizes_and_rates_are_refused_naming_the_field(self, field, value):
+        spec = DatasetSpec(n_train=2, n_val=2, n_test=2)
+        setattr(spec, field, value)
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            generate_dataset(spec)
+
+    def test_empty_splits_and_edge_rates_are_valid(self):
+        for rate in (0, 1, 1.0, np.float64(0.5)):
+            data = generate_dataset(DatasetSpec(n_train=0, n_val=np.int64(0), n_test=2,
+                                                length=30, substitution_rate=rate))
+            assert (len(data.train), len(data.val), len(data.test)) == (0, 0, 2)
 
     def test_background_composition_near_uniform(self):
         # over ~10^5 background bases each letter should sit near 25%;
@@ -301,14 +318,13 @@ class TestCompareMethods:
         graph = graph.replace_params({"logit": {"bias": np.array([8.0])}})
         comparison = compare_methods(graph, data.test)
         assert comparison.n_correct_positives > ATTRIBUTE_CHUNK  # two chunks
-        normalized = normalize_constrained_weights(graph)
         by_sid = {ex.sid: ex for ex in data.test}
         for row in comparison.rows:
             ex = by_sid[row.sid]
             x = {"seq": one_hot_encode(ex.sequence)}
-            for track, report in ((row.deeplift_track, deeplift(normalized, x)),
+            for track, report in ((row.deeplift_track, deeplift(graph, x)),
                                   (row.grad_input_track,
-                                   gradient_times_input(normalized, x))):
+                                   gradient_times_input(graph, x))):
                 expected = per_position_scores(report, ex)
                 assert_allclose(track, expected, rtol=0,
                                 atol=1e-12 * np.abs(expected).max())
@@ -336,11 +352,10 @@ class TestCompareMethods:
         assert sum(rows) == 1 + n_positives + comparison.n_correct_positives
         # both methods' sweeps share the chunk's trace, and their scores are
         # those of the batched calls over the same chunks, byte for byte
-        normalized = normalize_constrained_weights(graph)
         for start in range(0, len(comparison.rows), ATTRIBUTE_CHUNK):
             chunk = comparison.rows[start:start + ATTRIBUTE_CHUNK]
             batch = {"seq": encode_batch([row.example for row in chunk])}
-            reports = deeplift(normalized, batch), gradient_times_input(normalized, batch)
+            reports = deeplift(graph, batch), gradient_times_input(graph, batch)
             for i, row in enumerate(chunk):
                 for track, report in zip((row.deeplift_track, row.grad_input_track),
                                          reports):
@@ -366,9 +381,8 @@ class TestCompareMethods:
         ]
         comparison = compare_methods(graph, data.test)
         assert comparison.n_correct_positives == len(positives) > 0
-        normalized = normalize_constrained_weights(graph)
         for row, ex in zip(comparison.rows, positives):
-            report = deeplift(normalized, {"dna": one_hot_encode(ex.sequence)})
+            report = deeplift(graph, {"dna": one_hot_encode(ex.sequence)})
             assert row.sid == ex.sid
             assert row.deeplift_recovery == pytest.approx(
                 motif_recovery_score(report, ex, input_id="dna"), abs=1e-12)

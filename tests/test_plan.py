@@ -35,7 +35,6 @@ from deltalift.graph import Graph, GraphBuilder, GraphError, NodeSpec, forward
 from deltalift.normalize import (
     attribution_model,
     mean_normalize_softmax_weights,
-    normalize_constrained_weights,
 )
 from deltalift.train import TrainConfig, train_step
 
@@ -142,7 +141,7 @@ def relu_twin(graph):
 @pytest.fixture(scope="module")
 def paper_cnn():
     cnn = build_genomics_cnn(seed=77)
-    return normalize_constrained_weights(cnn), normalize_constrained_weights(relu_twin(cnn))
+    return cnn, relu_twin(cnn)
 
 
 def one_hot(rng, batch, length=200):
@@ -187,8 +186,9 @@ def recorded(monkeypatch):
 def test_paper_cnn_reports_form_no_dense_buffer_and_skip_the_sigmoid(
         paper_cnn, recorded, batch):
     cnn, _ = paper_cnn
+    model = attribution_model(cnn)
     inputs = {"seq": one_hot(np.random.default_rng(5), batch)}
-    reference = compute_reference(cnn, zeros_reference(cnn))
+    reference = compute_reference(model, zeros_reference(cnn))
     gradient_times_input(cnn, inputs)  # evaluates the memoized zeros reference
     recorded["traces"].clear()
     deeplift(cnn, inputs, reference=reference)
@@ -198,9 +198,9 @@ def test_paper_cnn_reports_form_no_dense_buffer_and_skip_the_sigmoid(
     for trace in recorded["traces"]:
         assert "logit" in trace.activations and "prob" not in trace.activations
     # the buffers below the pool stay routed in the sweep's result
-    trace = forward(cnn, inputs, upto="logit")
-    for values in (propagate_multipliers(cnn, trace, reference, "logit"),
-                   backward(cnn, trace, "logit")):
+    trace = forward(model, inputs, upto="logit")
+    for values in (propagate_multipliers(model, trace, reference, "logit"),
+                   backward(model, trace, "logit")):
         assert [type(dict.__getitem__(values, nid)) for nid in ("conv_act", "conv")] \
             == [Routed, Routed]
         assert type(dict.__getitem__(values, "prob")) is tuple
