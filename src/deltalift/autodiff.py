@@ -536,10 +536,11 @@ def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
     if want_param_grads:
         return None, param_grads
     values = SweepValues(grads)
-    lead = () if trace.batch is None else (trace.batch,)
-    for node_id, node in nodes.items():
-        if node_id not in grads:
-            dict.__setitem__(values, node_id, lead + node.output_shape)
+    if not grads.keys() >= nodes.keys():  # some node was not reached
+        lead = () if trace.batch is None else (trace.batch,)
+        for node_id, node in nodes.items():
+            if node_id not in grads:
+                dict.__setitem__(values, node_id, lead + node.output_shape)
     return values, None
 
 

@@ -20,6 +20,7 @@ report-only; ``lrp_epsilon`` evaluates every node, since the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .engine import (
 )
 from .graph import (
     KNOWN_KINDS,
+    DenseOnRead,
     ForwardTrace,
     Graph,
     GraphBuilder,
@@ -81,7 +83,8 @@ class RelevanceTrace:
     node's relevance its activation times m, read as ``rt[node_id]``.
     ``bias_relevance`` records, per filtering node, the share absorbed by
     the bias and stabilizer terms; adding it back restores the layer-sum
-    telescoping at every epsilon.  ``target_activation`` is the seeded
+    telescoping at every epsilon; each share is formed when first read
+    (a ``graph.DenseOnRead``).  ``target_activation`` is the seeded
     relevance.  On a batch every entry holds one value per sample.
     """
 
@@ -117,42 +120,55 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     """
     check_stabilizer(epsilon)
     trace, resolved = _traced_target(graph, inputs, target, every_node=True)
-    bias_rel: dict[str, float] = {}
+    bias_rel = DenseOnRead()
     mult = _target_sweep(trace.graph, trace, resolved, _lrp_rules(epsilon, bias_rel))
     return RelevanceTrace(trace, mult, bias_rel, epsilon, resolved,
                           target_value(trace[resolved[0]], resolved[1]))
 
 
-def _lrp_rules(epsilon: float, bias_rel: dict) -> dict:
+def _lrp_rules(epsilon: float, bias_rel: DenseOnRead) -> dict:
     """epsilon-LRP's rules for ``vjp_sweep``, which then carries
     multipliers m (relevance = activation * m): affine and conv1d pass
-    m * a / (a + eps sign a) to the gradient rule (recording their bias
-    share in ``bias_rel``), and every kind outside ``LRP_KINDS`` raises
-    once multipliers reach it; the rest keep the gradient rule."""
+    m * a / (a + eps sign a) to the gradient rule, and record in
+    ``bias_rel`` their bias share, to be formed when read
+    (``_bias_share``); every kind outside ``LRP_KINDS`` raises once
+    multipliers reach it; the rest keep the gradient rule."""
 
     def filtering(node, m_out, trace, mult, _):
         # a node's relevance is a * m; zero relevance adds no share
+        # (count_nonzero tests for it without ndarray.any's Python wrapper)
         m, at, like = aligned(m_out)
         a = at(trace[node.id])
         r = m * a
-        if not r.any():
+        if not np.count_nonzero(r):
             return
         stabilizer = np.where(a >= 0, epsilon, -epsilon)
         share = r / (a + stabilizer)
         vjp_node(node, like(share), trace, mult)
-        absorbed = (at(node.params["bias"]) + stabilizer) * share
-        bias_rel[node.id] = (float(absorbed.sum()) if trace.batch is None
-                             else absorbed.reshape(trace.batch, -1).sum(axis=1))
+        bias_rel[node.id] = functools.partial(
+            _bias_share, node.params["bias"], at, stabilizer, share, trace.batch)
 
-    def reject(node, m_out, trace, mult, _):
-        if m_out.any():
-            raise AttributionError(
-                f"lrp does not support node '{node.id}' of kind '{node.kind}'; "
-                f"it supports {', '.join(sorted(LRP_KINDS - {'input'}))}"
-            )
+    return {**_LRP_BASE, "affine": filtering, "conv1d": filtering}
 
-    return {**GRADIENT_RULES, **dict.fromkeys(KNOWN_KINDS - LRP_KINDS, reject),
-            "affine": filtering, "conv1d": filtering}
+
+def _bias_share(bias: Tensor, at, stabilizer: Tensor, share: Tensor, batch: int | None):
+    """The relevance a filtering node's bias and stabilizer absorb: a
+    float, or one per sample of a batch."""
+    absorbed = (at(bias) + stabilizer) * share
+    return (float(absorbed.sum()) if batch is None
+            else absorbed.reshape(batch, -1).sum(axis=1))
+
+
+def _reject(node, m_out, trace, mult, _):
+    if m_out.any():
+        raise AttributionError(
+            f"lrp does not support node '{node.id}' of kind '{node.kind}'; "
+            f"it supports {', '.join(sorted(LRP_KINDS - {'input'}))}"
+        )
+
+
+# epsilon-LRP's table but for the filtering rule, which ``_lrp_rules`` adds
+_LRP_BASE = {**GRADIENT_RULES, **dict.fromkeys(KNOWN_KINDS - LRP_KINDS, _reject)}
 
 
 def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],

@@ -25,6 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from .autodiff import resolve_target
 from .baselines import LRP_EPSILON, EnsembleSpec, equivalence_report, write_equivalence_tsv
 from .engine import (
     ATTRIBUTE_CHUNK,
@@ -202,6 +203,8 @@ def cmd_attribute(args) -> int:
     model = attribution_model(graph)
     check_stabilizer(args.lrp_epsilon)
     fixed_target_node(model, target)
+    if target is not None:  # the index too, which attribution checks per chunk
+        resolve_target(model, target)
     input_id = graph.input_ids()[0]
     prefixes = _feature_prefixes(int(np.prod(graph.nodes[input_id].output_shape)))
 

@@ -120,6 +120,8 @@ class ReferenceState(ForwardTrace):
     # the same reference input evaluated on another graph, kept by deeplift
     _twin: "ReferenceState | None" = field(default=None, init=False, repr=False,
                                            compare=False)
+    # DeepLIFT's rule table against this state (``_deeplift_rules``)
+    _rules: dict | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def zeros_reference(graph: Graph) -> dict[str, Tensor]:
@@ -145,17 +147,20 @@ def _reference_on(graph: Graph, reference=None) -> ReferenceState:
     Raises AttributionError for anything else.
     """
     if reference is None:
-        # the memo keeps the state's fields but not the graph: a state in
-        # its own graph's memo would make a cycle that outlives the graph's
-        # last use until the cyclic collector runs
+        # the memo keeps the state's fields and rule table but not the
+        # graph: a state in its own graph's memo would make a cycle that
+        # outlives the graph's last use until the cyclic collector runs
         kept = graph._memo.get("zeros_reference")
         if kept is None:
             state = compute_reference(graph, zeros_reference(graph))
             kept = graph._memo["zeros_reference"] = (
-                state.activations, state.batch, state.routes, state.reference_input)
-        activations, batch, routes, reference_input = kept
-        return ReferenceState(activations, graph, batch, routes,
-                              reference_input=reference_input)
+                state.activations, state.batch, state.routes, state.reference_input,
+                _deeplift_rules(state))
+        activations, batch, routes, reference_input, rules = kept
+        state = ReferenceState(activations, graph, batch, routes,
+                               reference_input=reference_input)
+        state._rules = rules
+        return state
     if isinstance(reference, dict):
         return compute_reference(graph, reference)
     if not isinstance(reference, ReferenceState):
@@ -319,9 +324,20 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
 
 
 def _deeplift_rules(reference: ReferenceState) -> dict:
-    """DeepLIFT's rule table for ``vjp_sweep``: the gradient table with
-    its nonlinear kinds replaced; affine and conv1d keep the gradient
-    rule, since their multipliers are the weights."""
+    """DeepLIFT's rule table for ``vjp_sweep`` against ``reference``,
+    built once per state and kept on it (``_rule_table``)."""
+    rules = reference._rules
+    if rules is None:
+        rules = reference._rules = _rule_table(reference.activations)
+    return rules
+
+
+def _rule_table(reference: dict[str, Tensor]) -> dict:
+    """DeepLIFT's rules against the reference activations ``reference``:
+    the gradient table with its nonlinear kinds replaced; affine and
+    conv1d keep the gradient rule, since their multipliers are the
+    weights.  The rules read the activations, not their state, so a
+    state that keeps its table makes no reference cycle."""
 
     def rescale(node, m_out, trace, mult, _):
         m, at, like = aligned(m_out)
@@ -371,8 +387,6 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult):
     """
     src = node.inputs[0]
     x = trace[src]
-    lead = 0 if trace.batch is None else 1
-    width, stride = int(node.params["width"]), int(node.params["stride"])
 
     def delta_at(index):
         return take_at(x, index, x.size) - take_at(reference[src], index, x.size)
@@ -381,11 +395,15 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult):
     chosen = trace.route(node.id)
     chosen_dx = delta_at(chosen)
     ok = np.abs(chosen_dx) > EPS_STABLE
-    if ok.all():  # no window reroutes: bitwise the where-form below
+    # no window reroutes: bitwise the where-form below (count_nonzero
+    # tests for all-true without ndarray.all's Python wrapper)
+    if np.count_nonzero(ok) == ok.size:
         values = route / chosen_dx
     else:
         # the |delta| argmax, taken only over the windows that reroute; the
         # trace's route stays as it is
+        lead = 0 if trace.batch is None else 1
+        width, stride = int(node.params["width"]), int(node.params["stride"])
         weak = ~ok
         starts, step = _pool_window_starts(x.shape, width, stride, lead)
         starts = starts[weak]
@@ -444,10 +462,7 @@ class ContributionReport:
 
     def total(self):
         """Sum of all contributions: a float, or one per sample of a batch."""
-        if self.batch is None:
-            return float(sum(c.sum() for c in self.contributions.values()))
-        return sum(c.reshape(self.batch, -1).sum(axis=1)
-                   for c in self.contributions.values())
+        return _total(self.contributions, self.batch)
 
     def sample(self, i: int) -> "ContributionReport":
         """Sample ``i`` of a batched report."""
@@ -463,28 +478,37 @@ class ContributionReport:
         )
 
 
+def _total(scores: dict[str, Tensor], batch: int | None):
+    """``ContributionReport.total`` of ``scores``: ``np.add.reduce`` is
+    the sum ``ndarray.sum`` takes, without its Python wrapper."""
+    total = 0
+    for c in scores.values():
+        total = total + (np.add.reduce(c, None) if batch is None
+                         else np.add.reduce(c.reshape(batch, -1), 1))
+    return float(total) if batch is None else total
+
+
 def contributions(trace: ForwardTrace, reference: ReferenceState | None, target,
                   multipliers: dict[str, Tensor],
                   method: str = "deeplift") -> ContributionReport:
     """Contributions C = m * delta per input feature of the trace's graph,
     with deltas from ``reference``, plus the conservation residual
     |sum(C) - delta(target)|; ``target`` is resolved.  With no
-    ``reference`` the deltas are the activations (``compute_deltas``)."""
-    input_ids = trace.graph.input_ids()
+    ``reference`` the deltas are the activations, as ``compute_deltas``
+    forms them."""
+    if reference is not None and trace.graph is not reference.graph:
+        raise AttributionError("trace and reference come from different graphs")
+    scores, mults, deltas = {}, {}, {}
+    for nid, _ in trace.graph.plan().inputs:
+        delta = deltas[nid] = trace[nid] if reference is None else trace[nid] - reference[nid]
+        m = mults[nid] = multipliers[nid]
+        scores[nid] = m * delta
     t_node, t_index = target
-    deltas = compute_deltas(trace, reference, input_ids + [t_node])
-    delta_target = target_value(deltas[t_node], t_index)
-    report = ContributionReport(
-        target,
-        method,
-        {nid: multipliers[nid] * deltas[nid] for nid in input_ids},
-        {nid: multipliers[nid] for nid in input_ids},
-        {nid: deltas[nid] for nid in input_ids},
-        delta_target,
-        residual=0.0,
-    )
-    report.residual = abs(report.total() - delta_target)
-    return report
+    t_delta = trace[t_node] if reference is None else trace[t_node] - reference[t_node]
+    delta_target = target_value(t_delta, t_index)
+    batch = None if one_per_call(delta_target) else len(delta_target)
+    return ContributionReport(target, method, scores, mults, deltas, delta_target,
+                              abs(_total(scores, batch) - delta_target))
 
 
 def select_attribution_target(graph: Graph, requested=None,

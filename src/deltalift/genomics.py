@@ -137,11 +137,15 @@ def _make_split(rng: np.random.Generator, prefix: str, n: int, length: int,
 def generate_dataset(spec: DatasetSpec) -> Dataset:
     """Seed-deterministic train/val/test splits with disjoint generators;
     raises ValueError, naming the field, unless each split size is an even
-    integer >= 0 and ``substitution_rate`` is a finite number in [0, 1]."""
+    integer >= 0, ``length`` an integer >= 1 and ``substitution_rate`` a
+    finite number in [0, 1]."""
     for name in ("n_train", "n_val", "n_test"):
         n = getattr(spec, name)
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0 or n % 2:
             raise ValueError(f"{name} must be an even integer >= 0, got {n!r}")
+    length = spec.length  # a length below a motif's fails when it is placed
+    if isinstance(length, bool) or not isinstance(length, numbers.Integral) or length < 1:
+        raise ValueError(f"length must be an integer >= 1, got {length!r}")
     rate = spec.substitution_rate  # nan fails the range check
     if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 <= rate <= 1:
         raise ValueError(f"substitution_rate must be a finite number in [0, 1], got {rate!r}")

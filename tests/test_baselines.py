@@ -1,11 +1,15 @@
 """gradient*input, epsilon-LRP, and their convergence to each other."""
 
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deltalift.autodiff import _target_sweep, aligned, vjp_node
 from deltalift.baselines import (
     EnsembleSpec,
+    _lrp_rules,
     equivalence_report,
     gradient_times_input,
     lrp_as_contribution_report,
@@ -14,7 +18,7 @@ from deltalift.baselines import (
 )
 from deltalift.engine import AttributionError
 from deltalift.genomics import build_genomics_cnn
-from deltalift.graph import GraphBuilder, forward
+from deltalift.graph import DenseOnRead, GraphBuilder, forward
 
 from graphgen import random_graph_case
 
@@ -188,6 +192,59 @@ class TestLrp:
         assert rel.trace.graph is not g  # traced on the mean-normalized head
         report = lrp_as_contribution_report(g, inputs, rel)
         assert np.array_equal(report.contributions["x"], rel["x"])
+
+
+def eager_lrp_rules(epsilon, bias_rel):
+    """epsilon-LRP's table with a filtering rule that sums each node's
+    bias share as it sweeps, into the plain dict ``bias_rel``."""
+
+    def filtering(node, m_out, trace, mult, _):
+        m, at, like = aligned(m_out)
+        a = at(trace[node.id])
+        r = m * a
+        if not r.any():
+            return
+        stabilizer = np.where(a >= 0, epsilon, -epsilon)
+        share = r / (a + stabilizer)
+        vjp_node(node, like(share), trace, mult)
+        absorbed = (at(node.params["bias"]) + stabilizer) * share
+        bias_rel[node.id] = (float(absorbed.sum()) if trace.batch is None
+                             else absorbed.reshape(trace.batch, -1).sum(axis=1))
+
+    return {**_lrp_rules(epsilon, DenseOnRead()), "affine": filtering, "conv1d": filtering}
+
+
+class TestBiasShareOnRead:
+    """``lrp_epsilon`` forms each bias share when it is first read; read
+    after the sweep, it has the bits of the share summed during it."""
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("epsilon", [1e-9, 0.5])
+    def test_read_after_the_sweep_equals_the_eager_sums(self, batch, epsilon):
+        rng = np.random.default_rng(59)
+        cnn = build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
+                                 dense_units=12, seed=4)
+        graphs = [(cnn, "seq", None, np.eye(4)[rng.integers(0, 4, size=(batch or 1, 60))])]
+        for _ in range(6):
+            g, inputs = random_relu_mlp(rng, EnsembleSpec())
+            xs = rng.normal(size=(batch or 1,) + inputs["x"].shape)
+            graphs.append((g, "x", ("head", 0), xs))
+        for graph, input_id, target, xs in graphs:
+            inputs = {input_id: xs if batch else xs[0]}
+            rel = lrp_epsilon(graph, inputs, target=target, epsilon=epsilon)
+            waiting = dict(dict.items(rel.bias_relevance))
+            assert waiting and all(type(v) is functools.partial for v in waiting.values())
+            eager = {}
+            mult = _target_sweep(rel.trace.graph, rel.trace, rel.target,
+                                 eager_lrp_rules(epsilon, eager))
+            assert list(rel.bias_relevance) == list(eager)
+            for nid, share in eager.items():
+                got = rel.bias_relevance[nid]
+                assert type(got) is type(share), nid
+                assert np.asarray(got).tobytes() == np.asarray(share).tobytes(), nid
+                assert rel.bias_relevance[nid] is got  # formed once, then kept
+            for nid in graph.nodes:
+                assert mult[nid].tobytes() == rel.multipliers[nid].tobytes(), nid
 
 
 class TestEquivalence:

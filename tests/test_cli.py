@@ -114,6 +114,15 @@ class TestGenData:
         assert res.stderr.splitlines() == [f"error code=invalid-input detail={detail}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("length", ["-5", "0"])
+    def test_a_bad_length_writes_nothing(self, tmp_path, length):
+        res = run_cli("gen-data", "--out", str(tmp_path / "data"), "--n-train", "2",
+                      "--n-val", "0", "--n-test", "0", "--length", length)
+        assert res.returncode == 4
+        assert res.stderr.splitlines() == [
+            f"error code=invalid-input detail=length must be an integer >= 1, got {length}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_manifest_written(self, workspace):
         manifest = json.loads(
             (workspace["data"] / "dataset.manifest").read_text()
@@ -361,8 +370,9 @@ class TestAttribute:
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--method", "lrp", "--lrp-epsilon", "nan"],
-                                       ["--target", "nope:0"]],
-                             ids=["nan-lrp-epsilon", "missing-target-node"])
+                                       ["--target", "nope:0"], ["--target", "logit:5"]],
+                             ids=["nan-lrp-epsilon", "missing-target-node",
+                                  "target-index-out-of-range"])
     def test_options_are_checked_on_an_empty_file(self, workspace, tmp_path, flags):
         """An empty FASTA is refused the options a non-empty one is, with
         the same message, before any output opens."""
@@ -379,7 +389,8 @@ class TestAttribute:
         assert len(stderr[1].splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.fa"]
 
-    def test_out_of_range_target_names_the_first_bad_sample(self, workspace, tmp_path):
+    def test_out_of_range_target_index_is_refused_before_any_output(self, workspace,
+                                                                     tmp_path):
         res = run_cli(
             "attribute", "--model", str(workspace["trained"]), "--data",
             str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
@@ -387,9 +398,10 @@ class TestAttribute:
         )
         assert res.returncode == 4
         assert res.stderr == (
-            "error code=invalid-input detail=target index 5 (sample 0 of the batch) "
+            "error code=invalid-input detail=target index 5 "
             "out of range for node 'logit' with 1 elements\n"
         )
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 class TestCompare:

@@ -16,6 +16,7 @@ from deltalift.baselines import (
     random_relu_mlp,
 )
 from deltalift.engine import (
+    ATTRIBUTE_CHUNK,
     EPS_STABLE,
     METHODS,
     AttributionError,
@@ -32,7 +33,13 @@ from deltalift.engine import (
     select_attribution_target,
     zeros_reference,
 )
-from deltalift.genomics import build_genomics_cnn
+from deltalift.genomics import (
+    DatasetSpec,
+    build_genomics_cnn,
+    compare_methods,
+    encode_batch,
+    generate_dataset,
+)
 from deltalift.graph import GraphBuilder, GraphError, forward
 
 from graphgen import random_graph_case
@@ -102,6 +109,87 @@ class TestReference:
         finally:
             if collecting:
                 gc.enable()
+
+
+class TestRuleTableMemo:
+    def test_one_state_builds_deeplift_s_table_once(self, monkeypatch, rng):
+        """A reference state keeps DeepLIFT's rule table, and the zeros
+        reference's table is kept with it once per graph; a fresh state
+        builds its own, which gives the same bits."""
+        import deltalift.engine as engine_module
+
+        built = []
+        monkeypatch.setattr(
+            engine_module, "_rule_table",
+            lambda ref, _real=engine_module._rule_table: built.append(1) or _real(ref),
+        )
+        b = GraphBuilder()
+        h = b.prelu("h", b.affine("fc", b.input("x", (4,)), rng.normal(size=(6, 4)),
+                                  rng.normal(size=6)), np.full(6, 0.3))
+        b.affine("out", h, rng.normal(size=(2, 6)), rng.normal(size=2))
+        g = b.build(outputs=["out"])
+        one, batch = {"x": rng.normal(size=4)}, {"x": rng.normal(size=(3, 4))}
+        state = compute_reference(g, {"x": rng.normal(size=4)})
+        first = [deeplift(g, x, state, ("out", 1)) for x in (one, batch)]
+        for _ in range(3):
+            for x, report in zip((one, batch), first):
+                again = deeplift(g, x, state, ("out", 1))
+                assert again.contributions["x"].tobytes() == report.contributions["x"].tobytes()
+            propagate_multipliers(g, forward(g, one), state, ("out", 1))
+        assert len(built) == 1
+        for _ in range(3):
+            deeplift(g, one, target=("out", 0))
+            attribute(g, batch, "grad_input", target=("out", 0))
+        assert len(built) == 2  # the zeros reference's, made once
+        fresh = compute_reference(g, state.reference_input)
+        for x, report in zip((one, batch), first):
+            again = deeplift(g, x, fresh, ("out", 1))
+            assert again.contributions["x"].tobytes() == report.contributions["x"].tobytes()
+        assert len(built) == 3
+
+
+def test_attribution_calls_leave_nothing_for_the_collector():
+    """With the cyclic collector off, calls of every method, one sample
+    and a batch, and ``compare_methods`` make no reference cycle: the
+    memoized attribution model, zeros reference and rule tables, and the
+    bias shares LRP forms on read, all free at their last reference."""
+    data = generate_dataset(DatasetSpec(n_train=0, n_val=0, n_test=12, length=60, seed=6))
+    xs = encode_batch(data.test)
+
+    def paper_cnn():
+        return build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
+                                  dense_units=12, seed=2)
+
+    # half the sequences score as positives; numpy's first median call
+    # makes garbage of its own, so it runs before the collector stops
+    bias = -np.median(forward(paper_cnn(), {"seq": xs})["logit"][:, 0])
+
+    def calls():
+        cnn = paper_cnn().replace_params({"logit": {"bias": np.array([bias])}})
+        state = compute_reference(cnn, zeros_reference(cnn))
+        for inputs in ({"seq": xs[0]}, {"seq": xs[:ATTRIBUTE_CHUNK]}):
+            for _ in range(5):
+                for method in METHODS:
+                    attribute(cnn, inputs, method)
+                deeplift(cnn, inputs, state)
+                deeplift(cnn, inputs, {"seq": np.full((60, 4), 0.25)})
+                rel = lrp_epsilon(cnn, inputs)
+                lrp_as_contribution_report(cnn, inputs, rel)
+                dict(rel.bias_relevance)
+        for _ in range(5):
+            assert compare_methods(cnn, data.test).n_correct_positives > 0
+        return weakref.ref(cnn)
+
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        alive = calls()
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def affine_multiplier_rows(g, trace, ref):

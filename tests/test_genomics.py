@@ -1,5 +1,7 @@
 """Dataset generation, encoding, metrics and the method comparison."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -73,6 +75,22 @@ class TestGeneration:
         setattr(spec, field, value)
         with pytest.raises(ValueError, match=rf"^{field} must be "):
             generate_dataset(spec)
+
+    @pytest.mark.parametrize("length", [-5, 0, True, 30.0, "30", None])
+    def test_a_bad_length_is_refused_naming_the_field(self, length):
+        spec = DatasetSpec(n_train=2, n_val=0, n_test=0, length=length)
+        with pytest.raises(ValueError, match=rf"^length must be an integer >= 1, "
+                                             rf"got {re.escape(repr(length))}$"):
+            generate_dataset(spec)
+
+    def test_lengths_too_short_for_a_motif_name_it(self):
+        for length in (1, 5, np.int64(5)):
+            with pytest.raises(ValueError, match=rf"^sequence length {length} cannot hold "
+                                                 r"(GATA|CAGATG)$"):
+                generate_dataset(DatasetSpec(n_train=2, n_val=0, n_test=0, length=length))
+        data = generate_dataset(DatasetSpec(n_train=0, n_val=0, n_test=2,
+                                            length=np.int64(24)))
+        assert [len(ex.sequence) for ex in data.test] == [24, 24]
 
     def test_empty_splits_and_edge_rates_are_valid(self):
         for rate in (0, 1, 1.0, np.float64(0.5)):

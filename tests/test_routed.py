@@ -48,6 +48,7 @@ from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import (
     ELEMENTWISE_KINDS,
     KNOWN_KINDS,
+    DenseOnRead,
     ForwardTrace,
     Graph,
     GraphBuilder,
@@ -149,7 +150,8 @@ def dense_deeplift_rules(reference):
 
 def dense_lrp_rules(epsilon, bias_rel):
     """epsilon-LRP as a relevance sweep: dense filtering, pass-through and
-    max-pool rules, seeded with the target's relevance."""
+    max-pool rules, seeded with the target's relevance.  Its bias shares
+    go into the plain dict ``bias_rel`` as they are formed."""
 
     def filtering(node, r_out, trace, relevance, _):
         if not r_out.any():
@@ -168,7 +170,7 @@ def dense_lrp_rules(epsilon, bias_rel):
     def pass_through(node, r_out, trace, relevance, _):
         accumulate(relevance, node.inputs[0], r_out.copy())
 
-    return {**_lrp_rules(epsilon, bias_rel), "affine": filtering, "conv1d": filtering,
+    return {**_lrp_rules(epsilon, DenseOnRead()), "affine": filtering, "conv1d": filtering,
             "relu": pass_through, "maxpool1d": dense_vjp}
 
 
@@ -177,12 +179,13 @@ def dense_lrp_rules(epsilon, bias_rel):
 
 
 def tables(method, reference):
-    """(routed table, oracle table, routed bias shares, oracle bias shares)."""
+    """(routed table, oracle table, routed bias shares, oracle bias shares);
+    the routed shares are formed when read, the oracle's at once."""
     if method == "gradient":
         return None, DENSE_GRADIENT, None, None
     if method == "deeplift":
         return _deeplift_rules(reference), dense_deeplift_rules(reference), None, None
-    routed_bias, dense_bias = {}, {}
+    routed_bias, dense_bias = DenseOnRead(), {}
     return (_lrp_rules(LRP_EPSILON, routed_bias), dense_lrp_rules(LRP_EPSILON, dense_bias),
             routed_bias, dense_bias)
 
@@ -562,7 +565,7 @@ def test_sweeps_over_a_forward_trace_never_scan_the_windows(argmax_calls, batch)
     backward(graph, trace, ("out", 1))
     propagate_multipliers(graph, trace, reference, ("out", 1))
     seeds = target_seeds(graph, ("out", 1), trace.batch)
-    vjp_sweep(graph, trace, seeds, rules=_lrp_rules(LRP_EPSILON, {}))
+    vjp_sweep(graph, trace, seeds, rules=_lrp_rules(LRP_EPSILON, DenseOnRead()))
     vjp_sweep(graph, trace, seeds, want_param_grads=True)
     assert argmax_calls[0] == 0
     # a whole call scans each pool once, in its own forward pass
@@ -622,7 +625,7 @@ def test_a_hand_built_trace_finds_the_same_routes_and_results():
                                         want_param_grads=True)[1],
                 }
                 if i % 2 == 0:  # piecewise linear, so LRP applies
-                    got["lrp bias"] = {}
+                    got["lrp bias"] = DenseOnRead()
                     got["lrp"] = vjp_sweep(graph, trace, seeds,
                                            rules=_lrp_rules(LRP_EPSILON, got["lrp bias"]))[0]
                 results.append(got)
