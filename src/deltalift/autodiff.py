@@ -18,6 +18,9 @@ take such a buffer and work on its entries only; the sweep makes a
 buffer dense on a second write and before any other rule.  What it
 returns (``SweepValues``) makes a routed buffer dense, and an unreached
 node's zeros, only when a caller reads that node.
+
+The conv1d rules take their window starts and im2col blocks from
+``graph``, which owns window geometry.
 """
 
 from __future__ import annotations
@@ -30,14 +33,15 @@ import numpy as np
 
 from .graph import (
     ELEMENTWISE_KINDS,
-    IM2COL_BLOCK_ROWS,
     DenseOnRead,
     ForwardTrace,
     Graph,
     GraphError,
     Tensor,
+    _window_starts,
     conv1d_windows,
     forward,
+    im2col_blocks,
     maxout_pieces,
 )
 
@@ -238,29 +242,20 @@ def _conv1d_input_grad(node, grad_out, x, trace, lead):
         n_filt = len(filters)
         assert grad_out.values.shape[-1] == n_filt, grad_out.values.shape
         taps = np.einsum("...f,fk->...fk", grad_out.values, filters.reshape(n_filt, -1))
-        starts = _read_starts(node, grad_out, x, lead)[grad_out.index // n_filt]
+        starts = _read_starts(node, x, lead)[grad_out.index // n_filt]
         reads = _index_windows(x.size, taps.shape[-1])[starts]
         return np.bincount(reads.ravel(), taps.ravel(), x.size).reshape(x.shape)
+    # col2im: each tap's (B*P, F) @ (F, C) product added in place, in tap
+    # order, into the input rows that tap reads
     n_filt, width, _ = filters.shape
     stride = int(node.params["stride"])
-    gs = grad_out.reshape((-1,) + grad_out.shape[lead:])  # (B, P, F)
-    n_samples, n_out = gs.shape[:2]
-    rows = gs.reshape(-1, n_filt)  # (B*P, F)
-    # col2im: the taps' (B*P, F) @ (F, C) products as one stacked
-    # matmul per group of taps, each added in place, in tap order, into
-    # the rows it reads.  A group's (taps, B*P, C) result is no larger
-    # than one sample's full stack, so a batch allocates no large
-    # transient; one sample takes every tap in one product.
-    per_group = max(1, width // max(1, n_samples))
-    by_tap = filters.transpose(1, 0, 2)  # (K, F, C)
+    n_out = grad_out.shape[lead]
+    rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
     gx = np.zeros(x.shape)
-    gxs = gx.reshape((n_samples,) + x.shape[lead:])  # (B, L, C) view
-    span = stride * (n_out - 1) + 1
-    for first in range(0, width, per_group):
-        taps = np.matmul(rows, by_tap[first:first + per_group])
-        for k, tap in enumerate(taps, first):
-            view = gxs[:, k:k + span:stride]
-            np.add(view, tap.reshape(view.shape), out=view)
+    gxs = gx.reshape((-1,) + x.shape[lead:])  # (B, L, C) view
+    for k in range(width):
+        view = gxs[:, k::stride][:, :n_out]
+        np.add(view, (rows @ filters[:, k]).reshape(view.shape), out=view)
     return gx
 
 
@@ -332,39 +327,20 @@ def elementwise_grad(node, g, trace: ForwardTrace, at) -> Tensor:
     return _DERIVATIVES[node.kind](node, g, trace, at)
 
 
-@functools.lru_cache(maxsize=64)
-def _conv_read_starts(n_rows: int, n_out: int, length: int, stride: int, channels: int):
-    """Flat index, into a conv1d input of (length, channels) samples laid
-    end to end, of the first entry that each of the ``n_rows`` output rows
-    (sample * n_out + position) reads.  Cached per argument tuple, so the
-    array is read-only."""
-    sample, pos = np.divmod(np.arange(n_rows), n_out)
-    starts = (sample * length + pos * stride) * channels
-    starts.setflags(write=False)
-    return starts
-
-
-def _read_starts(node, out: Routed, x: Tensor, lead: int) -> Tensor:
-    """``_conv_read_starts`` for a conv1d node's routed output ``out``."""
-    n_out, n_filt = out.shape[lead:]
-    return _conv_read_starts(math.prod(out.shape) // n_filt, n_out, x.shape[-2],
-                             int(node.params["stride"]), x.shape[-1])
+def _read_starts(node, x: Tensor, lead: int) -> Tensor:
+    """Flat index into ``x``, a conv1d node's input, of the first entry
+    that each output row (sample * n_out + position) reads: the
+    first-channel window starts (``graph._window_starts``)."""
+    starts, channels = _window_starts(x.shape, node.params["filters"].shape[1],
+                                      int(node.params["stride"]), lead)
+    return starts.reshape(-1)[::channels]
 
 
 @functools.lru_cache(maxsize=64)
 def _index_windows(n: int, size: int) -> Tensor:
-    """``_flat_windows`` of ``arange(n)``: row i holds the flat indices i
-    to i + size - 1.  Cached per argument tuple; read-only."""
-    return _flat_windows(np.arange(n), size)
-
-
-def _flat_windows(x: Tensor, size: int) -> Tensor:
-    """Read-only (x.size - size + 1, size) view of ``x``: row i holds the
-    ``size`` entries from flat index i on."""
-    x = np.ascontiguousarray(x)
-    win = np.ndarray((x.size - size + 1, size), x.dtype, x, 0, (x.itemsize, x.itemsize))
-    win.setflags(write=False)
-    return win
+    """``conv1d_windows`` of ``arange(n)``: row i holds the flat indices
+    i to i + size - 1.  Cached per argument tuple; read-only."""
+    return conv1d_windows(np.arange(n), size, 1)
 
 
 def _channel_sums(rows: Tensor) -> Tensor:
@@ -391,23 +367,16 @@ def _conv1d_param_grads(node, grad_out, x, lead):
         n_filt = len(filters)
         values = grad_out.values.reshape(-1, n_filt).T  # (F, entries per filter)
         rows = grad_out.index.reshape(-1, n_filt).T // n_filt
-        starts = _read_starts(node, grad_out, x, lead)[rows]
-        windows = _flat_windows(x, filters[0].size)[starts]
+        starts = _read_starts(node, x, lead)[rows]
+        windows = conv1d_windows(x.reshape(-1), filters[0].size, 1)[starts]
         dw = np.matmul(values[:, None, :], windows)
         return {"filters": dw.reshape(filters.shape), "bias": _channel_sums(values.T)}
+    # im2col products summed over the forward's blocks
     n_filt, width, _ = filters.shape
-    stride = int(node.params["stride"])
     rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
-    xs, gs = (x, grad_out) if lead else (x[None], grad_out[None])
-    # im2col products summed over blocks of whole samples: one
-    # (F, B*P) @ (B*P, K*C) product would copy every window at once,
-    # more than the cache holds
-    per_block = max(1, IM2COL_BLOCK_ROWS // gs.shape[1])
     dw = np.zeros((n_filt, filters[0].size))
-    for i in range(0, len(xs), per_block):
-        g = gs[i:i + per_block].reshape(-1, n_filt)
-        cols = conv1d_windows(xs[i:i + per_block], width, stride, 1)
-        dw += g.T @ cols.reshape(len(g), -1)
+    for block, win in im2col_blocks(x, width, int(node.params["stride"]), lead):
+        dw += rows[block].T @ win.reshape(-1, dw.shape[1])
     return {"filters": dw.reshape(filters.shape), "bias": _channel_sums(rows)}
 
 

@@ -89,7 +89,11 @@ def _parse_target(text):
     if text is None or text == "auto":
         return None
     node, sep, index = text.partition(":")
-    return (node, int(index)) if sep else (node, 0)
+    try:
+        return node, int(index) if sep else 0
+    except ValueError:
+        raise ValueError("--target must be 'auto' or node_id[:index] with an integer "
+                         f"index, got {text!r}") from None
 
 
 def cmd_gen_data(args) -> int:

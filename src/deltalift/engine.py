@@ -63,7 +63,7 @@ from .graph import (
     ForwardTrace,
     Graph,
     Tensor,
-    _pool_window_starts,
+    _window_members,
     forward,
     stable_softmax,
 )
@@ -402,17 +402,13 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult):
     else:
         # the |delta| argmax, taken only over the windows that reroute; the
         # trace's route stays as it is
-        lead = 0 if trace.batch is None else 1
-        width, stride = int(node.params["width"]), int(node.params["stride"])
-        weak = ~ok
-        starts, step = _pool_window_starts(x.shape, width, stride, lead)
-        starts = starts[weak]
-        members = starts[:, None] + step * np.arange(width)
+        weak = np.flatnonzero(~ok)
+        members = _window_members(node, x.shape, weak)
         members_dx = delta_at(members)
-        pick = np.abs(members_dx).argmax(axis=1)
+        pick = (np.arange(len(weak)), np.abs(members_dx).argmax(axis=1))
         chosen = chosen.copy()
-        chosen[weak] = starts + step * pick
-        chosen_dx[weak] = members_dx[np.arange(len(pick)), pick]
+        chosen.put(weak, members[pick])
+        chosen_dx.put(weak, members_dx[pick])
         ok = np.abs(chosen_dx) > EPS_STABLE
         values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
     accumulate(mult, src, Routed(chosen, values, x.shape))

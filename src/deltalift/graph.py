@@ -531,11 +531,26 @@ def conv1d_windows(x: Tensor, width: int, stride: int, axis: int = 0) -> Tensor:
 IM2COL_BLOCK_ROWS = 768
 
 
+def im2col_blocks(x: Tensor, width: int, stride: int, lead: int = 0):
+    """Yield (output-row slice, windows) per block of whole samples: the
+    block's rows (sample * n_windows + window) and a (samples, n_windows,
+    width, ...) view of their windows, whose ``reshape(-1, width *
+    channels)`` is the block's im2col rows."""
+    win = conv1d_windows(x, width, stride, lead)
+    samples = win.reshape((-1,) + win.shape[lead:])  # (B, P, K, C) view
+    n_out = samples.shape[1]
+    per_block = max(1, IM2COL_BLOCK_ROWS // n_out)
+    for i in range(0, len(samples), per_block):
+        yield slice(i * n_out, (i + per_block) * n_out), samples[i:i + per_block]
+
+
 @functools.lru_cache(maxsize=64)
-def _pool_window_starts(shape: tuple, width: int, stride: int, lead: int = 0):
-    """Flat index, in a C-ordered array of ``shape``, of each pooling
-    window's first member, shaped like the pooled output; and the flat
-    distance between consecutive members of one window.
+def _window_starts(shape: tuple, width: int, stride: int, lead: int = 0):
+    """Flat index, in a C-ordered array of ``shape``, of each window's
+    first member, one window per position and channel, shaped like a max
+    pool's output; and the flat distance between consecutive members of
+    one window.  A conv1d output row reads every channel's window from
+    its first channel's start on.
 
     Windows run along axis ``lead``, behind any leading batch axes.  The
     result is cached per argument tuple, so the array is read-only.
@@ -555,10 +570,20 @@ def _pool_argmax(x: Tensor, width: int, stride: int, lead: int = 0) -> Tensor:
     """Flat index into ``x`` (C order) of each window's max, first index
     on ties, shaped like the pooled output."""
     am = conv1d_windows(x, width, stride, lead).argmax(axis=lead + 1)
-    starts, step = _pool_window_starts(x.shape, width, stride, lead)
+    starts, step = _window_starts(x.shape, width, stride, lead)
     am *= step
     am += starts
     return am
+
+
+def _window_members(pool: NodeSpec, shape: tuple, windows) -> Tensor:
+    """Flat indices (len(windows), width), into max pool ``pool``'s input
+    of ``shape`` (C order, any batch axes first), of the members of the
+    windows at flat indices ``windows`` of its output."""
+    width = int(pool.params["width"])
+    starts, step = _window_starts(shape, width, int(pool.params["stride"]),
+                                  len(shape) - len(pool.output_shape))
+    return starts.take(windows)[:, None] + step * np.arange(width)
 
 
 def maxout_pieces(node: NodeSpec, x: Tensor, lead: int = 0) -> Tensor:
@@ -580,23 +605,18 @@ def _eval_affine(node, acts, lead):
 
 
 def _eval_conv1d(node, acts, lead):
-    # im2col: (rows, K*C) @ (K*C, F) products over blocks of whole
-    # samples, each written into its rows of one output.  A block is
-    # copied into contiguous rows first: one sample's rows reshape to an
-    # overlapping view, which matmul would copy itself, more slowly.
+    # one (rows, K*C) @ (K*C, F) product per im2col block, into its rows.
+    # A block is copied into contiguous rows first: one sample's rows
+    # reshape to an overlapping view, which matmul would copy itself,
+    # more slowly.
+    x = acts[node.inputs[0]]
     filters = node.params["filters"]
-    n_filt, width, channels = filters.shape
-    win = conv1d_windows(acts[node.inputs[0]], width, int(node.params["stride"]), lead)
-    samples = win.reshape((-1,) + win.shape[lead:])  # (B, P, K, C) view
-    n_samples, n_out = samples.shape[:2]
-    per_block = max(1, IM2COL_BLOCK_ROWS // n_out)
+    n_filt, width = filters.shape[:2]
     w_t = filters.reshape(n_filt, -1).T
-    out = np.empty((n_samples * n_out, n_filt))
-    for i in range(0, n_samples, per_block):
-        block = samples[i:i + per_block]
-        np.matmul(np.ascontiguousarray(block.reshape(-1, width * channels)), w_t,
-                  out=out[i * n_out:(i + len(block)) * n_out])
-    out = out.reshape(win.shape[:lead + 1] + (n_filt,))
+    out = np.empty(x.shape[:lead] + node.output_shape)
+    rows = out.reshape(-1, n_filt)
+    for block, win in im2col_blocks(x, width, int(node.params["stride"]), lead):
+        np.matmul(np.ascontiguousarray(win.reshape(-1, len(w_t))), w_t, out=rows[block])
     out += node.sample_bias
     return out
 
@@ -665,8 +685,7 @@ def _pool_rectified(pool: NodeSpec, act: NodeSpec, x: Tensor, lead: int):
             sure &= slopes.take(route % slopes.size) >= 0
     if np.count_nonzero(sure) < sure.size:
         redo = np.flatnonzero(~sure)
-        starts, step = _pool_window_starts(x.shape, width, stride, lead)
-        members = starts.take(redo)[:, None] + step * np.arange(width)
+        members = _window_members(pool, x.shape, redo)
         values = _RECTIFIED_AT[act.kind](act, x, members)
         pick = (np.arange(len(redo)), values.argmax(axis=1))
         route.put(redo, members[pick])

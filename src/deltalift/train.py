@@ -62,12 +62,12 @@ class TrainConfig:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
-            raise TrainingError("training config must be a JSON object, got "
-                                f"{type(payload).__name__}")
+            raise ValueError("training config must be a JSON object, got "
+                             f"{type(payload).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(payload) - known
         if extra:
-            raise TrainingError(f"unknown training config fields: {sorted(extra)}")
+            raise ValueError(f"unknown training config fields: {sorted(extra)}")
         return cls(**payload).check()
 
     def to_file(self, path) -> None:

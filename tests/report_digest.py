@@ -9,7 +9,10 @@ and target activation, and ``compare_methods``' rows, tracks and summary.
 Every field is hashed with its type, shape and raw bytes, and mappings in
 their own order.  The calls run on a fixed ensemble of random graphs
 (``graphgen.random_graph_case``) and on the seeded paper CNN, both one
-sample at a time and in batches of ``ATTRIBUTE_CHUNK``.
+sample at a time and in batches of ``ATTRIBUTE_CHUNK``.  It also covers
+training: the parameter gradients of one ``vjp_sweep`` per graph, from
+random output seeds, for one sample and for a batch whose conv1d rows
+span three im2col blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from deltalift.autodiff import vjp_sweep
 from deltalift.baselines import lrp_as_contribution_report, lrp_epsilon
 from deltalift.engine import (
     ATTRIBUTE_CHUNK,
@@ -36,7 +40,7 @@ from deltalift.genomics import (
     encode_dataset,
     generate_dataset,
 )
-from deltalift.graph import forward
+from deltalift.graph import IM2COL_BLOCK_ROWS, forward
 from deltalift.normalize import attribution_model
 
 from graphgen import random_graph_case
@@ -45,6 +49,7 @@ ENSEMBLE_SEED = 2718
 ENSEMBLE_SIZE = 24
 CNN_SEED = 4242
 CNN_SEQUENCES = 32
+GRADIENT_SEED = 314
 
 
 def feed(h, value) -> None:
@@ -84,16 +89,22 @@ def lrp_outputs(graph, inputs, target=None):
                     "target_activation": rel.target_activation}
 
 
-def ensemble_records():
-    """(label, output) of every method on the random-graph ensemble: every
-    second graph is piecewise linear, so epsilon-LRP runs on it."""
+def ensemble():
+    """(index, piecewise linear, case, batch of inputs) of each graph of
+    the random-graph ensemble: every second graph is piecewise linear."""
     rng = np.random.default_rng(ENSEMBLE_SEED)
     for i in range(ENSEMBLE_SIZE):
         linear = i % 2 == 0
         case = random_graph_case(rng, piecewise_linear_only=linear)
+        shape = case.graph.nodes["x"].output_shape
+        yield i, linear, case, {"x": rng.normal(size=(ATTRIBUTE_CHUNK,) + shape)}
+
+
+def ensemble_records():
+    """(label, output) of every method on the random-graph ensemble;
+    epsilon-LRP runs on the piecewise linear graphs."""
+    for i, linear, case, batch in ensemble():
         graph = case.graph
-        shape = graph.nodes["x"].output_shape
-        batch = {"x": rng.normal(size=(ATTRIBUTE_CHUNK,) + shape)}
         state = compute_reference(graph, case.reference)
         targets = [case.target] + ([None] if graph.plan().head else [])
         for inputs in (case.inputs, batch):
@@ -138,9 +149,34 @@ def cnn_records():
         yield "cnn compare_methods", compare_methods(cnn, examples)
 
 
+def param_grads(graph, inputs, rng):
+    """One training sweep's parameter gradients on ``inputs``, seeded at
+    each graph output with standard normal values."""
+    trace = forward(graph, inputs)
+    seeds = {out: rng.normal(size=trace[out].shape) for out in graph.outputs}
+    return vjp_sweep(graph, trace, seeds, want_param_grads=True)[1]
+
+
+def gradient_records():
+    """(label, parameter gradients) on every ensemble graph and on the
+    paper CNN, for one sample and for a batch of two full im2col blocks
+    of its conv1d rows and one partial block."""
+    rng = np.random.default_rng(GRADIENT_SEED)
+    graphs = [(f"ensemble {i}", case.graph) for i, _, case, _ in ensemble()]
+    for label, graph in graphs + [("cnn", paper_cnn()[0])]:
+        shape = graph.nodes[graph.input_ids()[0]].output_shape
+        rows = [node.output_shape[0] for node in graph.nodes.values()
+                if node.kind == "conv1d"]
+        batch = 2 * max(1, IM2COL_BLOCK_ROWS // max(rows, default=IM2COL_BLOCK_ROWS)) + 1
+        for size in ((), (batch,)):
+            inputs = {graph.input_ids()[0]: rng.normal(size=size + shape)}
+            yield f"{label} param_grads", param_grads(graph, inputs, rng)
+
+
 def records():
     yield from ensemble_records()
     yield from cnn_records()
+    yield from gradient_records()
 
 
 def digest(outputs=None) -> str:

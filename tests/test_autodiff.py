@@ -11,11 +11,13 @@ from deltalift.autodiff import (
     vjp_sweep,
 )
 from deltalift.graph import (
+    IM2COL_BLOCK_ROWS,
     GraphBuilder,
     GraphError,
     _pool_argmax,
-    _pool_window_starts,
+    _window_starts,
     forward,
+    im2col_blocks,
 )
 
 from graphgen import random_graph_case
@@ -137,18 +139,17 @@ class TestBackward:
         assert routed.shape == shape
         assert routed.tobytes() == expected.reshape(shape).tobytes()
 
-    def test_pool_window_starts_are_cached_and_read_only(self):
-        starts, step = _pool_window_starts((4, 11, 3), 4, 2, 1)
+    def test_window_starts_are_cached_and_read_only(self):
+        starts, step = _window_starts((4, 11, 3), 4, 2, 1)
         assert step == 3 and starts.shape == (4, 4, 3)
-        assert _pool_window_starts((4, 11, 3), 4, 2, 1)[0] is starts
+        assert _window_starts((4, 11, 3), 4, 2, 1)[0] is starts
         with pytest.raises(ValueError, match="read-only"):
             starts[0, 0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
             starts += 1
 
     # (length, width, stride): (21, 4, 2) and (12, 4, 3) leave trailing
-    # input rows that no window reads; width 7 at batch 2 splits the taps
-    # into groups of 3, 3 and 1
+    # input rows that no window reads
     @pytest.mark.parametrize("length, width, stride", [
         (20, 4, 1), (21, 4, 2), (12, 4, 3), (30, 7, 2),
     ])
@@ -180,6 +181,41 @@ class TestBackward:
             assert not expected[..., -1, :].any()
         assert grads["x"].shape == shape
         assert grads["x"].tobytes() == expected.tobytes()
+
+    # 96 output rows per sample at both strides (stride 2 leaves a trailing
+    # input row); the batches fill part of one im2col block, exactly two,
+    # and two and part of a third
+    @pytest.mark.parametrize("length, stride", [(100, 1), (196, 2)])
+    @pytest.mark.parametrize("blocks", ["one", "full", "partial"])
+    def test_dense_conv_rules_across_im2col_blocks(self, rng, length, stride, blocks):
+        width, channels, n_filt, n_out = 5, 3, 4, 96
+        per_block = IM2COL_BLOCK_ROWS // n_out
+        batch = {"one": per_block // 2, "full": 2 * per_block,
+                 "partial": 2 * per_block + 3}[blocks]
+        b = GraphBuilder()
+        b.conv1d("c", b.input("x", (length, channels)),
+                 rng.normal(size=(n_filt, width, channels)), rng.normal(size=n_filt),
+                 stride=stride)
+        g = b.build(outputs=["c"])
+        xs = rng.normal(size=(batch, length, channels))
+        tr = forward(g, {"x": xs})
+        grad_out = rng.normal(size=tr["c"].shape)
+        assert grad_out.shape == (batch, n_out, n_filt)
+        assert len(list(im2col_blocks(xs, width, stride, 1))) == -(-batch // per_block)
+        got_x = vjp_sweep(g, tr, {"c": grad_out})[0]["x"]
+        got_params = vjp_sweep(g, tr, {"c": grad_out}, want_param_grads=True)[1]["c"]
+
+        # one window at a time
+        filters = g.nodes["c"].params["filters"]
+        want_x, want_filters, want_bias = np.zeros(xs.shape), np.zeros(filters.shape), 0.0
+        for s, p in np.ndindex(batch, n_out):
+            reads = slice(p * stride, p * stride + width)
+            want_x[s, reads] += np.tensordot(grad_out[s, p], filters, axes=1)
+            want_filters += grad_out[s, p][:, None, None] * xs[s, reads]
+            want_bias = want_bias + grad_out[s, p]
+        assert_allclose(got_x, want_x, rtol=1e-12, atol=1e-12)
+        assert_allclose(got_params["filters"], want_filters, rtol=1e-12, atol=1e-12)
+        assert_allclose(got_params["bias"], want_bias, rtol=1e-12, atol=1e-12)
 
     def test_softmax_jacobian_row(self, rng):
         b = GraphBuilder()

@@ -148,8 +148,10 @@ def test_train_step_matches_summed_per_sample_sweeps_on_paper_cnn():
 
 @pytest.mark.parametrize("size", [1, 5, 33])
 def test_train_step_on_paper_cnn_off_the_filter_gradient_block(size):
-    # the filter gradient sums whole-sample blocks of the im2col rows;
-    # these sizes leave a partial last block
+    # these sizes leave a partial last im2col block in the forward only:
+    # the conv feeds a max pool, so its filter gradient is the routed one.
+    # test_autodiff.py's test_dense_conv_rules_across_im2col_blocks runs
+    # the dense filter gradient across blocks
     data = generate_dataset(DatasetSpec(n_train=size + size % 2, n_val=0, n_test=0,
                                         seed=5))
     check_train_step(build_genomics_cnn(seed=5), encode_dataset(data.train[:size]))

@@ -348,15 +348,18 @@ class TestAttribute:
                       "--out", str(tmp_path / "o.tsv"), "--target", "pre:2")
         assert res.returncode == 0, res.stderr
 
-    def test_non_integer_target_index_is_invalid_input(self, workspace, tmp_path):
+    @pytest.mark.parametrize("target", ["logit:1.5", "logit:", "logit:0:1"])
+    def test_non_integer_target_index_is_invalid_input(self, workspace, tmp_path, target):
         res = run_cli(
             "attribute", "--model", str(workspace["trained"]), "--data",
             str(workspace["data"] / "test.fa"), "--out", str(tmp_path / "o.tsv"),
-            "--target", "logit:1.5",
+            "--target", target,
         )
         assert res.returncode == 4
-        assert res.stderr.startswith("error code=invalid-input detail=")
-        assert not (tmp_path / "o.tsv").exists()
+        assert res.stderr == (
+            "error code=invalid-input detail=--target must be 'auto' or "
+            f"node_id[:index] with an integer index, got '{target}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_missing_target_node_is_invalid_input(self, workspace, tmp_path):
         res = run_cli(
@@ -732,26 +735,26 @@ class TestErrors:
         assert res.stderr.startswith("error code=invalid-input detail=training config: "
                                      "epochs must be")
 
-    @pytest.mark.parametrize("payload, code, detail", [
-        ("5", 5, "training config must be a JSON object, got int"),
-        ('["seed"]', 5, "training config must be a JSON object, got list"),
-        ('{"seed": "x"}', 4, "training config: seed must be an integer >= 0, got 'x'"),
-        ('{"seed": 1.5}', 4, "training config: seed must be an integer >= 0, got 1.5"),
-        ('{"seed": true}', 4, "training config: seed must be an integer >= 0, got True"),
-        ('{"seed": -1}', 4, "training config: seed must be an integer >= 0, got -1"),
-    ], ids=["number", "list", "text-seed", "fractional-seed", "bool-seed",
+    @pytest.mark.parametrize("payload, detail", [
+        ("5", "training config must be a JSON object, got int"),
+        ('["seed"]', "training config must be a JSON object, got list"),
+        ('{"dropout": 1}', "unknown training config fields: ['dropout']"),
+        ('{"seed": "x"}', "training config: seed must be an integer >= 0, got 'x'"),
+        ('{"seed": 1.5}', "training config: seed must be an integer >= 0, got 1.5"),
+        ('{"seed": true}', "training config: seed must be an integer >= 0, got True"),
+        ('{"seed": -1}', "training config: seed must be an integer >= 0, got -1"),
+    ], ids=["number", "list", "unknown-field", "text-seed", "fractional-seed", "bool-seed",
             "negative-seed"])
     def test_malformed_config_file_is_one_error_line(self, workspace, tmp_path, payload,
-                                                     code, detail):
+                                                     detail):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(payload)
         res = run_cli(
             "train", "--data", str(workspace["data"]), "--out",
             str(tmp_path / "m.json"), "--config", str(cfg), "--quiet",
         )
-        assert res.returncode == code
-        category = "invalid-input" if code == 4 else "runtime"
-        assert res.stderr.splitlines() == [f"error code={category} detail={detail}"]
+        assert res.returncode == 4
+        assert res.stderr.splitlines() == [f"error code=invalid-input detail={detail}"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("flags, code, error", [
@@ -868,8 +871,9 @@ class TestErrors:
             "train", "--data", str(workspace["data"]), "--out",
             str(tmp_path / "m.json"), "--config", str(cfg), "--quiet",
         )
-        assert res.returncode == 5
-        assert res.stderr.startswith("error code=runtime")
+        assert res.returncode == 4
+        assert res.stderr == ("error code=invalid-input detail=unknown training config "
+                              "fields: ['optimizer']\n")
 
 
 class TestDocs:

@@ -29,6 +29,13 @@ def test_two_runs_give_the_same_digest_over_every_method():
     comparisons = [out for _, out in records if isinstance(out, MethodComparison)]
     assert len(comparisons) == 2
     assert comparisons[0].rows and comparisons[0].rows[0].deeplift_track is not None
+    # training: one sweep per graph and shape, the paper CNN's last
+    grads = [out for label, out in records if label.endswith("param_grads")]
+    assert len(grads) == 2 * (report_digest.ENSEMBLE_SIZE + 1)
+    assert all(g["conv"]["filters"].any() and g["logit"]["weights"].any() for g in grads[-2:])
+    # a conv1d with no pool below it takes the dense filter gradient
+    assert any("conv1d" in case.kinds and "maxpool1d" not in case.kinds
+               for _, _, case, _ in report_digest.ensemble())
 
 
 def test_the_digest_sees_one_bit_of_a_score():

@@ -54,7 +54,7 @@ from deltalift.graph import (
     GraphBuilder,
     NodeSpec,
     _pool_argmax,
-    _pool_window_starts,
+    _window_starts,
     conv1d_windows,
     forward,
 )
@@ -134,7 +134,7 @@ def dense_deeplift_rules(reference):
         ok = np.abs(chosen_dx) > EPS_STABLE
         if not ok.all():
             weak = ~ok
-            starts, step = _pool_window_starts(x.shape, width, stride, lead)
+            starts, step = _window_starts(x.shape, width, stride, lead)
             starts = starts[weak]
             members = starts[:, None] + step * np.arange(width)
             chosen[weak] = starts + step * np.abs(dx_flat[members]).argmax(axis=1)
@@ -787,15 +787,15 @@ def where_form(trace, reference, pool_id, src, m_out):
 @pytest.fixture
 def reroutes(monkeypatch):
     """The number of DeepLIFT max-pool calls that took the reroute branch,
-    the only one that reads the window starts."""
+    the only one that reads the window members."""
     calls = [0]
-    starts = deltalift.engine._pool_window_starts
+    members = deltalift.engine._window_members
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return starts(*args, **kwargs)
+        return members(*args, **kwargs)
 
-    monkeypatch.setattr(deltalift.engine, "_pool_window_starts", counted)
+    monkeypatch.setattr(deltalift.engine, "_window_members", counted)
     return calls
 
 

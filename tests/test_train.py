@@ -247,7 +247,7 @@ def test_config_file_round_trip(tmp_path):
 def test_config_rejects_unknown_fields(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"seed": 1, "dropout": 0.5}')
-    with pytest.raises(TrainingError, match="dropout"):
+    with pytest.raises(ValueError, match=r"^unknown training config fields: \['dropout'\]$"):
         TrainConfig.from_file(path)
 
 
@@ -255,7 +255,7 @@ def test_config_rejects_unknown_fields(tmp_path):
 def test_config_file_must_be_an_object(tmp_path, payload):
     path = tmp_path / "cfg.json"
     path.write_text(payload)
-    with pytest.raises(TrainingError, match="training config must be a JSON object"):
+    with pytest.raises(ValueError, match="training config must be a JSON object"):
         TrainConfig.from_file(path)
 
 
