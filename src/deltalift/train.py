@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import vjp_sweep
 from .genomics import auroc
-from .graph import Graph, GraphError, Tensor, forward
+from .graph import Graph, GraphError, forward
 
 
 # Samples per batched forward pass in ``evaluate``, the default mini-batch
@@ -96,26 +96,30 @@ def _resolve_head(graph: Graph) -> tuple[str, str]:
     return head
 
 
-def _as_input_dict(graph: Graph, x) -> dict[str, Tensor]:
-    if isinstance(x, dict):
-        return x
-    ids = graph.input_ids()
-    if len(ids) != 1:
-        raise TrainingError("bare-array samples need a single-input graph")
-    return {ids[0]: x}
-
-
 def _stack_batch(graph: Graph, samples):
-    """Stack (inputs, label) pairs into batched inputs and a label array."""
-    dicts = [_as_input_dict(graph, x) for x, _ in samples]
+    """Stack (inputs, label) pairs into batched inputs and a label array.
+
+    A sample is a dict of input id -> array, or, on a single-input graph,
+    the bare array.  Each input's samples are copied into one float64
+    array made for the batch.
+    """
+    ids = graph.input_ids()
+    xs = [x for x, _ in samples]
+    if len(ids) != 1 and not all(isinstance(x, dict) for x in xs):
+        raise TrainingError("bare-array samples need a single-input graph")
     batched = {}
-    for input_id in graph.input_ids():
-        if any(input_id not in d for d in dicts):
-            raise GraphError(f"missing tensor for input node '{input_id}'")
-        arrays = [np.asarray(d[input_id], dtype=np.float64) for d in dicts]
-        if len({a.shape for a in arrays}) > 1:
-            raise GraphError(f"input '{input_id}': samples differ in shape")
-        batched[input_id] = np.stack(arrays)
+    for input_id in ids:
+        try:
+            arrays = [x[input_id] if isinstance(x, dict) else x for x in xs]
+        except KeyError:
+            raise GraphError(f"missing tensor for input node '{input_id}'") from None
+        shape = np.shape(arrays[0])
+        out = np.empty((len(arrays),) + shape)
+        for i, a in enumerate(arrays):
+            if np.shape(a) != shape:
+                raise GraphError(f"input '{input_id}': samples differ in shape")
+            out[i] = a
+        batched[input_id] = out
     return batched, np.array([label for _, label in samples])
 
 
@@ -207,10 +211,12 @@ def evaluate(graph: Graph, dataset) -> tuple[float, float]:
     Samples are scored in batched forward passes of at most
     ``EVAL_CHUNK``.  The auROC is nan on a set with no positive (label 1)
     or no negative (label 0), or with any other label, as it is with no
-    validation set.
+    validation set.  An empty dataset raises TrainingError.
     """
     head_id, pre_id = _resolve_head(graph)
     dataset = list(dataset)
+    if not dataset:
+        raise TrainingError("empty dataset: nothing to evaluate")
     losses = []
     scores = []
     for start in range(0, len(dataset), EVAL_CHUNK):

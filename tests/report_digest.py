@@ -12,7 +12,10 @@ their own order.  The calls run on a fixed ensemble of random graphs
 sample at a time and in batches of ``ATTRIBUTE_CHUNK``.  It also covers
 training: the parameter gradients of one ``vjp_sweep`` per graph, from
 random output seeds, for one sample and for a batch whose conv1d rows
-span three im2col blocks.
+span three im2col blocks; and the weights and loss history after two
+seeded ``train_loop`` epochs of the paper CNN with the acceptance config.
+
+``weights_digest(graph)`` is the hash a trained model is quoted by.
 """
 
 from __future__ import annotations
@@ -42,14 +45,20 @@ from deltalift.genomics import (
 )
 from deltalift.graph import IM2COL_BLOCK_ROWS, forward
 from deltalift.normalize import attribution_model
+from deltalift.train import train_loop
 
 from graphgen import random_graph_case
+from test_acceptance import GENOMICS_TRAIN
 
 ENSEMBLE_SEED = 2718
 ENSEMBLE_SIZE = 24
 CNN_SEED = 4242
 CNN_SEQUENCES = 32
 GRADIENT_SEED = 314
+# the acceptance config for two epochs, on a training set whose last
+# mini-batch is partial
+TRAIN_CONFIG = dataclasses.replace(GENOMICS_TRAIN, epochs=2)
+TRAIN_SPEC = DatasetSpec(n_train=250, n_val=64, n_test=0, seed=CNN_SEED)
 
 
 def feed(h, value) -> None:
@@ -79,6 +88,18 @@ def feed(h, value) -> None:
         h.update(f"{type(value).__name__} {value!r}\n".encode())
     else:
         raise TypeError(f"cannot digest a {type(value).__name__}")
+
+
+def weights_digest(graph) -> str:
+    """SHA-256 over the raw bytes of a graph's parameter arrays, in
+    sorted node and key order; a node's integer geometry is left out."""
+    h = hashlib.sha256()
+    for node_id in sorted(graph.nodes):
+        params = graph.nodes[node_id].params
+        for key in sorted(params):
+            if isinstance(params[key], np.ndarray):
+                h.update(params[key].tobytes())
+    return h.hexdigest()
 
 
 def lrp_outputs(graph, inputs, target=None):
@@ -173,10 +194,21 @@ def gradient_records():
             yield f"{label} param_grads", param_grads(graph, inputs, rng)
 
 
+def training_records():
+    """(label, weights digest and loss history) of the paper CNN after
+    ``TRAIN_CONFIG``'s epochs on ``TRAIN_SPEC``'s sequences."""
+    data = generate_dataset(TRAIN_SPEC)
+    graph, history = train_loop(build_genomics_cnn(seed=TRAIN_CONFIG.seed),
+                                encode_dataset(data.train), encode_dataset(data.val),
+                                TRAIN_CONFIG)
+    yield "cnn train_loop", {"weights": weights_digest(graph), "history": history}
+
+
 def records():
     yield from ensemble_records()
     yield from cnn_records()
     yield from gradient_records()
+    yield from training_records()
 
 
 def digest(outputs=None) -> str:

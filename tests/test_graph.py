@@ -357,6 +357,38 @@ def test_windows_match_as_strided_reference(rng, shape, width, stride, axis):
     assert_array_equal(conv1d_windows(strided, width, stride, axis), expected)
 
 
+def test_filter_matrix_is_a_read_only_c_ordered_copy(rng):
+    filters = rng.normal(size=(20, 15, 4))
+    b = GraphBuilder()
+    b.conv1d("c", b.input("x", (200, 4)), filters, np.zeros(20), 2)
+    node = b.build(outputs=["c"]).nodes["c"]
+    w = node.filter_matrix
+    assert w.shape == (60, 20)
+    assert w.flags.c_contiguous
+    assert w.tobytes() == np.ascontiguousarray(filters.reshape(20, -1).T).tobytes()
+    assert not np.shares_memory(w, node.params["filters"])
+    with pytest.raises(ValueError, match="read-only"):
+        w[0, 0] = 1.0
+    assert node.filter_matrix is w  # made once per node
+
+
+def test_new_filters_get_their_own_filter_matrix(rng):
+    # a node made with other filters, by with_params or replace_params,
+    # must not read the matrix cached on the node it came from
+    b = GraphBuilder()
+    b.conv1d("c", b.input("x", (30, 4)), rng.normal(size=(6, 5, 4)), np.zeros(6))
+    graph = b.build(outputs=["c"])
+    node = graph.nodes["c"]
+    assert_array_equal(node.filter_matrix, node.params["filters"].reshape(6, -1).T)
+    filters = rng.normal(size=(6, 5, 4))
+    renewed = graph.replace_params({"c": {"filters": filters}})
+    x = rng.normal(size=(2, 30, 4))
+    for new in (node.with_params(filters=filters), renewed.nodes["c"]):
+        assert_array_equal(new.filter_matrix, filters.reshape(6, -1).T)
+    assert_array_equal(forward(renewed, {"x": x})["c"],
+                       per_sample_im2col(x, renewed.nodes["c"], 1))
+
+
 def test_windows_helper_shapes(rng):
     x = rng.normal(size=(9, 3))
     win = conv1d_windows(x, 4, 2)
@@ -369,9 +401,22 @@ def test_windows_helper_shapes(rng):
     assert_allclose(win[1, 1], batch[1, 2:6])
 
 
+def per_sample_im2col(x, node, lead):
+    """The conv1d forward with no blocking: every sample's windows copied
+    into one (P, K*C) array and one product with ``node.filter_matrix``."""
+    width, stride = node.params["filters"].shape[1], node.params["stride"]
+    rows = [conv1d_windows(sample, width, stride)
+            for sample in x.reshape((-1,) + x.shape[lead:])]
+    out = np.stack([np.ascontiguousarray(win.reshape(len(win), -1)) @ node.filter_matrix
+                    for win in rows])
+    out += node.params["bias"]
+    return out.reshape(x.shape[:lead] + node.output_shape)
+
+
 def one_product_im2col(x, filters, bias, stride, lead):
-    """The conv1d forward the blocked one replaced: every window copied into
-    one (B*P, K*C) array and one product with the filters."""
+    """The conv1d forward before blocks and the filter matrix: every window
+    copied into one (B*P, K*C) array and one product with the transposed
+    view of the filters."""
     n_filt, width, channels = filters.shape
     win = conv1d_windows(x, width, stride, lead)
     out = win.reshape(-1, width * channels) @ filters.reshape(n_filt, -1).T
@@ -386,16 +431,22 @@ LONG_CONV = [(IM2COL_BLOCK_ROWS + 40, 5, 1, batch) for batch in (None, 1, 3)]
 
 
 @pytest.mark.parametrize("length, width, stride, batch", PAPER_CONV + LONG_CONV)
-def test_blocked_conv_forward_equals_one_product_im2col(rng, length, width, stride, batch):
+def test_blocked_conv_forward_equals_per_sample_products(rng, length, width, stride, batch):
+    # a block's product gives each of its samples the bits of that
+    # sample's own product: OpenBLAS keeps one kernel for a C-ordered
+    # right-hand side from 8 rows up to a block's 768
     filters, bias = rng.normal(size=(20, width, 4)), rng.normal(size=20)
     b = GraphBuilder()
     b.conv1d("c", b.input("x", (length, 4)), filters, bias, stride)
     graph = b.build(outputs=["c"])
-    n_out = graph.nodes["c"].output_shape[0]
-    assert (n_out > IM2COL_BLOCK_ROWS) == (length > IM2COL_BLOCK_ROWS)
+    node = graph.nodes["c"]
+    assert (node.output_shape[0] > IM2COL_BLOCK_ROWS) == (length > IM2COL_BLOCK_ROWS)
     x = rng.normal(size=(length, 4) if batch is None else (batch, length, 4))
+    lead = 0 if batch is None else 1
     got = forward(graph, {"x": x})["c"]
-    want = one_product_im2col(x, filters, bias, stride, 0 if batch is None else 1)
+    want = per_sample_im2col(x, node, lead)
     assert got.shape == want.shape
-    assert_array_equal(got, want)
     assert got.tobytes() == want.tobytes()
+    # the transposed view's product differs from it by round-off only
+    old = one_product_im2col(x, filters, bias, stride, lead)
+    assert np.abs(got - old).max() <= 1e-12 * np.abs(old).max()

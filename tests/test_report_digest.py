@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from deltalift.engine import METHODS, ContributionReport
-from deltalift.genomics import MethodComparison
+from deltalift.genomics import MethodComparison, build_genomics_cnn
+from deltalift.graph import Graph
 
 import report_digest
 
@@ -36,6 +37,27 @@ def test_two_runs_give_the_same_digest_over_every_method():
     # a conv1d with no pool below it takes the dense filter gradient
     assert any("conv1d" in case.kinds and "maxpool1d" not in case.kinds
                for _, _, case, _ in report_digest.ensemble())
+    # the weights and losses of two train_loop epochs of the paper CNN
+    (trained,) = [out for label, out in records if label == "cnn train_loop"]
+    assert len(trained["history"]) == report_digest.TRAIN_CONFIG.epochs == 2
+    assert report_digest.TRAIN_CONFIG.batch_size == 32
+    untrained = build_genomics_cnn(seed=report_digest.TRAIN_CONFIG.seed)
+    assert trained["weights"] != report_digest.weights_digest(untrained)
+
+
+def test_weights_digest_reads_every_parameter_array_in_sorted_order():
+    cnn = build_genomics_cnn(seed=3)
+    before = report_digest.weights_digest(cnn)
+    assert len(before) == 64
+    shuffled = Graph(reversed(list(cnn.nodes.values())), cnn.outputs)
+    assert report_digest.weights_digest(shuffled) == before
+    for node in cnn.nodes.values():
+        for key, value in node.params.items():
+            if isinstance(value, np.ndarray):
+                flipped = value.copy()
+                flipped.view(np.uint64).flat[-1] ^= 1
+                changed = cnn.replace_params({node.id: {key: flipped}})
+                assert report_digest.weights_digest(changed) != before, (node.id, key)
 
 
 def test_the_digest_sees_one_bit_of_a_score():

@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 
 from deltalift import cli
 from deltalift.genomics import DatasetSpec, auroc, generate_dataset, write_fasta
-from deltalift.graph import GraphBuilder, forward
+from deltalift.graph import GraphBuilder, GraphError, forward
 from deltalift.train import (
     TrainConfig,
     TrainingError,
+    _stack_batch,
     evaluate,
     train_loop,
     train_step,
@@ -292,3 +293,71 @@ def test_sigmoid_head_rejects_labels_outside_zero_one(labels):
         train_loop(small_mlp(), data, None, TrainConfig(epochs=1, batch_size=4))
     with pytest.raises(TrainingError, match=f"label ({bad}) outside sigmoid labels"):
         evaluate(small_mlp(), data)
+
+
+def test_evaluate_refuses_an_empty_dataset(monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("an empty dataset ran a forward pass")
+
+    monkeypatch.setattr("deltalift.train.forward", no_forward)
+    for empty in ([], iter(())):
+        with pytest.raises(TrainingError, match="^empty dataset"):
+            evaluate(small_mlp(), empty)
+
+
+def two_input_sigmoid():
+    b = GraphBuilder()
+    prod = b.product("p", b.input("x", (2,)), b.input("z", (2,)))
+    b.sigmoid("prob", b.affine("logit", prod, [[1.0, -1.0]], [0.0]))
+    return b.build(outputs=["prob"])
+
+
+class TestStackBatch:
+    def test_bytes_equal_to_stacking_float64_arrays(self):
+        rng = np.random.default_rng(5)
+        xs = [rng.normal(size=(7, 4)) for _ in range(5)]
+        for samples in ([(x, i % 2) for i, x in enumerate(xs)],
+                        [({"x": x}, i % 2) for i, x in enumerate(xs)]):
+            batched, labels = _stack_batch(small_mlp(), samples)
+            want = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
+            assert batched["x"].dtype == np.float64
+            assert batched["x"].shape == want.shape
+            assert batched["x"].tobytes() == want.tobytes()
+            assert labels.tolist() == [0, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("values", [[[1, 0], [3, -2]], [[True, False], [False, True]],
+                                        [[1.5, 2.0], [0.0, -1.0]]])
+    def test_integer_and_bool_samples_come_out_float64(self, values):
+        samples = [(np.array(v), 0) for v in values] + [(values[0], 1)]
+        batched, _ = _stack_batch(small_mlp(), samples)
+        assert batched["x"].dtype == np.float64
+        assert_allclose(batched["x"], np.array(values + values[:1], dtype=np.float64))
+
+    def test_missing_input_names_it(self):
+        samples = [({"x": np.ones(2), "z": np.ones(2)}, 0), ({"x": np.ones(2)}, 1)]
+        with pytest.raises(GraphError, match="^missing tensor for input node 'z'$"):
+            _stack_batch(two_input_sigmoid(), samples)
+
+    def test_samples_of_different_shapes(self):
+        samples = [(np.ones(2), 0), (np.ones(3), 1)]
+        with pytest.raises(GraphError, match="^input 'x': samples differ in shape$"):
+            _stack_batch(small_mlp(), samples)
+        with pytest.raises(GraphError, match="^input 'x': samples differ in shape$"):
+            _stack_batch(small_mlp(), [(np.ones(2), 0), (np.ones((1, 2)), 1)])
+
+    def test_dict_samples_on_a_two_input_graph(self):
+        rng = np.random.default_rng(6)
+        samples = [({"x": rng.normal(size=2), "z": rng.normal(size=2)}, i % 2)
+                   for i in range(4)]
+        batched, labels = _stack_batch(two_input_sigmoid(), samples)
+        assert sorted(batched) == ["x", "z"]
+        for key in ("x", "z"):
+            assert batched[key].tobytes() == np.stack([x[key] for x, _ in samples]).tobytes()
+        assert labels.tolist() == [0, 1, 0, 1]
+        evaluate(two_input_sigmoid(), samples)
+        train_step(two_input_sigmoid(), samples, TrainConfig(), None)
+
+    def test_bare_arrays_on_a_two_input_graph(self):
+        samples = [({"x": np.ones(2), "z": np.ones(2)}, 0), (np.ones(2), 1)]
+        with pytest.raises(TrainingError, match="^bare-array samples need a single-input graph$"):
+            _stack_batch(two_input_sigmoid(), samples)
