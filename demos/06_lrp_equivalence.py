@@ -16,7 +16,7 @@ from deltalift.baselines import gradient_times_input, random_relu_mlp
 
 # One concrete net first.
 rng = np.random.default_rng(7)
-graph, inputs = random_relu_mlp(rng, EnsembleSpec())
+graph, inputs = random_relu_mlp(rng)
 gi = gradient_times_input(graph, inputs, target=("head", 0))
 print("gradient*input:", np.round(gi.contributions["x"], 6))
 for eps in (1e-2, 1e-5, 1e-9):

@@ -2,11 +2,10 @@
 
 ``vjp_sweep`` is the package's one reverse sweep: ``backward`` and
 training run it with the gradient rules (``GRADIENT_RULES``, one per
-node kind), and DeepLIFT (``engine``) and epsilon-LRP (``baselines``)
-with tables that extend it, replacing some of its rules.  The sweep
-walks the graph's plan (``Graph.plan``) and reaches each rule by one
-table lookup.  The finite difference checker is the numerical oracle
-for the gradients.
+node kind), and DeepLIFT and epsilon-LRP with tables (``engine``) that
+extend it, replacing some of its rules.  The sweep walks the graph's
+plan (``Graph.plan``) and reaches each rule by one table lookup.  The
+finite difference checker is the numerical oracle for the gradients.
 
 Max-pooling sends each window's value to one input unit, its route:
 the window's first argmax, which ``forward`` records in the trace as it

@@ -13,38 +13,31 @@ gradient table (``autodiff.GRADIENT_RULES``) and deltas from a
 reference, epsilon-LRP with a table that replaces only the filtering
 rule at affine and conv1d, and deltas that are the activations (the
 sweep then carries multipliers m; a node's relevance is its activation
-times m).  ``gradient_times_input`` and ``attribute(..., "lrp")`` are
-report-only; ``lrp_epsilon`` evaluates every node, since the
-``RelevanceTrace`` it returns exposes the whole trace.
+times m), both tables in ``engine``.  Every call evaluates only the
+target node's ancestors, which the ``RelevanceTrace`` of ``lrp_epsilon``
+holds; it reads zero relevance at every other node.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import GRADIENT_RULES, _target_sweep, aligned, target_value, vjp_node
+from .autodiff import _target_sweep, target_value
 from .engine import (
     LRP_EPSILON,
+    LRP_KINDS,
     AttributionError,
     ContributionReport,
     ReferenceState,
     _attribute,
+    _lrp_rules,
     _traced_target,
     check_stabilizer,
     contributions,
 )
-from .graph import (
-    KNOWN_KINDS,
-    DenseOnRead,
-    ForwardTrace,
-    Graph,
-    GraphBuilder,
-    Tensor,
-    forward,
-)
+from .graph import DenseOnRead, ForwardTrace, Graph, GraphBuilder, Tensor, forward
 from .normalize import attribution_model
 
 
@@ -70,11 +63,6 @@ def gradient_times_input(graph: Graph, inputs: dict[str, Tensor], target=None,
 # epsilon-LRP
 
 
-# prelu, like relu, is positively homogeneous (f(x) = f'(x) x), so its
-# gradient rule passes relevance through unchanged
-LRP_KINDS = frozenset(["input", "affine", "conv1d", "maxpool1d", "relu", "prelu"])
-
-
 @dataclass
 class RelevanceTrace:
     """Per-node relevances from one LRP backward pass.
@@ -86,6 +74,8 @@ class RelevanceTrace:
     telescoping at every epsilon; each share is formed when first read
     (a ``graph.DenseOnRead``).  ``target_activation`` is the seeded
     relevance.  On a batch every entry holds one value per sample.
+    ``trace`` holds the inputs, the target and its ancestors; the sweep
+    reaches no other node, so another node's relevance reads zero.
     """
 
     trace: ForwardTrace
@@ -96,7 +86,9 @@ class RelevanceTrace:
     target_activation: float
 
     def __getitem__(self, node_id: str) -> Tensor:
-        return self.trace[node_id] * self.multipliers[node_id]
+        m = self.multipliers[node_id]
+        activations = self.trace.activations
+        return activations[node_id] * m if node_id in activations else m.copy()
 
     @property
     def relevances(self) -> dict[str, Tensor]:
@@ -115,60 +107,16 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     (``normalize.attribution_model``), and its relevance is its own
     activation.  ``inputs`` holds one sample or a batch.  Raises
     AttributionError when relevance reaches any other node kind, and
-    ValueError unless ``epsilon`` is a finite number >= 0.  The forward
-    trace covers every node, since ``RelevanceTrace`` exposes it.
+    ValueError unless ``epsilon`` is a finite number >= 0; at epsilon 0 a
+    filtering unit whose pre-activation is 0 passes no relevance.  Like
+    every method it evaluates only the target node's ancestors.
     """
     check_stabilizer(epsilon)
-    trace, resolved = _traced_target(graph, inputs, target, every_node=True)
+    trace, resolved = _traced_target(graph, inputs, target)
     bias_rel = DenseOnRead()
     mult = _target_sweep(trace.graph, trace, resolved, _lrp_rules(epsilon, bias_rel))
     return RelevanceTrace(trace, mult, bias_rel, epsilon, resolved,
                           target_value(trace[resolved[0]], resolved[1]))
-
-
-def _lrp_rules(epsilon: float, bias_rel: DenseOnRead) -> dict:
-    """epsilon-LRP's rules for ``vjp_sweep``, which then carries
-    multipliers m (relevance = activation * m): affine and conv1d pass
-    m * a / (a + eps sign a) to the gradient rule, and record in
-    ``bias_rel`` their bias share, to be formed when read
-    (``_bias_share``); every kind outside ``LRP_KINDS`` raises once
-    multipliers reach it; the rest keep the gradient rule."""
-
-    def filtering(node, m_out, trace, mult, _):
-        # a node's relevance is a * m; zero relevance adds no share
-        # (count_nonzero tests for it without ndarray.any's Python wrapper)
-        m, at, like = aligned(m_out)
-        a = at(trace[node.id])
-        r = m * a
-        if not np.count_nonzero(r):
-            return
-        stabilizer = np.where(a >= 0, epsilon, -epsilon)
-        share = r / (a + stabilizer)
-        vjp_node(node, like(share), trace, mult)
-        bias_rel[node.id] = functools.partial(
-            _bias_share, node.params["bias"], at, stabilizer, share, trace.batch)
-
-    return {**_LRP_BASE, "affine": filtering, "conv1d": filtering}
-
-
-def _bias_share(bias: Tensor, at, stabilizer: Tensor, share: Tensor, batch: int | None):
-    """The relevance a filtering node's bias and stabilizer absorb: a
-    float, or one per sample of a batch."""
-    absorbed = (at(bias) + stabilizer) * share
-    return (float(absorbed.sum()) if batch is None
-            else absorbed.reshape(batch, -1).sum(axis=1))
-
-
-def _reject(node, m_out, trace, mult, _):
-    if m_out.any():
-        raise AttributionError(
-            f"lrp does not support node '{node.id}' of kind '{node.kind}'; "
-            f"it supports {', '.join(sorted(LRP_KINDS - {'input'}))}"
-        )
-
-
-# epsilon-LRP's table but for the filtering rule, which ``_lrp_rules`` adds
-_LRP_BASE = {**GRADIENT_RULES, **dict.fromkeys(KNOWN_KINDS - LRP_KINDS, _reject)}
 
 
 def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
@@ -194,22 +142,24 @@ def lrp_as_contribution_report(graph: Graph, inputs: dict[str, Tensor],
 # Equivalence of epsilon-LRP and gradient*input on piecewise-linear nets
 
 
+# the inclusive ranges an ensemble net draws its affine layers, hidden
+# widths and input width from, and its smallest |affine output|
+ENSEMBLE_DEPTHS, ENSEMBLE_WIDTHS, ENSEMBLE_INPUT_DIMS = (2, 4), (4, 12), (3, 8)
+PREACTIVATION_FLOOR = 1e-6
+
+
 @dataclass
 class EnsembleSpec:
     """Random ReLU multi-layer perceptron ensemble for the equivalence check.
 
     Nets are resampled until every affine output entry has magnitude at
-    least ``preactivation_floor``: those values are the LRP denominators,
+    least ``PREACTIVATION_FLOOR``: those values are the LRP denominators,
     and near-zero denominators inflate finite-epsilon error without
     saying anything about the epsilon -> 0 limit.
     """
 
     n_nets: int = 100
-    depth_range: tuple[int, int] = (2, 4)
-    width_range: tuple[int, int] = (4, 12)
-    input_dim_range: tuple[int, int] = (3, 8)
     seed: int = 0
-    preactivation_floor: float = 1e-6
 
 
 @dataclass
@@ -220,16 +170,16 @@ class EquivalenceRow:
     mean_rel_dev: float
 
 
-def random_relu_mlp(rng: np.random.Generator, spec: EnsembleSpec):
+def random_relu_mlp(rng: np.random.Generator):
     """One random ReLU MLP with nonzero biases, plus an admissible input."""
     for _ in range(1000):
-        depth = int(rng.integers(spec.depth_range[0], spec.depth_range[1] + 1))
-        in_dim = int(rng.integers(spec.input_dim_range[0], spec.input_dim_range[1] + 1))
+        depth = int(rng.integers(ENSEMBLE_DEPTHS[0], ENSEMBLE_DEPTHS[1] + 1))
+        in_dim = int(rng.integers(ENSEMBLE_INPUT_DIMS[0], ENSEMBLE_INPUT_DIMS[1] + 1))
         b = GraphBuilder()
         prev = b.input("x", (in_dim,))
         dim = in_dim
         for layer in range(depth - 1):
-            width = int(rng.integers(spec.width_range[0], spec.width_range[1] + 1))
+            width = int(rng.integers(ENSEMBLE_WIDTHS[0], ENSEMBLE_WIDTHS[1] + 1))
             w = rng.normal(size=(width, dim)) / np.sqrt(dim)
             bias = rng.normal(size=width) * 0.5
             prev = b.affine(f"fc{layer}", prev, w, bias)
@@ -247,7 +197,7 @@ def random_relu_mlp(rng: np.random.Generator, spec: EnsembleSpec):
             for n in graph.nodes.values()
             if n.kind == "affine"
         ]
-        if min(floors) >= spec.preactivation_floor:
+        if min(floors) >= PREACTIVATION_FLOOR:
             return graph, {"x": x}
     raise RuntimeError("could not sample an admissible net; floor too high?")
 
@@ -267,7 +217,7 @@ def equivalence_report(spec: EnsembleSpec, epsilons) -> list[EquivalenceRow]:
     epsilons = [float(e) for e in epsilons]
     rows: list[EquivalenceRow] = []
     for net_id in range(spec.n_nets):
-        graph, inputs = random_relu_mlp(rng, spec)
+        graph, inputs = random_relu_mlp(rng)
         gi = gradient_times_input(graph, inputs, target=("head", 0))
         gi_scores = gi.contributions["x"]
         for eps in epsilons:

@@ -38,7 +38,8 @@ C = m * delta.
 DeepLIFT, gradient*input and epsilon-LRP (``baselines``) run through one
 core (``_attribute``) and differ only in the rule table and the deltas:
 from a reference, or for LRP the activations (a reference whose every
-activation is 0).  The core takes the graph's attribution model
+activation is 0); epsilon-LRP's table (``_lrp_rules``) sits beside
+DeepLIFT's.  The core takes the graph's attribution model
 (``normalize.attribution_model``), fixes the target's node before any
 forward (``fixed_target_node``: by default the pre-activation of the
 head that ``graph.Plan.head`` names), runs the forward pass over that
@@ -60,6 +61,8 @@ import numpy as np
 
 from .graph import (
     ELEMENTWISE_KINDS,
+    KNOWN_KINDS,
+    DenseOnRead,
     ForwardTrace,
     Graph,
     Tensor,
@@ -78,6 +81,7 @@ from .autodiff import (
     resolve_target,
     take_at,
     target_value,
+    vjp_node,
     whole,
 )
 from .normalize import attribution_model
@@ -432,6 +436,64 @@ def _maxout_multiplier_backprop(node, m_out, trace, reference, mult):
 
 
 # ---------------------------------------------------------------------------
+# epsilon-LRP's rules
+
+
+# prelu, like relu, is positively homogeneous (f(x) = f'(x) x), so its
+# gradient rule passes relevance through unchanged
+LRP_KINDS = frozenset(["input", "affine", "conv1d", "maxpool1d", "relu", "prelu"])
+
+
+def _lrp_rules(epsilon: float, bias_rel: DenseOnRead) -> dict:
+    """epsilon-LRP's rules for ``vjp_sweep``, which then carries
+    multipliers m (relevance = activation * m): affine and conv1d pass
+    m * a / (a + eps sign a) to the gradient rule, and record in
+    ``bias_rel`` their bias share, to be formed when read
+    (``_bias_share``); every kind outside ``LRP_KINDS`` raises once
+    multipliers reach it; the rest keep the gradient rule.  At
+    ``epsilon`` 0 a unit with a = 0 holds no relevance and passes none."""
+
+    def filtering(node, m_out, trace, mult, _):
+        # a node's relevance is a * m; zero relevance adds no share
+        # (count_nonzero tests for it without ndarray.any's Python wrapper)
+        m, at, like = aligned(m_out)
+        a = at(trace[node.id])
+        r = m * a
+        if not np.count_nonzero(r):
+            return
+        stabilizer = np.where(a >= 0, epsilon, -epsilon)
+        # only epsilon 0 leaves a zero denominator; r is 0 there, as is r / 1
+        d = a + stabilizer
+        d[d == 0] = 1.0
+        share = r / d
+        vjp_node(node, like(share), trace, mult)
+        bias_rel[node.id] = functools.partial(
+            _bias_share, node.params["bias"], at, stabilizer, share, trace.batch)
+
+    return {**_LRP_BASE, "affine": filtering, "conv1d": filtering}
+
+
+def _bias_share(bias: Tensor, at, stabilizer: Tensor, share: Tensor, batch: int | None):
+    """The relevance a filtering node's bias and stabilizer absorb: a
+    float, or one per sample of a batch."""
+    absorbed = (at(bias) + stabilizer) * share
+    return (float(absorbed.sum()) if batch is None
+            else absorbed.reshape(batch, -1).sum(axis=1))
+
+
+def _reject(node, m_out, trace, mult, _):
+    if m_out.any():
+        raise AttributionError(
+            f"lrp does not support node '{node.id}' of kind '{node.kind}'; "
+            f"it supports {', '.join(sorted(LRP_KINDS - {'input'}))}"
+        )
+
+
+# epsilon-LRP's table but for the filtering rule, which ``_lrp_rules`` adds
+_LRP_BASE = {**GRADIENT_RULES, **dict.fromkeys(KNOWN_KINDS - LRP_KINDS, _reject)}
+
+
+# ---------------------------------------------------------------------------
 # Reports and the high-level entry points
 
 
@@ -552,15 +614,13 @@ def fixed_target_node(graph: Graph, requested=None) -> str:
     return resolve_target(graph, (node_id, 0))[0]
 
 
-def _traced_target(graph: Graph, inputs: dict[str, Tensor], target=None,
-                   every_node: bool = False):
+def _traced_target(graph: Graph, inputs: dict[str, Tensor], target=None):
     """(trace, resolved target) on ``graph``'s attribution model
-    (``normalize.attribution_model``); the trace holds only the target
-    node's ancestors (``fixed_target_node``), unless ``every_node``.
-    Raises GraphError if the graph is malformed."""
+    (``normalize.attribution_model``); the trace holds only the inputs,
+    the target node (``fixed_target_node``) and its ancestors.  Raises
+    GraphError if the graph is malformed."""
     graph = attribution_model(graph)
-    upto = fixed_target_node(graph, target)
-    trace = forward(graph, inputs, upto=None if every_node else upto)
+    trace = forward(graph, inputs, upto=fixed_target_node(graph, target))
     return trace, select_attribution_target(graph, target, trace)
 
 
@@ -614,10 +674,6 @@ def deeplift(graph: Graph, inputs: dict[str, Tensor],
 
 
 METHODS = ("deeplift", "grad_input", "lrp")
-
-# baselines imports the names above from this module, so it loads here,
-# once they exist
-from .baselines import _lrp_rules  # noqa: E402
 
 
 def attribute(graph: Graph, inputs: dict[str, Tensor], method: str = "deeplift",

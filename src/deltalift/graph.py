@@ -55,21 +55,12 @@ class GraphError(Exception):
     """Structural problem in a graph: cycle, bad shape, dangling reference."""
 
 
-def as_tensor(values, shape=None, name="tensor") -> Tensor:
-    """Coerce ``values`` to a finite float64 array, optionally reshaped.
+def as_tensor(values, name="tensor") -> Tensor:
+    """Coerce ``values`` to a finite, C-contiguous float64 array.
 
-    Raises ValueError if any element is NaN or infinite, or if ``shape``
-    disagrees with the number of elements.
+    Raises ValueError if any element is NaN or infinite.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        shape = tuple(int(s) for s in shape)
-        if arr.size != int(np.prod(shape)):
-            raise ValueError(
-                f"{name}: {arr.size} values cannot fill shape {shape}"
-            )
-        arr = arr.reshape(shape)
-    arr = np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(values, dtype=np.float64)
     if np.count_nonzero(np.isfinite(arr)) < arr.size:
         raise ValueError(f"{name}: non-finite values are not allowed")
     return arr

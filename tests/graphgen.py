@@ -141,3 +141,14 @@ def _nonlin(b: GraphBuilder, node_id, src, kind, rng):
     if kind == "tanh":
         return b.tanh(node_id, src)
     raise ValueError(kind)
+
+
+def ancestors(graph: Graph, node_id: str) -> set:
+    """``node_id`` and every node with a path to it."""
+    seen, stack = set(), [node_id]
+    while stack:
+        nid = stack.pop()
+        if nid not in seen:
+            seen.add(nid)
+            stack.extend(graph.nodes[nid].inputs)
+    return seen

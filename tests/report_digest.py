@@ -4,8 +4,10 @@
 
 prints the digest.  A change that should leave every output bit the same
 must print the same digest as its parent.  The digest covers every field
-of the reports of deeplift, grad*input and epsilon-LRP, LRP's bias shares
-and target activation, and ``compare_methods``' rows, tracks and summary.
+of the reports of deeplift, grad*input and epsilon-LRP, LRP's bias shares,
+target activation and relevance at every ancestor of the target, and
+``compare_methods``' rows, tracks and summary; epsilon-LRP runs at the
+default epsilon and at 0.
 Every field is hashed with its type, shape and raw bytes, and mappings in
 their own order.  The calls run on a fixed ensemble of random graphs
 (``graphgen.random_graph_case``) and on the seeded paper CNN, both one
@@ -31,7 +33,7 @@ from deltalift.autodiff import vjp_sweep
 from deltalift.baselines import lrp_as_contribution_report, lrp_epsilon
 from deltalift.engine import (
     ATTRIBUTE_CHUNK,
-    METHODS,
+    LRP_EPSILON,
     attribute,
     compute_reference,
     zeros_reference,
@@ -102,12 +104,27 @@ def weights_digest(graph) -> str:
     return h.hexdigest()
 
 
-def lrp_outputs(graph, inputs, target=None):
-    """epsilon-LRP's report, bias shares and target activation."""
-    rel = lrp_epsilon(graph, inputs, target=target)
+def lrp_outputs(graph, inputs, target=None, epsilon=LRP_EPSILON):
+    """epsilon-LRP's report, bias shares, target activation, and relevance
+    at the inputs and at every ancestor of the target, in plan order."""
+    rel = lrp_epsilon(graph, inputs, target=target, epsilon=epsilon)
     report = lrp_as_contribution_report(graph, inputs, rel)
+    plan = rel.trace.graph.plan()
+    ancestors = [nid for nid, _ in plan.inputs]
+    ancestors += [nid for nid, _, _ in plan.steps_upto(rel.target[0])]
     return report, {"bias_relevance": rel.bias_relevance,
-                    "target_activation": rel.target_activation}
+                    "target_activation": rel.target_activation,
+                    "relevances": {nid: rel[nid] for nid in ancestors}}
+
+
+def lrp_records(label, graph, inputs, target=None):
+    """(label, output) of ``attribute(..., "lrp")`` and ``lrp_outputs``,
+    at the default epsilon and at 0."""
+    yield f"{label} lrp", attribute(graph, inputs, "lrp", target=target)
+    yield f"{label} lrp_epsilon", lrp_outputs(graph, inputs, target)
+    yield (f"{label} lrp epsilon=0",
+           attribute(graph, inputs, "lrp", target=target, lrp_epsilon=0.0))
+    yield f"{label} lrp_epsilon epsilon=0", lrp_outputs(graph, inputs, target, 0.0)
 
 
 def ensemble():
@@ -135,8 +152,7 @@ def ensemble_records():
                         yield (f"ensemble {i} {method}",
                                attribute(graph, inputs, method, reference, target))
                 if linear:
-                    yield f"ensemble {i} lrp", attribute(graph, inputs, "lrp", target=target)
-                    yield f"ensemble {i} lrp_epsilon", lrp_outputs(graph, inputs, target)
+                    yield from lrp_records(f"ensemble {i}", graph, inputs, target)
 
 
 def paper_cnn():
@@ -161,11 +177,11 @@ def cnn_records():
               compute_reference(model, zeros_reference(model)))
     batches = [xs[i:i + ATTRIBUTE_CHUNK] for i in range(0, len(xs), ATTRIBUTE_CHUNK)]
     for inputs in [{"seq": x} for x in xs] + [{"seq": b} for b in batches]:
-        for method in METHODS:
+        for method in ("deeplift", "grad_input"):
             yield f"cnn {method}", attribute(cnn, inputs, method)
         for state in states:
             yield "cnn deeplift state", attribute(cnn, inputs, "deeplift", state)
-        yield "cnn lrp_epsilon", lrp_outputs(cnn, inputs)
+        yield from lrp_records("cnn", cnn, inputs)
     for _ in range(2):
         yield "cnn compare_methods", compare_methods(cnn, examples)
 

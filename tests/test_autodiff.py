@@ -81,6 +81,14 @@ class TestBackward:
                 () if batch is None else (np.array([2, 0]),)):
             assert backward(g, tr, ("h", index))["x"].shape == tr["x"].shape
 
+    def test_per_sample_target_indices_need_a_batch(self, rng):
+        b = GraphBuilder()
+        b.affine("h", b.input("x", (2,)), rng.normal(size=(3, 2)), rng.normal(size=3))
+        g = b.build(outputs=["h"])
+        tr = forward(g, {"x": rng.normal(size=2)})
+        with pytest.raises(GraphError, match="^per-sample target indices need a batch"):
+            backward(g, tr, ("h", np.array([1, 2])))
+
     def test_inactive_relu_blocks_gradient(self):
         b = GraphBuilder()
         x = b.input("x", (2,))

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import deltalift.baselines as baselines
 from deltalift.autodiff import _target_sweep, aligned, vjp_node
 from deltalift.baselines import (
     EnsembleSpec,
-    _lrp_rules,
     equivalence_report,
     gradient_times_input,
     lrp_as_contribution_report,
     lrp_epsilon,
     random_relu_mlp,
 )
-from deltalift.engine import AttributionError
+from deltalift.engine import AttributionError, _lrp_rules, attribute
 from deltalift.genomics import build_genomics_cnn
 from deltalift.graph import DenseOnRead, GraphBuilder, forward
 
@@ -102,7 +102,7 @@ class TestLrp:
         assert rel["x"][1] == 0.0
 
     def test_target_relevance_seeded_with_activation(self, rng):
-        g, inputs = random_relu_mlp(np.random.default_rng(5), EnsembleSpec())
+        g, inputs = random_relu_mlp(np.random.default_rng(5))
         rel = lrp_epsilon(g, inputs, target=("head", 0))
         out = forward(g, inputs)["head"][0]
         assert rel["head"][0] == out
@@ -110,9 +110,8 @@ class TestLrp:
     def test_conservation_with_bias_share_telescopes(self):
         # input relevance plus bias-absorbed relevance equals the seed
         rng = np.random.default_rng(17)
-        spec = EnsembleSpec()
         for _ in range(20):
-            g, inputs = random_relu_mlp(rng, spec)
+            g, inputs = random_relu_mlp(rng)
             rel = lrp_epsilon(g, inputs, target=("head", 0), epsilon=0.0)
             seed = forward(g, inputs)["head"][0]
             total = rel["x"].sum() + sum(rel.bias_relevance.values())
@@ -169,8 +168,8 @@ class TestLrp:
 
     def test_report_rejects_another_graph_or_other_inputs(self):
         rng = np.random.default_rng(47)
-        g, inputs = random_relu_mlp(rng, EnsembleSpec())
-        other, _ = random_relu_mlp(rng, EnsembleSpec())
+        g, inputs = random_relu_mlp(rng)
+        other, _ = random_relu_mlp(rng)
         rel = lrp_epsilon(g, inputs, target=("head", 0))
         report = lrp_as_contribution_report(g, inputs, rel)
         equal = lrp_as_contribution_report(g, {"x": inputs["x"].copy()}, rel)
@@ -192,6 +191,41 @@ class TestLrp:
         assert rel.trace.graph is not g  # traced on the mean-normalized head
         report = lrp_as_contribution_report(g, inputs, rel)
         assert np.array_equal(report.contributions["x"], rel["x"])
+
+
+def zero_preactivation_net():
+    """x -> h = [[1, -1], [1, 1]] x -> relu -> o = [1, 1] r, bias-free:
+    on x = [1, 1], h's first unit is exactly 0."""
+    b = GraphBuilder()
+    h = b.affine("h", b.input("x", (2,)), [[1.0, -1.0], [1.0, 1.0]], np.zeros(2))
+    b.affine("o", b.relu("r", h), [[1.0, 1.0]], np.zeros(1))
+    return b.build(outputs=["o"])
+
+
+class TestZeroEpsilon:
+    """At epsilon 0 a filtering unit with a zero pre-activation holds no
+    relevance and passes none on (once 0/0: nan scores)."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_a_zero_preactivation_passes_no_relevance(self, batch):
+        g = zero_preactivation_net()
+        # h = [0, 2], [0, 4] and [2, 4]: bias-free, so scores are grad * x
+        xs = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 1.0]])
+        want = np.array([[1.0, 1.0], [2.0, 2.0], [6.0, 0.0]])
+        want_h = np.array([[0.0, 2.0], [0.0, 4.0], [2.0, 4.0]])
+        if batch is None:
+            xs, want, want_h = xs[0], want[0], want_h[0]
+        report = attribute(g, {"x": xs}, "lrp", target=("o", 0), lrp_epsilon=0.0)
+        assert np.array_equal(report.contributions["x"], want)
+        assert np.array_equal(report.residual, np.zeros_like(report.residual))
+        rel = lrp_epsilon(g, {"x": xs}, target=("o", 0), epsilon=0.0)
+        assert np.array_equal(rel["x"], want)
+        assert np.array_equal(rel["h"], want_h)
+        for nid in ("h", "o"):
+            absorbed = rel.bias_relevance[nid]
+            assert np.array_equal(absorbed, np.zeros_like(absorbed)), nid
+        from_trace = lrp_as_contribution_report(g, {"x": xs}, rel)
+        assert np.array_equal(from_trace.contributions["x"], want)
 
 
 def eager_lrp_rules(epsilon, bias_rel):
@@ -226,7 +260,7 @@ class TestBiasShareOnRead:
                                  dense_units=12, seed=4)
         graphs = [(cnn, "seq", None, np.eye(4)[rng.integers(0, 4, size=(batch or 1, 60))])]
         for _ in range(6):
-            g, inputs = random_relu_mlp(rng, EnsembleSpec())
+            g, inputs = random_relu_mlp(rng)
             xs = rng.normal(size=(batch or 1,) + inputs["x"].shape)
             graphs.append((g, "x", ("head", 0), xs))
         for graph, input_id, target, xs in graphs:
@@ -273,11 +307,12 @@ class TestEquivalence:
         rows = equivalence_report(EnsembleSpec(n_nets=20, seed=4), [1e-9])
         assert max(r.max_rel_dev for r in rows) < 1e-4
 
-    def test_resampling_respects_preactivation_floor(self):
+    def test_resampling_respects_preactivation_floor(self, monkeypatch):
+        # a floor high enough that some draws are resampled
+        monkeypatch.setattr(baselines, "PREACTIVATION_FLOOR", 1e-3)
         rng = np.random.default_rng(9)
-        spec = EnsembleSpec(preactivation_floor=1e-3)
         for _ in range(10):
-            g, inputs = random_relu_mlp(rng, spec)
+            g, inputs = random_relu_mlp(rng)
             tr = forward(g, inputs)
             for node in g.nodes.values():
                 if node.kind == "affine":
@@ -302,7 +337,7 @@ class TestForwardsPerCall:
         return calls
 
     def test_grad_input(self, monkeypatch):
-        g, inputs = random_relu_mlp(np.random.default_rng(21), EnsembleSpec())
+        g, inputs = random_relu_mlp(np.random.default_rng(21))
         first = gradient_times_input(g, inputs, target=("head", 0))
         calls = self._count_forwards(monkeypatch)
         for _ in range(3):
@@ -312,7 +347,7 @@ class TestForwardsPerCall:
         assert report.delta_target == first.delta_target
 
     def test_lrp(self, monkeypatch):
-        g, inputs = random_relu_mlp(np.random.default_rng(22), EnsembleSpec())
+        g, inputs = random_relu_mlp(np.random.default_rng(22))
         calls = self._count_forwards(monkeypatch)
         for _ in range(3):
             rel = lrp_epsilon(g, inputs, target=("head", 0))
@@ -323,6 +358,6 @@ class TestForwardsPerCall:
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
 def test_lrp_rejects_an_invalid_epsilon(rng, value):
-    g, inputs = random_relu_mlp(rng, EnsembleSpec())
+    g, inputs = random_relu_mlp(rng)
     with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
         lrp_epsilon(g, inputs, target=("head", 0), epsilon=value)

@@ -296,6 +296,32 @@ class TestAttribute:
                       for cell in line.split("\t")[3:])
         assert literal > 0
 
+    def test_lrp_at_zero_epsilon_writes_finite_cells(self, workspace, tmp_path):
+        # filter 0 is all zeros: every one of its conv units has a
+        # pre-activation of exactly 0, which once gave 0/0 at epsilon 0
+        rng = np.random.default_rng(6)
+        b = GraphBuilder()
+        filters = rng.normal(size=(3, 5, 4)) * 0.3
+        filters[0] = 0.0
+        h = b.conv1d("conv", b.input("seq", (60, 4)), filters, np.zeros(3))
+        h = b.maxpool1d("pool", b.relu("act", h), 8, 8)
+        b.sigmoid("prob", b.affine("logit", h, rng.normal(size=(1, 21)), [0.0]))
+        model, out = tmp_path / "m.json", tmp_path / "lrp.tsv"
+        save_model(b.build(outputs=["prob"]), model)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["attribute", "--model", str(model), "--data",
+                             str(workspace["data"] / "test.fa"), "--out", str(out),
+                             "--method", "lrp", "--lrp-epsilon", "0"])
+        assert code == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        residuals = [float(l.rsplit("residual=", 1)[1]) for l in lines
+                     if l.startswith("# sample=")]
+        cells = [float(cell) for l in lines[1:] if not l.startswith("#")
+                 for cell in l.split("\t")[3:]]
+        assert len(residuals) == 8 and len(cells) == 8 * 60 * 4 * 3
+        assert np.isfinite(residuals).all() and np.isfinite(cells).all()
+        assert max(residuals) < 1e-9
+
     @pytest.mark.parametrize("method", METHODS)
     def test_library_explains_the_model_the_command_explains(self, workspace, tmp_path,
                                                               method):

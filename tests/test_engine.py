@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from deltalift.autodiff import backward, vjp_node
 from deltalift.baselines import (
-    EnsembleSpec,
     gradient_times_input,
     lrp_as_contribution_report,
     lrp_epsilon,
@@ -527,6 +526,19 @@ class TestContributions:
         assert_allclose(report.contributions["x"], w[0] * (xs - x0))
         assert report.residual < 1e-12
 
+    def test_trace_and_reference_from_different_graphs_refused(self, rng):
+        def linear():
+            b = GraphBuilder()
+            b.affine("y", b.input("x", (4,)), np.ones((1, 4)), np.zeros(1))
+            return b.build(outputs=["y"])
+
+        graph, twin = linear(), linear()
+        trace = forward(graph, {"x": rng.normal(size=4)})
+        reference = compute_reference(twin, {"x": np.zeros(4)})
+        with pytest.raises(AttributionError,
+                           match="^trace and reference come from different graphs$"):
+            contributions(trace, reference, ("y", 0), {"x": np.ones(4)})
+
     def test_input_equal_reference_all_zero(self, rng):
         case = random_graph_case(rng)
         report = deeplift(case.graph, case.inputs, case.inputs,
@@ -709,7 +721,7 @@ class TestPiecewiseLinearEquivalence:
 
 class TestAttributeDispatch:
     def test_each_method_matches_its_direct_call(self):
-        g, inputs = random_relu_mlp(np.random.default_rng(3), EnsembleSpec())
+        g, inputs = random_relu_mlp(np.random.default_rng(3))
         target = ("head", 0)
         reference = compute_reference(g, {"x": np.full(g.nodes["x"].output_shape, 0.5)})
         direct = {
@@ -727,7 +739,7 @@ class TestAttributeDispatch:
             assert report.delta_target == expected.delta_target
 
     def test_unknown_method_rejected(self):
-        g, inputs = random_relu_mlp(np.random.default_rng(3), EnsembleSpec())
+        g, inputs = random_relu_mlp(np.random.default_rng(3))
         with pytest.raises(AttributionError, match="unknown method"):
             attribute(g, inputs, "saliency", target=("head", 0))
 
@@ -740,7 +752,7 @@ class TestInvalidStabilizer:
 
     @pytest.mark.parametrize("value", VALUES)
     def test_deeplift_and_propagation_reject(self, rng, value):
-        g, inputs = random_relu_mlp(rng, EnsembleSpec())
+        g, inputs = random_relu_mlp(rng)
         with pytest.raises(TypeError, match="eps_stable"):
             deeplift(g, inputs, target=("head", 0), eps_stable=value)
         reference = compute_reference(g, zeros_reference(g))

@@ -434,6 +434,17 @@ class TestCompareMethods:
         with pytest.raises(AttributionError, match="one-unit sigmoid head"):
             compare_methods(graph, data.test)
 
+    def test_a_graph_with_two_inputs_is_rejected(self):
+        b = GraphBuilder()
+        prod = b.product("p", b.input("x", (2,)), b.input("z", (2,)))
+        b.sigmoid("prob", b.affine("logit", prod, [[1.0, -1.0]], [0.0]))
+        graph = b.build(outputs=["prob"])
+        data = generate_dataset(DatasetSpec(n_train=2, n_val=2, n_test=4,
+                                            length=60, seed=4))
+        with pytest.raises(AttributionError,
+                           match=re.escape("method comparison needs one input, got ['x', 'z']")):
+            compare_methods(graph, data.test)
+
 
 def one_hot_head_graph(head, units, seed=5):
     """conv -> relu -> pool -> affine(units) -> ``head`` on (60, 4) one-hot

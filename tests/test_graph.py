@@ -66,6 +66,11 @@ class TestValidation:
         report = validate_graph(Graph(nodes, outputs=["a"]))
         assert any("dangling" in v for v in report.violations)
 
+    def test_duplicate_node_id_rejected_at_construction(self):
+        nodes = [NodeSpec("a", "input", (), (2,)), NodeSpec("a", "relu", ("a",), (2,))]
+        with pytest.raises(GraphError, match="^duplicate node id 'a'$"):
+            Graph(nodes, outputs=["a"])
+
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(GraphError, match="warp"):
             NodeSpec("a", "warp", (), (2,))

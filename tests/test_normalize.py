@@ -149,6 +149,23 @@ class TestConstrainedNormalization:
         with pytest.raises(NormalizationError, match="no weights"):
             normalize_constrained_weights(g)
 
+    @pytest.mark.parametrize("groups, message", [
+        ([((0, 2), 1.0)], "constraint groups must each cover one full input row"),
+        ([((0,), 1.0)], "constraint groups must each cover one full input row"),
+        ([((2 * r, 2 * r + 1), 1.0) for r in range(4)],
+         r"rows \[4\] seen by filter windows carry no constraint group"),
+        ([((2 * r, 2 * r + 1), 1.0 + (r == 3)) for r in range(5)],
+         r"all row groups must share one total, got \[1.0, 2.0\]"),
+    ], ids=["two-rows", "part-row", "missing-row", "two-totals"])
+    def test_conv_groups_that_cannot_be_applied_are_refused(self, rng, groups, message):
+        b = GraphBuilder()
+        x = b.input("x", (5, 2))
+        b.conv1d("conv", x, rng.normal(size=(3, 2, 2)), np.zeros(3))
+        g = b.build(outputs=["conv"], constraint_groups=[
+            ConstraintGroup("x", indices, total) for indices, total in groups])
+        with pytest.raises(NormalizationError, match=f"^conv1d 'conv': {message}"):
+            normalize_constrained_weights(g)
+
     def test_no_groups_rejected(self, rng):
         b = GraphBuilder()
         x = b.input("x", (2,))

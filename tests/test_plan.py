@@ -3,10 +3,11 @@ calls that evaluate only the target's ancestors.
 
 The oracle is the public every-node path: a full ``forward`` trace,
 ``propagate_multipliers`` or ``backward`` over it, and ``contributions``
-built from their results; for epsilon-LRP, the full ``relevances``.  The
-reports of ``deeplift``, ``gradient_times_input``,
-``lrp_as_contribution_report`` and ``attribute(..., "lrp")`` must equal it
-byte for byte.
+built from their results; for epsilon-LRP, ``vjp_sweep`` over that trace
+under engine's LRP table.  The reports of ``deeplift``,
+``gradient_times_input``, ``lrp_as_contribution_report`` and
+``attribute(..., "lrp")`` must equal it byte for byte, and so must
+``lrp_epsilon``'s relevance at every ancestor of the target.
 """
 
 import numpy as np
@@ -14,14 +15,23 @@ import pytest
 
 import deltalift.baselines as baselines
 import deltalift.engine as engine
-from deltalift.autodiff import Routed, SweepValues, backward, target_value, vjp_sweep
+from deltalift.autodiff import (
+    Routed,
+    SweepValues,
+    backward,
+    target_seed,
+    target_value,
+    vjp_sweep,
+)
 from deltalift.baselines import (
     gradient_times_input,
     lrp_as_contribution_report,
     lrp_epsilon,
 )
 from deltalift.engine import (
+    LRP_EPSILON,
     METHODS,
+    _lrp_rules,
     attribute,
     compute_reference,
     contributions,
@@ -31,14 +41,14 @@ from deltalift.engine import (
     zeros_reference,
 )
 from deltalift.genomics import build_genomics_cnn
-from deltalift.graph import Graph, GraphBuilder, GraphError, NodeSpec, forward
+from deltalift.graph import DenseOnRead, Graph, GraphBuilder, GraphError, NodeSpec, forward
 from deltalift.normalize import (
     attribution_model,
     mean_normalize_softmax_weights,
 )
 from deltalift.train import TrainConfig, train_step
 
-from graphgen import random_graph_case
+from graphgen import ancestors, random_graph_case
 
 
 def identical(got, want):
@@ -79,13 +89,31 @@ def full_grad_input(graph, inputs, reference_input=None, target=None):
                          "grad_input")
 
 
+def full_lrp(graph, inputs, target=None):
+    """epsilon-LRP from a trace of every node: the trace, the resolved
+    target and the multipliers of one sweep under engine's LRP table."""
+    graph = attribution_model(graph)
+    trace = forward(graph, inputs)
+    resolved = select_attribution_target(graph, target, trace)
+    seed = target_seed(graph.nodes[resolved[0]].output_shape, resolved[1])
+    mult, _ = vjp_sweep(graph, trace, {resolved[0]: seed},
+                        rules=_lrp_rules(LRP_EPSILON, DenseOnRead()))
+    return trace, resolved, mult
+
+
 def check_lrp(graph, inputs, target=None):
     relevance = lrp_epsilon(graph, inputs, target=target)
+    trace, resolved, mult = full_lrp(graph, inputs, target)
+    reached = ancestors(trace.graph, resolved[0])
+    assert set(relevance.relevances) == set(graph.nodes)
+    for nid in graph.nodes:
+        want = trace[nid] * mult[nid]
+        if nid in reached:
+            assert identical(relevance[nid], want), nid
+        else:
+            assert relevance[nid].shape == want.shape and not relevance[nid].any(), nid
     report = lrp_as_contribution_report(graph, inputs, relevance)
-    full = relevance.relevances
-    assert set(full) == set(graph.nodes)
-    for nid in graph.input_ids():
-        assert identical(report.contributions[nid], full[nid]), nid
+    assert_same_report(report, contributions(trace, None, resolved, mult, "lrp"), target)
     # the report-only call equals the report built from the full trace
     assert_same_report(attribute(graph, inputs, "lrp", target=target), report, target)
 
@@ -149,7 +177,7 @@ def one_hot(rng, batch, length=200):
     return seqs[0] if batch is None else seqs
 
 
-@pytest.mark.parametrize("batch", [None, 1, 8, 32])
+@pytest.mark.parametrize("batch", [None, 1, 5, 8, 32])
 def test_reports_equal_the_every_node_path_on_the_paper_cnn(paper_cnn, batch):
     cnn, twin = paper_cnn
     inputs = {"seq": one_hot(np.random.default_rng(batch or 0), batch)}
@@ -218,7 +246,9 @@ def test_a_softmax_head_is_never_evaluated(recorded):
     graph = softmax_graph(np.random.default_rng(9))
     x = {"x": np.random.default_rng(10).normal(size=(6, 4))}
     for call in (lambda **kw: deeplift(graph, x, **kw),
-                 lambda **kw: gradient_times_input(graph, x, **kw)):
+                 lambda **kw: gradient_times_input(graph, x, **kw),
+                 lambda **kw: attribute(graph, x, "lrp", **kw),
+                 lambda **kw: lrp_epsilon(graph, x, **kw)):
         call()  # evaluates the memoized zeros reference
         recorded["traces"].clear()
         call()  # the predicted class is read from the pre-activations

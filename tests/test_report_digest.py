@@ -27,6 +27,15 @@ def test_two_runs_give_the_same_digest_over_every_method():
     shares = [out[1]["bias_relevance"] for label, out in records
               if label.endswith("lrp_epsilon")]
     assert shares and all(shares)
+    # epsilon-LRP at 0 too, and its relevance at the target's ancestors
+    zero = [out for label, out in records if label.endswith("epsilon=0")]
+    assert len(zero) == len(shares) * 2
+    for out in zero:
+        report = out if isinstance(out, ContributionReport) else out[0]
+        assert all(np.isfinite(c).all() for c in report.contributions.values())
+        assert np.isfinite(report.residual).all()
+    relevances = [out[1]["relevances"] for label, out in records if "lrp_epsilon" in label]
+    assert all(len(r) > 2 for r in relevances)
     comparisons = [out for _, out in records if isinstance(out, MethodComparison)]
     assert len(comparisons) == 2
     assert comparisons[0].rows and comparisons[0].rows[0].deeplift_track is not None

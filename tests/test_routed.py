@@ -24,6 +24,7 @@ rule against its ``np.where`` form where no window reroutes.
 import numpy as np
 import pytest
 
+import deltalift.autodiff
 import deltalift.engine
 import deltalift.graph
 from deltalift.autodiff import (
@@ -36,10 +37,12 @@ from deltalift.autodiff import (
     vjp_node,
     vjp_sweep,
 )
-from deltalift.baselines import LRP_EPSILON, _lrp_rules, lrp_epsilon
+from deltalift.baselines import LRP_EPSILON, lrp_epsilon
 from deltalift.engine import (
     EPS_STABLE,
+    AttributionError,
     _deeplift_rules,
+    _lrp_rules,
     compute_reference,
     deeplift,
     propagate_multipliers,
@@ -314,6 +317,18 @@ def second_consumer(rng, kind):
     return b.build(outputs=[left, right])
 
 
+def two_pools(rng):
+    """conv -> relu, read by two max pools: act's buffer takes two routed
+    writes, so the second makes it dense."""
+    b = GraphBuilder()
+    act = b.relu("act", conv_front(b, rng))  # (11, 4)
+    wide = b.maxpool1d("wide", act, 4, 3)  # (3, 4)
+    narrow = b.maxpool1d("narrow", act, 2, 2)  # (5, 4)
+    left = b.affine("left", wide, rng.normal(size=(3, 12)) / 3, rng.normal(size=3))
+    right = b.affine("right", narrow, rng.normal(size=(3, 20)) / 4, rng.normal(size=3))
+    return b.build(outputs=[left, right])
+
+
 def pool_of_pool(rng):
     b = GraphBuilder()
     act = b.relu("act", conv_front(b, rng, length=16))
@@ -366,6 +381,7 @@ HAND_BUILT = {
     "second-consumer-relu": lambda rng: second_consumer(rng, "relu"),
     "second-consumer-prelu": lambda rng: second_consumer(rng, "prelu"),
     "pool-of-pool": pool_of_pool,
+    "two-pools": two_pools,
     "shared-slope": shared_slope,
     "trailing-rows": trailing_rows,
     "strided-conv": strided_conv,
@@ -394,6 +410,55 @@ def test_routed_sweep_matches_dense_oracle_on_hand_built_graphs(name, batch):
     if lrp_applies(graph):
         compare_sweeps("lrp", graph, inputs, seeds)
     compare_params(graph, inputs, seeds)
+
+
+@pytest.mark.parametrize("method", ["gradient", "deeplift", "lrp"])
+@pytest.mark.parametrize("batch", BATCHES)
+def test_two_routed_writes_merge_into_a_dense_buffer(method, batch):
+    rng = np.random.default_rng(78)
+    graph = two_pools(rng)
+    inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
+    trace = forward(graph, inputs)
+    seeds = {out: rng.normal(size=trace[out].shape) for out in graph.outputs}
+    routed = {}
+
+    def accumulating(grads, node_id, value):
+        if node_id == "act":
+            routed[type(grads.get(node_id))] = type(value)
+        accumulate(grads, node_id, value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deltalift.autodiff, "accumulate", accumulating)
+        patch.setattr(deltalift.engine, "accumulate", accumulating)
+        got = compare_sweeps(method, graph, inputs, seeds, {"x": rng.normal(size=(13, 3))})
+    # both pools write act a routed buffer, and the second finds one there
+    assert routed == {type(None): Routed, Routed: Routed}
+    assert np.count_nonzero(got["act"]) > 0
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_lrp_refuses_a_sigmoid_below_a_max_pool_by_name(batch):
+    # the refusal reads the pool's routed buffer (Routed.any)
+    rng = np.random.default_rng(79)
+    b = GraphBuilder()
+    act = b.sigmoid("s", conv_front(b, rng))
+    pool = b.maxpool1d("pool", act, 3, 2)
+    b.affine("out", pool, rng.normal(size=(1, 20)) / 4, rng.normal(size=1))
+    graph = b.build(outputs=["out"])
+    inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
+    calls = []
+    real_any = Routed.any
+
+    def any_(self):
+        calls.append(self)
+        return real_any(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Routed, "any", any_)
+        with pytest.raises(AttributionError,
+                           match="lrp does not support node 's' of kind 'sigmoid'"):
+            lrp_epsilon(graph, inputs, target=("out", 0))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("batch", BATCHES)

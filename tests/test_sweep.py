@@ -12,17 +12,26 @@ import math
 import numpy as np
 import pytest
 
-from deltalift.autodiff import backward
+from deltalift.autodiff import backward, resolve_target, target_seed, vjp_sweep
 from deltalift.baselines import lrp_epsilon
 from deltalift.engine import (
+    LRP_EPSILON,
     AttributionError,
+    _lrp_rules,
     compute_reference,
     deeplift,
     propagate_multipliers,
 )
-from deltalift.graph import Graph, GraphBuilder, NodeSpec, forward, stable_sigmoid
+from deltalift.graph import (
+    DenseOnRead,
+    Graph,
+    GraphBuilder,
+    NodeSpec,
+    forward,
+    stable_sigmoid,
+)
 
-from graphgen import random_graph_case
+from graphgen import ancestors, random_graph_case
 
 
 def softmax_then_affine(weights):
@@ -80,26 +89,18 @@ def with_dead_branch(graph: Graph, rng) -> Graph:
     return Graph(list(graph.nodes.values()) + dead, graph.outputs + ("dead_act",))
 
 
-def ancestors(graph: Graph, node_id: str) -> set:
-    """``node_id`` and every node with a path to it."""
-    seen, stack = set(), [node_id]
-    while stack:
-        nid = stack.pop()
-        if nid not in seen:
-            seen.add(nid)
-            stack.extend(graph.nodes[nid].inputs)
-    return seen
-
-
-def sweep_values(method, graph, inputs, reference, target, trace):
-    """Every node's value from one sweep of ``method``; ``trace`` is the
-    forward trace of ``inputs`` (lrp_epsilon runs its own)."""
+def sweep_values(method, graph, reference, target, trace):
+    """Every node's value from one sweep of ``method`` over ``trace``, a
+    forward trace of every node."""
     if method == "gradient":
         return backward(graph, trace, target)
     if method == "deeplift":
         return propagate_multipliers(graph, trace, compute_reference(graph, reference),
                                      target)
-    return lrp_epsilon(graph, inputs, target=target).relevances
+    seed = target_seed(graph.nodes[target[0]].output_shape,
+                       resolve_target(graph, target, trace.batch)[1])
+    return vjp_sweep(graph, trace, {target[0]: seed},
+                     rules=_lrp_rules(LRP_EPSILON, DenseOnRead()))[0]
 
 
 @pytest.mark.parametrize("method", ["gradient", "deeplift", "lrp"])
@@ -113,12 +114,19 @@ def test_every_node_has_an_entry_and_unreached_nodes_read_zero(method):
         shape = graph.nodes["x"].output_shape
         for inputs in ({"x": case.inputs["x"]}, {"x": rng.normal(size=(3,) + shape)}):
             trace = forward(graph, inputs)
-            values = sweep_values(method, graph, inputs, case.reference, case.target, trace)
+            values = sweep_values(method, graph, case.reference, case.target, trace)
             assert set(values) == set(graph.nodes)
             for nid in graph.nodes:
                 assert values[nid].shape == trace[nid].shape
                 if nid not in reached:
                     assert np.array_equal(values[nid], np.zeros(trace[nid].shape)), nid
+            if method == "lrp":
+                # lrp_epsilon's relevances: activation times that sweep's
+                # multipliers at every node, zero off the target's ancestors
+                relevances = lrp_epsilon(graph, inputs, target=case.target).relevances
+                assert set(relevances) == set(graph.nodes)
+                for nid in graph.nodes:
+                    assert np.array_equal(relevances[nid], trace[nid] * values[nid]), nid
 
 
 def masked_sigmoid(x):

@@ -3,13 +3,13 @@
 For every rule table, a batched call equals the per-sample calls
 stacked, within 1e-12 of each array's largest entry.
 
-The gradient and DeepLIFT sweeps get the stack of the per-sample forward
-traces as their batched trace, so the comparison isolates the sweep.  A
-batched forward sums matrix products in another order, and DeepLIFT's
-delta ratios can magnify that round-off past 1e-12 (graphgen seed
-225095, batch 2: 1.6e-12 at the input); batched against per-sample
-forwards is checked in ``test_batched.py``.  lrp_epsilon runs its own
-forward.
+Every sweep gets the stack of the per-sample forward traces as its
+batched trace, so the comparison isolates the sweep.  A batched forward
+sums matrix products in another order, and DeepLIFT's delta ratios can
+magnify that round-off past 1e-12 (graphgen seed 225095, batch 2:
+1.6e-12 at the input); batched against per-sample forwards is checked
+in ``test_batched.py``.  The LRP case also compares ``lrp_epsilon``,
+which runs its own forward, batched against per-sample calls.
 
 epsilon-LRP telescopes at every epsilon: the input relevance plus every
 filtering node's bias share (which holds its stabilizer term) is the
@@ -43,14 +43,22 @@ def test_batched_sweep_equals_stacked_per_sample_sweeps(method, seed, batch):
     traces = [forward(graph, {"x": x}) for x in xs]
     stacked = ForwardTrace({nid: np.stack([t[nid] for t in traces]) for nid in graph.nodes},
                            graph, batch)
-    batched = sweep_values(method, graph, {"x": xs}, case.reference, case.target, stacked)
-    singles = [sweep_values(method, graph, {"x": x}, case.reference, case.target, t)
-               for x, t in zip(xs, traces)]
+    batched = sweep_values(method, graph, case.reference, case.target, stacked)
+    singles = [sweep_values(method, graph, case.reference, case.target, t) for t in traces]
     for nid in graph.nodes:
         expected = np.stack([s[nid] for s in singles])
         assert batched[nid].shape == expected.shape
         scale = max(np.max(np.abs(expected)), 1e-300)
         assert np.max(np.abs(batched[nid] - expected)) <= RTOL * scale, nid
+    if method == "lrp":
+        # lrp_epsilon's own batched forward against its per-sample calls
+        called = lrp_epsilon(graph, {"x": xs}, target=case.target)
+        one_by_one = [lrp_epsilon(graph, {"x": x}, target=case.target) for x in xs]
+        for nid in graph.nodes:
+            expected = np.stack([r[nid] for r in one_by_one])
+            assert called[nid].shape == expected.shape
+            scale = max(np.max(np.abs(expected)), 1e-300)
+            assert np.max(np.abs(called[nid] - expected)) <= RTOL * scale, nid
 
 
 def prelu_twin(graph, rng):

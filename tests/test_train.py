@@ -212,6 +212,16 @@ def test_softmax_head_rejects_non_integer_labels(labels, bad):
         evaluate(three_class_mlp(), data)
 
 
+@pytest.mark.parametrize("label", [3, -1])
+def test_softmax_head_rejects_labels_out_of_range(label):
+    rng = np.random.default_rng(4)
+    data = [({"x": rng.normal(size=2)}, y) for y in (0, label, 2, 1)]
+    with pytest.raises(TrainingError, match=f"^label {label} outside softmax range 3$"):
+        train_step(three_class_mlp(), data, TrainConfig(), None)
+    with pytest.raises(TrainingError, match=f"^label {label} outside softmax range 3$"):
+        evaluate(three_class_mlp(), data)
+
+
 def test_softmax_head_accepts_integral_float_labels():
     rng = np.random.default_rng(4)
     xs = [{"x": rng.normal(size=2)} for _ in range(4)]
@@ -293,6 +303,11 @@ def test_sigmoid_head_rejects_labels_outside_zero_one(labels):
         train_loop(small_mlp(), data, None, TrainConfig(epochs=1, batch_size=4))
     with pytest.raises(TrainingError, match=f"label ({bad}) outside sigmoid labels"):
         evaluate(small_mlp(), data)
+
+
+def test_train_loop_refuses_an_empty_training_set():
+    with pytest.raises(TrainingError, match="^empty training set$"):
+        train_loop(small_mlp(), [], separable_toy_set(n=4), TrainConfig(epochs=1))
 
 
 def test_evaluate_refuses_an_empty_dataset(monkeypatch):
