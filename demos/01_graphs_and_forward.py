@@ -46,7 +46,8 @@ again = forward(reloaded, {"x": np.array([1.0, 2.0, -0.5])})
 print("round-trip output identical:",
       np.array_equal(trace["prob"], again["prob"]))
 
-# Shape problems are caught up front, not at evaluation time.
+# Shape, arity and parameter problems are caught up front, not at
+# evaluation time.
 from deltalift import Graph, NodeSpec
 
 bad = Graph(
@@ -54,8 +55,10 @@ bad = Graph(
         NodeSpec("x", "input", (), (5,), {"shape": (5,)}),
         NodeSpec("h", "affine", ("x",), (3,),
                  {"weights": np.ones((3, 4)), "bias": np.zeros(3)}),
+        NodeSpec("r", "relu", ("x", "x"), (5,)),
+        NodeSpec("p", "maxpool1d", ("x",), (2,), {"width": 2.5, "stride": 2}),
     ],
-    outputs=["h"],
+    outputs=["h", "r", "p"],
 )
 report = validate_graph(bad)
 print("deliberately broken graph reports:")

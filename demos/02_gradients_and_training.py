@@ -22,7 +22,7 @@ graph = b.build(outputs=[out])
 
 inputs = {"x": rng.normal(size=(10, 2))}
 trace = forward(graph, inputs)
-grads = backward(graph, trace, ("out", 0))
+grads = backward(trace, ("out", 0))
 print("gradient w.r.t. the input (first rows):")
 print(grads["x"][:3])
 

@@ -27,7 +27,7 @@ probe = {"x": np.array([-1.0, -1.0])}
 print("reference output:", forward(graph, reference)["out"][0])   # 0.5
 print("probe output:    ", forward(graph, probe)["out"][0])       # 0.1
 
-grads = backward(graph, forward(graph, probe), ("out", 0))
+grads = backward(forward(graph, probe), ("out", 0))
 print("gradient at probe:", grads["x"], "(relu is off: nothing flows)")
 
 # ``reference`` takes the reference input arrays, as here, or the state

@@ -34,7 +34,7 @@ share = maxout_segments(node, np.zeros(1), np.array([2.0]))
 print("path shares of the pieces (rows, units, pieces):", share.tolist())
 trace = forward(graph, {"x": np.array([2.0])})
 reference = compute_reference(graph, {"x": np.zeros(1)})
-mult = propagate_multipliers(graph, trace, reference, ("m", 0))["x"]
+mult = propagate_multipliers(trace, reference, ("m", 0))["x"]
 print("multiplier:", mult, "(0.5 * 1 + 0.5 * 2)")
 # the third argument is the reference: input arrays, or a computed state
 report = deeplift(graph, {"x": np.array([2.0])}, {"x": np.zeros(1)},

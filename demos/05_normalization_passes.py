@@ -47,7 +47,7 @@ print("softmax after: ", forward(normalized, {"x": probe})["out"])
 
 trace = forward(normalized, {"x": probe})
 ref = compute_reference(normalized, {"x": np.zeros(4)})
-mults = [propagate_multipliers(normalized, trace, ref, ("pre", k))["x"][2]
+mults = [propagate_multipliers(trace, ref, ("pre", k))["x"][2]
          for k in range(3)]
 print("multipliers of the class-uniform feature to each class:", mults)
 

@@ -3,9 +3,11 @@
 ``vjp_sweep`` is the package's one reverse sweep: ``backward`` and
 training run it with the gradient rules (``GRADIENT_RULES``, one per
 node kind), and DeepLIFT and epsilon-LRP with tables (``engine``) that
-extend it, replacing some of its rules.  The sweep walks the graph's
-plan (``Graph.plan``) and reaches each rule by one table lookup.  The
-finite difference checker is the numerical oracle for the gradients.
+extend it, replacing some of its rules.  The sweep walks the plan
+(``Graph.plan``) of the trace's own graph (``ForwardTrace.graph``), so
+no caller can pair a trace with another graph, and reaches each rule by
+one table lookup.  The finite difference checker is the numerical
+oracle for the gradients.
 
 Max-pooling sends each window's value to one input unit, its route:
 the window's first argmax, which ``forward`` records in the trace as it
@@ -247,7 +249,7 @@ def _conv1d_input_grad(node, grad_out, x, trace, lead):
     # col2im: each tap's (B*P, F) @ (F, C) product added in place, in tap
     # order, into the input rows that tap reads
     n_filt, width, _ = filters.shape
-    stride = int(node.params["stride"])
+    stride = node.params["stride"]
     n_out = grad_out.shape[lead]
     rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
     gx = np.zeros(x.shape)
@@ -331,7 +333,7 @@ def _read_starts(node, x: Tensor, lead: int) -> Tensor:
     that each output row (sample * n_out + position) reads: the
     first-channel window starts (``graph._window_starts``)."""
     starts, channels = _window_starts(x.shape, node.params["filters"].shape[1],
-                                      int(node.params["stride"]), lead)
+                                      node.params["stride"], lead)
     return starts.reshape(-1)[::channels]
 
 
@@ -374,7 +376,7 @@ def _conv1d_param_grads(node, grad_out, x, lead):
     n_filt, width, _ = filters.shape
     rows = grad_out.reshape(-1, n_filt)  # (B*P, F)
     dw = np.zeros((n_filt, filters[0].size))
-    for block, win in im2col_blocks(x, width, int(node.params["stride"]), lead):
+    for block, win in im2col_blocks(x, width, node.params["stride"], lead):
         dw += rows[block].T @ win.reshape(-1, dw.shape[1])
     return {"filters": dw.reshape(filters.shape), "bias": _channel_sums(rows)}
 
@@ -458,9 +460,10 @@ class SweepValues(DenseOnRead):
         return None
 
 
-def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
+def vjp_sweep(trace: ForwardTrace, seeds: dict[str, Tensor],
               want_param_grads: bool = False, rules: dict | None = None):
-    """The one reverse sweep; returns (values, param_grads).
+    """The one reverse sweep over the trace's graph; returns (values,
+    param_grads).
 
     From copies of ``seeds`` (node id -> array shaped like its
     activations), nodes run in reverse topological order under
@@ -492,8 +495,8 @@ def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
     param_grads: dict | None = {} if want_param_grads else None
     take = grads.pop if want_param_grads else grads.get
     rules = rules or GRADIENT_RULES
-    nodes = graph.nodes
-    for node_id in reversed(graph.plan().order):
+    nodes = trace.graph.nodes
+    for node_id in reversed(trace.graph.plan().order):
         out = take(node_id, None)
         if out is None:
             continue
@@ -512,27 +515,25 @@ def vjp_sweep(graph: Graph, trace: ForwardTrace, seeds: dict[str, Tensor],
     return values, None
 
 
-def backward(graph: Graph, trace: ForwardTrace, target) -> dict[str, Tensor]:
-    """Gradient of the target activation w.r.t. every node activation,
-    keyed by node id (a ``SweepValues``).
+def backward(trace: ForwardTrace, target) -> dict[str, Tensor]:
+    """Gradient of the target activation w.r.t. every node activation of
+    the trace's graph, keyed by node id (a ``SweepValues``).
 
     ``target`` is a ``(node_id, flat_index)`` pair (or a bare node id,
     meaning index 0); a batched trace takes one index or one per sample.
     ReLU passes gradient only where active, maxpool routes to the first
     argmax of each window, maxout differentiates the active piece.
     """
-    graph.require_valid()
-    return _target_sweep(graph, trace, resolve_target(graph, target, trace.batch))
+    return _target_sweep(trace, resolve_target(trace.graph, target, trace.batch))
 
 
-def _target_sweep(graph: Graph, trace: ForwardTrace, target,
-                 rules: dict | None = None) -> "SweepValues":
+def _target_sweep(trace: ForwardTrace, target, rules: dict | None = None) -> "SweepValues":
     """The values of one ``vjp_sweep`` under ``rules``, seeded with 1 at
     the resolved ``target``: gradients, or an attribution method's
     multipliers."""
     t_node, t_index = target
-    seed = target_seed(graph.nodes[t_node].output_shape, t_index)
-    return vjp_sweep(graph, trace, {t_node: seed}, rules=rules)[0]
+    seed = target_seed(trace.graph.nodes[t_node].output_shape, t_index)
+    return vjp_sweep(trace, {t_node: seed}, rules=rules)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +564,7 @@ def _kink_distance(graph: Graph, trace: ForwardTrace) -> float:
                 margin = min(margin, float(np.min(np.abs(x))))
         elif node.kind == "maxpool1d":
             x = trace[node.inputs[0]]
-            win = conv1d_windows(x, int(node.params["width"]), int(node.params["stride"]))
+            win = conv1d_windows(x, node.params["width"], node.params["stride"])
             if win.shape[1] > 1:
                 top2 = np.sort(win, axis=1)[:, -2:]
                 margin = min(margin, float(np.min(top2[:, 1] - top2[:, 0])))
@@ -612,7 +613,7 @@ def finite_difference_check(
         notes.append("input within 10h of a kink: applied a small perturbation")
 
     trace = forward(graph, work)
-    analytic = backward(graph, trace, target)
+    analytic = backward(trace, target)
     t_node, t_index = target
 
     max_dev = 0.0

@@ -114,7 +114,7 @@ def lrp_epsilon(graph: Graph, inputs: dict[str, Tensor], target=None,
     check_stabilizer(epsilon)
     trace, resolved = _traced_target(graph, inputs, target)
     bias_rel = DenseOnRead()
-    mult = _target_sweep(trace.graph, trace, resolved, _lrp_rules(epsilon, bias_rel))
+    mult = _target_sweep(trace, resolved, _lrp_rules(epsilon, bias_rel))
     return RelevanceTrace(trace, mult, bias_rel, epsilon, resolved,
                           target_value(trace[resolved[0]], resolved[1]))
 

@@ -190,9 +190,15 @@ def compute_deltas(trace: ForwardTrace, reference: ReferenceState | None,
         node_ids = trace.activations
     if reference is None:
         return {nid: trace[nid] for nid in node_ids}
-    if trace.graph is not reference.graph:
-        raise AttributionError("trace and reference come from different graphs")
+    _same_graph(trace, reference)
     return {nid: trace[nid] - reference[nid] for nid in node_ids}
+
+
+def _same_graph(trace: ForwardTrace, reference: ReferenceState | None) -> None:
+    """Raise AttributionError if ``reference`` was computed on a graph
+    other than the trace's."""
+    if reference is not None and trace.graph is not reference.graph:
+        raise AttributionError("trace and reference come from different graphs")
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +315,10 @@ def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tens
 # Propagation
 
 
-def propagate_multipliers(graph: Graph, trace: ForwardTrace,
-                          reference: ReferenceState, target) -> dict[str, Tensor]:
-    """Multipliers m[x -> target] of every node x, keyed by node id.
+def propagate_multipliers(trace: ForwardTrace, reference: ReferenceState,
+                          target) -> dict[str, Tensor]:
+    """Multipliers m[x -> target] of every node x of the trace's graph,
+    keyed by node id.
 
     One ``vjp_sweep`` under DeepLIFT's rule table accumulates, for each
     node x, m[x -> t] = sum over consumers y of m[x -> y] * m[y -> t],
@@ -319,11 +326,12 @@ def propagate_multipliers(graph: Graph, trace: ForwardTrace,
     zero multipliers.  A batched trace propagates every sample at once
     (every array then carries the batch axis) against the one reference,
     or row i against row i of a batched reference.  Raises
-    AttributionError if the sweep would have to cross a softmax node
-    (target its pre-activations instead).
+    AttributionError if ``reference`` was computed on another graph, or
+    if the sweep would have to cross a softmax node (target its
+    pre-activations instead).
     """
-    graph.require_valid()
-    return _target_sweep(graph, trace, resolve_target(graph, target, trace.batch),
+    _same_graph(trace, reference)
+    return _target_sweep(trace, resolve_target(trace.graph, target, trace.batch),
                          _deeplift_rules(reference))
 
 
@@ -554,8 +562,7 @@ def contributions(trace: ForwardTrace, reference: ReferenceState | None, target,
     |sum(C) - delta(target)|; ``target`` is resolved.  With no
     ``reference`` the deltas are the activations, as ``compute_deltas``
     forms them."""
-    if reference is not None and trace.graph is not reference.graph:
-        raise AttributionError("trace and reference come from different graphs")
+    _same_graph(trace, reference)
     scores, mults, deltas = {}, {}, {}
     for nid, _ in trace.graph.plan().inputs:
         delta = deltas[nid] = trace[nid] if reference is None else trace[nid] - reference[nid]
@@ -634,7 +641,7 @@ def _method_report(trace: ForwardTrace, reference: ReferenceState | None, target
         rules = _lrp_rules(lrp_epsilon, {})
     else:
         rules = GRADIENT_RULES
-    mult = _target_sweep(trace.graph, trace, target, rules)
+    mult = _target_sweep(trace, target, rules)
     return contributions(trace, reference, target, mult, method)
 
 

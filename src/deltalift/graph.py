@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +66,15 @@ def as_tensor(values, name="tensor") -> Tensor:
     return arr
 
 
+def _integer(value):
+    """``value`` as a Python int if it is an integer other than a bool;
+    anything else unchanged, for ``infer_output_shape`` to refuse where
+    an integer belongs."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    return value
+
+
 def _frozen(arr: Tensor) -> Tensor:
     arr = arr.copy()
     arr.flags.writeable = False
@@ -97,11 +106,9 @@ class NodeSpec:
         clean = {}
         for key, value in self.params.items():
             if key == "shape":
-                clean[key] = tuple(int(s) for s in np.atleast_1d(value))
-            elif isinstance(value, (int, np.integer)):
-                clean[key] = int(value)
-            elif isinstance(value, (float, np.floating)):
-                clean[key] = float(value)
+                clean[key] = tuple(map(_integer, value if np.ndim(value) else [value]))
+            elif isinstance(value, (int, float, np.number)):
+                clean[key] = _integer(value)
             else:
                 clean[key] = _frozen(as_tensor(value, name=f"{self.id}.{key}"))
         object.__setattr__(self, "params", clean)
@@ -200,7 +207,6 @@ class Graph:
             for g in constraint_groups
         )
         self._report: ValidationReport | None = None
-        self._order: tuple[str, ...] | None = None
         self._plan: Plan | None = None
         # objects other modules derive from this graph and keep with it;
         # the graph is immutable, so they never go stale
@@ -237,8 +243,8 @@ class Graph:
         ``updates`` maps node id to a dict of param-name -> array.  Every
         swapped array must keep the shape of the array it replaces, else
         GraphError.  Structure and shapes are then unchanged, so the new
-        graph inherits this one's validation report, topological order and
-        plan instead of working them out again.
+        graph inherits this one's validation report and plan instead of
+        working them out again.
         """
         nodes = []
         for node in self.nodes.values():
@@ -258,32 +264,63 @@ class Graph:
             nodes.append(node)
         graph = Graph(nodes, self.outputs, self.constraint_groups)
         graph._report = self._report
-        graph._order = self._order
         graph._plan = self._plan
         return graph
+
+
+# How many inputs a node of each kind reads.
+_ARITY = {**dict.fromkeys(KNOWN_KINDS, 1), "input": 0, "product": 2}
+
+# The parameters of each kind: an array's rank, or _INTEGER for an
+# integer >= 1 (window geometry; an input's shape holds one per axis).
+_INTEGER = "integer"
+_PARAMS = {
+    "input": {"shape": _INTEGER},
+    "affine": {"weights": 2, "bias": 1},
+    "conv1d": {"filters": 3, "bias": 1, "stride": _INTEGER},
+    "maxpool1d": {"width": _INTEGER, "stride": _INTEGER},
+    "prelu": {"slopes": 1},
+    "maxout": {"weights": 3, "biases": 2},
+}
+
+
+def _check_params(kind, params):
+    """Raise GraphError unless ``params`` holds each parameter ``_PARAMS``
+    lists for ``kind``, of its rank or an integer >= 1."""
+    for key, rank in _PARAMS.get(kind, {}).items():
+        if key not in params:
+            raise GraphError(f"{kind} node needs parameter '{key}'")
+        value = params[key]
+        if rank == _INTEGER:
+            entries = value if key == "shape" else (value,)
+            if not all(type(v) is int and v >= 1 for v in entries):
+                raise GraphError(f"{kind} '{key}' must hold integers >= 1, got {value!r}")
+        elif not (isinstance(value, np.ndarray) and value.ndim == rank):
+            raise GraphError(f"{kind} '{key}' must be a {rank}-d array, got "
+                             f"{getattr(value, 'shape', value)!r}")
 
 
 def infer_output_shape(kind, params, input_shapes):
     """Shape of a node's output given its kind, params and input shapes.
 
     Raises GraphError when the combination is inconsistent; this is the
-    single source of truth used both by the builder and the validator.
+    single source of truth for every per-node rule, used both by the
+    builder and the validator: the number of inputs (``_ARITY``), each
+    parameter's presence and type (``_PARAMS``) and the shapes.
     """
+    arity = _ARITY.get(kind)
+    if arity is None:
+        raise GraphError(f"unknown kind '{kind}'")
+    if len(input_shapes) != arity:
+        raise GraphError(f"{kind} node reads {arity} input{'' if arity == 1 else 's'}, "
+                         f"not {len(input_shapes)}")
+    _check_params(kind, params)
     if kind == "input":
-        if input_shapes:
-            raise GraphError("input nodes take no inputs")
-        shape = params.get("shape")
-        if shape is None:
-            raise GraphError("input node needs a declared shape")
-        return tuple(int(s) for s in shape)
-    if not input_shapes:
-        raise GraphError(f"{kind} node needs at least one input")
+        return params["shape"]
 
     if kind == "affine":
         (in_shape,) = input_shapes
         w, b = params["weights"], params["bias"]
-        if w.ndim != 2:
-            raise GraphError("affine weights must be a 2-d matrix")
         out_dim, in_dim = w.shape
         if in_dim != int(np.prod(in_shape)):
             raise GraphError(
@@ -296,10 +333,7 @@ def infer_output_shape(kind, params, input_shapes):
 
     if kind == "conv1d":
         (in_shape,) = input_shapes
-        filters, bias = params["filters"], params["bias"]
-        stride = int(params["stride"])
-        if filters.ndim != 3:
-            raise GraphError("conv1d filters must have shape (n, width, channels)")
+        filters, bias, stride = params["filters"], params["bias"], params["stride"]
         n_filt, width, channels = filters.shape
         if len(in_shape) != 2 or in_shape[1] != channels:
             raise GraphError(
@@ -307,8 +341,8 @@ def infer_output_shape(kind, params, input_shapes):
             )
         if bias.shape != (n_filt,):
             raise GraphError("conv1d bias length must match filter count")
-        if stride < 1 or width < 1:
-            raise GraphError("conv1d width and stride must be positive")
+        if width < 1:
+            raise GraphError("conv1d filter width must be positive")
         length = in_shape[0]
         if length < width:
             raise GraphError("conv1d input shorter than filter width")
@@ -316,9 +350,7 @@ def infer_output_shape(kind, params, input_shapes):
 
     if kind == "maxpool1d":
         (in_shape,) = input_shapes
-        width, stride = int(params["width"]), int(params["stride"])
-        if stride < 1 or width < 1:
-            raise GraphError("maxpool1d width and stride must be positive")
+        width, stride = params["width"], params["stride"]
         if len(in_shape) not in (1, 2):
             raise GraphError("maxpool1d input must be (length,) or (length, channels)")
         length = in_shape[0]
@@ -341,8 +373,6 @@ def infer_output_shape(kind, params, input_shapes):
     if kind == "maxout":
         (in_shape,) = input_shapes
         w, b = params["weights"], params["biases"]
-        if w.ndim != 3:
-            raise GraphError("maxout weights must have shape (pieces, out, in)")
         pieces, out_dim, in_dim = w.shape
         if pieces < 1:
             raise GraphError("maxout needs at least one piece")
@@ -355,27 +385,24 @@ def infer_output_shape(kind, params, input_shapes):
         return (out_dim,)
 
     if kind == "product":
-        if len(input_shapes) != 2:
-            raise GraphError("product takes exactly two inputs")
         a, b = input_shapes
         if tuple(a) != tuple(b):
             raise GraphError(f"product inputs must share a shape, got {a} and {b}")
         return tuple(a)
 
-    if kind == "softmax":
-        (in_shape,) = input_shapes
-        if len(in_shape) != 1:
-            raise GraphError("softmax input must be a vector")
-        return tuple(in_shape)
-
-    raise GraphError(f"unknown kind '{kind}'")
+    # softmax
+    (in_shape,) = input_shapes
+    if len(in_shape) != 1:
+        raise GraphError("softmax input must be a vector")
+    return tuple(in_shape)
 
 
 def validate_graph(graph: Graph) -> ValidationReport:
-    """Full structural check: dangling ids, arity, cycles, shapes.
+    """Full structural check: dangling ids, cycles, every node's own rules
+    (``infer_output_shape``) and declared shapes, constraint groups.
 
     Returns a report rather than raising so callers can inspect every
-    violation at once.
+    violation at once; a node whose source failed is not checked.
     """
     violations: list[str] = []
     nodes = graph.nodes
@@ -386,15 +413,6 @@ def validate_graph(graph: Graph) -> ValidationReport:
                 violations.append(
                     f"dangling: node '{node.id}' references missing node '{src}'"
                 )
-        if node.kind == "input" and node.inputs:
-            violations.append(f"arity: input node '{node.id}' must not have inputs")
-        if node.kind != "input" and not node.inputs:
-            violations.append(f"arity: node '{node.id}' ({node.kind}) has no inputs")
-        if node.kind != "product" and node.kind != "input" and len(node.inputs) != 1:
-            violations.append(
-                f"arity: node '{node.id}' ({node.kind}) takes exactly one input"
-            )
-
     for out in graph.outputs:
         if out not in nodes:
             violations.append(f"dangling: output '{out}' is not a node")
@@ -410,9 +428,11 @@ def validate_graph(graph: Graph) -> ValidationReport:
     shapes: dict[str, tuple[int, ...]] = {}
     for node_id in order:
         node = nodes[node_id]
+        if not all(src in shapes for src in node.inputs):
+            continue
         try:
-            in_shapes = [shapes[src] for src in node.inputs]
-            inferred = infer_output_shape(node.kind, node.params, in_shapes)
+            inferred = infer_output_shape(node.kind, node.params,
+                                          [shapes[src] for src in node.inputs])
         except GraphError as exc:
             violations.append(f"shape: node '{node.id}': {exc}")
             continue
@@ -452,10 +472,9 @@ def topo_order(graph: Graph) -> list[str]:
 
     Ready nodes are emitted in lexicographic id order (Kahn's algorithm
     with a heap), so equal graphs always order identically.  Raises
-    GraphError if the graph has a cycle.
+    GraphError if the graph has a cycle.  A valid graph's plan keeps its
+    order (``Plan.order``).
     """
-    if graph._order is not None:
-        return list(graph._order)
     indegree = {node_id: 0 for node_id in graph.nodes}
     consumers: dict[str, list[str]] = {node_id: [] for node_id in graph.nodes}
     for node in graph.nodes.values():
@@ -477,7 +496,6 @@ def topo_order(graph: Graph) -> list[str]:
     if len(order) != len(graph.nodes):
         stuck = sorted(set(graph.nodes) - set(order))
         raise GraphError(f"nodes {stuck} form a cycle")
-    graph._order = tuple(order)
     return order
 
 
@@ -583,8 +601,8 @@ def _window_members(pool: NodeSpec, shape: tuple, windows) -> Tensor:
     """Flat indices (len(windows), width), into max pool ``pool``'s input
     of ``shape`` (C order, any batch axes first), of the members of the
     windows at flat indices ``windows`` of its output."""
-    width = int(pool.params["width"])
-    starts, step = _window_starts(shape, width, int(pool.params["stride"]),
+    width = pool.params["width"]
+    starts, step = _window_starts(shape, width, pool.params["stride"],
                                   len(shape) - len(pool.output_shape))
     return starts.take(windows)[:, None] + step * np.arange(width)
 
@@ -619,7 +637,7 @@ def _eval_conv1d(node, acts, lead):
     out = np.empty(x.shape[:lead] + node.output_shape)
     rows = out.reshape(-1, w.shape[1])
     width = node.params["filters"].shape[1]
-    for block, win in im2col_blocks(x, width, int(node.params["stride"]), lead):
+    for block, win in im2col_blocks(x, width, node.params["stride"], lead):
         np.matmul(np.ascontiguousarray(win.reshape(-1, len(w))), w, out=rows[block])
     out += node.sample_bias
     return out
@@ -675,7 +693,7 @@ def _pool_rectified(pool: NodeSpec, act: NodeSpec, x: Tensor, lead: int):
     window the rule is evaluated on the window's members, and the first
     argmax taken: rounding of a*x can tie two different inputs.
     """
-    width, stride = int(pool.params["width"]), int(pool.params["stride"])
+    width, stride = pool.params["width"], pool.params["stride"]
     route = _pool_argmax(x, width, stride, lead)
     out = x.take(route)
     sure = out > 0
@@ -844,7 +862,7 @@ class ForwardTrace:
         route = self.routes.get(node_id)
         if route is None:
             node = self.graph.nodes[node_id]
-            width, stride = int(node.params["width"]), int(node.params["stride"])
+            width, stride = node.params["width"], node.params["stride"]
             route = _pool_argmax(self.activations[node.inputs[0]], width, stride,
                                  0 if self.batch is None else 1)
             route.setflags(write=False)
@@ -970,45 +988,30 @@ class GraphBuilder:
             if src not in self._shapes:
                 raise GraphError(f"node '{node_id}': unknown input '{src}'")
             in_shapes.append(self._shapes[src])
-        shape = infer_output_shape(kind, params, in_shapes)
-        node = NodeSpec(node_id, kind, tuple(inputs), shape, params)
-        self._nodes.append(node)
+        node = NodeSpec(node_id, kind, inputs, (), params)
+        shape = infer_output_shape(kind, node.params, in_shapes)
+        self._nodes.append(replace(node, output_shape=shape))
         self._shapes[node_id] = shape
         return node_id
 
     def input(self, node_id: str, shape) -> str:
-        return self._add(node_id, "input", (), {"shape": tuple(shape)})
+        return self._add(node_id, "input", (), {"shape": shape})
 
     def affine(self, node_id: str, src: str, weights, bias) -> str:
-        return self._add(
-            node_id,
-            "affine",
-            (src,),
-            {"weights": as_tensor(weights), "bias": as_tensor(bias)},
-        )
+        return self._add(node_id, "affine", (src,), {"weights": weights, "bias": bias})
 
     def conv1d(self, node_id: str, src: str, filters, bias, stride: int = 1) -> str:
-        return self._add(
-            node_id,
-            "conv1d",
-            (src,),
-            {
-                "filters": as_tensor(filters),
-                "bias": as_tensor(bias),
-                "stride": int(stride),
-            },
-        )
+        return self._add(node_id, "conv1d", (src,),
+                         {"filters": filters, "bias": bias, "stride": stride})
 
     def maxpool1d(self, node_id: str, src: str, width: int, stride: int) -> str:
-        return self._add(
-            node_id, "maxpool1d", (src,), {"width": int(width), "stride": int(stride)}
-        )
+        return self._add(node_id, "maxpool1d", (src,), {"width": width, "stride": stride})
 
     def relu(self, node_id: str, src: str) -> str:
         return self._add(node_id, "relu", (src,), {})
 
     def prelu(self, node_id: str, src: str, slopes) -> str:
-        return self._add(node_id, "prelu", (src,), {"slopes": as_tensor(slopes)})
+        return self._add(node_id, "prelu", (src,), {"slopes": slopes})
 
     def sigmoid(self, node_id: str, src: str) -> str:
         return self._add(node_id, "sigmoid", (src,), {})
@@ -1017,12 +1020,7 @@ class GraphBuilder:
         return self._add(node_id, "tanh", (src,), {})
 
     def maxout(self, node_id: str, src: str, weights, biases) -> str:
-        return self._add(
-            node_id,
-            "maxout",
-            (src,),
-            {"weights": as_tensor(weights), "biases": as_tensor(biases)},
-        )
+        return self._add(node_id, "maxout", (src,), {"weights": weights, "biases": biases})
 
     def product(self, node_id: str, a: str, b: str) -> str:
         return self._add(node_id, "product", (a, b), {})

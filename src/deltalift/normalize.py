@@ -107,7 +107,7 @@ def _normalize_conv(graph: Graph, node, groups) -> dict:
     input_id = node.inputs[0]
     in_shape = graph.nodes[input_id].output_shape
     length, channels = in_shape
-    stride = int(node.params["stride"])
+    stride = node.params["stride"]
     filters, bias = node.params["filters"].copy(), node.params["bias"].copy()
     n_filt, width, _ = filters.shape
 

@@ -193,7 +193,9 @@ def load_model(path) -> Graph:
     Reads format versions 1 and 2.  Raises ModelFormatError for syntax
     errors (with a location; ``NaN`` and ``Infinity`` are not JSON),
     version mismatches, unknown node kinds, malformed weight payloads
-    (naming the node and the param) and graphs that fail validation.
+    (naming the node and the param) and graphs that fail validation,
+    which names the node of a missing or ill-typed parameter or of a
+    wrong number of inputs (``graph.infer_output_shape``).
     """
     def reject_constant(token):
         raise ModelFormatError(

@@ -182,7 +182,7 @@ def train_step(graph: Graph, batch, config: TrainConfig, velocity):
     bad = ~np.isfinite(losses)
     if bad.any():
         raise TrainingError(f"non-finite loss {float(losses[bad][0])!r}; aborting")
-    _, grand = vjp_sweep(graph, trace, seeds, want_param_grads=True)
+    _, grand = vjp_sweep(trace, seeds, want_param_grads=True)
 
     scale = 1.0 / len(batch)
     if velocity is None:

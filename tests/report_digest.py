@@ -191,7 +191,7 @@ def param_grads(graph, inputs, rng):
     each graph output with standard normal values."""
     trace = forward(graph, inputs)
     seeds = {out: rng.normal(size=trace[out].shape) for out in graph.outputs}
-    return vjp_sweep(graph, trace, seeds, want_param_grads=True)[1]
+    return vjp_sweep(trace, seeds, want_param_grads=True)[1]
 
 
 def gradient_records():

@@ -59,7 +59,7 @@ def test_saturated_relu_fixture_contributions_and_zero_gradient():
     report = deeplift(g, probe, {"x": np.zeros(2)}, target=("out", 0))
     expected = np.array([(0.1 - 0.5) / 3.0, 2.0 * (0.1 - 0.5) / 3.0])
     c_ok = np.abs(report.contributions["x"] - expected).max() <= 1e-9
-    grads = backward(g, forward(g, probe), ("out", 0))
+    grads = backward(forward(g, probe), ("out", 0))
     g_ok = grads["x"][0] == 0.0 and grads["x"][1] == 0.0
     _verdict(
         "saturated-relu fixture: contributions -0.1333/-0.2667, gradient 0",
@@ -154,7 +154,7 @@ def test_normalization_passes_preserve_outputs_and_zero_uniform_features():
     trace = forward(normalized, {"x": rng.normal(size=5)})
     ref = compute_reference(normalized, {"x": np.zeros(5)})
     mult_ok = all(
-        propagate_multipliers(normalized, trace, ref, ("pre", k))["x"][3] == 0.0
+        propagate_multipliers(trace, ref, ("pre", k))["x"][3] == 0.0
         for k in range(6)
     )
 

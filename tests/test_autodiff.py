@@ -53,7 +53,7 @@ class TestBackward:
         g = b.build(outputs=["y"])
         tr = forward(g, {"x": rng.normal(size=4)})
         for j in range(3):
-            grads = backward(g, tr, ("y", j))
+            grads = backward(tr, ("y", j))
             assert_allclose(grads["x"], w[j])
 
     def test_unknown_target_rejected(self, rng):
@@ -63,7 +63,7 @@ class TestBackward:
         g = b.build(outputs=["r"])
         tr = forward(g, {"x": np.ones(2)})
         with pytest.raises(GraphError, match="nope"):
-            backward(g, tr, ("nope", 0))
+            backward(tr, ("nope", 0))
 
     @pytest.mark.parametrize("batch", [None, 2])
     @pytest.mark.parametrize("index", [
@@ -76,10 +76,10 @@ class TestBackward:
         g = b.build(outputs=["h"])
         tr = forward(g, {"x": rng.normal(size=(2,) if batch is None else (batch, 2))})
         with pytest.raises(GraphError, match=r"target index .* is not an integer"):
-            backward(g, tr, ("h", index))
+            backward(tr, ("h", index))
         for index in (1, np.int64(2), np.uint8(0), np.array(1)) + (
                 () if batch is None else (np.array([2, 0]),)):
-            assert backward(g, tr, ("h", index))["x"].shape == tr["x"].shape
+            assert backward(tr, ("h", index))["x"].shape == tr["x"].shape
 
     def test_per_sample_target_indices_need_a_batch(self, rng):
         b = GraphBuilder()
@@ -87,7 +87,7 @@ class TestBackward:
         g = b.build(outputs=["h"])
         tr = forward(g, {"x": rng.normal(size=2)})
         with pytest.raises(GraphError, match="^per-sample target indices need a batch"):
-            backward(g, tr, ("h", np.array([1, 2])))
+            backward(tr, ("h", np.array([1, 2])))
 
     def test_inactive_relu_blocks_gradient(self):
         b = GraphBuilder()
@@ -97,7 +97,7 @@ class TestBackward:
         b.affine("out", y, [[0.2]], [0.1])
         g = b.build(outputs=["out"])
         tr = forward(g, {"x": np.array([-1.0, -1.0])})
-        grads = backward(g, tr, ("out", 0))
+        grads = backward(tr, ("out", 0))
         assert_allclose(grads["x"], [0.0, 0.0])
 
     def test_maxpool_gradient_one_hot_per_window(self, rng):
@@ -108,7 +108,7 @@ class TestBackward:
         v = rng.normal(size=(8, 2))
         tr = forward(g, {"x": v})
         for t_index in range(4):
-            grads = backward(g, tr, ("p", t_index))["x"]
+            grads = backward(tr, ("p", t_index))["x"]
             assert grads.sum() == 1.0
             assert ((grads == 0) | (grads == 1)).all()
 
@@ -118,7 +118,7 @@ class TestBackward:
         b.maxpool1d("p", x, 3, 3)
         g = b.build(outputs=["p"])
         tr = forward(g, {"x": np.array([5.0, 5.0, 1.0])})
-        grads = backward(g, tr, ("p", 0))["x"]
+        grads = backward(tr, ("p", 0))["x"]
         assert_allclose(grads, [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("shape, lead", [
@@ -174,7 +174,7 @@ class TestBackward:
         shape = (length, channels) if batch is None else (batch, length, channels)
         tr = forward(g, {"x": rng.normal(size=shape)})
         grad_out = rng.normal(size=tr["c"].shape)
-        grads, _ = vjp_sweep(g, tr, {"c": grad_out})
+        grads, _ = vjp_sweep(tr, {"c": grad_out})
 
         # one (B*P, F) @ (F, C) product per filter tap, added in tap order
         filters = g.nodes["c"].params["filters"]
@@ -210,8 +210,8 @@ class TestBackward:
         grad_out = rng.normal(size=tr["c"].shape)
         assert grad_out.shape == (batch, n_out, n_filt)
         assert len(list(im2col_blocks(xs, width, stride, 1))) == -(-batch // per_block)
-        got_x = vjp_sweep(g, tr, {"c": grad_out})[0]["x"]
-        got_params = vjp_sweep(g, tr, {"c": grad_out}, want_param_grads=True)[1]["c"]
+        got_x = vjp_sweep(tr, {"c": grad_out})[0]["x"]
+        got_params = vjp_sweep(tr, {"c": grad_out}, want_param_grads=True)[1]["c"]
 
         # one window at a time
         filters = g.nodes["c"].params["filters"]
@@ -234,7 +234,7 @@ class TestBackward:
         tr = forward(g, {"x": v})
         s = tr["s"]
         for j in range(4):
-            grads = backward(g, tr, ("s", j))["x"]
+            grads = backward(tr, ("s", j))["x"]
             expected = s[j] * ((np.arange(4) == j) - s)
             assert_allclose(grads, expected, atol=1e-12)
 
@@ -248,7 +248,7 @@ class TestBackward:
         g = b.build(outputs=["f3"])
         inputs = {"x": rng.normal(size=4)}
         tr = forward(g, inputs)
-        grads = backward(g, tr, ("f3", 1))
+        grads = backward(tr, ("f3", 1))
         numeric = _central_difference(g, inputs, ("f3", 1))
         assert_allclose(grads["x"], numeric["x"], rtol=1e-6, atol=1e-8)
 

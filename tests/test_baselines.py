@@ -269,7 +269,7 @@ class TestBiasShareOnRead:
             waiting = dict(dict.items(rel.bias_relevance))
             assert waiting and all(type(v) is functools.partial for v in waiting.values())
             eager = {}
-            mult = _target_sweep(rel.trace.graph, rel.trace, rel.target,
+            mult = _target_sweep(rel.trace, rel.target,
                                  eager_lrp_rules(epsilon, eager))
             assert list(rel.bias_relevance) == list(eager)
             for nid, share in eager.items():

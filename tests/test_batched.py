@@ -81,7 +81,7 @@ def per_sample_loss_and_grads(graph, batch):
             total += np.logaddexp.reduce(z) - z[label]
             seed = y.copy()
             seed[label] -= 1.0
-        _, pgrads = vjp_sweep(graph, trace, {pre: seed}, want_param_grads=True)
+        _, pgrads = vjp_sweep(trace, {pre: seed}, want_param_grads=True)
         for nid, arrs in pgrads.items():
             for key, g in arrs.items():
                 summed.setdefault(nid, {}).setdefault(key, 0.0)
@@ -125,10 +125,10 @@ def test_batched_gradient_sweep_keeps_per_sample_gradients():
     for case in headed_cases(n_cases=15):
         xs = rng.normal(size=(4,) + case.graph.nodes["x"].output_shape)
         seeds = rng.normal(size=(4,) + case.graph.nodes["head"].output_shape)
-        grads, _ = vjp_sweep(case.graph, forward(case.graph, {"x": xs}),
+        grads, _ = vjp_sweep(forward(case.graph, {"x": xs}),
                              {"head": seeds})
         for i in range(4):
-            single, _ = vjp_sweep(case.graph, forward(case.graph, {"x": xs[i]}),
+            single, _ = vjp_sweep(forward(case.graph, {"x": xs[i]}),
                                   {"head": seeds[i]})
             for nid in case.graph.nodes:
                 assert_allclose(grads[nid][i], single[nid], rtol=RTOL, atol=1e-14)

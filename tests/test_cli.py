@@ -29,6 +29,7 @@ from deltalift.graph import Graph, GraphBuilder, NodeSpec, forward
 from deltalift.normalize import attribution_model
 from deltalift.serialize import load_model, save_model
 
+from test_serialize import MUTATIONS, mutated
 from tsv_oracle import attribute_tsv
 
 
@@ -635,6 +636,23 @@ class TestErrors:
         assert res.returncode == 4
         assert res.stderr.startswith("error code=invalid-input")
         assert detail in res.stderr
+
+    @pytest.mark.parametrize("name", ["drop-bias", "width-2.5"])
+    def test_corrupted_parameter_exit_code(self, workspace, tmp_path, name):
+        # a missing parameter crashed with a KeyError traceback (exit 1), and
+        # a window width of 2.5 was read as 2
+        bad = tmp_path / "corrupt.json"
+        bad.write_text(json.dumps(mutated(json.loads(workspace["model"].read_text()),
+                                          name)))
+        out = tmp_path / "o.tsv"
+        res = run_cli("attribute", "--model", str(bad), "--data",
+                      str(workspace["data"] / "test.fa"), "--out", str(out))
+        assert res.returncode == 4
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error code=invalid-input detail=shape: node "
+                                   f"'{MUTATIONS[name][0]}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corrupt.json"]
 
     @pytest.mark.parametrize("edit, field", [
         (lambda payload: {**payload, "nodes": 5}, "field 'nodes'"),

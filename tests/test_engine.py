@@ -38,8 +38,10 @@ from deltalift.genomics import (
     compare_methods,
     encode_batch,
     generate_dataset,
+    one_hot_encode,
 )
 from deltalift.graph import GraphBuilder, GraphError, forward
+from deltalift.normalize import attribution_model
 
 from graphgen import random_graph_case
 
@@ -134,7 +136,7 @@ class TestRuleTableMemo:
             for x, report in zip((one, batch), first):
                 again = deeplift(g, x, state, ("out", 1))
                 assert again.contributions["x"].tobytes() == report.contributions["x"].tobytes()
-            propagate_multipliers(g, forward(g, one), state, ("out", 1))
+            propagate_multipliers(forward(g, one), state, ("out", 1))
         assert len(built) == 1
         for _ in range(3):
             deeplift(g, one, target=("out", 0))
@@ -195,7 +197,7 @@ def affine_multiplier_rows(g, trace, ref):
     """Propagated multipliers of "x" to each output of affine node "y",
     stacked into the (out, in) matrix the affine rule should reproduce."""
     n_out = g.nodes["y"].output_shape[0]
-    return np.stack([propagate_multipliers(g, trace, ref, ("y", k))["x"]
+    return np.stack([propagate_multipliers(trace, ref, ("y", k))["x"]
                      for k in range(n_out)])
 
 
@@ -269,16 +271,16 @@ class TestMaxRule:
         b.maxpool1d("p", v, 2, 2)
         return b.build(outputs=["p"])
 
-    def _propagate(self, g, trace, ref):
+    def _propagate(self, trace, ref):
         """Multipliers of "v" to the pooled output and their contributions."""
-        mult = propagate_multipliers(g, trace, ref, ("p", 0))["v"]
+        mult = propagate_multipliers(trace, ref, ("p", 0))["v"]
         return mult, mult * (trace["v"] - ref["v"])
 
     def test_window_example(self):
         g = self._pool_pair()
         tr = forward(g, {"v": np.array([3.0, 5.0])})
         ref = compute_reference(g, {"v": np.array([4.0, 1.0])})
-        mult, contrib = self._propagate(g, tr, ref)
+        mult, contrib = self._propagate(tr, ref)
         assert_allclose(contrib, [0.0, 1.0])
         assert_allclose(mult, [0.0, 0.25])
 
@@ -287,14 +289,14 @@ class TestMaxRule:
         point = np.array([2.0, 7.0])
         tr = forward(g, {"v": point})
         ref = compute_reference(g, {"v": point})
-        _, contrib = self._propagate(g, tr, ref)
+        _, contrib = self._propagate(tr, ref)
         assert_allclose(contrib, 0.0)
 
     def test_tie_routes_all_delta_to_lowest_index(self):
         g = self._pool_pair()
         tr = forward(g, {"v": np.array([5.0, 5.0])})
         ref = compute_reference(g, {"v": np.array([1.0, 2.0])})
-        _, contrib = self._propagate(g, tr, ref)
+        _, contrib = self._propagate(tr, ref)
         delta_y = 5.0 - 2.0
         assert_allclose(contrib, [delta_y, 0.0])
         assert_allclose(contrib.sum(), delta_y)
@@ -456,7 +458,7 @@ class TestPropagation:
         tr = forward(g, {"x": rng.normal(size=3)})
         ref = compute_reference(g, {"x": rng.normal(size=3)})
         for j in range(2):
-            mm = propagate_multipliers(g, tr, ref, ("o", j))
+            mm = propagate_multipliers(tr, ref, ("o", j))
             assert_allclose(mm["x"], (w2 @ w1)[j], atol=1e-12)
 
     def test_merged_affine_pair_equals_single_layer(self, rng):
@@ -488,8 +490,8 @@ class TestPropagation:
         case = random_graph_case(rng)
         tr = forward(case.graph, case.inputs)
         ref = compute_reference(case.graph, case.reference)
-        m1 = propagate_multipliers(case.graph, tr, ref, case.target)
-        m2 = propagate_multipliers(case.graph, tr, ref, case.target)
+        m1 = propagate_multipliers(tr, ref, case.target)
+        m2 = propagate_multipliers(tr, ref, case.target)
         for nid in case.graph.nodes:
             assert np.array_equal(m1[nid], m2[nid])
 
@@ -497,7 +499,7 @@ class TestPropagation:
         case = random_graph_case(rng)
         tr = forward(case.graph, case.inputs)
         ref = compute_reference(case.graph, case.reference)
-        mm = propagate_multipliers(case.graph, tr, ref, case.target)
+        mm = propagate_multipliers(tr, ref, case.target)
         t_node, t_index = case.target
         assert mm[t_node].flat[t_index] == 1.0
 
@@ -510,7 +512,7 @@ class TestPropagation:
         tr = forward(g, {"x": rng.normal(size=3)})
         ref = compute_reference(g, {"x": rng.normal(size=3)})
         with pytest.raises(AttributionError, match="softmax"):
-            propagate_multipliers(g, tr, ref, ("o", 0))
+            propagate_multipliers(tr, ref, ("o", 0))
 
 
 class TestContributions:
@@ -535,9 +537,23 @@ class TestContributions:
         graph, twin = linear(), linear()
         trace = forward(graph, {"x": rng.normal(size=4)})
         reference = compute_reference(twin, {"x": np.zeros(4)})
-        with pytest.raises(AttributionError,
-                           match="^trace and reference come from different graphs$"):
-            contributions(trace, reference, ("y", 0), {"x": np.ones(4)})
+        for call in (lambda: contributions(trace, reference, ("y", 0), {"x": np.ones(4)}),
+                     lambda: compute_deltas(trace, reference),
+                     # returned the twin's multipliers without a word
+                     lambda: propagate_multipliers(trace, reference, ("y", 0))):
+            with pytest.raises(AttributionError,
+                               match="^trace and reference come from different graphs$"):
+                call()
+
+    def test_reference_on_the_graph_before_normalization_refused(self):
+        # the attribution model's normalized layers shift the activations,
+        # so a reference on the raw graph gave other multipliers
+        raw = build_genomics_cnn(length=20, pool_width=5, pool_stride=5, dense_units=6)
+        model = attribution_model(raw)
+        x = one_hot_encode("ACGTGATAAGCTAGCTAGGC")
+        reference = compute_reference(raw, {"seq": np.full((20, 4), 0.25)})
+        with pytest.raises(AttributionError, match="different graphs"):
+            propagate_multipliers(forward(model, {"seq": x}), reference, ("logit", 0))
 
     def test_input_equal_reference_all_zero(self, rng):
         case = random_graph_case(rng)
@@ -710,7 +726,7 @@ class TestPiecewiseLinearEquivalence:
             report = deeplift(case.graph, inputs, zeros_reference(case.graph),
                               target=case.target)
             tr = forward(case.graph, inputs)
-            grads = backward(case.graph, tr, case.target)
+            grads = backward(tr, case.target)
             gi = grads["x"] * inputs["x"]
             if np.min(np.abs(tr["x"])) < 1e-6:
                 continue  # skip near-kink draws
@@ -757,6 +773,6 @@ class TestInvalidStabilizer:
             deeplift(g, inputs, target=("head", 0), eps_stable=value)
         reference = compute_reference(g, zeros_reference(g))
         with pytest.raises(TypeError, match="positional arguments"):
-            propagate_multipliers(g, forward(g, inputs), reference, ("head", 0), value)
+            propagate_multipliers(forward(g, inputs), reference, ("head", 0), value)
         with pytest.raises(TypeError, match="eps_stable"):
             attribute(g, inputs, "deeplift", target=("head", 0), eps_stable=value)

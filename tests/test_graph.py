@@ -66,6 +66,52 @@ class TestValidation:
         report = validate_graph(Graph(nodes, outputs=["a"]))
         assert any("dangling" in v for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            (NodeSpec("r", "relu", ("x", "x"), (2,)), "relu node reads 1 input, not 2"),
+            (NodeSpec("r", "relu", (), (2,)), "relu node reads 1 input, not 0"),
+            (NodeSpec("r", "product", ("x",), (2,)), "product node reads 2 inputs, not 1"),
+            (NodeSpec("r", "input", ("x",), (2,), {"shape": (2,)}),
+             "input node reads 0 inputs, not 1"),
+        ],
+        ids=["relu-two", "relu-none", "product-one", "input-with-input"],
+    )
+    def test_arity_violation_names_the_node(self, node, message):
+        x = NodeSpec("x", "input", (), (2,), {"shape": (2,)})
+        report = validate_graph(Graph([x, node], outputs=["r"]))
+        assert report.violations == [f"shape: node 'r': {message}"]
+
+    def test_node_reading_a_failed_node_is_skipped(self):
+        # the relu's input fails its own rules, so the relu is not checked;
+        # reading the input's shape raised KeyError
+        nodes = [NodeSpec("x", "input", (), (2,), {"shape": (-2,)}),
+                 NodeSpec("r", "relu", ("x",), (2,))]
+        assert validate_graph(Graph(nodes, outputs=["r"])).violations == [
+            "shape: node 'x': input 'shape' must hold integers >= 1, got (-2,)"]
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True])
+    def test_window_geometry_must_be_an_integer(self, bad):
+        # 2.5 was truncated to 2, and True read as 1
+        b = GraphBuilder()
+        x = b.input("x", (6, 2))
+        for kind_and_key, add in [
+            ("maxpool1d 'width'", lambda: b.maxpool1d("p", x, bad, 1)),
+            ("maxpool1d 'stride'", lambda: b.maxpool1d("p", x, 2, bad)),
+            ("conv1d 'stride'", lambda: b.conv1d("c", x, np.ones((1, 2, 2)), [0.0], bad)),
+            ("input 'shape'", lambda: b.input("y", (6, bad))),
+        ]:
+            with pytest.raises(GraphError, match=f"^{kind_and_key} must hold integers >= 1"):
+                add()
+
+    def test_numpy_integer_geometry_is_an_int(self):
+        b = GraphBuilder()
+        x = b.input("x", np.array([6, 2]))
+        p = b.maxpool1d("p", x, np.int64(2), np.int32(2))
+        node = b.build(outputs=[p]).nodes["p"]
+        assert node.output_shape == (3, 2)
+        assert [type(node.params[k]) for k in ("width", "stride")] == [int, int]
+
     def test_duplicate_node_id_rejected_at_construction(self):
         nodes = [NodeSpec("a", "input", (), (2,)), NodeSpec("a", "relu", ("a",), (2,))]
         with pytest.raises(GraphError, match="^duplicate node id 'a'$"):

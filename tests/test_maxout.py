@@ -43,7 +43,7 @@ def unit_multipliers(graph, x0, x1, unit=0):
     """Multipliers of input "x" to maxout unit ``unit`` of node "m"."""
     trace = forward(graph, {"x": x1})
     ref = compute_reference(graph, {"x": x0})
-    return propagate_multipliers(graph, trace, ref, ("m", unit))["x"]
+    return propagate_multipliers(trace, ref, ("m", unit))["x"]
 
 
 def envelope_piece_by_sampling(node, x0, x1, unit, n_points=10000):

@@ -74,7 +74,7 @@ class TestSoftmaxMeanNormalization:
         tr = forward(gn, {"x": rng.normal(size=3)})
         ref = compute_reference(gn, {"x": np.zeros(3)})
         for cls in range(4):
-            mm = propagate_multipliers(gn, tr, ref, ("pre", cls))
+            mm = propagate_multipliers(tr, ref, ("pre", cls))
             assert mm["x"][1] == 0.0
 
     def test_requires_affine_softmax_head(self, rng):

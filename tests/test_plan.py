@@ -75,7 +75,7 @@ def full_deeplift(graph, inputs, reference_input=None, target=None):
     ref = compute_reference(graph, reference_input or zeros_reference(graph))
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, trace)
-    mult = propagate_multipliers(graph, trace, ref, resolved)
+    mult = propagate_multipliers(trace, ref, resolved)
     return contributions(trace, ref, resolved, dict(mult))
 
 
@@ -85,7 +85,7 @@ def full_grad_input(graph, inputs, reference_input=None, target=None):
     ref = compute_reference(graph, reference_input or zeros_reference(graph))
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, trace)
-    return contributions(trace, ref, resolved, dict(backward(graph, trace, resolved)),
+    return contributions(trace, ref, resolved, dict(backward(trace, resolved)),
                          "grad_input")
 
 
@@ -96,7 +96,7 @@ def full_lrp(graph, inputs, target=None):
     trace = forward(graph, inputs)
     resolved = select_attribution_target(graph, target, trace)
     seed = target_seed(graph.nodes[resolved[0]].output_shape, resolved[1])
-    mult, _ = vjp_sweep(graph, trace, {resolved[0]: seed},
+    mult, _ = vjp_sweep(trace, {resolved[0]: seed},
                         rules=_lrp_rules(LRP_EPSILON, DenseOnRead()))
     return trace, resolved, mult
 
@@ -227,8 +227,8 @@ def test_paper_cnn_reports_form_no_dense_buffer_and_skip_the_sigmoid(
         assert "logit" in trace.activations and "prob" not in trace.activations
     # the buffers below the pool stay routed in the sweep's result
     trace = forward(model, inputs, upto="logit")
-    for values in (propagate_multipliers(model, trace, reference, "logit"),
-                   backward(model, trace, "logit")):
+    for values in (propagate_multipliers(trace, reference, "logit"),
+                   backward(trace, "logit")):
         assert [type(dict.__getitem__(values, nid)) for nid in ("conv_act", "conv")] \
             == [Routed, Routed]
         assert type(dict.__getitem__(values, "prob")) is tuple
@@ -368,7 +368,7 @@ def test_sweep_values_are_dense_on_read_and_stable(batch):
     rng = np.random.default_rng(12)
     graph = pooled_graph(rng)
     trace = forward(graph, {"x": batch_of((13, 3), batch, rng)})
-    values = backward(graph, trace, ("out", 1))
+    values = backward(trace, ("out", 1))
     assert isinstance(values, SweepValues) and set(values) == set(graph.nodes)
     # the routed nodes and the unreached ones hold no dense array until read
     assert type(dict.__getitem__(values, "act")) is Routed
@@ -380,12 +380,12 @@ def test_sweep_values_are_dense_on_read_and_stable(batch):
         assert again is first and identical(again, first)
     assert not values["dead"].any() and not values["dead_fc"].any()
     # every way of reading a SweepValues sees the dense arrays
-    fresh = backward(graph, trace, ("out", 1))
+    fresh = backward(trace, ("out", 1))
     for copy in (dict(fresh), {**fresh}, fresh.copy(), dict(fresh.items())):
         assert set(copy) == set(graph.nodes)
         for nid, value in copy.items():
             assert type(value) is np.ndarray and identical(value, values[nid])
-    fresh = backward(graph, trace, ("out", 1))
+    fresh = backward(trace, ("out", 1))
     assert [identical(v, values[n]) for n, v in zip(fresh, fresh.values())] == \
         [True] * len(graph.nodes)
     assert identical(fresh.get("act"), values["act"]) and fresh.get("nope") is None
@@ -396,7 +396,7 @@ def test_a_training_sweep_returns_no_values():
     rng = np.random.default_rng(13)
     graph = pooled_graph(rng)
     trace = forward(graph, {"x": batch_of((13, 3), 4, rng)})
-    values, params = vjp_sweep(graph, trace, {"out": np.ones((4, 2))},
+    values, params = vjp_sweep(trace, {"out": np.ones((4, 2))},
                                want_param_grads=True)
     assert values is None and set(params) == {"conv", "out"}
 

@@ -211,10 +211,10 @@ def compare_sweeps(method, graph, inputs, seeds, reference_input=None):
     if method == "deeplift":
         reference = compute_reference(graph, reference_input)
     routed, dense, routed_bias, dense_bias = tables(method, reference)
-    got, _ = vjp_sweep(graph, trace, seeds, rules=routed)
+    got, _ = vjp_sweep(trace, seeds, rules=routed)
     if method == "lrp":
         seeds = {nid: seed * trace[nid] for nid, seed in seeds.items()}
-    want, _ = vjp_sweep(graph, trace, seeds, rules=dense)
+    want, _ = vjp_sweep(trace, seeds, rules=dense)
     assert set(got) == set(want) == set(graph.nodes)
     for nid in graph.nodes:
         assert type(got[nid]) is np.ndarray, nid
@@ -236,8 +236,8 @@ def target_seeds(graph, target, trace_batch):
 def compare_params(graph, inputs, seeds):
     """The training sweep's parameter gradients against the oracle's."""
     trace = forward(graph, inputs)
-    _, got = vjp_sweep(graph, trace, seeds, want_param_grads=True)
-    _, want = vjp_sweep(graph, trace, seeds, want_param_grads=True, rules=DENSE_GRADIENT)
+    _, got = vjp_sweep(trace, seeds, want_param_grads=True)
+    _, want = vjp_sweep(trace, seeds, want_param_grads=True, rules=DENSE_GRADIENT)
     assert set(got) == set(want)
     for nid in want:
         assert set(got[nid]) == set(want[nid])
@@ -532,7 +532,7 @@ def test_paper_cnn_train_step_matches_summed_dense_per_sample_sweeps():
     for seq, label in zip(seqs, labels):
         trace = forward(graph, {"seq": seq})
         seed = trace["prob"] - label
-        _, grads = vjp_sweep(graph, trace, {"logit": seed}, want_param_grads=True,
+        _, grads = vjp_sweep(trace, {"logit": seed}, want_param_grads=True,
                              rules=DENSE_GRADIENT)
         for nid, arrays in grads.items():
             for key, value in arrays.items():
@@ -627,11 +627,11 @@ def test_sweeps_over_a_forward_trace_never_scan_the_windows(argmax_calls, batch)
     trace = forward(graph, inputs)
     assert argmax_calls[0] == 2  # the reference's forward and this one
     argmax_calls[0] = 0
-    backward(graph, trace, ("out", 1))
-    propagate_multipliers(graph, trace, reference, ("out", 1))
+    backward(trace, ("out", 1))
+    propagate_multipliers(trace, reference, ("out", 1))
     seeds = target_seeds(graph, ("out", 1), trace.batch)
-    vjp_sweep(graph, trace, seeds, rules=_lrp_rules(LRP_EPSILON, DenseOnRead()))
-    vjp_sweep(graph, trace, seeds, want_param_grads=True)
+    vjp_sweep(trace, seeds, rules=_lrp_rules(LRP_EPSILON, DenseOnRead()))
+    vjp_sweep(trace, seeds, want_param_grads=True)
     assert argmax_calls[0] == 0
     # a whole call scans each pool once, in its own forward pass
     deeplift(graph, inputs, reference=reference, target=("out", 1))
@@ -684,14 +684,14 @@ def test_a_hand_built_trace_finds_the_same_routes_and_results():
             results = []
             for trace in (recorded, built):
                 got = {
-                    "gradient": vjp_sweep(graph, trace, seeds)[0],
-                    "deeplift": propagate_multipliers(graph, trace, reference, case.target),
-                    "params": vjp_sweep(graph, trace, {out: np.ones(trace[out].shape)},
+                    "gradient": vjp_sweep(trace, seeds)[0],
+                    "deeplift": propagate_multipliers(trace, reference, case.target),
+                    "params": vjp_sweep(trace, {out: np.ones(trace[out].shape)},
                                         want_param_grads=True)[1],
                 }
                 if i % 2 == 0:  # piecewise linear, so LRP applies
                     got["lrp bias"] = DenseOnRead()
-                    got["lrp"] = vjp_sweep(graph, trace, seeds,
+                    got["lrp"] = vjp_sweep(trace, seeds,
                                            rules=_lrp_rules(LRP_EPSILON, got["lrp bias"]))[0]
                 results.append(got)
             assert_identical(results[1], results[0], i)
@@ -714,7 +714,7 @@ def test_rerouting_deeplift_leaves_the_trace_route_unchanged():
     reference = compute_reference(graph, {"x": ref})
     route = trace.route("pool")
     before = route.copy()
-    mult = propagate_multipliers(graph, trace, reference, ("out", 0))
+    mult = propagate_multipliers(trace, reference, ("out", 0))
     assert trace.route("pool") is route and not route.flags.writeable
     np.testing.assert_array_equal(route, before)
     # the rule did reroute: a window sends its multiplier off its route

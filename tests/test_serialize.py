@@ -310,3 +310,46 @@ def test_file_that_parses_but_fails_validation(tmp_path, edit):
     with pytest.raises(ModelFormatError) as info:
         load_model(path)
     assert str(info.value) == str(direct.value)
+
+
+def node_entry(payload, node_id):
+    return next(n for n in payload["nodes"] if n["id"] == node_id)
+
+
+# One corrupted field each of a saved paper CNN: the node it sits in and
+# the edit of that node's entry.  Each crashed ``load_model`` with a
+# KeyError, AttributeError or TypeError before every node's parameters
+# were checked against its kind.
+MUTATIONS = {
+    "drop-bias": ("fc1", lambda e: e["params"].pop("bias")),
+    "drop-weights": ("fc1", lambda e: e["params"].pop("weights")),
+    "drop-filters": ("conv", lambda e: e["params"].pop("filters")),
+    "drop-stride": ("conv", lambda e: e["params"].pop("stride")),
+    "drop-width": ("pool", lambda e: e["params"].pop("width")),
+    "drop-slopes": ("conv_act", lambda e: e["params"].pop("slopes")),
+    "drop-shape": ("seq", lambda e: e["params"].pop("shape")),
+    "scalar-weights": ("fc1", lambda e: e["params"].update(weights=0.5)),
+    "stride-array": ("pool", lambda e: e["params"].update(stride=[2, 2])),
+    "width-2.5": ("pool", lambda e: e["params"].update(width=2.5)),
+    "negative-dimension": ("seq", lambda e: e["params"].update(
+        shape=[-e["params"]["shape"][0], 4])),
+    "relu-two-inputs": ("fc1_act", lambda e: e.update(
+        kind="relu", inputs=[e["inputs"][0]] * 2, params={})),
+}
+
+
+def mutated(payload, name):
+    """A copy of the model file ``payload`` with mutation ``name`` applied."""
+    node_id, edit = MUTATIONS[name]
+    payload = json.loads(json.dumps(payload))
+    edit(node_entry(payload, node_id))
+    return payload
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_corrupted_parameter_names_the_node(tmp_path, name):
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(mutated(graph_to_dict(build_genomics_cnn(seed=0)), name)))
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert f"node '{MUTATIONS[name][0]}'" in str(info.value)

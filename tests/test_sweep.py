@@ -93,13 +93,13 @@ def sweep_values(method, graph, reference, target, trace):
     """Every node's value from one sweep of ``method`` over ``trace``, a
     forward trace of every node."""
     if method == "gradient":
-        return backward(graph, trace, target)
+        return backward(trace, target)
     if method == "deeplift":
-        return propagate_multipliers(graph, trace, compute_reference(graph, reference),
+        return propagate_multipliers(trace, compute_reference(graph, reference),
                                      target)
     seed = target_seed(graph.nodes[target[0]].output_shape,
                        resolve_target(graph, target, trace.batch)[1])
-    return vjp_sweep(graph, trace, {target[0]: seed},
+    return vjp_sweep(trace, {target[0]: seed},
                      rules=_lrp_rules(LRP_EPSILON, DenseOnRead()))[0]
 
 
