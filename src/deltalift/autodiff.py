@@ -13,9 +13,12 @@ Max-pooling sends each window's value to one input unit, its route:
 the window's first argmax, which ``forward`` records in the trace as it
 evaluates the pool (``ForwardTrace.route``), so no sweep scans the
 windows again.  Below a pool a sweep buffer is then mostly zeros, and
-the pool rules write it as a ``Routed`` buffer instead: (flat index,
-value) entries of the dense array.  The elementwise rules and conv1d
-take such a buffer and work on its entries only; the sweep makes a
+where the route is sparse, with fewer entries than the pool's input has
+rows, the pool rules write it as a ``Routed`` buffer instead: (flat
+index, value) entries of the dense array (``write_pool_input``).  A
+denser route is written dense, since conv1d's routed transpose costs an
+entry what its dense one costs a row.  The elementwise rules and conv1d
+take a routed buffer and work on its entries only; the sweep makes a
 buffer dense on a second write and before any other rule.  What it
 returns (``SweepValues``) makes a routed buffer dense, and an unreached
 node's zeros, only when a caller reads that node.
@@ -160,9 +163,10 @@ class Routed:
         return bool(self.values.any())
 
     def dense(self) -> Tensor:
-        """The dense array, formed once: for a second write, for a rule
-        outside ``ROUTED_KINDS``, or when a caller reads the node in the
-        sweep's result."""
+        """The dense array, formed once: for a route too dense to keep
+        (``write_pool_input``), for a second write, for a rule outside
+        ``ROUTED_KINDS``, or when a caller reads the node in the sweep's
+        result."""
         if self._dense is None:
             self._dense = np.bincount(self.index.ravel(), self.values.ravel(),
                                       self.size).reshape(self.shape)
@@ -283,6 +287,28 @@ def _product_rule(node, grad_out, trace, grads, param_grads=None):
             accumulate(grads, src, grad_out * trace[other])
 
 
+def write_pool_input(grads: dict, pool, index: Tensor, values: Tensor, shape) -> None:
+    """Accumulate into max pool ``pool``'s input the buffer of ``values``
+    at the flat ``index`` (its route, or DeepLIFT's reroute) of a dense
+    array of ``shape``.
+
+    The buffer stays ``Routed`` only where the route is sparse: fewer
+    entries than the pool's input has rows (entries * channels < size).
+    Otherwise it is written dense, and the rules below the pool run their
+    dense kernels: conv1d's routed transpose costs an entry what its
+    dense one costs a row.  The paper CNN's pool routes 60 entries on
+    186 rows per sample and stays routed; a width-4, stride-4 pool over
+    44 rows of C >= 4 channels routes 11 * C >= 44 entries, and goes
+    dense.  The choice reads the buffer's own counts, so batching does
+    not change it.
+    """
+    buf = Routed(index, values, shape)
+    sample = pool.output_shape
+    channels = sample[-1] if len(sample) == 2 else 1
+    accumulate(grads, pool.inputs[0],
+               buf if values.size * channels < buf.size else buf.dense())
+
+
 def _maxpool_rule(node, grad_out, trace, grads, param_grads=None):
     # the source's shape comes from its spec: reading its activation would
     # form one that a batched forward deferred (``Plan.deferred``)
@@ -291,7 +317,7 @@ def _maxpool_rule(node, grad_out, trace, grads, param_grads=None):
         shape = trace.graph.nodes[src].output_shape
         if trace.batch is not None:
             shape = (trace.batch,) + shape
-        accumulate(grads, src, Routed(trace.route(node.id), grad_out, shape))
+        write_pool_input(grads, node, trace.route(node.id), grad_out, shape)
 
 
 def _input_rule(node, grad_out, trace, grads, param_grads=None):
@@ -409,8 +435,8 @@ _elementwise_rule = _one_input(_elementwise_input_grad)
 # The gradient rule of every kind, ``rule(node, grad_out, trace, grads,
 # param_grads=None)``: the sweep's default table, which DeepLIFT's and
 # epsilon-LRP's extend.  Max-pooling writes its input a ``Routed`` buffer
-# at the trace's route, and the rules of ``ROUTED_KINDS`` take one and
-# keep it routed.
+# at the trace's route where that route is sparse (``write_pool_input``),
+# and the rules of ``ROUTED_KINDS`` take one and keep it routed.
 GRADIENT_RULES = {
     "input": _input_rule,
     "affine": _one_input(_affine_input_grad, _affine_param_grads),
@@ -477,9 +503,10 @@ def vjp_sweep(trace: ForwardTrace, seeds: dict[str, Tensor],
     a forward pass up to the seeded node (``forward(..., upto=...)``)
     serves.
 
-    A max-pool rule writes its input a ``Routed`` buffer: only the window
-    maxima's entries, not a dense array that is zero elsewhere (on the
-    paper CNN, 60 of 3,720 entries per sample).  Rules for
+    A max-pool rule writes its input a ``Routed`` buffer where the route
+    is sparse (``write_pool_input``): only the window maxima's entries,
+    not a dense array that is zero elsewhere (on the paper CNN, 60 of
+    3,720 entries per sample).  Rules for
     ``ROUTED_KINDS`` take it and pass routed values on (see ``aligned``),
     so the elementwise rules and conv1d below a pool touch only those
     entries.  A buffer becomes dense on a second write (``accumulate``)

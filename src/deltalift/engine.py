@@ -15,14 +15,17 @@ so DeepLIFT is a modified gradient (Ancona et al., ICLR 2018): one
   * maxpool1d:       each window's delta routes to the current argmax,
     the route ``forward`` recorded in the trace (rerouted where that
     member's delta is at most EPS_STABLE), written as a routed buffer
-    (``autodiff.Routed``): the rules below the pool form deltas and
-    multipliers only at the routed units
+    (``autodiff.Routed``) where the route has fewer entries than the
+    pool's input has rows, and dense otherwise
+    (``autodiff.write_pool_input``): below a routed buffer the rules
+    form deltas and multipliers only at the routed units
   * relu / prelu / sigmoid / tanh: m = delta_out / delta_in, falling back
     to the derivative at the reference where |delta_in| <= EPS_STABLE
   * maxout:          piece coefficients weighted by each piece's share
     of the straight path from reference to input (``maxout_segments``:
     the intervals between sorted crossing points, summed per piece over
-    every (sample, unit) at once)
+    every (sample, unit) at once; the path's reference end is formed once
+    per reference state)
   * product:         m1 = ref2 + delta2/2, m2 = ref1 + delta1/2
 
 Like ``forward``, the entry points take one sample or a batch stacked
@@ -72,7 +75,6 @@ from .graph import (
 )
 from .autodiff import (
     GRADIENT_RULES,
-    Routed,
     _target_sweep,
     accumulate,
     aligned,
@@ -83,6 +85,7 @@ from .autodiff import (
     target_value,
     vjp_node,
     whole,
+    write_pool_input,
 )
 from .normalize import attribution_model
 
@@ -263,39 +266,58 @@ def _piece_pairs(n_pieces: int) -> tuple[Tensor, Tensor]:
     return pairs
 
 
-def maxout_segments(node, reference_input: Tensor, input_values: Tensor) -> Tensor:
+class _PathStart:
+    """The reference end of a maxout node's paths: its input rows at the
+    reference, every piece's value there and the pairwise value gaps of
+    the crossing roots.  They depend on the reference alone, so
+    DeepLIFT's rule table (``_rule_table``) forms them once per node and
+    reference state."""
+
+    __slots__ = ("rows", "values", "gap")
+
+    def __init__(self, node, reference_input: Tensor):
+        n_pieces, out_dim, in_dim = node.params["weights"].shape
+        self.rows = reference_input.reshape(-1, in_dim)
+        self.values = ((self.rows @ node.piece_coefficients.T).reshape(-1, out_dim, n_pieces)
+                       + node.params["biases"].T)
+        i, j = _piece_pairs(n_pieces)
+        self.gap = self.values[..., i] - self.values[..., j]
+
+
+def maxout_segments(node, reference_input: "Tensor | _PathStart",
+                    input_values: Tensor) -> Tensor:
     """Share of the straight reference-to-input path on which each piece
     of each maxout unit dominates, shaped (rows, units, pieces).
 
     ``reference_input`` and ``input_values`` are the node's input
     activations, one sample or a batch; a single reference row pairs
-    with every input row.  The path is A(t) = ref + t*(input - ref), t in
-    [0, 1], and each piece's value is linear in t.  The exact pairwise
-    crossing roots inside (CROSSING_TOL, 1 - CROSSING_TOL), sorted, cut
-    the path into intervals; each interval goes to the piece on top at
-    its midpoint, an exact tie to the larger slope and then the lowest
-    index, so a tie at an interval start resolves to the piece that
-    dominates just after it.  A piece's share is the summed length of
-    its intervals.  A degenerate path (input == reference) gives its
-    whole share to the piece dominating at the reference.  Each unit's
-    shares sum to 1.
+    with every input row.  DeepLIFT's rule passes the reference end as
+    the ``_PathStart`` it keeps instead, with the same result.  The path
+    is A(t) = ref + t*(input - ref), t in [0, 1], and each piece's value
+    is linear in t.  The exact pairwise crossing roots inside
+    (CROSSING_TOL, 1 - CROSSING_TOL), sorted, cut the path into
+    intervals; each interval goes to the piece on top at its midpoint,
+    an exact tie to the larger slope and then the lowest index, so a tie
+    at an interval start resolves to the piece that dominates just after
+    it.  A piece's share is the summed length of its intervals.  A
+    degenerate path (input == reference) gives its whole share to the
+    piece dominating at the reference.  Each unit's shares sum to 1.
     """
     if node.kind != "maxout":
         raise AttributionError(f"node '{node.id}' is not a maxout node")
+    start = (reference_input if type(reference_input) is _PathStart
+             else _PathStart(node, reference_input))
     n_pieces, out_dim, in_dim = node.params["weights"].shape
-    coeffs = node.piece_coefficients
-    x0 = reference_input.reshape(-1, in_dim)
-    x1 = input_values.reshape(-1, in_dim)
-    values0 = (x0 @ coeffs.T).reshape(-1, out_dim, n_pieces) + node.params["biases"].T
-    slopes = ((x1 - x0) @ coeffs.T).reshape(-1, out_dim, n_pieces)
+    x0, values0 = start.rows, start.values
+    slopes = ((input_values.reshape(-1, in_dim) - x0)
+              @ node.piece_coefficients.T).reshape(-1, out_dim, n_pieces)
     i, j = _piece_pairs(n_pieces)
-    gap = values0[..., i] - values0[..., j]
     dslope = slopes[..., j] - slopes[..., i]
     # interval bounds: 0, the sorted crossings, 1; parallel pairs and
     # crossings outside (tol, 1 - tol) read 0, an empty interval at 0
     bounds = np.zeros(dslope.shape[:-1] + (len(i) + 2,))
     cuts = bounds[..., 1:-1]
-    np.divide(gap, dslope, out=cuts, where=dslope != 0.0)
+    np.divide(start.gap, dslope, out=cuts, where=dslope != 0.0)
     np.copyto(cuts, 0.0, where=~((CROSSING_TOL < cuts) & (cuts < 1.0 - CROSSING_TOL)))
     cuts.sort(axis=-1)
     bounds[..., -1] = 1.0
@@ -349,7 +371,10 @@ def _rule_table(reference: dict[str, Tensor]) -> dict:
     the gradient table with its nonlinear kinds replaced; affine and
     conv1d keep the gradient rule, since their multipliers are the
     weights.  The rules read the activations, not their state, so a
-    state that keeps its table makes no reference cycle."""
+    state that keeps its table makes no reference cycle.  The maxout
+    rule keeps each node's reference path start (``_PathStart``), formed
+    on its first call."""
+    starts = {}
 
     def rescale(node, m_out, trace, mult, _):
         m, at, like = aligned(m_out)
@@ -365,7 +390,10 @@ def _rule_table(reference: dict[str, Tensor]) -> dict:
         _max_multiplier_backprop(node, m_out, trace, reference, mult)
 
     def maxout(node, m_out, trace, mult, _):
-        _maxout_multiplier_backprop(node, m_out, trace, reference, mult)
+        start = starts.get(node.id)
+        if start is None:
+            start = starts[node.id] = _PathStart(node, reference[node.inputs[0]])
+        _maxout_multiplier_backprop(node, m_out, trace, start, mult)
 
     def softmax(node, m_out, trace, mult, _):
         if m_out.any():
@@ -394,8 +422,8 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult):
     delta always has such a member (up to EPS_STABLE, below which the
     routed quantity is itself negligible).  Input deltas are formed only
     at the chosen members, and at every member of a rerouting window.
-    The multipliers go into the source's buffer in ``mult`` as a
-    ``Routed`` buffer.
+    The multipliers go into the source's buffer in ``mult``, routed where
+    the route is sparse (``autodiff.write_pool_input``).
     """
     src = node.inputs[0]
     x = trace[src]
@@ -423,21 +451,22 @@ def _max_multiplier_backprop(node, m_out, trace, reference, mult):
         chosen_dx.put(weak, members_dx[pick])
         ok = np.abs(chosen_dx) > EPS_STABLE
         values = np.where(ok, route, 0.0) / np.where(ok, chosen_dx, 1.0)
-    accumulate(mult, src, Routed(chosen, values, x.shape))
+    write_pool_input(mult, node, chosen, values, x.shape)
 
 
-def _maxout_multiplier_backprop(node, m_out, trace, reference, mult):
+def _maxout_multiplier_backprop(node, m_out, trace, start, mult):
     """Path-averaged piece coefficients of every (sample, unit) at once.
 
     Unit u of row r passes m_out[r, u] * sum_p share[r, u, p] * w[p, u],
-    with the path shares of ``maxout_segments``; summed over units and
-    pieces this is one (rows, units*pieces) @ (units*pieces, in)
-    product.  A batched reference pairs its rows with the trace's.
-    Multipliers accumulate into the source's buffer in ``mult``.
+    with the path shares of ``maxout_segments`` from the reference end
+    ``start`` (a ``_PathStart``); summed over units and pieces this is one
+    (rows, units*pieces) @ (units*pieces, in) product.  A batched
+    reference pairs its rows with the trace's.  Multipliers accumulate
+    into the source's buffer in ``mult``.
     """
     n_pieces, out_dim = node.params["weights"].shape[:2]
     src = node.inputs[0]
-    share = maxout_segments(node, reference[src], trace[src])
+    share = maxout_segments(node, start, trace[src])
     share *= m_out.reshape(-1, out_dim, 1)
     accumulate(mult, src, (share.reshape(-1, out_dim * n_pieces)
                            @ node.piece_coefficients).reshape(trace[src].shape))
@@ -452,12 +481,12 @@ def _maxout_multiplier_backprop(node, m_out, trace, reference, mult):
 LRP_KINDS = frozenset(["input", "affine", "conv1d", "maxpool1d", "relu", "prelu"])
 
 
-def _lrp_rules(epsilon: float, bias_rel: DenseOnRead) -> dict:
+def _lrp_rules(epsilon: float, bias_rel: DenseOnRead | None) -> dict:
     """epsilon-LRP's rules for ``vjp_sweep``, which then carries
     multipliers m (relevance = activation * m): affine and conv1d pass
     m * a / (a + eps sign a) to the gradient rule, and record in
-    ``bias_rel`` their bias share, to be formed when read
-    (``_bias_share``); every kind outside ``LRP_KINDS`` raises once
+    ``bias_rel``, unless it is None, their bias share, to be formed when
+    read (``_bias_share``); every kind outside ``LRP_KINDS`` raises once
     multipliers reach it; the rest keep the gradient rule.  At
     ``epsilon`` 0 a unit with a = 0 holds no relevance and passes none."""
 
@@ -470,15 +499,23 @@ def _lrp_rules(epsilon: float, bias_rel: DenseOnRead) -> dict:
         if not np.count_nonzero(r):
             return
         stabilizer = np.where(a >= 0, epsilon, -epsilon)
-        # only epsilon 0 leaves a zero denominator; r is 0 there, as is r / 1
         d = a + stabilizer
-        d[d == 0] = 1.0
+        if epsilon == 0:  # the one zero denominator; r is 0 there, as is r / 1
+            d[d == 0] = 1.0
         share = r / d
         vjp_node(node, like(share), trace, mult)
-        bias_rel[node.id] = functools.partial(
-            _bias_share, node.params["bias"], at, stabilizer, share, trace.batch)
+        if bias_rel is not None:
+            bias_rel[node.id] = functools.partial(
+                _bias_share, node.params["bias"], at, stabilizer, share, trace.batch)
 
     return {**_LRP_BASE, "affine": filtering, "conv1d": filtering}
+
+
+@functools.lru_cache
+def _report_lrp_rules(epsilon: float) -> dict:
+    """epsilon-LRP's table for report-only calls, which read no bias
+    share: one per epsilon, kept."""
+    return _lrp_rules(epsilon, None)
 
 
 def _bias_share(bias: Tensor, at, stabilizer: Tensor, share: Tensor, batch: int | None):
@@ -638,7 +675,7 @@ def _method_report(trace: ForwardTrace, reference: ReferenceState | None, target
     if method == "deeplift":
         rules = _deeplift_rules(reference)
     elif method == "lrp":
-        rules = _lrp_rules(lrp_epsilon, {})
+        rules = _report_lrp_rules(lrp_epsilon)
     else:
         rules = GRADIENT_RULES
     mult = _target_sweep(trace, target, rules)

@@ -286,8 +286,12 @@ _PARAMS = {
 
 def _check_params(kind, params):
     """Raise GraphError unless ``params`` holds each parameter ``_PARAMS``
-    lists for ``kind``, of its rank or an integer >= 1."""
-    for key, rank in _PARAMS.get(kind, {}).items():
+    lists for ``kind``, of its rank or an integer >= 1, and no other."""
+    expected = _PARAMS.get(kind, {})
+    for key in params:
+        if key not in expected:
+            raise GraphError(f"{kind} node takes no parameter '{key}'")
+    for key, rank in expected.items():
         if key not in params:
             raise GraphError(f"{kind} node needs parameter '{key}'")
         value = params[key]

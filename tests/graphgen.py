@@ -7,6 +7,7 @@ optional elementwise-product merge, and an optional sigmoid or softmax
 head.  Weight scales keep activations O(1) so tolerances are meaningful.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,3 +153,11 @@ def ancestors(graph: Graph, node_id: str) -> set:
             seen.add(nid)
             stack.extend(graph.nodes[nid].inputs)
     return seen
+
+
+def routes_sparsely(graph: Graph, pool_id: str) -> bool:
+    """Whether max pool ``pool_id`` writes its input a ``Routed`` buffer
+    (``autodiff.write_pool_input``): fewer entries, its outputs, than its
+    input has rows, at any batch size."""
+    pool = graph.nodes[pool_id]
+    return math.prod(pool.output_shape) < graph.nodes[pool.inputs[0]].output_shape[0]

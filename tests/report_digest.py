@@ -1,9 +1,12 @@
 """One SHA-256 over every attribution output, to check a change bit for bit.
 
-    PYTHONPATH=src python tests/report_digest.py
+    PYTHONPATH=src python tests/report_digest.py [--per-record]
 
 prints the digest.  A change that should leave every output bit the same
-must print the same digest as its parent.  The digest covers every field
+must print the same digest as its parent.  With ``--per-record`` it
+prints one hash per record instead, each with its position and label, so
+that a change that moves bits can list which records moved (``diff`` the
+two listings).  The digest covers every field
 of the reports of deeplift, grad*input and epsilon-LRP, LRP's bias shares,
 target activation and relevance at every ancestor of the target, and
 ``compare_methods``' rows, tracks and summary; epsilon-LRP runs at the
@@ -25,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
+import sys
 from collections.abc import Mapping
 
 import numpy as np
@@ -236,5 +240,22 @@ def digest(outputs=None) -> str:
     return h.hexdigest()
 
 
+def record_digests(outputs=None):
+    """(position and label, SHA-256) of each record of ``outputs``, by
+    default every record above: the records ``digest`` hashes, one hash
+    each."""
+    for n, (label, output) in enumerate(records() if outputs is None else outputs):
+        h = hashlib.sha256()
+        feed(h, label)
+        feed(h, output)
+        yield f"{n} {label}", h.hexdigest()
+
+
 if __name__ == "__main__":
-    print(digest())
+    if sys.argv[1:] == ["--per-record"]:
+        for label, hexdigest in record_digests():
+            print(hexdigest, label)
+    elif sys.argv[1:]:
+        sys.exit("usage: report_digest.py [--per-record]")
+    else:
+        print(digest())

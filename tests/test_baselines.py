@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import deltalift.baselines as baselines
+import deltalift.engine as engine
 from deltalift.autodiff import _target_sweep, aligned, vjp_node
 from deltalift.baselines import (
     EnsembleSpec,
@@ -279,6 +280,46 @@ class TestBiasShareOnRead:
                 assert rel.bias_relevance[nid] is got  # formed once, then kept
             for nid in graph.nodes:
                 assert mult[nid].tobytes() == rel.multipliers[nid].tobytes(), nid
+
+
+@pytest.mark.parametrize("batch", [None, 5])
+def test_attribute_lrp_reuses_one_table_per_epsilon_and_records_no_share(
+        batch, monkeypatch):
+    # a report reads no bias share, so attribute(..., "lrp") sweeps under
+    # one kept table per epsilon that records none; its reports keep the
+    # bits of lrp_epsilon's, which records them for RelevanceTrace
+    rng = np.random.default_rng(63)
+    built = []
+    real = engine._lrp_rules
+
+    def recording(epsilon, bias_rel):
+        built.append((epsilon, bias_rel))
+        return real(epsilon, bias_rel)
+
+    monkeypatch.setattr(engine, "_lrp_rules", recording)
+    engine._report_lrp_rules.cache_clear()
+    cnn = build_genomics_cnn(length=60, pool_width=10, pool_stride=10,
+                             dense_units=12, seed=4)
+    cases = [(cnn, {"seq": np.eye(4)[rng.integers(0, 4, size=(batch or 1, 60))]}, None)]
+    for _ in range(3):
+        g, inputs = random_relu_mlp(rng)
+        cases.append((g, {"x": rng.normal(size=(batch or 1,) + inputs["x"].shape)},
+                      ("head", 0)))
+    epsilons = [1e-9, 0.0, 0.5]
+    for _ in range(2):
+        for graph, inputs, target in cases:
+            inputs = {k: v if batch else v[0] for k, v in inputs.items()}
+            for epsilon in epsilons:
+                got = attribute(graph, inputs, "lrp", target=target, lrp_epsilon=epsilon)
+                rel = lrp_epsilon(graph, inputs, target=target, epsilon=epsilon)
+                assert rel.bias_relevance
+                want = lrp_as_contribution_report(graph, inputs, rel)
+                for field in ("contributions", "multipliers", "deltas"):
+                    for k, v in getattr(want, field).items():
+                        assert getattr(got, field)[k].tobytes() == v.tobytes(), field
+                assert np.asarray(got.residual).tobytes() == np.asarray(want.residual).tobytes()
+    assert built == [(epsilon, None) for epsilon in epsilons]
+    engine._report_lrp_rules.cache_clear()
 
 
 class TestEquivalence:

@@ -637,10 +637,11 @@ class TestErrors:
         assert res.stderr.startswith("error code=invalid-input")
         assert detail in res.stderr
 
-    @pytest.mark.parametrize("name", ["drop-bias", "width-2.5"])
+    @pytest.mark.parametrize("name", ["drop-bias", "width-2.5", "prelu-to-relu"])
     def test_corrupted_parameter_exit_code(self, workspace, tmp_path, name):
-        # a missing parameter crashed with a KeyError traceback (exit 1), and
-        # a window width of 2.5 was read as 2
+        # a missing parameter crashed with a KeyError traceback (exit 1), a
+        # window width of 2.5 was read as 2, and a prelu turned relu ran
+        # with its slopes unread
         bad = tmp_path / "corrupt.json"
         bad.write_text(json.dumps(mutated(json.loads(workspace["model"].read_text()),
                                           name)))

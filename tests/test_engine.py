@@ -43,7 +43,7 @@ from deltalift.genomics import (
 from deltalift.graph import GraphBuilder, GraphError, forward
 from deltalift.normalize import attribution_model
 
-from graphgen import random_graph_case
+from graphgen import random_graph_case, routes_sparsely
 
 
 def saturated_relu_net():
@@ -565,15 +565,19 @@ class TestContributions:
     def test_summation_to_delta_random_graphs(self):
         rng = np.random.default_rng(7)
         kinds_seen = set()
+        pools = []  # whether each pool routes sparsely or sweeps dense
         for _ in range(120):
             case = random_graph_case(rng)
             kinds_seen |= case.kinds
+            pools += [routes_sparsely(case.graph, nid) for nid, node
+                      in case.graph.nodes.items() if node.kind == "maxpool1d"]
             report = deeplift(case.graph, case.inputs, case.reference,
                               target=case.target)
             tol = max(1e-9, 1e-6 * abs(report.delta_target))
             assert report.residual <= tol, (case.kinds, report.residual)
         assert {"conv1d", "maxpool1d", "maxout", "product", "prelu",
                 "sigmoid", "tanh", "relu", "affine"} <= kinds_seen
+        assert pools.count(True) >= 5 and pools.count(False) >= 5, pools
 
 
 class TestSoftmaxHeadReuse:

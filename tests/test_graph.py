@@ -82,6 +82,25 @@ class TestValidation:
         report = validate_graph(Graph([x, node], outputs=["r"]))
         assert report.violations == [f"shape: node 'r': {message}"]
 
+    @pytest.mark.parametrize(
+        "node, message",
+        [
+            (NodeSpec("r", "relu", ("x",), (2,), {"slopes": [0.1]}),
+             "relu node takes no parameter 'slopes'"),
+            (NodeSpec("r", "softmax", ("x",), (2,), {"shape": (2,)}),
+             "softmax node takes no parameter 'shape'"),
+            (NodeSpec("r", "affine", ("x",), (2,),
+                      {"weights": np.eye(2), "bias": np.zeros(2), "stride": 1}),
+             "affine node takes no parameter 'stride'"),
+        ],
+        ids=["relu-slopes", "softmax-shape", "affine-stride"],
+    )
+    def test_a_parameter_outside_the_kind_names_node_and_key(self, node, message):
+        # a prelu edited to relu with its slopes left ran as a relu
+        x = NodeSpec("x", "input", (), (2,), {"shape": (2,)})
+        report = validate_graph(Graph([x, node], outputs=["r"]))
+        assert report.violations == [f"shape: node 'r': {message}"]
+
     def test_node_reading_a_failed_node_is_skipped(self):
         # the relu's input fails its own rules, so the relu is not checked;
         # reading the input's shape raised KeyError

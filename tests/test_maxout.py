@@ -144,6 +144,40 @@ def test_sweep_calls_maxout_segments_once_per_maxout_node(rng, monkeypatch):
     assert sorted(calls) == ["m1", "m2"]
 
 
+def same_bits(got, want):
+    return all(np.asarray(getattr(got, f)).tobytes() == np.asarray(getattr(want, f)).tobytes()
+               for f in ("delta_target", "residual")) and all(
+        getattr(got, f)[k].tobytes() == getattr(want, f)[k].tobytes()
+        for f in ("contributions", "multipliers", "deltas") for k in getattr(want, f))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one-reference", "row-paired"])
+def test_a_kept_state_forms_its_path_start_once_and_changes_no_bit(rng, monkeypatch, batched):
+    # the maxout rule keeps each node's reference end of the path with the
+    # state's rule table: every call on one state passes maxout_segments
+    # the same start, and gives the bits of a call on a fresh state
+    graph = two_maxout_layers(rng)
+    xs = rng.normal(size=(6, 4))
+    ref = {"x": rng.normal(size=(6, 4) if batched else 4)}
+    probes = [xs, xs + 1.0] if batched else [xs[0], xs[1], xs, xs[0]]
+    fresh = [deeplift(graph, {"x": x}, compute_reference(graph, ref), ("o", 0))
+             for x in probes]
+    starts = []
+
+    def recording(node, x0, x1):
+        starts.append((node.id, x0))
+        return maxout_segments(node, x0, x1)
+
+    monkeypatch.setattr(engine, "maxout_segments", recording)
+    state = compute_reference(graph, ref)
+    for x, want in zip(probes, fresh):
+        assert same_bits(deeplift(graph, {"x": x}, state, ("o", 0)), want)
+    assert len(starts) == 2 * len(probes)
+    for node_id in ("m1", "m2"):
+        (start,) = {x0 for nid, x0 in starts if nid == node_id}  # one object
+        assert type(start) is engine._PathStart
+
+
 def test_piece_coefficients_are_built_once_per_node(rng, monkeypatch):
     # the rule reads one (units*pieces, in) matrix per node, made on
     # first use and kept read-only for the node's life

@@ -357,8 +357,9 @@ def pooled_graph(rng):
     target reaches."""
     b = GraphBuilder()
     x = b.input("x", (13, 3))
-    act = b.relu("act", b.conv1d("conv", x, rng.normal(size=(4, 3, 3)), rng.normal(size=4)))
-    b.affine("out", b.maxpool1d("pool", act, 4, 2), rng.normal(size=(2, 16)), np.zeros(2))
+    act = b.relu("act", b.conv1d("conv", x, rng.normal(size=(2, 3, 3)), rng.normal(size=2)))
+    # 8 entries, (4, 2), on 11 rows: a sparse route, so act's buffer stays routed
+    b.affine("out", b.maxpool1d("pool", act, 4, 2), rng.normal(size=(2, 8)), np.zeros(2))
     b.tanh("dead", b.affine("dead_fc", x, rng.normal(size=(2, 39)), np.zeros(2)))
     return b.build(outputs=["out", "dead"])
 

@@ -18,6 +18,11 @@ def test_two_runs_give_the_same_digest_over_every_method():
     digest = report_digest.digest(records)
     assert report_digest.digest() == digest
     assert len(digest) == 64
+    # one hash per record: every record the digest covers, in its order
+    per_record = list(report_digest.record_digests(records))
+    assert [label for label, _ in per_record] == [
+        f"{n} {label}" for n, (label, _) in enumerate(records)]
+    assert all(len(h) == 64 for _, h in per_record)
 
     reports = [out for _, out in records if isinstance(out, ContributionReport)]
     reports += [out[0] for label, out in records if label.endswith("lrp_epsilon")]
@@ -75,6 +80,15 @@ def test_the_digest_sees_one_bit_of_a_score():
     scores = report.contributions["seq"]
     scores.view(np.uint64).flat[0] ^= 1
     assert report_digest.digest([(label, report)]) != before
+
+
+def test_per_record_hashes_name_the_record_that_moved():
+    records = [("a", {"x": np.arange(3.0)}), ("b", np.ones(2)), ("a", [1.5])]
+    before = dict(report_digest.record_digests(records))
+    assert list(before) == ["0 a", "1 b", "2 a"]
+    records[1][1].view(np.uint64)[0] ^= 1
+    after = dict(report_digest.record_digests(records))
+    assert [k for k in before if before[k] != after[k]] == ["1 b"]
 
 
 def test_every_field_type_is_hashed():

@@ -1,13 +1,17 @@
 """Routed sweep buffers below max-pooling against dense oracle rules.
 
 A max-pool rule writes its input only the window maxima's entries (a
-``Routed`` buffer), and the rules below it keep them routed.  The oracle
-tables here are the dense rules the routed ones replaced: max-pooling
-scatters into a dense array, and every elementwise rule works on whole
-arrays, so a sweep under them never routes anything.  Every
-array of the routed sweep must agree with the oracle's within 1e-12 of
-its largest entry: where windows overlap, a routed index repeats and the
-dense array sums its values after, not before, the rules below the pool.
+``Routed`` buffer) when the route is sparse, fewer entries than the
+pool's input has rows, and the rules below it keep them routed; a denser
+route is written as a dense array.  The oracle tables here are the dense
+rules the routed ones replaced: max-pooling scatters into a dense array,
+and every elementwise rule works on whole arrays, so a sweep under them
+never routes anything.  Every array of the routed sweep must agree with
+the oracle's within 1e-12 of its largest entry: where windows overlap, a
+routed index repeats and the dense array sums its values after, not
+before, the rules below the pool.  The hand-built graphs route sparsely;
+the narrow pools of a later section go dense, and agree with the same
+sweep forced to route.
 
 The LRP oracle also differs in what it sweeps: relevances, filtered at
 affine and conv1d nodes and passed through rectifiers, where
@@ -28,6 +32,7 @@ import deltalift.autodiff
 import deltalift.engine
 import deltalift.graph
 from deltalift.autodiff import (
+    GRADIENT_RULES,
     Routed,
     _conv1d_input_grad,
     accumulate,
@@ -63,7 +68,7 @@ from deltalift.graph import (
 )
 from deltalift.train import TrainConfig, train_step
 
-from graphgen import random_graph_case
+from graphgen import random_graph_case, routes_sparsely
 
 RTOL = 1e-12
 
@@ -259,7 +264,7 @@ def batch_of(shape, batch, rng):
 @pytest.mark.parametrize("method", ["gradient", "deeplift", "lrp"])
 def test_routed_sweep_matches_dense_oracle_on_random_graphs(method):
     rng = np.random.default_rng(1217)
-    pooled = overlapping = vector = 0
+    pooled = overlapping = vector = sparse = 0
     for _ in range(80):
         case = random_graph_case(rng, piecewise_linear_only=method == "lrp")
         graph = case.graph
@@ -267,6 +272,7 @@ def test_routed_sweep_matches_dense_oracle_on_random_graphs(method):
         pooled += bool(pools)
         overlapping += any(int(n.params["stride"]) < int(n.params["width"]) for n in pools)
         vector += any(graph.nodes[n.inputs[0]].kind == "input" for n in pools)
+        sparse += any(routes_sparsely(graph, n.id) for n in pools)
         shape = graph.nodes["x"].output_shape
         for batch in BATCHES:
             inputs = {"x": batch_of(shape, batch, rng)}
@@ -278,6 +284,8 @@ def test_routed_sweep_matches_dense_oracle_on_random_graphs(method):
                 compare_sweeps(method, graph, inputs, seeds,
                                {"x": batch_of(shape, batch, rng)})
     assert pooled >= 20 and overlapping >= 5 and vector >= 3, (pooled, overlapping, vector)
+    # both sides of the density rule: routed and dense buffers below a pool
+    assert 5 <= sparse <= pooled - 5, (sparse, pooled)
 
 
 def test_routed_parameter_gradients_match_dense_oracle_on_random_graphs():
@@ -308,12 +316,12 @@ def second_consumer(rng, kind):
     """conv -> act, read by a pool and by a dense layer: act's buffer
     takes a routed and a dense write, so the sweep merges them densely."""
     b = GraphBuilder()
-    conv = conv_front(b, rng)
+    conv = conv_front(b, rng, n_filt=2)  # (11, 2)
     act = b.relu("act", conv) if kind == "relu" else b.prelu("act", conv,
-                                                            rng.uniform(0.1, 0.6, 4))
-    pool = b.maxpool1d("pool", act, 4, 3)
-    left = b.affine("left", pool, rng.normal(size=(3, 12)) / 3, rng.normal(size=3))
-    right = b.affine("right", act, rng.normal(size=(3, 44)) / 6, rng.normal(size=3))
+                                                            rng.uniform(0.1, 0.6, 2))
+    pool = b.maxpool1d("pool", act, 4, 3)  # (3, 2)
+    left = b.affine("left", pool, rng.normal(size=(3, 6)) / 3, rng.normal(size=3))
+    right = b.affine("right", act, rng.normal(size=(3, 22)) / 5, rng.normal(size=3))
     return b.build(outputs=[left, right])
 
 
@@ -321,28 +329,28 @@ def two_pools(rng):
     """conv -> relu, read by two max pools: act's buffer takes two routed
     writes, so the second makes it dense."""
     b = GraphBuilder()
-    act = b.relu("act", conv_front(b, rng))  # (11, 4)
-    wide = b.maxpool1d("wide", act, 4, 3)  # (3, 4)
-    narrow = b.maxpool1d("narrow", act, 2, 2)  # (5, 4)
-    left = b.affine("left", wide, rng.normal(size=(3, 12)) / 3, rng.normal(size=3))
-    right = b.affine("right", narrow, rng.normal(size=(3, 20)) / 4, rng.normal(size=3))
+    act = b.relu("act", conv_front(b, rng, length=26, n_filt=2))  # (24, 2)
+    wide = b.maxpool1d("wide", act, 6, 4)  # (5, 2)
+    narrow = b.maxpool1d("narrow", act, 3, 3)  # (8, 2)
+    left = b.affine("left", wide, rng.normal(size=(3, 10)) / 3, rng.normal(size=3))
+    right = b.affine("right", narrow, rng.normal(size=(3, 16)) / 4, rng.normal(size=3))
     return b.build(outputs=[left, right])
 
 
 def pool_of_pool(rng):
     b = GraphBuilder()
-    act = b.relu("act", conv_front(b, rng, length=16))
-    inner = b.maxpool1d("inner", act, 2, 1)  # (13, 4)
-    outer = b.maxpool1d("outer", inner, 3, 2)  # (6, 4)
-    b.affine("out", outer, rng.normal(size=(2, 24)) / 5, rng.normal(size=2))
+    act = b.relu("act", conv_front(b, rng, length=40, n_filt=2))  # (38, 2)
+    inner = b.maxpool1d("inner", act, 4, 3)  # (12, 2)
+    outer = b.maxpool1d("outer", inner, 3, 4)  # (3, 2)
+    b.affine("out", outer, rng.normal(size=(2, 6)) / 2, rng.normal(size=2))
     return b.build(outputs=["out"])
 
 
 def shared_slope(rng):
     b = GraphBuilder()
-    act = b.prelu("act", conv_front(b, rng), [0.3])
-    pool = b.maxpool1d("pool", act, 3, 3)
-    b.affine("out", pool, rng.normal(size=(2, 12)) / 4, rng.normal(size=2))
+    act = b.prelu("act", conv_front(b, rng, n_filt=2), [0.3])  # (11, 2)
+    pool = b.maxpool1d("pool", act, 3, 3)  # (3, 2)
+    b.affine("out", pool, rng.normal(size=(2, 6)) / 3, rng.normal(size=2))
     return b.build(outputs=["out"])
 
 
@@ -359,9 +367,10 @@ def trailing_rows(rng):
 
 def strided_conv(rng):
     b = GraphBuilder()
-    act = b.tanh("act", conv_front(b, rng, length=17, stride=2, width=4))  # (7, 4)
-    pool = b.maxpool1d("pool", act, 3, 2)  # (3, 4)
-    b.affine("out", pool, rng.normal(size=(2, 12)) / 3, rng.normal(size=2))
+    act = b.tanh("act", conv_front(b, rng, length=34, stride=2, width=4,
+                                   n_filt=2))  # (16, 2)
+    pool = b.maxpool1d("pool", act, 3, 2)  # (7, 2)
+    b.affine("out", pool, rng.normal(size=(2, 14)) / 3, rng.normal(size=2))
     return b.build(outputs=["out"])
 
 
@@ -392,6 +401,13 @@ HAND_BUILT = {
 def lrp_applies(graph):
     return all(n.kind in ("input", "affine", "conv1d", "maxpool1d", "relu")
                for n in graph.nodes.values())
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_every_hand_built_pool_routes_sparsely(name):
+    graph = HAND_BUILT[name](np.random.default_rng(77))
+    pools = [nid for nid, n in graph.nodes.items() if n.kind == "maxpool1d"]
+    assert pools and all(routes_sparsely(graph, nid) for nid in pools)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
@@ -430,7 +446,7 @@ def test_two_routed_writes_merge_into_a_dense_buffer(method, batch):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(deltalift.autodiff, "accumulate", accumulating)
         patch.setattr(deltalift.engine, "accumulate", accumulating)
-        got = compare_sweeps(method, graph, inputs, seeds, {"x": rng.normal(size=(13, 3))})
+        got = compare_sweeps(method, graph, inputs, seeds, {"x": rng.normal(size=(26, 3))})
     # both pools write act a routed buffer, and the second finds one there
     assert routed == {type(None): Routed, Routed: Routed}
     assert np.count_nonzero(got["act"]) > 0
@@ -441,9 +457,9 @@ def test_lrp_refuses_a_sigmoid_below_a_max_pool_by_name(batch):
     # the refusal reads the pool's routed buffer (Routed.any)
     rng = np.random.default_rng(79)
     b = GraphBuilder()
-    act = b.sigmoid("s", conv_front(b, rng))
-    pool = b.maxpool1d("pool", act, 3, 2)
-    b.affine("out", pool, rng.normal(size=(1, 20)) / 4, rng.normal(size=1))
+    act = b.sigmoid("s", conv_front(b, rng, length=26, n_filt=2))  # (24, 2)
+    pool = b.maxpool1d("pool", act, 3, 3)  # (8, 2)
+    b.affine("out", pool, rng.normal(size=(1, 16)) / 4, rng.normal(size=1))
     graph = b.build(outputs=["out"])
     inputs = {"x": batch_of(graph.nodes["x"].output_shape, batch, rng)}
     calls = []
@@ -490,6 +506,129 @@ def test_deeplift_reroute_below_a_routed_rescale(batch):
     delta_out = trace["out"] - reference["out"]
     got = (mult["x"] * (xs - ref)).reshape(-1 if batch is None else batch, 24).sum(axis=-1)
     assert_close(got, delta_out[..., 0].reshape(got.shape), "conservation")
+
+
+# ---------------------------------------------------------------------------
+# The density rule: a route with at least as many entries as its input
+# has rows is written dense
+
+
+def pool_rule_write(method, graph, trace, reference, pool_id):
+    """The buffer ``method``'s max-pool rule writes into the pool's input,
+    from a random multiplier on the pool's output."""
+    out = np.random.default_rng(83).normal(size=trace[pool_id].shape)
+    rules = GRADIENT_RULES if method == "gradient" else _deeplift_rules(reference)
+    written = {}
+    rules["maxpool1d"](graph.nodes[pool_id], out, trace, written, None)
+    return written[graph.nodes[pool_id].inputs[0]]
+
+
+# (input shape, pool width, pool stride, routes sparsely): entries
+# against input rows
+DENSITY_EDGES = {
+    "8-on-8-rows": ((8, 2), 2, 2, False),
+    "8-on-9-rows": ((9, 2), 2, 2, True),
+    "vector-5-on-5": ((5,), 1, 1, False),
+    "vector-4-on-5": ((5,), 2, 1, True),
+}
+
+
+@pytest.mark.parametrize("method", ["gradient", "deeplift"])
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("edge", sorted(DENSITY_EDGES))
+def test_a_pool_routes_only_fewer_entries_than_its_input_has_rows(method, batch, edge):
+    shape, width, stride, sparse = DENSITY_EDGES[edge]
+    rng = np.random.default_rng(81)
+    b = GraphBuilder()
+    pool = b.maxpool1d("pool", b.relu("act", b.input("x", shape)), width, stride)
+    b.affine("out", pool, rng.normal(size=(1, int(np.prod(b.shape_of(pool))))), [0.1])
+    graph = b.build(outputs=["out"])
+    assert routes_sparsely(graph, "pool") is sparse
+    trace = forward(graph, {"x": batch_of(shape, batch, rng)})
+    reference = compute_reference(graph, {"x": rng.normal(size=shape)})
+    buf = pool_rule_write(method, graph, trace, reference, "pool")
+    assert type(buf) is (Routed if sparse else np.ndarray)
+    if sparse:
+        buf = buf.dense()
+    assert buf.shape == trace["act"].shape and np.count_nonzero(buf) > 0
+
+
+@pytest.mark.parametrize("method", ["gradient", "deeplift"])
+@pytest.mark.parametrize("batch", [None, 8, 32])
+def test_the_paper_cnn_pool_stays_routed(method, batch):
+    # 60 entries on 186 rows per sample, at every batch size
+    rng = np.random.default_rng(85)
+    graph = build_genomics_cnn(seed=3)
+    trace = forward(graph, {"seq": one_hot(rng, (200,) if batch is None else (batch, 200))})
+    reference = compute_reference(graph, {"seq": np.full((200, 4), 0.25)})
+    buf = pool_rule_write(method, graph, trace, reference, "pool")
+    assert type(buf) is Routed and buf.index.size == 60 * (batch or 1)
+    assert buf.size == 186 * 20 * (batch or 1)
+
+
+def zoo_conv(rng, kind, n_filt):
+    """The zoo's conv members' front end: 48 x 4 input, n_filt 5-wide
+    filters, then the rectifier and a 4-wide, 4-stride pool, (11, n_filt)
+    entries on 44 rows; a dense head reads the pool."""
+    b = GraphBuilder()
+    conv = b.conv1d("conv", b.input("x", (48, 4)), rng.normal(size=(n_filt, 5, 4)) / 4.5,
+                    rng.normal(size=n_filt) * 0.3)
+    act = (b.relu("act", conv) if kind == "relu"
+           else b.prelu("act", conv, rng.uniform(0.05, 0.6, n_filt)))
+    pool = b.maxpool1d("pool", act, 4, 4)
+    b.affine("out", pool, rng.normal(size=(3, 11 * n_filt)) / 10, rng.normal(size=3))
+    return b.build(outputs=["out"])
+
+
+def two_pools_narrow(rng):
+    """4- and 2-wide pools over (11, 4): 12 and 20 entries on 11 rows."""
+    b = GraphBuilder()
+    act = b.relu("act", conv_front(b, rng))  # (11, 4)
+    wide = b.maxpool1d("wide", act, 4, 3)  # (3, 4)
+    narrow = b.maxpool1d("narrow", act, 2, 2)  # (5, 4)
+    left = b.affine("left", wide, rng.normal(size=(3, 12)) / 3, rng.normal(size=3))
+    right = b.affine("right", narrow, rng.normal(size=(3, 20)) / 4, rng.normal(size=3))
+    return b.build(outputs=[left, right])
+
+
+NARROW = {
+    "zoo-relu-32": lambda rng: zoo_conv(rng, "relu", 32),
+    "zoo-prelu-16": lambda rng: zoo_conv(rng, "prelu", 16),
+    "two-pools": two_pools_narrow,
+}
+
+
+def always_routed(grads, pool, index, values, shape):
+    """The max-pool write before the density rule: always ``Routed``."""
+    accumulate(grads, pool.inputs[0], Routed(index, values, shape))
+
+
+@pytest.mark.parametrize("name", sorted(NARROW))
+@pytest.mark.parametrize("batch", BATCHES)
+def test_narrow_pools_go_dense_and_agree_with_the_routed_sweep(name, batch):
+    rng = np.random.default_rng(87)
+    graph = NARROW[name](rng)
+    pools = [nid for nid, n in graph.nodes.items() if n.kind == "maxpool1d"]
+    assert not any(routes_sparsely(graph, nid) for nid in pools)
+    shape = graph.nodes["x"].output_shape
+    inputs = {"x": batch_of(shape, batch, rng)}
+    trace = forward(graph, inputs)
+    reference = compute_reference(graph, {"x": rng.normal(size=shape)})
+    for nid in pools:
+        for method in ("gradient", "deeplift"):
+            assert type(pool_rule_write(method, graph, trace, reference, nid)) is np.ndarray
+    seeds = {out: rng.normal(size=trace[out].shape) for out in graph.outputs}
+    methods = ["gradient", "deeplift"] + (["lrp"] if lrp_applies(graph) else [])
+    for method in methods:
+        dense = compare_sweeps(method, graph, inputs, seeds, reference.reference_input)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (deltalift.autodiff, deltalift.engine):
+                patch.setattr(module, "write_pool_input", always_routed)
+            routed = compare_sweeps(method, graph, inputs, seeds, reference.reference_input)
+        for nid in graph.nodes:
+            assert_close(dense[nid], routed[nid], (name, method, nid))
+    # and the training sweep's parameter gradients
+    compare_params(graph, inputs, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -811,19 +950,19 @@ def test_routed_conv_transpose_of_a_deeplift_reroute(batch):
     # while its neighbours' are not, so the window reroutes off its route
     rng = np.random.default_rng(61)
     b = GraphBuilder()
-    conv = b.conv1d("conv", b.input("x", (24, 4)), rng.normal(size=(5, 3, 4)),
-                    rng.normal(size=5), stride=2)  # (11, 5)
-    b.maxpool1d("pool", conv, 4, 2)  # (4, 5)
+    conv = b.conv1d("conv", b.input("x", (48, 4)), rng.normal(size=(5, 3, 4)),
+                    rng.normal(size=5), stride=2)  # (23, 5)
+    b.maxpool1d("pool", conv, 5, 5)  # (4, 5)
     graph = b.build(outputs=["pool"])
     lead = 0 if batch is None else 1
-    xs = batch_of((24, 4), batch, rng)
+    xs = batch_of((48, 4), batch, rng)
     trace = forward(graph, {"x": xs})
     route = trace.route("pool").reshape(-1, 4, 5)
     ref = xs + rng.normal(size=xs.shape)
-    refs = ref.reshape(-1, 24, 4)
+    refs = ref.reshape(-1, 48, 4)
     for sample in range(len(refs)):
-        row = route[sample, 1, sample % 5] // 5 - sample * 11 * lead
-        refs[sample, 2 * row:2 * row + 3] = xs.reshape(-1, 24, 4)[sample, 2 * row:2 * row + 3]
+        row = route[sample, 1, sample % 5] // 5 - sample * 23 * lead
+        refs[sample, 2 * row:2 * row + 3] = xs.reshape(-1, 48, 4)[sample, 2 * row:2 * row + 3]
     reference = compute_reference(graph, {"x": ref})
     mult = {}
     m_out = rng.normal(size=trace["pool"].shape)

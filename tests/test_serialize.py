@@ -335,6 +335,8 @@ MUTATIONS = {
         shape=[-e["params"]["shape"][0], 4])),
     "relu-two-inputs": ("fc1_act", lambda e: e.update(
         kind="relu", inputs=[e["inputs"][0]] * 2, params={})),
+    # loaded and ran as a relu, its slopes unread
+    "prelu-to-relu": ("fc1_act", lambda e: e.update(kind="relu")),
 }
 
 
@@ -353,3 +355,13 @@ def test_corrupted_parameter_names_the_node(tmp_path, name):
     with pytest.raises(ModelFormatError) as info:
         load_model(path)
     assert f"node '{MUTATIONS[name][0]}'" in str(info.value)
+
+
+def test_a_parameter_the_kind_does_not_take_is_refused(tmp_path):
+    path = tmp_path / "relu.json"
+    cnn = build_genomics_cnn(seed=0)
+    assert cnn.nodes["fc1_act"].kind == "prelu"
+    path.write_text(json.dumps(mutated(graph_to_dict(cnn), "prelu-to-relu")))
+    with pytest.raises(ModelFormatError,
+                       match="node 'fc1_act': relu node takes no parameter 'slopes'"):
+        load_model(path)
